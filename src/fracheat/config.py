@@ -12,9 +12,12 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
+from .assembly import DENSE_SIZE_CAP
 from .errors import ConfigError
-from .geometry import DomainSpec
-from .potentials import PotentialSpec, hardy_sharp_constant
+from .geometry import DomainSpec, build_grid
+from .potentials import PotentialSpec, hardy_sharp_constant, parse_bounded_expr
 
 SCHEMA_VERSION = 1
 
@@ -83,6 +86,7 @@ def _potential_from_dict(p: dict, d: int, alpha: float, errors: list):
         if kind == "hardy_boundary":
             return PotentialSpec.hardy_boundary(p["kappa"], epsilon=eps), None
         if kind == "bounded":
+            parse_bounded_expr(p["expr"], d)
             return PotentialSpec.bounded(p["expr"], epsilon=eps), None
         if kind == "custom":
             return None, p["table"]
@@ -138,16 +142,20 @@ def validate_dict(doc: dict) -> list:
     if not isinstance(hs, list) or not hs:
         errors.append("h_schedule: missing or empty")
     else:
-        if any(not isinstance(h, (int, float)) or h <= 0 for h in hs):
+        if any(not isinstance(h, (int, float)) or not 0 < h < math.inf for h in hs):
             errors.append("h_schedule: entries must be positive numbers")
         elif any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
             errors.append("h_schedule: must be strictly decreasing")
         elif domain is not None:
+            lattice = math.prod(np.floor(2.0 * w / hs[-1]) + 1.0 for w in domain.half_widths)
             if hs[0] >= domain.min_extent:
                 errors.append("h_schedule: coarsest spacing is not below the domain extent")
-            cells = (2.0 * max(domain.half_widths) / hs[-1]) ** domain.dimension
-            if cells > 8192 * 1.3:
-                errors.append("h_schedule: finest spacing exceeds the dense-storage cap")
+            # a disk keeps about pi/4 of its box, so a box lattice above four
+            # times the cap cannot fit and is rejected without being built
+            elif lattice > 4 * DENSE_SIZE_CAP or build_grid(domain, hs[-1]).n > DENSE_SIZE_CAP:
+                errors.append(
+                    f"h_schedule: finest grid exceeds the dense-size cap of {DENSE_SIZE_CAP} nodes"
+                )
 
     ks = doc.get("k_schedule")
     if not isinstance(ks, list) or not ks:

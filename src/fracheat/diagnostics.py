@@ -20,7 +20,7 @@ from .assembly import OperatorMatrix, assemble_operator
 from .errors import BallTooSmall, InsufficientEvidence, NonpositiveState
 from .geometry import DomainSpec, boundary_distance, build_grid
 from .potentials import PotentialField, PotentialSpec, sample_potential
-from .spectral import SpectralSeries, form_bilinear, form_energy, spectral_bottom
+from .spectral import SpectralSeries, _k_order, form_bilinear, form_energy, spectral_bottom
 from .evolution import Trajectory, evolve
 
 EXISTS = "EXISTS"
@@ -325,10 +325,6 @@ class Verdict:
     epsilon: float
 
 
-def _k_sort(k) -> float:
-    return math.inf if k is None else float(k)
-
-
 def classify(
     series: SpectralSeries,
     family,
@@ -355,14 +351,14 @@ def classify(
     for traj in family:
         key = traj.grid.h
         cur = by_mesh.get(key)
-        if cur is None or _k_sort(traj.k) >= _k_sort(cur.k):
+        if cur is None or _k_order(traj.k) >= _k_order(cur.k):
             by_mesh[key] = traj
     sups = []
     for entry in deepest:
         traj = by_mesh.get(entry.h)
         if traj is None:
             raise InsufficientEvidence(f"no trajectory for mesh h={entry.h}")
-        if _k_sort(traj.k) < _k_sort(entry.k):
+        if _k_order(traj.k) < _k_order(entry.k):
             raise InsufficientEvidence(
                 f"family at h={entry.h} stops at k={traj.k}, series reaches k={entry.k}"
             )

@@ -26,7 +26,7 @@ class DimensionMismatch(FracheatError):
 
 
 class ConvergenceFailure(FracheatError):
-    """Eigenvalue iteration did not reach the residual tolerance."""
+    """Eigen solve did not meet the residual tolerance."""
 
     def __init__(self, message, iterations=0):
         super().__init__(message)

@@ -18,8 +18,8 @@ from scipy import linalg
 from .assembly import OperatorMatrix
 from .errors import SolveFailure, StepTooLarge
 from .geometry import Grid
-from .potentials import PotentialSpec, sample_potential, truncate
-from .spectral import _potential_vector, spectral_bottom
+from .potentials import PotentialSpec, sample_potential
+from .spectral import MeshLevel, _potential_vector, spectral_bottom
 
 STEP_RESTRICTION = 0.5
 
@@ -162,12 +162,17 @@ def monotone_family(
     """Trajectories of the truncated problems for every level in k_schedule,
     on one shared time grid.  Levels must increase; None means untruncated.
     Deeper truncations dominate shallower ones pointwise."""
-    fld = sample_potential(potential, M.grid, M.alpha)
-    trajectories = []
-    for k in k_schedule:
-        level = fld if k is None else truncate(fld, k)
-        trajectories.append(evolve(M, level, u0, t_final, dt))
-    return trajectories
+    level = MeshLevel(M, sample_potential(potential, M.grid, M.alpha))
+    return level_family(level, k_schedule, u0, t_final, dt)
+
+
+def level_family(level: MeshLevel, k_schedule, u0, t_final: float, dt: float) -> list:
+    """Evolve u0 under every truncation min(V, k) of one mesh level, with the
+    level's cached spectral bottoms enforcing the step restriction."""
+    return [
+        evolve(level.op, level.field_at(k), u0, t_final, dt, lambda0=level.lambda0(k))
+        for k in k_schedule
+    ]
 
 
 def duhamel_residual(traj: Trajectory, M: OperatorMatrix, V) -> float:

@@ -9,6 +9,7 @@ problems well posed one level at a time.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -123,17 +124,54 @@ _EXPR_NAMES = {
 }
 
 
+_GRAMMAR = (
+    ast.Expression, ast.Constant, ast.Name, ast.Load, ast.Call, ast.UnaryOp, ast.BinOp,
+    ast.UAdd, ast.USub, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
+)
+
+
+def parse_bounded_expr(expr, dimension: int) -> ast.Expression:
+    """Parse a bounded-potential expression and check its grammar.
+
+    Allowed: numeric constants, the variables x, r (and y when d = 2), the
+    names in _EXPR_NAMES, unary and binary arithmetic, and calls of the
+    functions in _EXPR_NAMES.  Anything else (attributes, subscripts,
+    comparisons, keywords, other names) raises DomainError, so an expression
+    can reach nothing but these values.
+    """
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except (SyntaxError, TypeError) as exc:
+        raise DomainError(f"cannot parse bounded potential expression {expr!r}: {exc}")
+    names = {"x", "r", "y"} if dimension == 2 else {"x", "r"}
+    for node in ast.walk(tree):
+        if (
+            not isinstance(node, _GRAMMAR)
+            or (isinstance(node, ast.Constant) and type(node.value) not in (int, float))
+            or (isinstance(node, ast.Name) and node.id not in names | _EXPR_NAMES.keys())
+            or (isinstance(node, ast.Call) and (
+                node.keywords or not callable(_EXPR_NAMES.get(getattr(node.func, "id", None)))
+            ))
+        ):
+            raise DomainError(
+                f"bounded potential expression {expr!r}: {ast.unparse(node)} is not allowed"
+            )
+    return tree
+
+
 def _eval_bounded_expr(expr: str, grid: Grid) -> np.ndarray:
+    code = compile(parse_bounded_expr(expr, grid.dimension), "<bounded potential>", "eval")
     names = dict(_EXPR_NAMES)
     names["x"] = grid.points[:, 0]
     names["r"] = np.linalg.norm(grid.points, axis=1)
     if grid.dimension == 2:
         names["y"] = grid.points[:, 1]
     try:
-        vals = eval(expr, {"__builtins__": {}}, names)  # noqa: S307 - closed-form descriptor
+        vals = eval(code, {"__builtins__": {}}, names)  # noqa: S307 - grammar checked above
+        vals = np.asarray(vals, dtype=float)
     except Exception as exc:
         raise DomainError(f"cannot evaluate bounded potential expression {expr!r}: {exc}")
-    return np.broadcast_to(np.asarray(vals, dtype=float), (grid.n,)).copy()
+    return np.broadcast_to(vals, (grid.n,)).copy()
 
 
 def sample_potential(spec: PotentialSpec, grid: Grid, alpha: float) -> PotentialField:

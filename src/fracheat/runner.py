@@ -30,15 +30,10 @@ from .diagnostics import (
     shrinking_ball_certificate,
 )
 from .errors import BallTooSmall, EmptyGrid
-from .evolution import duhamel_residual, evolve, initial_state
+from .evolution import duhamel_residual, initial_state, level_family
 from .geometry import DomainSpec, build_grid
-from .potentials import estimate_boundary_hardy_constant, load_custom_table, truncate
-from .spectral import (
-    SpectralSeries,
-    prepared_levels,
-    series_from_prepared,
-    spectral_bottom,
-)
+from .potentials import estimate_boundary_hardy_constant, load_custom_table
+from .spectral import MeshLevel, SpectralSeries
 
 STEP_MARGIN = 0.45
 
@@ -68,41 +63,15 @@ def _certificate_json(cert: Certificate) -> dict:
     }
 
 
-class _MeshLevel:
-    """Everything computed at one spacing: operator, potential, trajectories."""
-
-    def __init__(self, h, op, fld):
-        self.h = h
-        self.op = op
-        self.fld = fld
-        self.fields_by_k = {}
-        self.lambda_by_k = {}
-        self.dt = None
-        self.trajectories = {}
-
-    def field_at(self, k):
-        if k not in self.fields_by_k:
-            self.fields_by_k[k] = self.fld if k is None else truncate(self.fld, k)
-        return self.fields_by_k[k]
-
-
-def _evolve_level(level: _MeshLevel, config: ExperimentConfig):
-    """Stepping bottoms, admissible dt, and the truncated family at one mesh."""
-    for k in config.k_schedule:
-        fld = level.field_at(k)
-        level.lambda_by_k[k] = spectral_bottom(level.op, fld.values).lambda0
+def _mesh_family(level: MeshLevel, config: ExperimentConfig) -> list:
+    """The truncated family at one mesh, at the largest dt = config.dt / 2^j
+    with dt * max(0, -lambda0) < STEP_MARGIN at every truncation level."""
     dt = config.dt
-    worst = min(level.lambda_by_k.values())
+    worst = min(level.lambda0(k) for k in config.k_schedule)
     while dt * max(0.0, -worst) >= STEP_MARGIN:
         dt *= 0.5
-    level.dt = dt
     u0 = _initial_state(level.op.grid, config)
-    for k in config.k_schedule:
-        fld = level.field_at(k)
-        level.trajectories[k] = evolve(
-            level.op, fld, u0, config.t_final, dt, lambda0=level.lambda_by_k[k]
-        )
-    return level
+    return level_family(level, config.k_schedule, u0, config.t_final, dt)
 
 
 def _initial_state(grid, config: ExperimentConfig):
@@ -151,15 +120,16 @@ def run_experiment(
         grid0 = build_grid(config.domain, config.h_schedule[0])
         potential = load_custom_table(config.custom_table_path, grid0)
 
-    prepared = prepared_levels(config.domain, config.alpha, potential, config.h_schedule)
-    series = series_from_prepared(prepared, potential, config.k_schedule)
+    levels = [
+        MeshLevel.build(config.domain, config.alpha, potential, h) for h in config.h_schedule
+    ]
+    series = SpectralSeries.from_levels(levels, potential, config.k_schedule)
 
-    levels = [_MeshLevel(h, op, fld) for h, op, fld in prepared]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            levels = list(pool.map(lambda lv: _evolve_level(lv, config), levels))
+            families = list(pool.map(lambda lv: _mesh_family(lv, config), levels))
     else:
-        levels = [_evolve_level(lv, config) for lv in levels]
+        families = [_mesh_family(lv, config) for lv in levels]
 
     probe = config.probe_times[0]
     thresholds = ClassifierThresholds(
@@ -168,15 +138,13 @@ def run_experiment(
         growth_ratio=config.thresholds["growth_ratio"],
         probe_time=probe,
     )
-    family = [traj for lv in levels for traj in lv.trajectories.values()]
-    verdict = classify(series, family, thresholds)
+    verdict = classify(series, [traj for family in families for traj in family], thresholds)
 
     finest = levels[-1]
-    deepest_k = config.k_schedule[-1]
-    certificates = _certificates(config, potential, finest, deepest_k, probe, rng)
+    certificates = _certificates(config, potential, finest, families[-1], probe, rng)
     residuals = {
         "duhamel": duhamel_residual(
-            finest.trajectories[deepest_k], finest.op, finest.field_at(deepest_k)
+            families[-1][-1], finest.op, finest.field_at(config.k_schedule[-1])
         )
     }
 
@@ -189,12 +157,12 @@ def run_experiment(
     series_path = out / "series.csv"
     series.write_csv(series_path)
     traj_path = out / "trajectories.csv"
-    _write_trajectories(traj_path, levels)
+    _write_trajectories(traj_path, families)
     curves_path = out / "curves.csv"
     _write_curves(curves_path, series, verdict)
     checkpoints = config.raw.get("state_checkpoints") or []
     if checkpoints:
-        _write_states(out / "states.csv", levels, checkpoints)
+        _write_states(out / "states.csv", families, checkpoints)
 
     digest = hashlib.sha256(config.canonical_json().encode()).hexdigest()[:16]
     report = {
@@ -225,12 +193,10 @@ def run_experiment(
     }
 
 
-def _certificates(config, potential, finest: _MeshLevel, deepest_k, probe, rng) -> list:
+def _certificates(config, potential, finest: MeshLevel, family, probe, rng) -> list:
     certs = []
-    for k in config.k_schedule:
-        certs.append(
-            exponential_bound_certificate(finest.trajectories[k], finest.lambda_by_k[k])
-        )
+    for k, traj in zip(config.k_schedule, family):
+        certs.append(exponential_bound_certificate(traj, finest.lambda0(k)))
 
     n = finest.op.n
     trials = config.sweeps["energy_trials"]
@@ -256,10 +222,10 @@ def _certificates(config, potential, finest: _MeshLevel, deepest_k, probe, rng) 
             )
         )
 
-    traj = finest.trajectories[deepest_k]
-    fld = finest.field_at(deepest_k)
+    traj = family[-1]
+    fld = finest.field_at(config.k_schedule[-1])
     t2 = probe
-    t1 = max(finest.dt, math.floor(probe / (2.0 * finest.dt)) * finest.dt)
+    t1 = max(traj.dt, math.floor(probe / (2.0 * traj.dt)) * traj.dt)
     phis = config.sweeps["log_phis"]
     worst = None
     for _ in range(phis):
@@ -286,7 +252,7 @@ def _certificates(config, potential, finest: _MeshLevel, deepest_k, probe, rng) 
             finest.op,
             _initial_state(finest.op.grid, config),
             probe,
-            dt=finest.dt,
+            dt=traj.dt,
             ratio_bound=config.thresholds["comparability_ratio_bound"],
         )
     )
@@ -304,26 +270,26 @@ def _certificates(config, potential, finest: _MeshLevel, deepest_k, probe, rng) 
     return certs
 
 
-def _write_trajectories(path, levels) -> None:
+def _write_trajectories(path, families) -> None:
     with open(path, "w") as fh:
         fh.write("h,k,t,l2_norm,max_value\n")
-        for lv in levels:
-            for k, traj in lv.trajectories.items():
-                ktxt = "inf" if k is None else repr(float(k))
+        for family in families:
+            for traj in family:
+                ktxt = "inf" if traj.k is None else repr(traj.k)
                 for t, nrm, mx in zip(traj.times, traj.l2_norms, traj.max_values):
-                    fh.write(f"{lv.h!r},{ktxt},{float(t)!r},{float(nrm)!r},{float(mx)!r}\n")
+                    fh.write(f"{traj.grid.h!r},{ktxt},{float(t)!r},{float(nrm)!r},{float(mx)!r}\n")
 
 
-def _write_states(path, levels, checkpoints) -> None:
+def _write_states(path, families, checkpoints) -> None:
     with open(path, "w") as fh:
         fh.write("h,k,t,index,value\n")
-        for lv in levels:
-            for k, traj in lv.trajectories.items():
-                ktxt = "inf" if k is None else repr(float(k))
+        for family in families:
+            for traj in family:
+                ktxt = "inf" if traj.k is None else repr(traj.k)
                 for t in checkpoints:
                     state = traj.state_at(t)
                     for i, v in enumerate(state):
-                        fh.write(f"{lv.h!r},{ktxt},{float(t)!r},{i},{float(v)!r}\n")
+                        fh.write(f"{traj.grid.h!r},{ktxt},{float(t)!r},{i},{float(v)!r}\n")
 
 
 def _write_curves(path, series: SpectralSeries, verdict) -> None:

@@ -18,9 +18,9 @@ from scipy import linalg
 from .assembly import OperatorMatrix, assemble_operator
 from .errors import ConvergenceFailure, DimensionMismatch
 from .geometry import DomainSpec, build_grid
-from .potentials import PotentialSpec, sample_potential, truncate
+from .potentials import PotentialField, PotentialSpec, sample_potential, truncate
 
-DENSE_EIG_CUTOFF = 2048
+RESIDUAL_TOL = 1e-8
 
 
 def _as_state(M: OperatorMatrix, f) -> np.ndarray:
@@ -70,62 +70,26 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def spectral_bottom(
-    M: OperatorMatrix,
-    V=None,
-    *,
-    seed_vector: np.ndarray | None = None,
-    residual_tol: float = 1e-8,
-    dense_cutoff: int = DENSE_EIG_CUTOFF,
-    max_iterations: int = 500,
-) -> SpectralResult:
+def spectral_bottom(M: OperatorMatrix, V=None) -> SpectralResult:
     """Smallest eigenvalue and unit ground vector of M - diag(V).
 
-    Dense symmetric solve up to dense_cutoff rows; shifted inverse iteration
-    (optionally warm-started by seed_vector) above it.  The returned pair
-    always satisfies ||(M - V) v - lambda v|| <= residual_tol; otherwise
-    ConvergenceFailure is raised with the iteration count.  The eigenvector
-    sign is fixed so its sum is nonnegative.
+    One dense symmetric solve; assembly caps n at DENSE_SIZE_CAP.  The
+    returned pair always satisfies ||(M - V) v - lambda v|| <= RESIDUAL_TOL;
+    otherwise ConvergenceFailure is raised.  The eigenvector sign is fixed
+    so its sum is nonnegative.
     """
     vals = _potential_vector(M, V)
     A = M.entries - np.diag(vals)
-    if M.n <= dense_cutoff:
-        w, vecs = linalg.eigh(A, subset_by_index=[0, 0])
-        lam = float(w[0])
-        v = _fix_sign(vecs[:, 0])
-        iterations = 1
-    else:
-        lam, v, iterations = _inverse_iteration(
-            A, seed_vector, residual_tol, max_iterations
-        )
+    w, vecs = linalg.eigh(A, subset_by_index=[0, 0])
+    lam = float(w[0])
+    v = _fix_sign(vecs[:, 0])
     residual = float(np.linalg.norm(A @ v - lam * v))
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise ConvergenceFailure(
-            f"eigen residual {residual:.3e} above tolerance {residual_tol:.1e}",
-            iterations=iterations,
+            f"eigen residual {residual:.3e} above tolerance {RESIDUAL_TOL:.1e}",
+            iterations=1,
         )
-    return SpectralResult(lambda0=lam, eigvec=v, iterations=iterations)
-
-
-def _inverse_iteration(A, seed, tol, max_iterations):
-    n = A.shape[0]
-    # Gershgorin lower bound keeps the shifted matrix positive definite
-    radius = np.sum(np.abs(A), axis=1) - np.abs(np.diag(A))
-    shift = float(np.min(np.diag(A) - radius)) - 1.0
-    factor = linalg.cho_factor(A - shift * np.eye(n))
-    v = np.full(n, 1.0 / math.sqrt(n)) if seed is None else seed / np.linalg.norm(seed)
-    lam = float(v @ (A @ v))
-    for it in range(1, max_iterations + 1):
-        v = linalg.cho_solve(factor, v)
-        v /= np.linalg.norm(v)
-        Av = A @ v
-        lam = float(v @ Av)
-        if np.linalg.norm(Av - lam * v) <= tol:
-            return lam, _fix_sign(v), it
-    raise ConvergenceFailure(
-        f"inverse iteration did not converge in {max_iterations} iterations",
-        iterations=max_iterations,
-    )
+    return SpectralResult(lambda0=lam, eigvec=v, iterations=1)
 
 
 @dataclass(frozen=True)
@@ -143,6 +107,26 @@ class SpectralSeries:
 
     entries: list = field(default_factory=list)
     potential_id: str = ""
+
+    @classmethod
+    def from_levels(cls, levels, potential: PotentialSpec, k_schedule) -> "SpectralSeries":
+        """Spectral bottoms of the (1 - epsilon)-scaled truncations at every
+        mesh level, mesh-major."""
+        eps = potential.epsilon
+        series = cls(potential_id=potential.label())
+        for lv in levels:
+            for k in k_schedule:
+                res = spectral_bottom(lv.op, (1.0 - eps) * lv.field_at(k).values)
+                series.entries.append(
+                    SpectralEntry(
+                        h=lv.h,
+                        k=None if k is None else float(k),
+                        epsilon=eps,
+                        lambda0=res.lambda0,
+                        iterations=res.iterations,
+                    )
+                )
+        return series
 
     def mesh_levels(self) -> list:
         """Distinct spacings in schedule order."""
@@ -183,38 +167,34 @@ def _validate_schedules(h_schedule, k_schedule) -> None:
         raise ValueError("k schedule must be strictly increasing (None/inf last)")
 
 
-def prepared_levels(domain: DomainSpec, alpha: float, potential: PotentialSpec, h_schedule):
-    """Build (grid, operator, untruncated field) for every spacing."""
-    out = []
-    for h in h_schedule:
+class MeshLevel:
+    """One spacing h: grid, operator, the untruncated sampled potential, and
+    each truncation min(V, k) with its unscaled spectral bottom, computed once.
+    A truncation level k of None means the untruncated field."""
+
+    def __init__(self, op: OperatorMatrix, fld: PotentialField):
+        self.h = op.grid.h
+        self.op = op
+        self.field = fld
+        self._fields = {}
+        self._lambdas = {}
+
+    @classmethod
+    def build(cls, domain: DomainSpec, alpha: float, potential: PotentialSpec, h: float):
         grid = build_grid(domain, h)
         op = assemble_operator(grid, alpha)
-        fld = sample_potential(potential, grid, alpha)
-        out.append((h, op, fld))
-    return out
+        return cls(op, sample_potential(potential, grid, alpha))
 
+    def field_at(self, k) -> PotentialField:
+        if k not in self._fields:
+            self._fields[k] = self.field if k is None else truncate(self.field, k)
+        return self._fields[k]
 
-def series_from_prepared(prepared, potential: PotentialSpec, k_schedule) -> SpectralSeries:
-    """Spectral bottoms of the (1 - epsilon)-scaled truncated potential over
-    every prepared mesh and truncation level; warm-starts within a mesh."""
-    eps = potential.epsilon
-    series = SpectralSeries(potential_id=potential.label())
-    for h, op, fld in prepared:
-        seed = None
-        for k in k_schedule:
-            level = fld if k is None else truncate(fld, k)
-            res = spectral_bottom(op, (1.0 - eps) * level.values, seed_vector=seed)
-            seed = res.eigvec
-            series.entries.append(
-                SpectralEntry(
-                    h=float(h),
-                    k=None if k is None else float(k),
-                    epsilon=eps,
-                    lambda0=res.lambda0,
-                    iterations=res.iterations,
-                )
-            )
-    return series
+    def lambda0(self, k) -> float:
+        """Spectral bottom of L - min(V, k), the one the step restriction needs."""
+        if k not in self._lambdas:
+            self._lambdas[k] = spectral_bottom(self.op, self.field_at(k).values).lambda0
+        return self._lambdas[k]
 
 
 def refinement_series(
@@ -228,5 +208,5 @@ def refinement_series(
     truncations.  Entries are ordered mesh-major, matching the schedules;
     a k of None means the untruncated sampled potential."""
     _validate_schedules(h_schedule, k_schedule)
-    prepared = prepared_levels(domain, alpha, potential, h_schedule)
-    return series_from_prepared(prepared, potential, k_schedule)
+    levels = [MeshLevel.build(domain, alpha, potential, h) for h in h_schedule]
+    return SpectralSeries.from_levels(levels, potential, k_schedule)

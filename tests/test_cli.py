@@ -2,10 +2,21 @@ import json
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fracheat import hardy_sharp_constant, load_config, normalization_constant, run_experiment
+from fracheat import (
+    assemble_operator,
+    build_grid,
+    hardy_sharp_constant,
+    initial_state,
+    load_config,
+    monotone_family,
+    normalization_constant,
+    refinement_series,
+    run_experiment,
+)
 from fracheat.cli import main
 from fracheat.config import validate_config
 
@@ -52,6 +63,27 @@ def test_validate_subcommand(tmp_path):
     bad = runner.invoke(main, ["validate", "--config", str(write_config(tmp_path, bad_doc))])
     assert bad.exit_code == 1
     assert "alpha" in bad.output
+
+    for expr in ("x +", "().__class__.__mro__[1].__subclasses__().__len__()"):
+        bad_doc = dict(FAST_CONFIG, potential={"kind": "bounded", "expr": expr})
+        bad = runner.invoke(main, ["validate", "--config", str(write_config(tmp_path, bad_doc))])
+        assert bad.exit_code == 1
+        assert "potential" in bad.output
+
+
+def test_finest_grid_above_dense_cap_rejected(tmp_path):
+    runner = CliRunner()
+    # n = 10000 from a 101 x 101 box lattice, and a 201 x 201 lattice that is
+    # rejected before any grid is built
+    for hs in ([0.1, 0.05, 0.02], [0.1, 0.01]):
+        doc = dict(FAST_CONFIG, domain={"kind": "rectangle", "a": 1, "b": 1}, h_schedule=hs)
+        path = str(write_config(tmp_path, doc))
+        bad = runner.invoke(main, ["validate", "--config", path])
+        assert bad.exit_code == 1
+        assert "h_schedule" in bad.output
+        run = runner.invoke(main, ["run", "--config", path, "--out", str(tmp_path / "out")])
+        assert run.exit_code == 2
+        assert "h_schedule" in run.output
 
 
 def test_run_rejects_bad_config(tmp_path):
@@ -100,6 +132,42 @@ def test_threaded_run_matches_serial(tmp_path):
     serial = run_experiment(cfg, out_dir=tmp_path / "serial", threads=1)
     threaded = run_experiment(cfg, out_dir=tmp_path / "threaded", threads=4)
     assert Path(serial["report"]).read_bytes() == Path(threaded["report"]).read_bytes()
+
+
+def test_runner_builds_on_one_level_pipeline(tmp_path, monkeypatch):
+    import fracheat.runner
+
+    captured = {}
+    real_classify = fracheat.runner.classify
+
+    def spy(series, family, thresholds):
+        captured["family"] = family
+        return real_classify(series, family, thresholds)
+
+    monkeypatch.setattr(fracheat.runner, "classify", spy)
+    cfg = load_config(write_config(tmp_path))
+    paths = run_experiment(cfg, out_dir=tmp_path / "out")
+
+    series = refinement_series(cfg.domain, cfg.alpha, cfg.potential, cfg.h_schedule, cfg.k_schedule)
+    rows = [line.split(",") for line in Path(paths["series"]).read_text().splitlines()[1:]]
+    parsed = [
+        (float(h), None if k == "inf" else float(k), float(eps), float(lam), int(its))
+        for h, k, eps, lam, its in rows
+    ]
+    assert parsed == [(e.h, e.k, e.epsilon, e.lambda0, e.iterations) for e in series.entries]
+
+    family = captured["family"]
+    assert len(family) == len(cfg.h_schedule) * len(cfg.k_schedule)
+    for i, h in enumerate(cfg.h_schedule):
+        op = assemble_operator(build_grid(cfg.domain, h), cfg.alpha)
+        runner_family = family[i * len(cfg.k_schedule):(i + 1) * len(cfg.k_schedule)]
+        expected = monotone_family(
+            op, cfg.potential, cfg.k_schedule, initial_state(op.grid), cfg.t_final,
+            runner_family[0].dt,
+        )
+        for got, want in zip(runner_family, expected):
+            assert got.grid.h == h and got.k == want.k
+            assert np.array_equal(got.states, want.states)
 
 
 def test_bundled_configs_validate():

@@ -80,8 +80,9 @@ def test_bounded_expressions():
     np.testing.assert_allclose(fld.values, 0.5 + 0.3 * np.cos(3 * g.points[:, 0]), rtol=1e-14)
     with pytest.raises(DomainError):
         sample_potential(PotentialSpec.bounded("x"), g, 0.5)  # negative somewhere
-    with pytest.raises(DomainError):
-        sample_potential(PotentialSpec.bounded("unknown_name"), g, 0.5)
+    for bad in ("unknown_name", "x +", "().__class__.__mro__[1].__subclasses__().__len__()"):
+        with pytest.raises(DomainError):
+            sample_potential(PotentialSpec.bounded(bad), g, 0.5)
 
 
 def test_custom_table_roundtrip(tmp_path):
