@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import DENSE_SIZE_CAP
-from .errors import ConfigError
+from .errors import ConfigError, DomainError, SingularNode
 from .geometry import DomainSpec, build_grid
-from .potentials import PotentialSpec, hardy_sharp_constant, parse_bounded_expr
+from .potentials import PotentialSpec, hardy_sharp_constant, parse_bounded_expr, sample_potential
 
 SCHEMA_VERSION = 1
 
@@ -128,6 +128,7 @@ def validate_dict(doc: dict) -> list:
                 f"alpha: {alpha} outside the admissible range (0, {min(2, d)}) for d={d}"
             )
 
+    pot = None
     if "potential" not in doc:
         errors.append("potential: missing")
     elif domain is not None and isinstance(alpha, (int, float)) and 0 < alpha < min(2, domain.dimension):
@@ -156,6 +157,16 @@ def validate_dict(doc: dict) -> list:
                 errors.append(
                     f"h_schedule: finest grid exceeds the dense-size cap of {DENSE_SIZE_CAP} nodes"
                 )
+            elif pot is not None:
+                # run samples the potential on every grid: no node may be
+                # singular, and a bounded expression must be finite and nonnegative
+                name = "potential.expr" if pot.kind == "bounded" else "potential"
+                for h in hs:
+                    try:
+                        sample_potential(pot, build_grid(domain, h), alpha)
+                    except (DomainError, SingularNode) as exc:
+                        errors.append(f"{name}: {exc} (h={h})")
+                        break
 
     ks = doc.get("k_schedule")
     if not isinstance(ks, list) or not ks:

@@ -137,7 +137,9 @@ def parse_bounded_expr(expr, dimension: int) -> ast.Expression:
     names in _EXPR_NAMES, unary and binary arithmetic, and calls of the
     functions in _EXPR_NAMES.  Anything else (attributes, subscripts,
     comparisons, keywords, other names) raises DomainError, so an expression
-    can reach nothing but these values.
+    can reach nothing but these values.  Integer constants become floats, so
+    a constant power tower overflows at once instead of being evaluated
+    exactly; an integer too large for a float is a DomainError.
     """
     try:
         tree = ast.parse(expr, mode="eval")
@@ -156,6 +158,13 @@ def parse_bounded_expr(expr, dimension: int) -> ast.Expression:
             raise DomainError(
                 f"bounded potential expression {expr!r}: {ast.unparse(node)} is not allowed"
             )
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            try:
+                node.value = float(node.value)
+            except OverflowError:
+                raise DomainError(
+                    f"bounded potential expression {expr!r}: constant too large for a float"
+                )
     return tree
 
 

@@ -18,7 +18,7 @@ from fracheat import (
     normalization_constant,
     spectral_bottom,
 )
-from fracheat.assembly import _box_complement_integral, _fourier_energy
+from fracheat.assembly import _box_complement_integral, _disk_complement_integral, _fourier_energy
 from fracheat.errors import DomainError
 
 # regression value: smallest eigenvalue of the assembled operator on the
@@ -106,25 +106,103 @@ def test_killing_density_disk():
     radii = np.round(np.linalg.norm(g.points, axis=1), 10)
     for r in np.unique(radii):
         assert np.ptp(kap[radii == r]) < 1e-11
-    # off-center oracle: exit-distance integral for the circle
+    # off-center oracle: exit-distance integral over the full circle of directions
     alpha2, rho0 = 0.75, 0.35
-    from fracheat.assembly import _disk_ring_integral
-
-    A = normalization_constant(2, alpha2)
-    mine = A * (
-        _box_complement_integral(np.array([[rho0, 0.0]]), 1.0, 1.0, alpha2)[0]
-        + _disk_ring_integral(rho0, 1.0, alpha2)
-    )
+    mine = _disk_complement_integral(np.array([rho0]), 1.0, alpha2)[0]
 
     def exit_dist(theta):
-        c, s = np.cos(theta), np.sin(theta)
-        bb = rho0 * c
+        bb = rho0 * np.cos(theta)
         return -bb + np.sqrt(bb * bb + 1.0 - rho0 * rho0)
 
     oracle, _ = integrate.quad(
         lambda th: exit_dist(th) ** -alpha2 / alpha2, 0, 2 * np.pi, limit=400, epsabs=1e-13
     )
-    assert mine == pytest.approx(A * oracle, rel=1e-9)
+    assert mine == pytest.approx(oracle, rel=1e-9)
+
+
+def _box_minus_disk_oracle(rho, R, alpha):
+    # complement of the bounding box in closed form plus the box-minus-disk
+    # ring by 2-d quadrature in polar coordinates about the center
+    p = 0.5 * (2.0 + alpha)
+
+    def rmax(theta):
+        return R / max(abs(np.cos(theta)), abs(np.sin(theta)))
+
+    def inner(r, theta):
+        return r * (r * r - 2.0 * r * rho * np.cos(theta) + rho * rho) ** -p
+
+    ring, _ = integrate.dblquad(inner, 0.0, np.pi, lambda t: R, rmax, epsabs=1e-13, epsrel=1e-9)
+    return _box_complement_integral(np.array([[rho, 0.0]]), R, R, alpha)[0] + 2.0 * ring
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("rho", [0.0, 0.35, 0.9, 1.0 - 1e-3])
+def test_disk_complement_vs_box_and_ring_oracle(rho, alpha):
+    mine = _disk_complement_integral(np.array([rho]), 1.0, alpha)[0]
+    assert mine == pytest.approx(_box_minus_disk_oracle(rho, 1.0, alpha), rel=1e-9)
+
+
+def test_disk_complement_near_circle_vs_mpmath():
+    rho, alpha = 1.0 - 1e-5, 1.5
+    mpmath.mp.dps = 30
+    mrho = mpmath.mpf(rho)
+    layer = mpmath.sqrt(1 - mrho)
+
+    def e(t):
+        return -mrho * mpmath.cos(t) + mpmath.sqrt(1 - (mrho * mpmath.sin(t)) ** 2)
+
+    half = mpmath.pi / 2
+    oracle = 2 / mpmath.mpf(alpha) * mpmath.quad(
+        lambda t: e(t) ** -alpha, [0, half - layer, half, half + layer, mpmath.pi]
+    )
+    mine = _disk_complement_integral(np.array([rho]), 1.0, alpha)[0]
+    assert mine == pytest.approx(float(oracle), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize("r", [0.3, 2.5])
+def test_disk_killing_density_scaling(r, alpha):
+    # kappa on disk(r) at spacing h r equals r^-alpha times kappa on disk(1)
+    h = 0.15
+    unit = build_grid(DomainSpec.disk(1.0), h)
+    scaled = build_grid(DomainSpec.disk(r), h * r)
+    assert scaled.n == unit.n
+    np.testing.assert_allclose(scaled.points, r * unit.points, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(
+        killing_density(scaled, alpha), r ** -alpha * killing_density(unit, alpha), rtol=1e-12, atol=0
+    )
+
+
+def _exit_distance_oracle(rho, R, alpha):
+    # (2/alpha) * int_0^pi e(theta)^-alpha, e the distance to the circle;
+    # the outward root is rationalized so that rho -> R loses no digits
+    chord = (R - rho) * (R + rho)  # R^2 - rho^2 without cancellation
+
+    def e(theta):
+        bb = rho * np.cos(theta)
+        root = np.sqrt(bb * bb + chord)
+        return chord / (root + bb) if bb > 0 else root - bb
+
+    layer = math.sqrt(R - rho)
+    # layers of width sqrt(R - rho) at theta = 0 (the nearest point) and pi/2
+    pts = [layer, 0.5 * np.pi - layer, 0.5 * np.pi, 0.5 * np.pi + layer]
+    val, _ = integrate.quad(
+        lambda th: e(th) ** -alpha, 0.0, np.pi, points=pts, limit=400, epsabs=0.0, epsrel=1e-13
+    )
+    return 2.0 * val / alpha
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_disk_killing_density_node_near_circle(alpha):
+    # at this spacing one node lies 5e-5 h from the unit circle
+    g = build_grid(DomainSpec.disk(1.0), 0.09269005847953217)
+    radii = np.hypot(g.points[:, 0], g.points[:, 1])
+    assert 1.0 - radii.max() < 6e-5 * g.h
+    A = normalization_constant(2, alpha)
+    kap = killing_density(g, alpha)
+    for rho in np.unique(radii):
+        oracle = A * _exit_distance_oracle(rho, 1.0, alpha)
+        np.testing.assert_allclose(kap[radii == rho], oracle, rtol=1e-12, atol=0)
 
 
 def test_operator_single_node_is_kappa():

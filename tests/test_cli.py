@@ -70,6 +70,21 @@ def test_validate_subcommand(tmp_path):
         assert bad.exit_code == 1
         assert "potential" in bad.output
 
+    # well formed but not samplable: negative on the grid, overflowing, or
+    # singular at a node (h = 0.4 puts a node at the origin)
+    for field, change in (
+        ("potential.expr", {"potential": {"kind": "bounded", "expr": "x"}}),
+        ("potential.expr", {"potential": {"kind": "bounded", "expr": "0.5 + 0*10**10**7"}}),
+        ("origin", {"potential": {"kind": "hardy_interior", "c": 0.1}, "h_schedule": [0.4, 0.125]}),
+    ):
+        path = str(write_config(tmp_path, dict(FAST_CONFIG, **change)))
+        bad = runner.invoke(main, ["validate", "--config", path])
+        assert bad.exit_code == 1
+        assert field in bad.output
+        run = runner.invoke(main, ["run", "--config", path, "--out", str(tmp_path / "out")])
+        assert run.exit_code == 2
+        assert field in run.output
+
 
 def test_finest_grid_above_dense_cap_rejected(tmp_path):
     runner = CliRunner()

@@ -1,3 +1,5 @@
+import time
+
 import mpmath
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from fracheat import (
     truncate,
 )
 from fracheat.errors import DomainError, SingularNode
+from fracheat.potentials import parse_bounded_expr
 
 
 def mp_sharp(d, alpha):
@@ -83,6 +86,18 @@ def test_bounded_expressions():
     for bad in ("unknown_name", "x +", "().__class__.__mro__[1].__subclasses__().__len__()"):
         with pytest.raises(DomainError):
             sample_potential(PotentialSpec.bounded(bad), g, 0.5)
+    # integer constants are floats: a power tower overflows instead of stalling
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="cannot evaluate"):
+        sample_potential(PotentialSpec.bounded("0.5 + 0*10**10**7"), g, 0.5)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(DomainError, match="too large for a float"):
+        parse_bounded_expr("1" + "0" * 400, 1)
+    for expr in ("3*x", "x**3", "7//2 + x % 3"):
+        np.testing.assert_array_equal(
+            sample_potential(PotentialSpec.bounded(f"10 + {expr}"), g, 0.5).values,
+            10 + eval(expr, {"x": g.points[:, 0]}),
+        )
 
 
 def test_custom_table_roundtrip(tmp_path):
