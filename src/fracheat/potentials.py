@@ -176,7 +176,9 @@ def _eval_bounded_expr(expr: str, grid: Grid) -> np.ndarray:
     if grid.dimension == 2:
         names["y"] = grid.points[:, 1]
     try:
-        vals = eval(code, {"__builtins__": {}}, names)  # noqa: S307 - grammar checked above
+        # overflow is left to sample_potential's non-finite check to report
+        with np.errstate(all="ignore"):
+            vals = eval(code, {"__builtins__": {}}, names)  # noqa: S307 - grammar checked above
         vals = np.asarray(vals, dtype=float)
     except Exception as exc:
         raise DomainError(f"cannot evaluate bounded potential expression {expr!r}: {exc}")

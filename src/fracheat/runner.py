@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +112,6 @@ def run_experiment(
     status of the CLI does not depend on the verdict; configuration problems
     raise ConfigError before any computation starts.
     """
-    rng = np.random.default_rng(config.seed if seed is None else seed)
     out = Path(out_dir or config.output_dir or "fracheat_run")
     out.mkdir(parents=True, exist_ok=True)
 
@@ -141,7 +141,8 @@ def run_experiment(
     verdict = classify(series, [traj for family in families for traj in family], thresholds)
 
     finest = levels[-1]
-    certificates = _certificates(config, potential, finest, families[-1], probe, rng)
+    seed = config.seed if seed is None else seed
+    certificates = _certificates(config, potential, finest, families[-1], probe, seed)
     residuals = {
         "duhamel": duhamel_residual(
             families[-1][-1], finest.op, finest.field_at(config.k_schedule[-1])
@@ -193,7 +194,8 @@ def run_experiment(
     }
 
 
-def _certificates(config, potential, finest: MeshLevel, family, probe, rng) -> list:
+def _certificates(config, potential, finest: MeshLevel, family, probe, seed) -> list:
+    rng = np.random.default_rng(seed)
     certs = []
     for k, traj in zip(config.k_schedule, family):
         certs.append(exponential_bound_certificate(traj, finest.lambda0(k)))
@@ -210,9 +212,7 @@ def _certificates(config, potential, finest: MeshLevel, family, probe, rng) -> l
         certs.append(
             Certificate(
                 name="energy_inequality_sweep",
-                inputs_digest=hashlib.sha256(
-                    f"energy_sweep:{trials}:{config.seed}".encode()
-                ).hexdigest()[:16],
+                inputs=(f"energy_sweep:{trials}:{seed}".encode(),),
                 lhs=-min_slack,
                 rhs=0.0,
                 tolerance=1e-12,
@@ -235,17 +235,9 @@ def _certificates(config, potential, finest: MeshLevel, family, probe, rng) -> l
         if worst is None or cert.slack < worst.slack:
             worst = cert
     if worst is not None:
-        worst = Certificate(
-            name="log_estimate_sweep",
-            inputs_digest=worst.inputs_digest,
-            lhs=worst.lhs,
-            rhs=worst.rhs,
-            tolerance=worst.tolerance,
-            satisfied=worst.satisfied,
-            slack=worst.slack,
-            details={**worst.details, "phis": phis},
+        certs.append(
+            replace(worst, name="log_estimate_sweep", details={**worst.details, "phis": phis})
         )
-        certs.append(worst)
 
     certs.append(
         ground_state_comparability(

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -17,6 +21,7 @@ from fracheat import (
     refinement_series,
     run_experiment,
 )
+import fracheat
 from fracheat.cli import main
 from fracheat.config import validate_config
 
@@ -85,6 +90,19 @@ def test_validate_subcommand(tmp_path):
         assert run.exit_code == 2
         assert field in run.output
 
+    # an overflowing expression is reported once, without numpy's own warning;
+    # a fresh process, because pytest captures warnings before they print
+    doc = dict(FAST_CONFIG, potential={"kind": "bounded", "expr": "exp(1000*x*x)"})
+    src = str(Path(fracheat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracheat.cli", "validate", "--config", str(write_config(tmp_path, doc))],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "potential.expr" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
 
 def test_finest_grid_above_dense_cap_rejected(tmp_path):
     runner = CliRunner()
@@ -140,6 +158,20 @@ def test_reports_byte_stable(tmp_path):
         paths = run_experiment(cfg, out_dir=tmp_path / f"run{i}", threads=1)
         blobs.append(Path(paths["report"]).read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_energy_sweep_digest_names_the_effective_seed(tmp_path):
+    cfg = load_config(write_config(tmp_path))
+    trials = cfg.sweeps["energy_trials"]
+    digests = []
+    for seed in (7, 8):
+        paths = run_experiment(cfg, out_dir=tmp_path / f"seed{seed}", seed=seed)
+        report = json.loads(Path(paths["report"]).read_text())
+        (sweep,) = [c for c in report["certificates"] if c["name"] == "energy_inequality_sweep"]
+        want = hashlib.sha256(f"energy_sweep:{trials}:{seed}".encode()).hexdigest()[:16]
+        assert sweep["inputs_digest"] == want
+        digests.append(want)
+    assert digests[0] != digests[1]
 
 
 def test_threaded_run_matches_serial(tmp_path):

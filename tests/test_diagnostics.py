@@ -1,4 +1,6 @@
+import hashlib
 import math
+import types
 
 import numpy as np
 import pytest
@@ -240,6 +242,78 @@ def test_classify_insufficient_evidence():
         classify(series3, family3[:-1])
     with pytest.raises(InsufficientEvidence):
         classify(series3, family3, ClassifierThresholds(probe_time=0.123))
+
+
+def test_digests_on_demand_match_eager(interval_op):
+    from fracheat.diagnostics import _digest
+
+    grid = interval_op.grid
+    n = interval_op.n
+    rng = np.random.default_rng(5)
+    u = rng.uniform(0.1, 1.1, n)
+    phi = rng.standard_normal(n)
+    energy = energy_inequality_certificate(interval_op, u, phi)
+    want = {"energy": _digest(interval_op.entries, u, phi)}
+    fld = sample_potential(PotentialSpec.bounded("0.5"), grid, ALPHA)
+    lam = spectral_bottom(interval_op, fld.values).lambda0
+    traj = evolve(interval_op, fld, initial_state(grid), 0.25, 1.0 / 32.0, lambda0=lam)
+    Phi = np.ones(n) / math.sqrt(interval_op.cell_volume * n)
+    log = log_estimate_certificate(traj, Phi, fld, 0.125, 0.25)
+    want["log"] = _digest(interval_op.entries, traj.states, Phi, fld.values, 0.125, 0.25)
+    bound = exponential_bound_certificate(traj, lam)
+    want["bound"] = _digest(traj.states, traj.dt, lam)
+    u0 = initial_state(grid)
+    ground = ground_state_comparability(interval_op, u0, 0.25)
+    want["ground"] = _digest(interval_op.entries, u0, 0.25, 0.25 / 64.0)
+    spec = PotentialSpec.bounded("1.0")
+    ball = shrinking_ball_certificate(DOM, ALPHA, spec, BALLS, 1 / 64)
+    want["ball"] = _digest(
+        np.array(BALLS), np.array(ball.details["lambda0s"]), ALPHA, 1 / 64, spec.label()
+    )
+    # the caller's later writes do not reach a digest read afterwards
+    for arr in (u, phi, Phi, u0):
+        arr[:] = 1.0
+    got = {"energy": energy, "log": log, "bound": bound, "ground": ground, "ball": ball}
+    assert {kind: cert.inputs_digest for kind, cert in got.items()} == want
+
+
+def test_energy_certificates_hash_nothing_until_read(interval_op, monkeypatch):
+    import fracheat.diagnostics
+
+    hashed = []
+
+    class CountingSha256:
+        # only what the benchmark's tracer offers: no copy()
+        def __init__(self):
+            self._h = hashlib.sha256()
+
+        def update(self, data):
+            hashed.append(memoryview(data).nbytes)
+            self._h.update(data)
+
+        def hexdigest(self):
+            return self._h.hexdigest()
+
+    monkeypatch.setattr(fracheat.diagnostics, "hashlib", types.SimpleNamespace(sha256=CountingSha256))
+    n = interval_op.n
+    rng = np.random.default_rng(6)
+    certs = [
+        energy_inequality_certificate(interval_op, rng.uniform(0.1, 1.1, n), rng.standard_normal(n))
+        for _ in range(50)
+    ]
+    assert sum(hashed) == 0
+    digest = certs[-1].inputs_digest
+    assert sum(hashed) == interval_op.entries.nbytes + 2 * n * 8
+    assert certs[-1].inputs_digest == digest
+    assert sum(hashed) == interval_op.entries.nbytes + 2 * n * 8
+
+
+def test_hashed_arrays_are_read_only(interval_op):
+    traj = evolve(interval_op, None, initial_state(interval_op.grid), 0.25, 1.0 / 32.0)
+    with pytest.raises(ValueError):
+        interval_op.entries[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        traj.states[0, 0] = 1.0
 
 
 def test_classify_monotone_in_coupling():

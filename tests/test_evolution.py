@@ -172,6 +172,26 @@ def test_duhamel_residual_first_order(interval_op):
     assert res[0] / res[1] == pytest.approx(2.0, rel=0.2)
 
 
+def test_duhamel_residual_solves_no_spectral_bottom(interval_op, monkeypatch):
+    import fracheat.evolution
+
+    fld = sample_potential(PotentialSpec.bounded("0.5 + 0.3*cos(3*x)"), interval_op.grid, ALPHA)
+    traj = evolve(interval_op, fld, initial_state(interval_op.grid), 0.25, 1.0 / 32.0)
+    calls = []
+    real = fracheat.evolution.spectral_bottom
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fracheat.evolution, "spectral_bottom", counting)
+    assert duhamel_residual(traj, interval_op, fld) < 0.1
+    assert calls == []
+    # a nonzero potential still pays for its step restriction
+    fracheat.evolution.ImplicitStepper(interval_op, fld, 1.0 / 32.0)
+    assert len(calls) == 1
+
+
 def test_duhamel_scalar_identity():
     # one node, one step: the residual has a hand-computable closed form
     g = build_grid(DOM, 1.5)
