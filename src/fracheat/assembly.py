@@ -151,8 +151,9 @@ def killing_density(grid: Grid, alpha: float) -> np.ndarray:
     the domain of |x_i - y|^(-d - alpha) dy, for every node x_i.
 
     d = 1 is in closed form.  The rectangle adds closed-form half-planes to
-    half-strips by 1-d quadrature (relative tolerance 1e-10); the disk is one
-    exit-distance quadrature over the distinct node radii (about 1e-14).
+    half-strips by 1-d quadrature (relative tolerance 1e-10) over the distinct
+    folded nodes (|x1|, |x2|); the disk is one exit-distance quadrature over
+    the distinct node radii (about 1e-14).
     """
     d = grid.dimension
     _check_order(d, alpha)
@@ -163,8 +164,13 @@ def killing_density(grid: Grid, alpha: float) -> np.ndarray:
         x = pts[:, 0]
         return (A / alpha) * ((R - x) ** -alpha + (R + x) ** -alpha)
     if grid.domain.kind == "rectangle":
+        # the box is symmetric in each axis: one integral per (|x1|, |x2|)
+        folded = np.abs(pts)
+        _, first, inverse = np.unique(
+            np.round(folded, 12), axis=0, return_index=True, return_inverse=True
+        )
         a, b = grid.domain.params
-        return A * _box_complement_integral(pts, a, b, alpha)
+        return A * _box_complement_integral(folded[first], a, b, alpha)[inverse]
     # disk: the integral is radial, so it is computed once per distinct radius
     radii = np.hypot(pts[:, 0], pts[:, 1])
     _, first, inverse = np.unique(np.round(radii, 12), return_index=True, return_inverse=True)

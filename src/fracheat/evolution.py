@@ -10,7 +10,7 @@ blow-up classification leans on this sign structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg
@@ -170,11 +170,17 @@ def monotone_family(
 
 def level_family(level: MeshLevel, k_schedule, u0, t_final: float, dt: float) -> list:
     """Evolve u0 under every truncation min(V, k) of one mesh level, with the
-    level's cached spectral bottoms enforcing the step restriction."""
-    return [
-        evolve(level.op, level.field_at(k), u0, t_final, dt, lambda0=level.lambda0(k))
-        for k in k_schedule
-    ]
+    level's cached spectral bottoms enforcing the step restriction.  Levels
+    that share one field (k >= max V) are evolved once; each trajectory
+    carries its own k."""
+    runs = {}
+    family = []
+    for k in k_schedule:
+        key = level.effective_k(k)
+        if key not in runs:
+            runs[key] = evolve(level.op, level.field_at(k), u0, t_final, dt, lambda0=level.lambda0(k))
+        family.append(replace(runs[key], k=None if k is None else float(k)))
+    return family
 
 
 def duhamel_residual(traj: Trajectory, M: OperatorMatrix, V) -> float:

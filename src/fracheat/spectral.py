@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .assembly import OperatorMatrix, assemble_operator
 from .errors import ConvergenceFailure, DimensionMismatch
@@ -21,6 +22,7 @@ from .geometry import DomainSpec, build_grid
 from .potentials import PotentialField, PotentialSpec, sample_potential, truncate
 
 RESIDUAL_TOL = 1e-8
+SHIFT_TRIES = 40
 
 
 def _as_state(M: OperatorMatrix, f) -> np.ndarray:
@@ -70,26 +72,77 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def spectral_bottom(M: OperatorMatrix, V=None) -> SpectralResult:
+def spectral_bottom(M: OperatorMatrix, V=None, v0=None) -> SpectralResult:
     """Smallest eigenvalue and unit ground vector of M - diag(V).
 
-    One dense symmetric solve; assembly caps n at DENSE_SIZE_CAP.  The
-    returned pair always satisfies ||(M - V) v - lambda v|| <= RESIDUAL_TOL;
-    otherwise ConvergenceFailure is raised.  The eigenvector sign is fixed
-    so its sum is nonnegative.
+    Shift-invert Lanczos about a shift that a Cholesky factorization
+    certifies to lie below the spectrum; v0 is the warm start (default the
+    constant vector).  The returned pair always satisfies
+    ||(M - V) v - lambda v|| <= RESIDUAL_TOL; otherwise ConvergenceFailure is
+    raised.  iterations counts the shift-invert solves.  The eigenvector sign
+    is fixed so its sum is nonnegative.
     """
     vals = _potential_vector(M, V)
-    A = M.entries - np.diag(vals)
-    w, vecs = linalg.eigh(A, subset_by_index=[0, 0])
-    lam = float(w[0])
-    v = _fix_sign(vecs[:, 0])
-    residual = float(np.linalg.norm(A @ v - lam * v))
+    if v0 is not None:
+        v0 = _as_state(M, v0)
+        if not (np.all(np.isfinite(v0)) and np.any(v0)):
+            raise ValueError("warm start must be finite and nonzero")
+    return _ground_state(M.entries, vals, v0)
+
+
+def _ground_state(B: np.ndarray, d: np.ndarray, v0=None) -> SpectralResult:
+    """Bottom eigenpair of A = B - diag(d), B dense symmetric.
+
+    From the warm vector's Rayleigh quotient rho and residual r, the shift
+    sigma = rho - delta starts at delta = max(1.01 ||r||, 1e-6 max(1, |rho|))
+    and delta grows fourfold until A - sigma I factors.  A successful Cholesky
+    proves sigma < lambda0, so the dominant eigenpair of (A - sigma I)^-1 is
+    the bottom one.  lambda is returned as the Rayleigh quotient v.Av.
+    """
+    n = B.shape[0]
+    if n == 1:  # a 1 x 1 matrix is its own bottom
+        return SpectralResult(lambda0=float(B[0, 0] - d[0]), eigvec=np.ones(1), iterations=0)
+    A = LinearOperator((n, n), matvec=lambda x: B @ x - d * x, dtype=float)
+    v = np.ones(n) if v0 is None else np.array(v0, dtype=float)
+    v /= np.linalg.norm(v)
+    Av = A @ v
+    rho = float(v @ Av)
+    delta = max(1.01 * float(np.linalg.norm(Av - rho * v)), 1e-6 * max(1.0, abs(rho)))
+    for _ in range(SHIFT_TRIES):
+        sigma = rho - delta
+        shifted = B.copy()
+        shifted.flat[:: n + 1] -= d + sigma
+        try:
+            factor = linalg.cho_factor(shifted, overwrite_a=True, check_finite=False)
+            break
+        except linalg.LinAlgError:
+            delta *= 4.0
+    else:
+        raise ConvergenceFailure(
+            f"no shift below the spectrum found in {SHIFT_TRIES} factorizations", iterations=0
+        )
+    solves = 0
+
+    def solve(b):
+        nonlocal solves
+        solves += 1
+        return linalg.cho_solve(factor, b, check_finite=False)
+
+    inverse = LinearOperator((n, n), matvec=solve, dtype=float)
+    try:
+        _, vecs = eigsh(A, k=1, sigma=sigma, OPinv=inverse, v0=v, ncv=min(8, n), tol=0, rng=0)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceFailure(f"shift-invert Lanczos did not converge: {exc}", iterations=solves)
+    v = _fix_sign(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
+    Av = A @ v
+    lam = float(v @ Av)
+    residual = float(np.linalg.norm(Av - lam * v))
     if residual > RESIDUAL_TOL:
         raise ConvergenceFailure(
             f"eigen residual {residual:.3e} above tolerance {RESIDUAL_TOL:.1e}",
-            iterations=1,
+            iterations=solves,
         )
-    return SpectralResult(lambda0=lam, eigvec=v, iterations=1)
+    return SpectralResult(lambda0=lam, eigvec=v, iterations=solves)
 
 
 @dataclass(frozen=True)
@@ -116,7 +169,7 @@ class SpectralSeries:
         series = cls(potential_id=potential.label())
         for lv in levels:
             for k in k_schedule:
-                res = spectral_bottom(lv.op, (1.0 - eps) * lv.field_at(k).values)
+                res = lv.bottoms(k)[0]
                 series.entries.append(
                     SpectralEntry(
                         h=lv.h,
@@ -169,15 +222,19 @@ def _validate_schedules(h_schedule, k_schedule) -> None:
 
 class MeshLevel:
     """One spacing h: grid, operator, the untruncated sampled potential, and
-    each truncation min(V, k) with its unscaled spectral bottom, computed once.
-    A truncation level k of None means the untruncated field."""
+    each distinct truncation min(V, k) with its spectral bottoms, computed
+    once.  A truncation level k of None means the untruncated field; every
+    k >= max V leaves the field bit-for-bit unchanged and shares its results.
+    """
 
     def __init__(self, op: OperatorMatrix, fld: PotentialField):
         self.h = op.grid.h
         self.op = op
         self.field = fld
+        self._top = float(np.max(fld.values))
         self._fields = {}
-        self._lambdas = {}
+        self._bottoms = {}
+        self._warm = None  # eigenvector of the latest solve on this mesh
 
     @classmethod
     def build(cls, domain: DomainSpec, alpha: float, potential: PotentialSpec, h: float):
@@ -185,16 +242,36 @@ class MeshLevel:
         op = assemble_operator(grid, alpha)
         return cls(op, sample_potential(potential, grid, alpha))
 
+    def effective_k(self, k):
+        """The truncation level that min(V, k) actually applies: None when
+        k >= max V."""
+        return None if k is None or k >= self._top else k
+
     def field_at(self, k) -> PotentialField:
-        if k not in self._fields:
-            self._fields[k] = self.field if k is None else truncate(self.field, k)
-        return self._fields[k]
+        key = self.effective_k(k)
+        if key not in self._fields:
+            self._fields[key] = self.field if key is None else truncate(self.field, key)
+        return self._fields[key]
+
+    def bottoms(self, k) -> tuple:
+        """Spectral bottoms of the (1 - epsilon)-scaled and of the unscaled
+        truncation at level k, solved in that order, each warm-started from
+        the previous eigenvector on this mesh (the first from the constant
+        vector)."""
+        key = self.effective_k(k)
+        if key not in self._bottoms:
+            vals = self.field_at(k).values
+            pair = []
+            for V in ((1.0 - self.field.spec.epsilon) * vals, vals):
+                res = spectral_bottom(self.op, V, v0=self._warm)
+                self._warm = res.eigvec
+                pair.append(res)
+            self._bottoms[key] = tuple(pair)
+        return self._bottoms[key]
 
     def lambda0(self, k) -> float:
         """Spectral bottom of L - min(V, k), the one the step restriction needs."""
-        if k not in self._lambdas:
-            self._lambdas[k] = spectral_bottom(self.op, self.field_at(k).values).lambda0
-        return self._lambdas[k]
+        return self.bottoms(k)[1].lambda0
 
 
 def refinement_series(

@@ -205,6 +205,15 @@ def test_disk_killing_density_node_near_circle(alpha):
         np.testing.assert_allclose(kap[radii == rho], oracle, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_rectangle_killing_density_vs_all_nodes(alpha):
+    # oracle: the box integral evaluated at every node, without folding
+    dom = DomainSpec.rectangle(1.0, 0.5)
+    g = build_grid(dom, 1 / 12)
+    oracle = normalization_constant(2, alpha) * _box_complement_integral(g.points, 1.0, 0.5, alpha)
+    np.testing.assert_allclose(killing_density(g, alpha), oracle, rtol=1e-12, atol=0)
+
+
 def test_operator_single_node_is_kappa():
     g = build_grid(DomainSpec.interval(1.0), 1.5)
     assert g.n == 1

@@ -3,10 +3,13 @@ import time
 import mpmath
 import numpy as np
 import pytest
+from scipy import linalg
 
 from fracheat import (
     DomainSpec,
     PotentialSpec,
+    assemble_operator,
+    boundary_distance,
     build_grid,
     estimate_boundary_hardy_constant,
     hardy_sharp_constant,
@@ -159,6 +162,19 @@ def test_boundary_hardy_constant_estimate():
     assert res["series"][1][1] <= res["series"][0][1] + 1e-10
     res2d = estimate_boundary_hardy_constant(DomainSpec.rectangle(1.0, 1.0), 0.5, [0.25])
     assert res2d["estimate"] > 0
+
+
+@pytest.mark.parametrize(
+    "domain, alpha, h",
+    [(DomainSpec.interval(1.0), 0.5, 1 / 32), (DomainSpec.disk(1.0), 1.0, 1 / 6)],
+)
+def test_boundary_hardy_constant_vs_generalized_eigh(domain, alpha, h):
+    res = estimate_boundary_hardy_constant(domain, alpha, [h])
+    grid = build_grid(domain, h)
+    op = assemble_operator(grid, alpha)
+    weight = np.diag(boundary_distance(grid) ** -alpha)
+    mu = linalg.eigh(op.entries, weight, subset_by_index=[0, 0], eigvals_only=True)[0]
+    assert res["estimate"] == pytest.approx(mu, rel=1e-12)
 
 
 def test_potential_spec_validation():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy import linalg
 
-from fracheat import spectral
+from fracheat import evolution, spectral
 from fracheat import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -9,11 +10,18 @@ from fracheat import (
     PotentialSpec,
     assemble_operator,
     build_grid,
+    evolve,
     form_bilinear,
     form_energy,
+    hardy_sharp_constant,
+    initial_state,
     refinement_series,
+    sample_potential,
     spectral_bottom,
+    truncate,
 )
+from fracheat.evolution import level_family
+from fracheat.spectral import MeshLevel
 
 
 def unit(n, i):
@@ -95,10 +103,19 @@ def test_spectral_bottom_monotone_in_potential(interval_op):
 
 
 def test_convergence_failure_reports_iterations(interval_op, monkeypatch):
+    solves = []
+    cho_solve = spectral.linalg.cho_solve
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return cho_solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.linalg, "cho_solve", counting)
     monkeypatch.setattr(spectral, "RESIDUAL_TOL", 0.0)
     with pytest.raises(ConvergenceFailure) as info:
         spectral_bottom(interval_op)
-    assert info.value.iterations == 1
+    assert len(solves) > 1
+    assert info.value.iterations == len(solves)
 
 
 def test_potential_vector_validation(interval_op):
@@ -178,3 +195,101 @@ def test_schedule_validation():
         refinement_series(dom, 0.5, pot, [1 / 8], [2.0, 1.0])
     with pytest.raises(ValueError):
         refinement_series(dom, 0.5, pot, [1 / 8], [None, 1.0])
+
+
+def _dense_bottom(op, V):
+    """Oracle: the dense symmetric eigensolver on L - diag(V), sign fixed
+    so the ground vector sums to a nonnegative value."""
+    w, vecs = linalg.eigh(op.entries - np.diag(V), subset_by_index=[0, 0])
+    v = vecs[:, 0]
+    return float(w[0]), (v if v.sum() >= 0 else -v)
+
+
+SOLVER_CASES = {
+    "interval_bounded": (DomainSpec.interval(1.0), 1 / 64, 0.5, PotentialSpec.bounded("0.5 + 0.3*cos(3*x)")),
+    "interval_hardy": (DomainSpec.interval(1.0), 1 / 64, 0.5,
+                       PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(1, 0.5))),
+    "disk_bounded": (DomainSpec.disk(1.0), 1 / 8, 1.0, PotentialSpec.bounded("1.5 + x*y - 0.5*r")),
+    "disk_hardy": (DomainSpec.disk(1.0), 1 / 8, 1.0,
+                   PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(2, 1.0))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVER_CASES))
+def test_solver_matches_dense_oracle(case):
+    domain, h, alpha, potential = SOLVER_CASES[case]
+    op = assemble_operator(build_grid(domain, h), alpha)
+    fld = sample_potential(potential, op.grid, alpha)
+    top = float(fld.values.max())
+    warm = None
+    for k in (0.25 * top, 0.5 * top, None):
+        V = fld.values if k is None else truncate(fld, k).values
+        lam, vec = _dense_bottom(op, V)
+        # cold start, then warm from the eigenvector of the previous k
+        for v0 in (None, warm):
+            res = spectral_bottom(op, V, v0=v0)
+            assert res.lambda0 == pytest.approx(lam, rel=1e-12)
+            assert np.linalg.norm(res.eigvec - vec) <= 1e-10
+            assert res.iterations >= 1
+        warm = res.eigvec
+
+
+def test_solver_warm_start_validated(interval_op):
+    with pytest.raises(DimensionMismatch):
+        spectral_bottom(interval_op, v0=np.ones(interval_op.n + 1))
+    for bad in (np.zeros(interval_op.n), np.full(interval_op.n, np.nan)):
+        with pytest.raises(ValueError):
+            spectral_bottom(interval_op, v0=bad)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_mesh_level_warm_starts_in_k_order(monkeypatch):
+    calls = _counting(monkeypatch, spectral, "spectral_bottom")
+    level = MeshLevel.build(DomainSpec.interval(1.0), 0.5, PotentialSpec.bounded("0.5 + 0.3*cos(3*x)"), 1 / 32)
+    series = spectral.SpectralSeries.from_levels([level], level.field.spec, [0.25, 0.5, None])
+    assert len(calls) == 6
+    eps = level.field.spec.epsilon
+    for i, ((op, V), kwargs, _) in enumerate(calls):
+        k = (0.25, 0.5, None)[i // 2]
+        scale = 1.0 - eps if i % 2 == 0 else 1.0
+        np.testing.assert_array_equal(V, scale * level.field_at(k).values)
+        if i == 0:
+            assert kwargs["v0"] is None
+        else:
+            assert kwargs["v0"] is calls[i - 1][2].eigvec
+    assert [e.lambda0 for e in series.entries] == [calls[i][2].lambda0 for i in (0, 2, 4)]
+    assert [level.lambda0(k) for k in (0.25, 0.5, None)] == [calls[i][2].lambda0 for i in (1, 3, 5)]
+    assert len(calls) == 6
+
+
+def test_shared_truncations_solve_and_evolve_once(monkeypatch):
+    bottoms = _counting(monkeypatch, spectral, "spectral_bottom")
+    evolves = _counting(monkeypatch, evolution, "evolve")
+    # max V = 0.8, so k = 1, 2 and None all give the untruncated field
+    level = MeshLevel.build(DomainSpec.interval(1.0), 0.5, PotentialSpec.bounded("0.5 + 0.3*cos(3*x)"), 1 / 32)
+    ks = [0.25, 1, 2.0, None]
+    assert [level.effective_k(k) for k in ks] == [0.25, None, None, None]
+    u0 = initial_state(level.op.grid)
+    family = level_family(level, ks, u0, 0.25, 1 / 32)
+    assert len(bottoms) == 4  # one per scale for each of the two distinct fields
+    assert len(evolves) == 2
+    assert level.bottoms(1) is level.bottoms(None)
+    assert [traj.k for traj in family] == [0.25, 1.0, 2.0, None]
+    for k, traj in zip(ks, family):
+        V = level.field if k is None else truncate(level.field, k)
+        direct = evolve(level.op, V, u0, 0.25, 1 / 32)
+        assert traj.k == direct.k
+        assert np.array_equal(traj.states, direct.states)
+        assert np.array_equal(traj.l2_norms, direct.l2_norms)
