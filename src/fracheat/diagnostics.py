@@ -21,7 +21,7 @@ from .assembly import OperatorMatrix, assemble_operator
 from .errors import BallTooSmall, InsufficientEvidence, NonpositiveState
 from .geometry import DomainSpec, boundary_distance, build_grid
 from .potentials import PotentialField, PotentialSpec, sample_potential
-from .spectral import SpectralSeries, _k_order, form_bilinear, form_energy, spectral_bottom
+from .spectral import SpectralSeries, _k_order, form_energy, spectral_bottom
 from .evolution import Trajectory, evolve
 
 EXISTS = "EXISTS"
@@ -94,6 +94,9 @@ def energy_inequality_certificate(
     term by term in the discrete double sum, so the slack is nonnegative up
     to rounding for every admissible pair: u must be strictly positive on
     the support of phi and nonnegative elsewhere (NonpositiveState if not).
+    u and phi may also be (trials, n) arrays, one pair per row; the
+    certificate is then the row with the least slack, and details["slacks"]
+    holds the slack of every row.
     """
     u = np.asarray(u, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -104,10 +107,14 @@ def energy_inequality_certificate(
         raise NonpositiveState("u must be nonnegative everywhere")
     quotient = np.zeros_like(u)
     quotient[support] = phi[support] ** 2 / u[support]
-    lhs = form_bilinear(M, u, quotient)
-    rhs = form_energy(M, phi)
+    # u @ L is L u: the operator is exactly symmetric
+    lhs = np.atleast_1d(M.cell_volume * np.sum(quotient * (u @ M.entries), axis=-1))
+    rhs = np.atleast_1d(M.cell_volume * np.sum(phi * (phi @ M.entries), axis=-1))
+    worst = int(np.argmin(rhs - lhs))
+    details = {"slacks": rhs - lhs} if u.ndim == 2 else {}
     return _make_certificate(
-        "energy_inequality", (M.entries, u.copy(), phi.copy()), lhs, rhs, tolerance
+        "energy_inequality", (M.entries, u.copy(), phi.copy()), lhs[worst], rhs[worst],
+        tolerance, **details,
     )
 
 
@@ -196,6 +203,7 @@ def ground_state_comparability(
     t: float,
     dt: float | None = None,
     ratio_bound: float = 25.0,
+    free=None,
 ) -> Certificate:
     """Free evolution at time t is comparable to the ground state.
 
@@ -203,16 +211,18 @@ def ground_state_comparability(
     ratio against the L2-normalized ground vector, and checks
     r_max / r_min <= ratio_bound.  Also reports the minimum of
     ground / distance^(alpha/2), whose positivity reflects the boundary decay
-    of the ground state; the certificate requires it to be positive.
+    of the ground state; the certificate requires it to be positive.  free,
+    when given, is a V = 0 stepper of M, used in place of a new factorization;
+    dt defaults to its step, else to t / 64.
     """
     if t <= 0:
         raise ValueError(f"comparability time must be positive, got {t}")
     if dt is None:
-        dt = t / 64.0
+        dt = t / 64.0 if free is None else free.dt
     res = spectral_bottom(M, None)
     vol = M.cell_volume
     phi0 = res.eigvec / math.sqrt(vol)  # unit discrete L2 norm, positive
-    traj = evolve(M, None, u0, t, dt, lambda0=res.lambda0)
+    traj = evolve(M, None, u0, t, dt, lambda0=res.lambda0, stepper=free)
     h_state = traj.states[-1]
     ratios = h_state / phi0
     r_min = float(np.min(ratios))

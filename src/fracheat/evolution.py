@@ -63,14 +63,14 @@ class Trajectory:
 class ImplicitStepper:
     """Backward-Euler stepper with the factorization reused across steps.
 
-    The spectral bottom of L - diag(V) is computed once (or taken from the
-    caller) to enforce the step restriction; the factored matrix is
-    time-independent for a fixed truncation level.
+    The step restriction is enforced with lambda0, any lower bound of the
+    spectral bottom of L - diag(V) (such as a deeper truncation's), computed
+    here when not given.  The factored matrix is fixed for a truncation level.
     """
 
     def __init__(self, M: OperatorMatrix, V, dt: float, lambda0: float | None = None):
-        if dt <= 0:
-            raise ValueError(f"time step must be positive, got {dt}")
+        if not 0 < dt < np.inf:
+            raise ValueError(f"time step must be positive and finite, got {dt}")
         vals = _potential_vector(M, V)
         # With V = 0 the restriction always holds: L has nonpositive
         # off-diagonals and row sums kappa > 0, so lambda0 >= min kappa > 0.
@@ -83,9 +83,11 @@ class ImplicitStepper:
             )
         self.M = M
         self.dt = float(dt)
-        system = np.eye(M.n) + dt * (M.entries - np.diag(vals))
+        # I + dt (L - diag(V)) in one buffer, entry for entry the same floats
+        system = dt * M.entries
+        system.flat[:: M.n + 1] = 1.0 + dt * (np.diag(M.entries) - vals)
         try:
-            self._factor = linalg.cho_factor(system)
+            self._factor = linalg.cho_factor(system, overwrite_a=True, check_finite=False)
         except linalg.LinAlgError as exc:
             raise SolveFailure(f"factorization of the implicit system failed: {exc}")
 
@@ -93,9 +95,9 @@ class ImplicitStepper:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.M.n,):
             raise ValueError(f"state must have length {self.M.n}")
-        if np.any(u < 0):
-            raise ValueError("state must be componentwise nonnegative")
-        w = linalg.cho_solve(self._factor, u)
+        if not np.all(np.isfinite(u)) or np.any(u < 0):
+            raise ValueError("state must be finite and componentwise nonnegative")
+        w = linalg.cho_solve(self._factor, u, check_finite=False)
         floor = -1e-10 * max(1.0, float(np.max(np.abs(w))))
         if np.min(w) < floor:
             raise SolveFailure(
@@ -117,12 +119,14 @@ def evolve(
     t_final: float,
     dt: float,
     lambda0: float | None = None,
+    stepper: ImplicitStepper | None = None,
 ) -> Trajectory:
     """Evolve u0 to t_final by repeated implicit steps, storing every state.
 
     t_final must be an integer multiple of dt (to 1e-9 relative).  The k
     recorded on the trajectory is the truncation level of V when V is a
-    PotentialField, else None.
+    PotentialField, else None.  stepper, when given, is a stepper already
+    factored for (M, V, dt) and is used in place of a new one.
     """
     u0 = np.asarray(u0, dtype=float)
     if np.any(u0 < 0):
@@ -132,7 +136,10 @@ def evolve(
     steps = int(round(t_final / dt))
     if steps < 1 or abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError(f"t_final={t_final} is not a positive multiple of dt={dt}")
-    stepper = ImplicitStepper(M, V, dt, lambda0=lambda0)
+    if stepper is None:
+        stepper = ImplicitStepper(M, V, dt, lambda0=lambda0)
+    elif stepper.M is not M or stepper.dt != dt:
+        raise ValueError("stepper was factored for another operator or time step")
     states = np.empty((steps + 1, M.n))
     states[0] = u0
     for i in range(steps):
@@ -169,21 +176,22 @@ def monotone_family(
 
 
 def level_family(level: MeshLevel, k_schedule, u0, t_final: float, dt: float) -> list:
-    """Evolve u0 under every truncation min(V, k) of one mesh level, with the
-    level's cached spectral bottoms enforcing the step restriction.  Levels
-    that share one field (k >= max V) are evolved once; each trajectory
-    carries its own k."""
+    """Evolve u0 under every truncation min(V, k) of one mesh level.  The
+    step restriction of every level is enforced with the bottom of the
+    deepest one, a lower bound for them all.  Levels that share one field
+    (k >= max V) are evolved once; each trajectory carries its own k."""
+    floor = level.lambda0_floor(k_schedule)
     runs = {}
     family = []
     for k in k_schedule:
         key = level.effective_k(k)
         if key not in runs:
-            runs[key] = evolve(level.op, level.field_at(k), u0, t_final, dt, lambda0=level.lambda0(k))
+            runs[key] = evolve(level.op, level.field_at(k), u0, t_final, dt, lambda0=floor)
         family.append(replace(runs[key], k=None if k is None else float(k)))
     return family
 
 
-def duhamel_residual(traj: Trajectory, M: OperatorMatrix, V) -> float:
+def duhamel_residual(traj: Trajectory, M: OperatorMatrix, V, free=None) -> float:
     """Defect of the trajectory against its free-evolution-plus-source
     reconstruction.
 
@@ -191,10 +199,15 @@ def duhamel_residual(traj: Trajectory, M: OperatorMatrix, V) -> float:
     applies the same implicit stepper with V = 0 for the free flow S and a
     right-endpoint quadrature for the source integral, so the residual decays
     at the first order of the stepper.  Returns the maximum over stored times
-    of ||u(t_n) - R(t_n)|| / ||u(t_n)|| in the discrete L2 norm.
+    of ||u(t_n) - R(t_n)|| / ||u(t_n)|| in the discrete L2 norm.  free,
+    when given, is the V = 0 stepper of (M, traj.dt), used in place of a new
+    factorization.
     """
     vals = _potential_vector(M, V)
-    free = ImplicitStepper(M, None, traj.dt)
+    if free is None:
+        free = ImplicitStepper(M, None, traj.dt)
+    elif free.M is not M or free.dt != traj.dt:
+        raise ValueError("free stepper was factored for another operator or time step")
     acc = traj.states[0].copy()
     worst = 0.0
     for n in range(1, len(traj.times)):

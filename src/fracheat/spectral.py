@@ -169,7 +169,7 @@ class SpectralSeries:
         series = cls(potential_id=potential.label())
         for lv in levels:
             for k in k_schedule:
-                res = lv.bottoms(k)[0]
+                res = lv.bottom(k)
                 series.entries.append(
                     SpectralEntry(
                         h=lv.h,
@@ -233,7 +233,7 @@ class MeshLevel:
         self.field = fld
         self._top = float(np.max(fld.values))
         self._fields = {}
-        self._bottoms = {}
+        self._bottoms = {}  # (effective k, potential scale) -> SpectralResult
         self._warm = None  # eigenvector of the latest solve on this mesh
 
     @classmethod
@@ -253,25 +253,29 @@ class MeshLevel:
             self._fields[key] = self.field if key is None else truncate(self.field, key)
         return self._fields[key]
 
-    def bottoms(self, k) -> tuple:
-        """Spectral bottoms of the (1 - epsilon)-scaled and of the unscaled
-        truncation at level k, solved in that order, each warm-started from
-        the previous eigenvector on this mesh (the first from the constant
-        vector)."""
-        key = self.effective_k(k)
-        if key not in self._bottoms:
-            vals = self.field_at(k).values
-            pair = []
-            for V in ((1.0 - self.field.spec.epsilon) * vals, vals):
-                res = spectral_bottom(self.op, V, v0=self._warm)
-                self._warm = res.eigvec
-                pair.append(res)
-            self._bottoms[key] = tuple(pair)
-        return self._bottoms[key]
+    def bottom(self, k) -> SpectralResult:
+        """Spectral bottom of the (1 - epsilon)-scaled truncation at level k."""
+        return self._solve(k, 1.0 - self.field.spec.epsilon)
 
     def lambda0(self, k) -> float:
-        """Spectral bottom of L - min(V, k), the one the step restriction needs."""
-        return self.bottoms(k)[1].lambda0
+        """Spectral bottom of the unscaled L - min(V, k), solved only when
+        asked for: the step restriction and the exponential bound need it."""
+        return self._solve(k, 1.0).lambda0
+
+    def lambda0_floor(self, k_schedule) -> float:
+        """min over k_schedule of lambda0(k), solved at the deepest level
+        only: min(V, k) grows with k, so the bottom does not increase."""
+        return self.lambda0(max(k_schedule, key=_k_order))
+
+    def _solve(self, k, scale: float) -> SpectralResult:
+        """The bottom for scale * min(V, k), solved once, warm-started from
+        the latest eigenvector on this mesh (the first from the constant)."""
+        key = (self.effective_k(k), scale)
+        if key not in self._bottoms:
+            res = spectral_bottom(self.op, scale * self.field_at(k).values, v0=self._warm)
+            self._warm = res.eigvec
+            self._bottoms[key] = res
+        return self._bottoms[key]
 
 
 def refinement_series(

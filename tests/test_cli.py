@@ -181,6 +181,78 @@ def test_threaded_run_matches_serial(tmp_path):
     assert Path(serial["report"]).read_bytes() == Path(threaded["report"]).read_bytes()
 
 
+def test_energy_sweep_chunks_keep_draws_and_slacks(tmp_path, monkeypatch):
+    import fracheat.runner
+
+    chunks = []
+    real = fracheat.runner.energy_inequality_certificate
+
+    def spy(M, u, phi):
+        cert = real(M, u, phi)
+        chunks.append((M, u.copy(), phi.copy(), cert))
+        return cert
+
+    monkeypatch.setattr(fracheat.runner, "energy_inequality_certificate", spy)
+    doc = dict(FAST_CONFIG, sweeps={"energy_trials": 70, "log_phis": 5})
+    paths = run_experiment(load_config(write_config(tmp_path, doc)), out_dir=tmp_path / "out")
+    assert [len(c[1]) for c in chunks] == [16, 16, 16, 16, 6]
+    # the same draws, in the same order, as one trial per certificate
+    rng = np.random.default_rng(doc["seed"])
+    slacks = []
+    for M, u, phi, cert in chunks:
+        for j in range(len(u)):
+            assert np.array_equal(u[j], rng.uniform(0.1, 1.1, size=M.n))
+            assert np.array_equal(phi[j], rng.standard_normal(M.n))
+            single = real(M, u[j], phi[j])
+            assert cert.details["slacks"][j] == pytest.approx(single.slack, rel=1e-12)
+            slacks.append(cert.details["slacks"][j])
+    report = json.loads(Path(paths["report"]).read_text())
+    (sweep,) = [c for c in report["certificates"] if c["name"] == "energy_inequality_sweep"]
+    assert sweep["details"] == {"trials": 70, "min_slack": min(slacks)}
+
+
+def test_one_free_flow_factor_per_run(tmp_path, monkeypatch):
+    from fracheat.evolution import ImplicitStepper
+
+    free = []
+    real_init = ImplicitStepper.__init__
+
+    def counting(self, M, V, dt, lambda0=None):
+        if V is None:
+            free.append((M.n, dt))
+        real_init(self, M, V, dt, lambda0=lambda0)
+
+    monkeypatch.setattr(ImplicitStepper, "__init__", counting)
+    cfg = load_config(write_config(tmp_path))
+    run_experiment(cfg, out_dir=tmp_path / "out")
+    assert len(free) == 1
+    assert free[0][0] == assemble_operator(build_grid(cfg.domain, cfg.h_schedule[-1]), cfg.alpha).n
+
+
+def _the_four_configs():
+    bundled = [resources.files("fracheat") / "configs" / f"{name}.json"
+               for name in ("bounded_1d", "hardy_subcritical_1d", "hardy_supercritical_1d")]
+    disk = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "disk_2d.json"
+    return [load_config(str(p)) for p in (*bundled, disk)]
+
+
+def test_runner_dt_matches_min_over_k_rule():
+    from fracheat.runner import STEP_MARGIN, _mesh_family
+    from fracheat.spectral import MeshLevel
+
+    for cfg in _the_four_configs():
+        def coarsest():
+            return MeshLevel.build(cfg.domain, cfg.alpha, cfg.potential, cfg.h_schedule[0])
+
+        level = coarsest()
+        worst = min(level.lambda0(k) for k in cfg.k_schedule)
+        dt = cfg.dt
+        while dt * max(0.0, -worst) >= STEP_MARGIN:
+            dt *= 0.5
+        assert level.lambda0_floor(cfg.k_schedule) == worst
+        assert {traj.dt for traj in _mesh_family(coarsest(), cfg)} == {dt}
+
+
 def test_runner_builds_on_one_level_pipeline(tmp_path, monkeypatch):
     import fracheat.runner
 

@@ -81,6 +81,36 @@ def test_energy_certificate_rejects_nonpositive(interval_op):
         energy_inequality_certificate(interval_op, u2, phi2)
 
 
+def test_energy_certificate_rows_match_single_trials(interval_op):
+    rng = np.random.default_rng(3)
+    n = interval_op.n
+    u = rng.uniform(0.1, 1.1, size=(16, n))
+    phi = rng.standard_normal((16, n))
+    batch = energy_inequality_certificate(interval_op, u, phi)
+    slacks = batch.details["slacks"]
+    singles = [energy_inequality_certificate(interval_op, u[j], phi[j]) for j in range(16)]
+    for got, single in zip(slacks, singles):
+        assert got == pytest.approx(single.slack, rel=1e-12)
+    worst = min(singles, key=lambda c: c.slack)
+    assert batch.slack == np.min(slacks)
+    assert batch.lhs == pytest.approx(worst.lhs, rel=1e-12)
+    assert batch.satisfied and all(c.satisfied for c in singles)
+
+
+def test_energy_certificate_bad_trial_in_a_stack(interval_op):
+    n = interval_op.n
+    u = np.ones((5, n))
+    phi = np.ones((5, n))
+    u[3, 9] = 0.0  # on phi's support in trial 3 only
+    with pytest.raises(NonpositiveState):
+        energy_inequality_certificate(interval_op, u, phi)
+    phi[3] = 0.0
+    phi[3, 2] = 1.0
+    u[3, 9] = -0.5  # off the support, still inadmissible
+    with pytest.raises(NonpositiveState):
+        energy_inequality_certificate(interval_op, u, phi)
+
+
 def test_log_certificate_eigenmode_identity(interval_op):
     res = spectral_bottom(interval_op)
     vol = interval_op.cell_volume

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy import linalg
 from scipy.linalg import expm
 
 from fracheat import (
     DomainSpec,
+    ImplicitStepper,
     PotentialSpec,
     StepTooLarge,
     assemble_operator,
@@ -122,6 +124,44 @@ def test_evolve_input_validation(interval_op):
         evolve(interval_op, None, -u0, 0.5, 0.1)
     with pytest.raises(ValueError):
         evolve(interval_op, None, u0, 0.5, 0.3)  # not a multiple
+
+
+def test_stepper_rejects_nonfinite_states(interval_op):
+    # the solve skips scipy's finiteness scan, so the stepper checks u itself
+    stepper = ImplicitStepper(interval_op, None, 1.0 / 32.0)
+    for bad in (np.nan, np.inf):
+        u = np.ones(interval_op.n)
+        u[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            stepper.step(u)
+    for dt in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            ImplicitStepper(interval_op, None, dt)
+
+
+@pytest.mark.parametrize("domain, h, alpha", [(DOM, 1.0 / 64.0, 0.5), (DomainSpec.disk(1.0), 0.125, 1.0)])
+def test_stepper_factor_matches_textbook_system(domain, h, alpha):
+    g = build_grid(domain, h)
+    op = assemble_operator(g, alpha)
+    fld = sample_potential(PotentialSpec.hardy_interior(0.1), g, alpha)
+    dt = 1.0 / 32.0
+    stepper = ImplicitStepper(op, fld, dt)
+    textbook = np.eye(op.n) + dt * (op.entries - np.diag(fld.values))
+    factor, lower = linalg.cho_factor(textbook)
+    assert stepper._factor[1] == lower
+    assert np.array_equal(stepper._factor[0], factor)
+
+
+def test_evolve_rejects_a_stepper_for_another_step(interval_op):
+    stepper = ImplicitStepper(interval_op, None, 1.0 / 32.0)
+    u0 = initial_state(interval_op.grid)
+    reused = evolve(interval_op, None, u0, 0.25, 1.0 / 32.0, stepper=stepper)
+    assert np.array_equal(reused.states, evolve(interval_op, None, u0, 0.25, 1.0 / 32.0).states)
+    with pytest.raises(ValueError):
+        evolve(interval_op, None, u0, 0.25, 1.0 / 64.0, stepper=stepper)
+    traj = evolve(interval_op, None, u0, 0.25, 1.0 / 64.0)
+    with pytest.raises(ValueError):
+        duhamel_residual(traj, interval_op, None, free=stepper)
 
 
 def test_monotone_family_inactive_truncation(interval_op):

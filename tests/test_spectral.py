@@ -259,19 +259,35 @@ def test_mesh_level_warm_starts_in_k_order(monkeypatch):
     calls = _counting(monkeypatch, spectral, "spectral_bottom")
     level = MeshLevel.build(DomainSpec.interval(1.0), 0.5, PotentialSpec.bounded("0.5 + 0.3*cos(3*x)"), 1 / 32)
     series = spectral.SpectralSeries.from_levels([level], level.field.spec, [0.25, 0.5, None])
+    assert len(calls) == 3  # the series needs only the scaled bottoms
+    # unscaled bottoms are solved on demand, continuing the warm-start chain
+    lambdas = [level.lambda0(k) for k in (0.25, 0.5, None)]
     assert len(calls) == 6
     eps = level.field.spec.epsilon
     for i, ((op, V), kwargs, _) in enumerate(calls):
-        k = (0.25, 0.5, None)[i // 2]
-        scale = 1.0 - eps if i % 2 == 0 else 1.0
+        k = (0.25, 0.5, None)[i % 3]
+        scale = 1.0 - eps if i < 3 else 1.0
         np.testing.assert_array_equal(V, scale * level.field_at(k).values)
         if i == 0:
             assert kwargs["v0"] is None
         else:
             assert kwargs["v0"] is calls[i - 1][2].eigvec
-    assert [e.lambda0 for e in series.entries] == [calls[i][2].lambda0 for i in (0, 2, 4)]
-    assert [level.lambda0(k) for k in (0.25, 0.5, None)] == [calls[i][2].lambda0 for i in (1, 3, 5)]
+    assert [e.lambda0 for e in series.entries] == [calls[i][2].lambda0 for i in (0, 1, 2)]
+    assert lambdas == [calls[i][2].lambda0 for i in (3, 4, 5)]
+    assert [level.lambda0(k) for k in (0.25, 0.5, None)] == lambdas
+    assert level.lambda0_floor([0.25, 0.5, None]) == lambdas[-1]
     assert len(calls) == 6
+
+
+def test_truncated_bottoms_do_not_increase_with_k():
+    # min(V, k) grows with k, so L - min(V, k) decreases in the form order
+    hardy = PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(1, 0.5))
+    for potential in (hardy, PotentialSpec.bounded("0.5 + 0.3*cos(3*x)")):
+        level = MeshLevel.build(DomainSpec.interval(1.0), 0.5, potential, 1 / 64)
+        ks = [0.25, 0.5, 1, 2, 4, 8, 16, None]
+        lambdas = [level.lambda0(k) for k in ks]
+        assert all(l2 <= l1 for l1, l2 in zip(lambdas, lambdas[1:]))
+        assert level.lambda0_floor(ks) == min(lambdas)
 
 
 def test_shared_truncations_solve_and_evolve_once(monkeypatch):
@@ -283,9 +299,10 @@ def test_shared_truncations_solve_and_evolve_once(monkeypatch):
     assert [level.effective_k(k) for k in ks] == [0.25, None, None, None]
     u0 = initial_state(level.op.grid)
     family = level_family(level, ks, u0, 0.25, 1 / 32)
-    assert len(bottoms) == 4  # one per scale for each of the two distinct fields
+    assert len(bottoms) == 1  # the deepest unscaled bottom bounds every level
     assert len(evolves) == 2
-    assert level.bottoms(1) is level.bottoms(None)
+    assert level.bottom(1) is level.bottom(None)
+    assert len(bottoms) == 2  # one scaled solve serves both names of the full field
     assert [traj.k for traj in family] == [0.25, 1.0, 2.0, None]
     for k, traj in zip(ks, family):
         V = level.field if k is None else truncate(level.field, k)
