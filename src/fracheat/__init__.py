@@ -50,7 +50,7 @@ from .evolution import (
     step,
     variational_residual,
 )
-from .geometry import DomainSpec, Grid, boundary_distance, build_grid
+from .geometry import DomainSpec, Grid, boundary_distance, build_grid, orbit_table
 from .potentials import (
     PotentialField,
     PotentialSpec,
@@ -65,7 +65,6 @@ from .spectral import (
     SpectralEntry,
     SpectralResult,
     SpectralSeries,
-    form_bilinear,
     form_energy,
     refinement_series,
     spectral_bottom,

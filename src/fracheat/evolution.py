@@ -19,7 +19,7 @@ from .assembly import OperatorMatrix
 from .errors import SolveFailure, StepTooLarge
 from .geometry import Grid
 from .potentials import PotentialSpec, sample_potential
-from .spectral import MeshLevel, _potential_vector, spectral_bottom
+from .spectral import MeshLevel, _potential_vector, mirror_fold, spectral_bottom
 
 STEP_RESTRICTION = 0.5
 
@@ -61,11 +61,15 @@ class Trajectory:
 
 
 class ImplicitStepper:
-    """Backward-Euler stepper with the factorization reused across steps.
+    """Backward-Euler stepper with the factorizations reused across steps.
 
     The step restriction is enforced with lambda0, any lower bound of the
     spectral bottom of L - diag(V) (such as a deeper truncation's), computed
-    here when not given.  The factored matrix is fixed for a truncation level.
+    here when not given.  The system I + dt (L - diag(V)) is solved on the
+    character blocks of its mirror fold: each state is split into its
+    symmetry components, and a block is factored the first time a state has
+    a nonzero component in it, then kept.  A mirror-symmetric state needs
+    the trivial block only.
     """
 
     def __init__(self, M: OperatorMatrix, V, dt: float, lambda0: float | None = None):
@@ -83,13 +87,23 @@ class ImplicitStepper:
             )
         self.M = M
         self.dt = float(dt)
-        # I + dt (L - diag(V)) in one buffer, entry for entry the same floats
-        system = dt * M.entries
-        system.flat[:: M.n + 1] = 1.0 + dt * (np.diag(M.entries) - vals)
-        try:
-            self._factor = linalg.cho_factor(system, overwrite_a=True, check_finite=False)
-        except linalg.LinAlgError as exc:
-            raise SolveFailure(f"factorization of the implicit system failed: {exc}")
+        self._fold = mirror_fold(M.grid, vals)
+        reps = self._fold.orbits[0]
+        self._diagonal = 1.0 + dt * (np.diag(M.entries)[reps] - vals[reps])
+        self._factors = {}  # character -> Cholesky factor of its block
+
+    def _factor(self, s: int):
+        """The factor of block s of I + dt (L - diag(V)): dt * L folded from
+        the representatives' rows, the g = e diagonal set to
+        1 + dt (L_ii - V_i), entry for entry the floats of the folded
+        textbook system."""
+        if s not in self._factors:
+            system = self._fold.block(self.M.entries, s, scale=self.dt, diagonal=self._diagonal)
+            try:
+                self._factors[s] = linalg.cho_factor(system, overwrite_a=True, check_finite=False)
+            except linalg.LinAlgError as exc:
+                raise SolveFailure(f"factorization of the implicit system failed: {exc}")
+        return self._factors[s]
 
     def step(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -97,7 +111,11 @@ class ImplicitStepper:
             raise ValueError(f"state must have length {self.M.n}")
         if not np.all(np.isfinite(u)) or np.any(u < 0):
             raise ValueError("state must be finite and componentwise nonnegative")
-        w = linalg.cho_solve(self._factor, u, check_finite=False)
+        parts = self._fold.split(u)
+        for s, part in enumerate(parts):
+            if np.any(part):
+                parts[s] = linalg.cho_solve(self._factor(s), part, check_finite=False)
+        w = self._fold.merge(parts)
         floor = -1e-10 * max(1.0, float(np.max(np.abs(w))))
         if np.min(w) < floor:
             raise SolveFailure(

@@ -12,6 +12,7 @@ zero value: they are simply absent from the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -121,14 +122,64 @@ class Grid:
     def cell_volume(self) -> float:
         return self.h ** self.dimension
 
+    @cached_property
+    def mirrors(self) -> tuple:
+        """Node permutations of the axis mirrors x_a -> -x_a that map the
+        node set onto itself and fix no node, one per such axis.
+
+        Candidate images come from the lattice indices of the nodes; a mirror
+        is kept only when every image carries exactly the mirrored
+        coordinates.
+        """
+        pts = self.points
+        lattice = np.rint((pts - pts.min(axis=0)) / self.h).astype(np.int64)
+        top = lattice.max(axis=0)
+        # the nodes are in lexicographic order, so their keys increase
+        keys = np.ravel_multi_index(lattice.T, top + 1)
+        nodes = np.arange(self.n)
+        found = []
+        for a in range(self.dimension):
+            image_lattice = lattice.copy()
+            image_lattice[:, a] = top[a] - lattice[:, a]
+            image_keys = np.ravel_multi_index(image_lattice.T, top + 1)
+            image = np.minimum(np.searchsorted(keys, image_keys), self.n - 1)
+            mirrored = pts.copy()
+            mirrored[:, a] = -pts[:, a]
+            if np.array_equal(pts[image], mirrored) and not np.any(image == nodes):
+                image.setflags(write=False)
+                found.append(image)
+        return tuple(found)
+
+
+def orbit_table(n: int, mirrors) -> np.ndarray:
+    """Node orbits of the group generated by commuting fixed-point-free node
+    involutions, as an (order, n / order) index array.
+
+    Column r is the orbit of the r-th representative, a node with a smaller
+    index than each of its mirror images; row g holds the images under the
+    product of the mirrors whose bits are set in g, so row 0 lists the
+    representatives.  With no mirror the table is the single row 0..n-1.
+    """
+    nodes = np.arange(n)
+    reps = nodes
+    for image in mirrors:
+        reps = reps[reps < image[reps]]
+    rows = [reps]
+    for image in mirrors:
+        rows += [image[row] for row in rows]
+    return np.stack(rows)
+
 
 def build_grid(domain: DomainSpec, h: float) -> Grid:
     """Lay a uniform lattice of spacing h over the bounding box and keep the
     cell centers that fall strictly inside the domain.
 
-    Cell centers sit at corner + (j + 1/2) * h along each axis.  Raises
-    EmptyGrid when h is not smaller than the domain's smallest extent or
-    when no center survives the interior test.
+    Cell centers sit at corner + (j + 1/2) * h along each axis.  When the
+    centers inside an axis's extent are symmetric up to rounding (the side is
+    a whole number of cells), they are snapped to exact pairs +-x, so that
+    the domain's mirrors map nodes exactly onto nodes.  Raises EmptyGrid when
+    h is not smaller than the domain's smallest extent or when no center
+    survives the interior test.
     """
     if not np.isfinite(h) or h <= 0:
         raise ValueError(f"spacing must be positive, got {h}")
@@ -140,7 +191,11 @@ def build_grid(domain: DomainSpec, h: float) -> Grid:
     axes = []
     for half in domain.half_widths:
         m = int(np.floor(2.0 * half / h)) + 1
-        axes.append(-half + (np.arange(m) + 0.5) * h)
+        ax = -half + (np.arange(m) + 0.5) * h
+        ax = ax[np.abs(ax) < half]  # a center outside the box is never kept
+        if np.max(np.abs(ax + ax[::-1])) <= 16.0 * np.finfo(float).eps * half:
+            ax = 0.5 * (ax - ax[::-1])  # exact on pairs that are already exact
+        axes.append(ax)
     if domain.dimension == 1:
         pts = axes[0][:, None]
     else:

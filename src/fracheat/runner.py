@@ -34,7 +34,7 @@ from .errors import BallTooSmall, EmptyGrid
 from .evolution import ImplicitStepper, duhamel_residual, initial_state, level_family
 from .geometry import DomainSpec, build_grid
 from .potentials import estimate_boundary_hardy_constant, load_custom_table
-from .spectral import MeshLevel, SpectralSeries
+from .spectral import MeshLevel, SpectralSeries, mirror_fold
 
 STEP_MARGIN = 0.45
 SWEEP_CHUNK = 16  # energy-sweep trials per matrix product
@@ -151,7 +151,12 @@ def run_experiment(
     fld = finest.field_at(config.k_schedule[-1])
     residuals = {"duhamel": duhamel_residual(deepest, finest.op, fld, free=free)}
 
-    extras = {}
+    # the order of the mirror group that folds each mesh's solves and steps
+    extras = {
+        "mirror_group_order": [
+            [lv.h, mirror_fold(lv.op.grid, lv.field.values).order] for lv in levels
+        ]
+    }
     if potential.kind == "hardy_boundary":
         extras["boundary_hardy_constant"] = estimate_boundary_hardy_constant(
             config.domain, config.alpha, config.h_schedule

@@ -4,6 +4,13 @@ The spectral bottom of L - diag(V) is the discrete stand-in for the infimum
 of the Rayleigh quotient (form energy minus potential mass over L2 mass);
 its behaviour under mesh refinement and truncation deepening is the raw
 evidence the classifier consumes.
+
+The grid's axis mirrors that also leave V invariant generate a group Z2^m
+that commutes with L - diag(V), which is then block diagonal on the group's
+characters: 2^m blocks of size n / 2^m.  Since L - diag(V) is an
+irreducible Z-matrix, its ground vector is positive (Perron-Frobenius), so
+invariant under every mirror: the bottom lives in the block of the trivial
+character, and only that block is factored and solved.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .assembly import OperatorMatrix, assemble_operator
 from .errors import ConvergenceFailure, DimensionMismatch
-from .geometry import DomainSpec, build_grid
+from .geometry import DomainSpec, Grid, build_grid, orbit_table
 from .potentials import PotentialField, PotentialSpec, sample_potential, truncate
 
 RESIDUAL_TOL = 1e-8
@@ -36,13 +43,6 @@ def form_energy(M: OperatorMatrix, f) -> float:
     """Discrete form energy <L f, f> h^d of a grid function."""
     f = _as_state(M, f)
     return float(M.cell_volume * f @ (M.entries @ f))
-
-
-def form_bilinear(M: OperatorMatrix, f, g) -> float:
-    """Discrete bilinear form <L f, g> h^d; symmetric in (f, g)."""
-    f = _as_state(M, f)
-    g = _as_state(M, g)
-    return float(M.cell_volume * g @ (M.entries @ f))
 
 
 class SpectralResult(NamedTuple):
@@ -65,6 +65,63 @@ def _potential_vector(M: OperatorMatrix, V) -> np.ndarray:
     return vals
 
 
+@dataclass(frozen=True, eq=False)
+class MirrorFold:
+    """Block diagonalization of a mirror-invariant matrix by characters.
+
+    orbits is the (order, n / order) orbit table of the mirror group (row 0
+    the representatives) and chars its character table, chars[s, g] = +-1
+    (a Sylvester Hadamard matrix; row 0 is the trivial character).  In the
+    orthonormal basis sum_g chars[s, g] e_orbits[g, r] / sqrt(order), an
+    invariant A is block diagonal with blocks A_s[r, t] = sum_g chars[s, g]
+    A[orbits[0, r], orbits[g, t]].  With order 1 everything is the identity.
+    """
+
+    orbits: np.ndarray
+    chars: np.ndarray
+
+    @property
+    def order(self) -> int:
+        return len(self.orbits)
+
+    def block(self, entries: np.ndarray, s: int = 0, scale: float = 1.0, diagonal=None):
+        """Block s of scale * entries, with the diagonal of its g = e term
+        replaced by diagonal when given, from the representatives' rows only;
+        the identity fold of entries alone is entries itself."""
+        if self.order == 1 and scale == 1.0 and diagonal is None:
+            return entries
+        reps = self.orbits[0]
+        rows = entries if self.order == 1 else entries[reps]
+        out = np.take(rows, reps, axis=1)
+        out *= scale
+        if diagonal is not None:
+            out.flat[:: len(reps) + 1] = diagonal
+        for g in range(1, self.order):
+            part = np.take(rows, self.orbits[g], axis=1)
+            part *= scale
+            if self.chars[s, g] > 0:
+                out += part
+            else:
+                out -= part
+        return out
+
+    def split(self, u: np.ndarray) -> np.ndarray:
+        """Character components of u, row s scaled by sqrt(order)."""
+        return self.chars @ u[self.orbits]
+
+    def merge(self, parts: np.ndarray) -> np.ndarray:
+        """The vector whose split is parts."""
+        out = np.empty(self.orbits.size)
+        out[self.orbits] = (self.chars @ parts) / self.order
+        return out
+
+
+def mirror_fold(grid: Grid, vals: np.ndarray) -> MirrorFold:
+    """The fold by the grid's mirrors that leave vals exactly invariant."""
+    orbits = orbit_table(grid.n, [m for m in grid.mirrors if np.array_equal(vals[m], vals)])
+    return MirrorFold(orbits, linalg.hadamard(len(orbits)).astype(float))
+
+
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     s = v.sum()
     if s < 0 or (s == 0 and v[np.argmax(np.abs(v))] < 0):
@@ -75,19 +132,29 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 def spectral_bottom(M: OperatorMatrix, V=None, v0=None) -> SpectralResult:
     """Smallest eigenvalue and unit ground vector of M - diag(V).
 
-    Shift-invert Lanczos about a shift that a Cholesky factorization
-    certifies to lie below the spectrum; v0 is the warm start (default the
-    constant vector).  The returned pair always satisfies
-    ||(M - V) v - lambda v|| <= RESIDUAL_TOL; otherwise ConvergenceFailure is
-    raised.  iterations counts the shift-invert solves.  The eigenvector sign
-    is fixed so its sum is nonnegative.
+    Solved on the trivial-character block of the mirror fold (the whole
+    matrix when no mirror leaves V invariant) by shift-invert Lanczos about a
+    shift that a Cholesky factorization certifies to lie below the spectrum;
+    v0 is the warm start (default the constant vector).  The returned pair,
+    unfolded, always satisfies ||(M - V) v - lambda v|| <= RESIDUAL_TOL on
+    the full matrix; otherwise ConvergenceFailure is raised.  iterations
+    counts the shift-invert solves.  The eigenvector sign is fixed so its
+    sum is nonnegative.
     """
     vals = _potential_vector(M, V)
     if v0 is not None:
         v0 = _as_state(M, v0)
         if not (np.all(np.isfinite(v0)) and np.any(v0)):
             raise ValueError("warm start must be finite and nonzero")
-    return _ground_state(M.entries, vals, v0)
+    fold = mirror_fold(M.grid, vals)
+    reps = fold.orbits[0]
+    warm = None if v0 is None else fold.split(v0)[0]
+    res = _ground_state(fold.block(M.entries), vals[reps], warm)
+    if fold.order == 1:
+        return res
+    v = np.empty(M.n)
+    v[fold.orbits] = res.eigvec / math.sqrt(fold.order)
+    return _checked_pair(M.entries, vals, v, res.iterations)
 
 
 def _ground_state(B: np.ndarray, d: np.ndarray, v0=None) -> SpectralResult:
@@ -134,7 +201,13 @@ def _ground_state(B: np.ndarray, d: np.ndarray, v0=None) -> SpectralResult:
     except ArpackNoConvergence as exc:
         raise ConvergenceFailure(f"shift-invert Lanczos did not converge: {exc}", iterations=solves)
     v = _fix_sign(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
-    Av = A @ v
+    return _checked_pair(B, d, v, solves)
+
+
+def _checked_pair(B: np.ndarray, d: np.ndarray, v: np.ndarray, solves: int) -> SpectralResult:
+    """The Rayleigh quotient of B - diag(d) at the unit vector v, once the
+    residual of the pair is within RESIDUAL_TOL."""
+    Av = B @ v - d * v
     lam = float(v @ Av)
     residual = float(np.linalg.norm(Av - lam * v))
     if residual > RESIDUAL_TOL:

@@ -142,6 +142,7 @@ def test_run_end_to_end(tmp_path):
         "trajectories_file", "flags", "residuals",
     }
     assert report["verdict"]["label"] == "EXISTS"
+    assert report["extras"]["mirror_group_order"] == [[h, 2] for h in FAST_CONFIG["h_schedule"]]
     for cert in report["certificates"]:
         assert set(cert) >= {"name", "inputs_digest", "lhs", "rhs", "satisfied", "slack"}
     assert (out / report["series_file"]).read_text().startswith("h,k,epsilon,lambda0,iterations")
@@ -149,6 +150,13 @@ def test_run_end_to_end(tmp_path):
     assert traj_text.startswith("h,k,t,l2_norm,max_value")
     assert "np.float64" not in traj_text
     assert (out / report["curves_file"]).read_text().startswith("curve,x,y")
+
+
+def test_asymmetric_potential_reports_no_fold(tmp_path):
+    doc = dict(FAST_CONFIG, potential={"kind": "bounded", "expr": "0.5 + 0.1*x", "epsilon": 0.01})
+    paths = run_experiment(load_config(write_config(tmp_path, doc)), out_dir=tmp_path / "out")
+    report = json.loads(Path(paths["report"]).read_text())
+    assert report["extras"]["mirror_group_order"] == [[h, 1] for h in FAST_CONFIG["h_schedule"]]
 
 
 def test_reports_byte_stable(tmp_path):

@@ -14,6 +14,7 @@ from fracheat import (
     evolve,
     initial_state,
     monotone_family,
+    orbit_table,
     sample_potential,
     spectral_bottom,
     step,
@@ -141,15 +142,79 @@ def test_stepper_rejects_nonfinite_states(interval_op):
 
 @pytest.mark.parametrize("domain, h, alpha", [(DOM, 1.0 / 64.0, 0.5), (DomainSpec.disk(1.0), 0.125, 1.0)])
 def test_stepper_factor_matches_textbook_system(domain, h, alpha):
+    # the factor of the trivial-character block, folded from the textbook
+    # system I + dt (L - diag(V)) by summing over each orbit's columns
     g = build_grid(domain, h)
     op = assemble_operator(g, alpha)
     fld = sample_potential(PotentialSpec.hardy_interior(0.1), g, alpha)
     dt = 1.0 / 32.0
     stepper = ImplicitStepper(op, fld, dt)
+    stepper.step(initial_state(g))
+    orbits = orbit_table(g.n, g.mirrors)
+    assert len(orbits) == 2 ** g.dimension
     textbook = np.eye(op.n) + dt * (op.entries - np.diag(fld.values))
-    factor, lower = linalg.cho_factor(textbook)
-    assert stepper._factor[1] == lower
-    assert np.array_equal(stepper._factor[0], factor)
+    block = sum(textbook[np.ix_(orbits[0], row)] for row in orbits)
+    factor, lower = linalg.cho_factor(block)
+    assert list(stepper._factors) == [0]
+    assert stepper._factors[0][1] == lower
+    assert np.array_equal(stepper._factors[0][0], factor)
+
+
+@pytest.mark.parametrize("domain, h, alpha", [(DOM, 1.0 / 64.0, 0.5), (DomainSpec.disk(1.0), 1.0 / 16.0, 1.0)])
+def test_stepper_matches_textbook_solve_on_asymmetric_state(domain, h, alpha):
+    g = build_grid(domain, h)
+    op = assemble_operator(g, alpha)
+    fld = sample_potential(PotentialSpec.hardy_interior(0.1), g, alpha)
+    dt = 1.0 / 32.0
+    stepper = ImplicitStepper(op, fld, dt)
+    u = np.random.default_rng(3).uniform(0.0, 1.0, g.n)
+    textbook = np.eye(op.n) + dt * (op.entries - np.diag(fld.values))
+    want = linalg.cho_solve(linalg.cho_factor(textbook), u)
+    np.testing.assert_allclose(stepper.step(u), want, rtol=1e-12, atol=0)
+    assert sorted(stepper._factors) == list(range(2 ** g.dimension))
+
+
+@pytest.mark.parametrize("domain, h, alpha", [(DOM, 1.0 / 64.0, 0.5), (DomainSpec.disk(1.0), 1.0 / 16.0, 1.0)])
+def test_symmetric_evolve_factors_one_block(domain, h, alpha, monkeypatch):
+    g = build_grid(domain, h)
+    op = assemble_operator(g, alpha)
+    fld = sample_potential(PotentialSpec.hardy_interior(0.1), g, alpha)
+    shapes = []
+    real = linalg.cho_factor
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "cho_factor", counting)
+    traj = evolve(op, fld, initial_state(g), 0.25, 1.0 / 32.0, lambda0=0.0)
+    m = g.n // 2 ** g.dimension
+    assert shapes == [(m, m)]
+    for image in g.mirrors:  # every state stays exactly symmetric
+        assert np.array_equal(traj.states[:, image], traj.states)
+
+
+def _unfolded_step(op, vals, u, dt):
+    """The stepper before the mirror fold: one factor of the full system."""
+    system = dt * op.entries
+    system.flat[:: op.n + 1] = 1.0 + dt * (np.diag(op.entries) - vals)
+    factor = linalg.cho_factor(system, overwrite_a=True, check_finite=False)
+    w = linalg.cho_solve(factor, u, check_finite=False)
+    return np.maximum(w, 0.0)
+
+
+@pytest.mark.parametrize("h, expr", [(1.0 / 64.0, "1 + 0.5*x"), (0.03, "0.5 + 0.3*cos(3*x)")])
+def test_asymmetric_problem_steps_on_the_full_system(h, expr):
+    g = build_grid(DOM, h)
+    op = assemble_operator(g, ALPHA)
+    fld = sample_potential(PotentialSpec.bounded(expr), g, ALPHA)
+    stepper = ImplicitStepper(op, fld, 1.0 / 32.0, lambda0=0.0)
+    assert stepper._fold.order == 1
+    u = initial_state(g)
+    for _ in range(4):
+        want = _unfolded_step(op, fld.values, u, 1.0 / 32.0)
+        u = stepper.step(u)
+        assert np.array_equal(u, want)
 
 
 def test_evolve_rejects_a_stepper_for_another_step(interval_op):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracheat import DomainSpec, EmptyGrid, boundary_distance, build_grid
+from fracheat import DomainSpec, EmptyGrid, boundary_distance, build_grid, orbit_table
 from fracheat.errors import DomainError
 
 
@@ -92,3 +92,47 @@ def test_invalid_domains():
         DomainSpec("triangle", (1.0,))
     with pytest.raises(ValueError):
         build_grid(DomainSpec.interval(1.0), -0.5)
+
+
+@pytest.mark.parametrize(
+    "dom", [DomainSpec.interval(1.0), DomainSpec.rectangle(1.0, 0.5), DomainSpec.disk(1.0)]
+)
+@pytest.mark.parametrize("h", [1.0 / 12.0, 1.0 / 16.0, 1.0 / 24.0])
+def test_snapped_grids_mirror_exactly(dom, h):
+    g = build_grid(dom, h)
+    assert len(g.mirrors) == dom.dimension
+    for a, image in enumerate(g.mirrors):
+        mirrored = g.points.copy()
+        mirrored[:, a] = -mirrored[:, a]
+        assert np.array_equal(g.points[image], mirrored)
+    # snapping moves a center by rounding only
+    for a, half in enumerate(dom.half_widths):
+        j = np.rint((g.points[:, a] + half) / h - 0.5)
+        assert np.max(np.abs(g.points[:, a] - (-half + (j + 0.5) * h))) <= 2 * np.spacing(half)
+
+
+def test_power_of_two_grids_are_not_moved():
+    g = build_grid(DomainSpec.interval(1.0), 1.0 / 64.0)
+    np.testing.assert_array_equal(g.points[:, 0], -1.0 + (np.arange(128) + 0.5) / 64.0)
+
+
+def test_mirrors_need_a_symmetric_lattice_without_fixed_nodes():
+    assert build_grid(DomainSpec.interval(1.0), 0.03).mirrors == ()  # 2 / h is not whole
+    assert build_grid(DomainSpec.interval(1.0), 2.0 / 3.0).mirrors == ()  # a node at 0
+    odd = build_grid(DomainSpec.disk(1.0), 2.0 / 15.0)  # 15 centers per axis
+    assert odd.mirrors == ()
+    # one axis with a whole number of cells, one without
+    assert len(build_grid(DomainSpec.rectangle(1.0, 0.7), 0.125).mirrors) == 1
+
+
+@pytest.mark.parametrize("dom", [DomainSpec.interval(1.0), DomainSpec.disk(1.0)])
+def test_orbit_table_partitions_the_nodes(dom):
+    g = build_grid(dom, 1.0 / 12.0)
+    orbits = orbit_table(g.n, g.mirrors)
+    assert orbits.shape == (2 ** dom.dimension, g.n // 2 ** dom.dimension)
+    np.testing.assert_array_equal(np.sort(orbits.ravel()), np.arange(g.n))
+    assert np.all(g.points[orbits[0]] < 0)  # representatives: every coordinate negative
+    for bit, image in enumerate(g.mirrors):
+        for row in range(len(orbits)):
+            np.testing.assert_array_equal(image[orbits[row]], orbits[row ^ (1 << bit)])
+    np.testing.assert_array_equal(orbit_table(g.n, ()), np.arange(g.n)[None])

@@ -11,7 +11,6 @@ from fracheat import (
     assemble_operator,
     build_grid,
     evolve,
-    form_bilinear,
     form_energy,
     hardy_sharp_constant,
     initial_state,
@@ -43,22 +42,6 @@ def test_form_energy_basics(interval_op):
         assert form_energy(interval_op, f) >= killing - 1e-10
     with pytest.raises(DimensionMismatch):
         form_energy(interval_op, np.zeros(n + 1))
-
-
-def test_form_bilinear_identities(interval_op):
-    n = interval_op.n
-    rng = np.random.default_rng(1)
-    f = rng.standard_normal(n)
-    g = rng.standard_normal(n)
-    assert form_bilinear(interval_op, f, f) == pytest.approx(form_energy(interval_op, f), rel=1e-12)
-    polar = 0.5 * (
-        form_energy(interval_op, f + g) - form_energy(interval_op, f) - form_energy(interval_op, g)
-    )
-    assert form_bilinear(interval_op, f, g) == pytest.approx(polar, rel=1e-9, abs=1e-9)
-    assert form_bilinear(interval_op, f, g) == pytest.approx(form_bilinear(interval_op, g, f), rel=1e-12)
-    b = form_bilinear(interval_op, unit(n, 2), unit(n, 7))
-    assert b == pytest.approx(interval_op.entries[2, 7] * interval_op.cell_volume, rel=1e-14)
-    assert b <= 0.0
 
 
 def test_spectral_bottom_single_node():
@@ -232,6 +215,43 @@ def test_solver_matches_dense_oracle(case):
             assert np.linalg.norm(res.eigvec - vec) <= 1e-10
             assert res.iterations >= 1
         warm = res.eigvec
+
+
+FOLD_CASES = {  # mirror-symmetric problems; the disk at a finer spacing
+    "interval_bounded": SOLVER_CASES["interval_bounded"],
+    "interval_hardy": SOLVER_CASES["interval_hardy"],
+    "disk_bounded": (DomainSpec.disk(1.0), 1 / 16, 1.0, PotentialSpec.bounded("1.5 + x*x*y*y - 0.5*r")),
+    "disk_hardy": (DomainSpec.disk(1.0), 1 / 16, 1.0,
+                   PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(2, 1.0))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_folded_bottom_matches_unfolded_solver(case):
+    domain, h, alpha, potential = FOLD_CASES[case]
+    op = assemble_operator(build_grid(domain, h), alpha)
+    V = sample_potential(potential, op.grid, alpha).values
+    assert spectral.mirror_fold(op.grid, V).order == 2 ** domain.dimension
+    full = spectral._ground_state(op.entries, V)
+    folded = spectral_bottom(op, V)
+    assert folded.lambda0 == pytest.approx(full.lambda0, rel=1e-12)
+    assert np.linalg.norm(folded.eigvec - full.eigvec) <= 1e-10
+    assert np.linalg.norm(op.entries @ folded.eigvec - V * folded.eigvec
+                          - folded.lambda0 * folded.eigvec) <= spectral.RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("h, expr", [(1 / 64, "1 + 0.5*x"), (0.03, "0.5 + 0.3*cos(3*x)")])
+def test_asymmetric_problem_solves_on_the_full_matrix(h, expr):
+    # no mirror applies: group order 1, and the solve is the unfolded one
+    op = assemble_operator(build_grid(DomainSpec.interval(1.0), h), 0.5)
+    V = sample_potential(PotentialSpec.bounded(expr), op.grid, 0.5).values
+    assert spectral.mirror_fold(op.grid, V).order == 1
+    warm = np.random.default_rng(4).uniform(0.5, 1.0, op.n)
+    for v0 in (None, warm):
+        full = spectral._ground_state(op.entries, V, v0)
+        res = spectral_bottom(op, V, v0=v0)
+        assert res.lambda0 == full.lambda0
+        assert np.array_equal(res.eigvec, full.eigvec)
 
 
 def test_solver_warm_start_validated(interval_op):
