@@ -20,7 +20,7 @@ O(h^(2-alpha)) consistency error that fourier_form_check measures directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
@@ -66,6 +66,8 @@ class OperatorMatrix:
     alpha: float
     grid: Grid
     kappa: np.ndarray
+    # folded blocks of entries, filled on first use by the spectral solver
+    blocks: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def cell_volume(self) -> float:
@@ -180,12 +182,23 @@ def killing_density(grid: Grid, alpha: float) -> np.ndarray:
 # --- operator assembly -------------------------------------------------------
 
 
+def _axis_offsets(index: np.ndarray) -> np.ndarray:
+    """|index_i - index_j| for all node pairs, in index's integer type."""
+    out = np.subtract.outer(index, index)
+    return np.abs(out, out=out)
+
+
 def assemble_operator(grid: Grid, alpha: float) -> OperatorMatrix:
     """Assemble the dense symmetric matrix of the killed nonlocal operator.
 
     Off-diagonal couplings are -A h^d / |x_i - x_j|^(d + alpha); the diagonal
     carries the negated off-diagonal row sum plus the killing density, so row
     sums equal kappa exactly and the matrix is a Stieltjes matrix.
+
+    The kernel is translation invariant and the nodes sit on a lattice, so a
+    coupling depends only on the offset |i - j| of the lattice indices: it is
+    tabulated once over the offset box, at distance h |i - j|, and gathered
+    through an int32 table of flat offsets.
     """
     d = grid.dimension
     _check_order(d, alpha)
@@ -195,14 +208,26 @@ def assemble_operator(grid: Grid, alpha: float) -> OperatorMatrix:
         )
     A = normalization_constant(d, alpha)
     kappa = killing_density(grid, alpha)
-    pts = grid.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    lattice = grid.lattice
+    shape = lattice.max(axis=0) + 1
+    squares = np.zeros(())
+    for size in shape:
+        squares = np.add.outer(squares, np.arange(size, dtype=float) ** 2)
     with np.errstate(divide="ignore"):
-        w = A * grid.cell_volume * dist ** -(d + alpha)
-    np.fill_diagonal(w, 0.0)
-    entries = -w
-    np.fill_diagonal(entries, w.sum(axis=1) + kappa)
+        table = A * grid.cell_volume * (grid.h * np.sqrt(squares)) ** -(d + alpha)
+    table.flat[0] = 0.0  # the zero offset is the diagonal
+    # row-major flat index of (|di|, |dj|) in the table, built axis by axis
+    offsets = _axis_offsets(lattice[:, 0])
+    for a in range(1, d):
+        offsets *= shape[a]
+        offsets += _axis_offsets(lattice[:, a])
+    # indexing casts the int32 offsets chunk by chunk (np.take would copy them
+    # to intp whole); the offsets are freed before the row sums
+    entries = table.ravel()[offsets]
+    del offsets
+    diagonal = entries.sum(axis=1) + kappa
+    np.negative(entries, out=entries)
+    np.fill_diagonal(entries, diagonal)
     entries.setflags(write=False)
     kappa.setflags(write=False)
     return OperatorMatrix(n=grid.n, entries=entries, alpha=alpha, grid=grid, kappa=kappa)

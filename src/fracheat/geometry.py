@@ -123,6 +123,24 @@ class Grid:
         return self.h ** self.dimension
 
     @cached_property
+    def lattice(self) -> np.ndarray:
+        """(n, d) int32 lattice indices of the nodes, (x - min x) / h per axis.
+
+        Raises ValueError when a node is off the lattice by more than
+        rounding, since the translation-invariant kernel is read from these
+        indices.
+        """
+        pts = self.points
+        scaled = (pts - pts.min(axis=0)) / self.h
+        lattice = np.rint(scaled)
+        slack = 64.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(pts))) / self.h)
+        if np.max(np.abs(scaled - lattice)) > slack:
+            raise ValueError(f"grid nodes are not on a lattice of spacing {self.h}")
+        lattice = lattice.astype(np.int32)
+        lattice.setflags(write=False)
+        return lattice
+
+    @cached_property
     def mirrors(self) -> tuple:
         """Node permutations of the axis mirrors x_a -> -x_a that map the
         node set onto itself and fix no node, one per such axis.
@@ -132,7 +150,7 @@ class Grid:
         coordinates.
         """
         pts = self.points
-        lattice = np.rint((pts - pts.min(axis=0)) / self.h).astype(np.int64)
+        lattice = self.lattice
         top = lattice.max(axis=0)
         # the nodes are in lexicographic order, so their keys increase
         keys = np.ravel_multi_index(lattice.T, top + 1)

@@ -10,10 +10,12 @@ across runs.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,6 +40,46 @@ from .spectral import MeshLevel, SpectralSeries, mirror_fold
 
 STEP_MARGIN = 0.45
 SWEEP_CHUNK = 16  # energy-sweep trials per matrix product
+# the OpenBLAS copies that numpy and scipy wheels bundle, and the suffix of
+# their exported symbols
+OPENBLAS_COPIES = (
+    ("numpy.libs/libscipy_openblas64_*.so", "64_"),
+    ("scipy.libs/libscipy_openblas*.so", ""),
+)
+
+
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of the bundled OpenBLAS copies;
+    empty for a build that does not export them."""
+    site = Path(np.__file__).resolve().parent.parent
+    controls = []
+    for pattern, suffix in OPENBLAS_COPIES:
+        for path in sorted(site.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(str(path))
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+            except (OSError, AttributeError):
+                continue
+            get.restype, get.argtypes = ctypes.c_int, []
+            put.restype, put.argtypes = None, [ctypes.c_int]
+            controls.append((get, put))
+    return tuple(controls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run with every bundled OpenBLAS at one thread, then restore the
+    caller's counts, also when the body raises."""
+    controls = _blas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, saved):
+            put(count)
 
 
 def _jsonable(value):
@@ -102,6 +144,7 @@ def _auto_ball_schedule(config: ExperimentConfig, h: float) -> list:
     return radii
 
 
+@_one_blas_thread()
 def run_experiment(
     config: ExperimentConfig,
     out_dir=None,
@@ -112,7 +155,10 @@ def run_experiment(
 
     Returns a dict with the output paths and the verdict label.  The exit
     status of the CLI does not depend on the verdict; configuration problems
-    raise ConfigError before any computation starts.
+    raise ConfigError before any computation starts.  OpenBLAS runs on one
+    thread for the whole run, so the report does not depend on the machine's
+    BLAS thread count; threads is the one parallelism knob (meshes run
+    threads-wide).
     """
     out = Path(out_dir or config.output_dir or "fracheat_run")
     out.mkdir(parents=True, exist_ok=True)

@@ -122,6 +122,16 @@ def mirror_fold(grid: Grid, vals: np.ndarray) -> MirrorFold:
     return MirrorFold(orbits, linalg.hadamard(len(orbits)).astype(float))
 
 
+def _trivial_block(M: OperatorMatrix, fold: MirrorFold) -> np.ndarray:
+    """The trivial-character block of L, folded once per operator and mirror
+    subgroup (the solves on one operator differ only in V) and kept in
+    M.blocks under the orbit table's bytes; callers only read it."""
+    key = fold.orbits.tobytes()
+    if key not in M.blocks:
+        M.blocks[key] = fold.block(M.entries)
+    return M.blocks[key]
+
+
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     s = v.sum()
     if s < 0 or (s == 0 and v[np.argmax(np.abs(v))] < 0):
@@ -149,7 +159,7 @@ def spectral_bottom(M: OperatorMatrix, V=None, v0=None) -> SpectralResult:
     fold = mirror_fold(M.grid, vals)
     reps = fold.orbits[0]
     warm = None if v0 is None else fold.split(v0)[0]
-    res = _ground_state(fold.block(M.entries), vals[reps], warm)
+    res = _ground_state(_trivial_block(M, fold), vals[reps], warm)
     if fold.order == 1:
         return res
     v = np.empty(M.n)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -231,6 +232,62 @@ def test_operator_structure(interval_op):
     assert np.all(np.diag(E) > 0)
     assert np.linalg.eigvalsh(E)[0] > 0
     assert np.all(interval_op.kappa > 0)
+
+
+def _pairwise_assembly(grid, alpha):
+    # oracle: the kernel at every pairwise coordinate difference x_i - x_j
+    d = grid.dimension
+    pts = grid.points
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    with np.errstate(divide="ignore"):
+        w = normalization_constant(d, alpha) * grid.cell_volume * dist ** -(d + alpha)
+    np.fill_diagonal(w, 0.0)
+    entries = -w
+    np.fill_diagonal(entries, w.sum(axis=1) + killing_density(grid, alpha))
+    return entries
+
+
+@pytest.mark.parametrize(
+    "dom,h,alpha", [(DomainSpec.interval(1.0), 1 / 256, 0.5), (DomainSpec.disk(1.0), 1 / 16, 1.0)]
+)
+def test_offset_gather_matches_pairwise_oracle_on_dyadic_grids(dom, h, alpha):
+    # h a power of two: h |i - j| and x_i - x_j are the same floats
+    g = build_grid(dom, h)
+    E = assemble_operator(g, alpha).entries
+    assert np.array_equal(E, _pairwise_assembly(g, alpha))
+    assert np.array_equal(E, E.T)
+
+
+@pytest.mark.parametrize(
+    "dom,h,alpha",
+    [
+        (DomainSpec.disk(1.0), 1 / 24, 1.0),
+        (DomainSpec.interval(1.0), 0.03, 0.5),
+        (DomainSpec.rectangle(1.0, 0.56), 0.05, 1.0),  # 2 b / h is not whole
+    ],
+)
+def test_offset_gather_matches_pairwise_oracle(dom, h, alpha):
+    # the oracle rounds x_i - x_j, which moves its nearest-neighbour entries
+    # by up to about 1.1e-14 relative; against the largest entry both agree
+    # to 1e-14
+    g = build_grid(dom, h)
+    E = assemble_operator(g, alpha).entries
+    oracle = _pairwise_assembly(g, alpha)
+    assert np.max(np.abs(E - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+    assert np.array_equal(E, E.T)
+
+
+def test_assembly_peak_memory():
+    # the int32 offsets and the matrix, not an n^2 x d difference array
+    g = build_grid(DomainSpec.disk(1.0), 1 / 24)
+    tracemalloc.start()
+    try:
+        assemble_operator(g, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * g.n ** 2
 
 
 def test_operator_size_cap():

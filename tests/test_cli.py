@@ -189,6 +189,65 @@ def test_threaded_run_matches_serial(tmp_path):
     assert Path(serial["report"]).read_bytes() == Path(threaded["report"]).read_bytes()
 
 
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # without the in-run pin this config's reports differ in their last bits
+    # between one and two OpenBLAS threads; fresh processes, because the
+    # environment value is read when OpenBLAS loads
+    config = write_config(tmp_path, dict(FAST_CONFIG, h_schedule=[1 / 32, 1 / 64, 1 / 128]))
+    src = str(Path(fracheat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "fracheat.cli", "run", "--config", str(config),
+             "--out", str(tmp_path / count)],
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=count),
+            stdout=subprocess.DEVNULL,
+        )
+        for count in ("1", "2")
+    ]
+    try:
+        assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+    finally:
+        for proc in procs:
+            proc.kill()
+    assert (tmp_path / "1" / "report.json").read_bytes() == (tmp_path / "2" / "report.json").read_bytes()
+
+
+def test_run_restores_the_callers_blas_threads(tmp_path, monkeypatch):
+    import fracheat.runner
+
+    controls = fracheat.runner._blas_thread_controls()
+    if not controls:
+        pytest.skip("this numpy/scipy build does not bundle OpenBLAS")
+    seen = []
+    real = fracheat.runner.classify
+
+    def spy(*args):
+        seen.append([get() for get, _ in controls])
+        return real(*args)
+
+    monkeypatch.setattr(fracheat.runner, "classify", spy)
+    before = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(2)
+        callers = [get() for get, _ in controls]
+        run_experiment(load_config(write_config(tmp_path)), out_dir=tmp_path / "out", threads=2)
+        assert seen == [[1] * len(controls)]
+        assert [get() for get, _ in controls] == callers
+
+        def fail(*args):
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(fracheat.runner, "classify", fail)
+        with pytest.raises(RuntimeError):
+            run_experiment(load_config(write_config(tmp_path)), out_dir=tmp_path / "out")
+        assert [get() for get, _ in controls] == callers
+    finally:
+        for (_, put), count in zip(controls, before):
+            put(count)
+
+
 def test_energy_sweep_chunks_keep_draws_and_slacks(tmp_path, monkeypatch):
     import fracheat.runner
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fracheat import DomainSpec, EmptyGrid, boundary_distance, build_grid, orbit_table
+from fracheat import DomainSpec, EmptyGrid, assemble_operator, boundary_distance, build_grid, orbit_table
+from fracheat.geometry import Grid
 from fracheat.errors import DomainError
 
 
@@ -136,3 +137,26 @@ def test_orbit_table_partitions_the_nodes(dom):
         for row in range(len(orbits)):
             np.testing.assert_array_equal(image[orbits[row]], orbits[row ^ (1 << bit)])
     np.testing.assert_array_equal(orbit_table(g.n, ()), np.arange(g.n)[None])
+
+
+@pytest.mark.parametrize(
+    "dom,h",
+    [(DomainSpec.interval(1.0), 0.03), (DomainSpec.rectangle(1.0, 0.56), 0.05), (DomainSpec.disk(1.0), 1 / 24)],
+)
+def test_lattice_indices(dom, h):
+    g = build_grid(dom, h)
+    lat = g.lattice
+    assert lat.dtype == np.int32 and lat.shape == g.points.shape and not lat.flags.writeable
+    assert np.all(lat.min(axis=0) == 0)
+    np.testing.assert_allclose(g.points, g.points.min(axis=0) + h * lat, rtol=0, atol=1e-14)
+
+
+def test_lattice_rejects_an_off_lattice_grid():
+    g = build_grid(DomainSpec.disk(1.0), 1 / 16)
+    pts = g.points.copy()
+    pts[5, 1] += 1e-9 * g.h
+    bad = Grid(domain=g.domain, h=g.h, points=pts)
+    with pytest.raises(ValueError, match="lattice"):
+        bad.lattice
+    with pytest.raises(ValueError, match="lattice"):
+        assemble_operator(bad, 1.0)

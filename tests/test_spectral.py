@@ -254,6 +254,24 @@ def test_asymmetric_problem_solves_on_the_full_matrix(h, expr):
         assert np.array_equal(res.eigvec, full.eigvec)
 
 
+def test_trivial_block_folded_once_per_operator_and_subgroup(monkeypatch):
+    # solves on one operator share one fold per mirror subgroup, and give
+    # the floats of solves that each fold a freshly assembled operator
+    domain, h, alpha, potential = FOLD_CASES["disk_hardy"]
+    grid = build_grid(domain, h)
+    V = sample_potential(potential, grid, alpha).values
+    Vs = [V, 0.5 * V, np.minimum(V, 1.0), V + 0.1 * (grid.points[:, 0] > 0)]
+    fresh = [spectral_bottom(assemble_operator(grid, alpha), W) for W in Vs]
+    folds = _counting(monkeypatch, spectral.MirrorFold, "block")
+    op = assemble_operator(grid, alpha)
+    cached = [spectral_bottom(op, W) for W in Vs]
+    assert [spectral.mirror_fold(grid, W).order for W in Vs] == [4, 4, 4, 2]
+    assert len(folds) == 2
+    for got, want in zip(cached, fresh):
+        assert got.lambda0 == want.lambda0
+        assert np.array_equal(got.eigvec, want.eigvec)
+
+
 def test_solver_warm_start_validated(interval_op):
     with pytest.raises(DimensionMismatch):
         spectral_bottom(interval_op, v0=np.ones(interval_op.n + 1))
