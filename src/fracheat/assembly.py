@@ -20,14 +20,12 @@ O(h^(2-alpha)) consistency error that fourier_form_check measures directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.special import beta as beta_fn
-from scipy.special import betainc, gamma
 
-from .errors import AllocationError, DomainError, UnsupportedFunction
+from .errors import AllocationError, ConvergenceFailure, DomainError, UnsupportedFunction
 from .geometry import DomainSpec, Grid
 
 DENSE_SIZE_CAP = 8192
@@ -52,8 +50,8 @@ def normalization_constant(d: int, alpha: float) -> float:
     _check_order(d, alpha)
     return (
         alpha
-        * gamma((d + alpha) / 2.0)
-        / (2.0 ** (1.0 - alpha) * np.pi ** (d / 2.0) * gamma(1.0 - alpha / 2.0))
+        * math.gamma((d + alpha) / 2.0)
+        / (2.0 ** (1.0 - alpha) * math.pi ** (d / 2.0) * math.gamma(1.0 - alpha / 2.0))
     )
 
 
@@ -76,6 +74,68 @@ class OperatorMatrix:
 
 # --- killing density ---------------------------------------------------------
 
+# Gauss-Kronrod 10/21 on [-1, 1] (QUADPACK's qk21), mirrored from the
+# nonnegative nodes: Kronrod nodes and weights, Gauss weights of the odd nodes
+_GK_NODES = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+                      0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+                      0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+                      0.14887433898163122, 0.0])
+_GK_KRONROD = np.array([0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+                        0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+                        0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+                        0.14773910490133849, 0.1494455540029169])
+_GK_GAUSS = np.array([0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+                      0.26926671930999635, 0.29552422471475287])
+_GK_NODES = np.r_[_GK_NODES, -_GK_NODES[-2::-1]]
+_GK_KRONROD = np.r_[_GK_KRONROD, _GK_KRONROD[-2::-1]]
+_GK_GAUSS = np.r_[_GK_GAUSS, _GK_GAUSS[::-1]]
+QUAD_LIMIT = 10000  # most subintervals of one integral
+_QUAD_BATCH = 128  # most intervals bisected in one pass
+
+
+def _gk21(f, lo, hi):
+    """qk21 on each interval [lo, hi]: the integrals (m, k) and QUADPACK's
+    error estimates (k,), taken in the max norm over the m integrands."""
+    half = 0.5 * (hi - lo)
+    fv = f((0.5 * (lo + hi)[:, None] + half[:, None] * _GK_NODES).ravel()).reshape(-1, lo.size, 21)
+    kronrod = fv @ _GK_KRONROD
+    err = half * np.abs(kronrod - fv[..., 1::2] @ _GK_GAUSS).max(axis=0)
+    dev = half * (np.abs(fv - 0.5 * kronrod[..., None]) @ _GK_KRONROD).max(axis=0)
+    ratio = np.minimum(1.0, 200.0 * err / np.where(dev > 0.0, dev, 1.0)) ** 1.5
+    err = np.where(dev > 0.0, dev * ratio, err)
+    rounding = 50.0 * np.finfo(float).eps * half * (np.abs(fv) @ _GK_KRONROD).max(axis=0)
+    return half * kronrod, np.maximum(err, rounding)
+
+
+def _gauss_kronrod(f, breaks, epsabs=0.0, epsrel=0.0):
+    """Integral of the vector-valued f over [breaks[0], breaks[-1]] by adaptive
+    Gauss-Kronrod 10/21; f maps k abscissae to an (m, k) array.
+
+    Each pass bisects the intervals with the largest error estimates and
+    evaluates all their halves at once, until the summed estimate is at most
+    max(epsabs, epsrel * max|I|).  Raises ConvergenceFailure on a non-finite
+    estimate or past QUAD_LIMIT intervals.
+    """
+    lo, hi = np.asarray(breaks[:-1], dtype=float), np.asarray(breaks[1:], dtype=float)
+    vals, errs = _gk21(f, lo, hi)
+    while True:
+        total, err = vals.sum(axis=1), errs.sum()
+        tol = max(epsabs, epsrel * np.abs(total).max())
+        if np.isfinite(err) and err <= tol:
+            return total
+        if not np.isfinite(err) or lo.size >= QUAD_LIMIT:
+            raise ConvergenceFailure(f"quadrature error {err:.3g} > {tol:.3g} on {lo.size} intervals")
+        # the largest errors, until at most tol / 2 is left unsplit
+        order = np.argsort(errs)[::-1]
+        count = np.argmax(err - np.cumsum(errs[order]) <= 0.5 * tol) + 1
+        split = order[: min(count, _QUAD_BATCH, QUAD_LIMIT - lo.size)]
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo, new_hi = np.r_[lo[split], mid], np.r_[mid, hi[split]]
+        new_vals, new_errs = _gk21(f, new_lo, new_hi)
+        lo, hi = np.r_[np.delete(lo, split), new_lo], np.r_[np.delete(hi, split), new_hi]
+        vals = np.hstack([np.delete(vals, split, axis=1), new_vals])
+        errs = np.r_[np.delete(errs, split), new_errs]
+
 
 def _halfline_kernel_integral(s, m, alpha):
     """Integral of (s^2 + t^2)^(-(2+alpha)/2) over t in [m, inf) for m > 0.
@@ -83,6 +143,9 @@ def _halfline_kernel_integral(s, m, alpha):
     Evaluated through the regularized incomplete beta function; stable both
     for s >> m and for s -> 0.  Broadcasts over arrays s and m.
     """
+    # imported here: only the rectangle needs scipy.special, which loads slowly
+    from scipy.special import beta as beta_fn, betainc
+
     s = np.asarray(s, dtype=float)
     m = np.asarray(m, dtype=float)
     s, m = np.broadcast_arrays(s, m)
@@ -106,15 +169,14 @@ def _box_complement_integral(points: np.ndarray, a: float, b: float, alpha: floa
     """
     x1 = points[:, 0]
     x2 = points[:, 1]
-    full_line = np.sqrt(np.pi) * gamma(0.5 * (1.0 + alpha)) / gamma(1.0 + 0.5 * alpha)
+    full_line = math.sqrt(math.pi) * math.gamma(0.5 * (1.0 + alpha)) / math.gamma(1.0 + 0.5 * alpha)
     sides = full_line / alpha * ((a - x1) ** -alpha + (a + x1) ** -alpha)
 
     def strip(margins):
         def f(y1):
-            return _halfline_kernel_integral(np.abs(y1 - x1), margins, alpha)
+            return _halfline_kernel_integral(np.abs(y1 - x1[:, None]), margins[:, None], alpha)
 
-        res, _ = integrate.quad_vec(f, -a, a, epsabs=1e-13, epsrel=1e-10)
-        return res
+        return _gauss_kronrod(f, [-a, a], epsabs=1e-13, epsrel=1e-10)
 
     return sides + strip(b - x2) + strip(b + x2)
 
@@ -130,22 +192,20 @@ def _disk_complement_integral(radii: np.ndarray, R: float, alpha: float) -> np.n
     differ by orders of magnitude; e has a layer of width ~sqrt(R - rho) at
     the breakpoint theta = pi/2.
     """
-    gap = R - radii
-    chord = gap * (R + radii)  # R^2 - rho^2 without cancellation
+    gap = R - radii[:, None]
+    chord = gap * (R + radii[:, None])  # R^2 - rho^2 without cancellation
     scale = gap ** alpha
 
     def f(theta):
         c = np.cos(theta)
-        b = radii * c
+        b = radii[:, None] * c
         root = np.sqrt(chord + b * b)
         # outward directions: rationalized form, free of cancellation
-        e = chord / (root + b) if c > 0.0 else root - b
+        e = np.where(c > 0.0, chord / (root + b), root - b)
         return scale * e ** -alpha
 
-    val, _ = integrate.quad_vec(
-        f, 0.0, np.pi, epsabs=0.0, epsrel=1e-13, norm="max", points=[0.5 * np.pi]
-    )
-    return (2.0 / alpha) * val / scale
+    val = _gauss_kronrod(f, [0.0, 0.5 * np.pi, np.pi], epsrel=1e-13)
+    return (2.0 / alpha) * val / scale[:, 0]
 
 
 def killing_density(grid: Grid, alpha: float) -> np.ndarray:
@@ -153,9 +213,9 @@ def killing_density(grid: Grid, alpha: float) -> np.ndarray:
     the domain of |x_i - y|^(-d - alpha) dy, for every node x_i.
 
     d = 1 is in closed form.  The rectangle adds closed-form half-planes to
-    half-strips by 1-d quadrature (relative tolerance 1e-10) over the distinct
-    folded nodes (|x1|, |x2|); the disk is one exit-distance quadrature over
-    the distinct node radii (about 1e-14).
+    half-strips by Gauss-Kronrod (relative tolerance 1e-10) over the distinct
+    folded nodes (|x1|, |x2|); the disk is one exit-distance Gauss-Kronrod
+    quadrature over the distinct node radii (about 1e-14).
     """
     d = grid.dimension
     _check_order(d, alpha)

@@ -10,10 +10,10 @@ problems well posed one level at a time.
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gamma
 
 from .errors import DomainError, SingularNode
 from .geometry import Grid, boundary_distance
@@ -30,7 +30,7 @@ def hardy_sharp_constant(d: int, alpha: float) -> float:
         raise DomainError(
             f"order alpha={alpha} outside the admissible range (0, {min(2, d)}) for d={d}"
         )
-    return 2.0 ** alpha * gamma((d + alpha) / 4.0) ** 2 / gamma((d - alpha) / 4.0) ** 2
+    return 2.0 ** alpha * math.gamma((d + alpha) / 4.0) ** 2 / math.gamma((d - alpha) / 4.0) ** 2
 
 
 @dataclass(frozen=True, eq=False)

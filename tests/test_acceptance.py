@@ -77,6 +77,21 @@ def test_criterion_1_constants():
     _passed(1, f"kernel and Hardy constants match the high-precision oracle ({elapsed:.2f}s)")
 
 
+@pytest.mark.parametrize(
+    "d,alpha", [(1, 0.05), (1, 0.5), (1, 0.95), (2, 0.1), (2, 0.75), (2, 1.0), (2, 1.5), (2, 1.95)]
+)
+def test_constants_to_full_precision(d, alpha):
+    with mpmath.workdps(40):
+        am = mpmath.mpf(alpha)
+        kernel = am * mpmath.gamma((d + am) / 2) / (
+            2 ** (1 - am) * mpmath.pi ** (mpmath.mpf(d) / 2) * mpmath.gamma(1 - am / 2)
+        )
+        cstar = 2 ** am * mpmath.gamma((d + am) / 4) ** 2 / mpmath.gamma((d - am) / 4) ** 2
+        kernel, cstar = float(kernel), float(cstar)
+    assert normalization_constant(d, alpha) == pytest.approx(kernel, rel=1e-14)
+    assert hardy_sharp_constant(d, alpha) == pytest.approx(cstar, rel=1e-14)
+
+
 def test_criterion_2_fourier_identity():
     start = time.time()
     f = lambda x: np.exp(-8.0 * x * x) * (np.abs(x) < 1.0)

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import mpmath
@@ -19,8 +20,14 @@ from fracheat import (
     normalization_constant,
     spectral_bottom,
 )
-from fracheat.assembly import _box_complement_integral, _disk_complement_integral, _fourier_energy
-from fracheat.errors import DomainError
+from fracheat.assembly import (
+    _box_complement_integral,
+    _disk_complement_integral,
+    _fourier_energy,
+    _gauss_kronrod,
+    _halfline_kernel_integral,
+)
+from fracheat.errors import ConvergenceFailure, DomainError
 
 # regression value: smallest eigenvalue of the assembled operator on the
 # unit interval at alpha = 0.5, h = 1/256 (refinement study fixture)
@@ -204,6 +211,74 @@ def test_disk_killing_density_node_near_circle(alpha):
     for rho in np.unique(radii):
         oracle = A * _exit_distance_oracle(rho, 1.0, alpha)
         np.testing.assert_allclose(kap[radii == rho], oracle, rtol=1e-12, atol=0)
+
+
+def _quad_vec_disk(radii, R, alpha):
+    # the scipy quad_vec form of _disk_complement_integral, kept as its oracle
+    gap = R - radii
+    chord = gap * (R + radii)
+    scale = gap ** alpha
+
+    def f(theta):
+        c = np.cos(theta)
+        b = radii * c
+        root = np.sqrt(chord + b * b)
+        e = chord / (root + b) if c > 0.0 else root - b
+        return scale * e ** -alpha
+
+    val, _ = integrate.quad_vec(
+        f, 0.0, np.pi, epsabs=0.0, epsrel=1e-13, norm="max", points=[0.5 * np.pi]
+    )
+    return (2.0 / alpha) * val / scale
+
+
+def _quad_vec_box(points, a, b, alpha):
+    # the scipy quad_vec form of _box_complement_integral, kept as its oracle
+    x1, x2 = points[:, 0], points[:, 1]
+    full_line = np.sqrt(np.pi) * gamma(0.5 * (1.0 + alpha)) / gamma(1.0 + 0.5 * alpha)
+    sides = full_line / alpha * ((a - x1) ** -alpha + (a + x1) ** -alpha)
+
+    def strip(margins):
+        def f(y1):
+            return _halfline_kernel_integral(np.abs(y1 - x1), margins, alpha)
+
+        return integrate.quad_vec(f, -a, a, epsabs=1e-13, epsrel=1e-10)[0]
+
+    return sides + strip(b - x2) + strip(b + x2)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("h", [1 / 12, 1 / 16, 1 / 24, 0.09269005847953217])
+def test_disk_gauss_kronrod_vs_quad_vec(h, alpha):
+    # the distinct node radii, as killing_density integrates them
+    g = build_grid(DomainSpec.disk(1.0), h)
+    radii = np.hypot(g.points[:, 0], g.points[:, 1])
+    radii = radii[np.unique(np.round(radii, 12), return_index=True)[1]]
+    mine = _disk_complement_integral(radii, 1.0, alpha)
+    np.testing.assert_allclose(mine, _quad_vec_disk(radii, 1.0, alpha), rtol=1e-14, atol=0)
+
+
+def test_rectangle_gauss_kronrod_vs_quad_vec():
+    g = build_grid(DomainSpec.rectangle(1.0, 0.56), 0.05)
+    folded = np.unique(np.round(np.abs(g.points), 12), axis=0)
+    mine = _box_complement_integral(folded, 1.0, 0.56, 0.8)
+    np.testing.assert_allclose(mine, _quad_vec_box(folded, 1.0, 0.56, 0.8), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda t: np.full((2, t.size), np.nan),  # not a number
+        lambda t: np.abs(t)[None] ** -1.5,  # not integrable across 0
+        lambda t: np.sin(1.0 / t)[None],  # needs more than QUAD_LIMIT intervals
+    ],
+    ids=["nan", "nonintegrable", "oscillating"],
+)
+def test_gauss_kronrod_raises_instead_of_spinning(f):
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceFailure, match="intervals"), np.errstate(all="ignore"):
+        _gauss_kronrod(f, [-1.0, 2.0], epsrel=1e-10)
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])

@@ -303,6 +303,24 @@ def _the_four_configs():
     return [load_config(str(p)) for p in (*bundled, disk)]
 
 
+def test_import_leaves_out_quadrature_and_special_functions():
+    # a fresh process: importing scipy.integrate and scipy.special took about
+    # 0.4 s of every run's set-up, and only the rectangle needs scipy.special
+    configs = [str(resources.files("fracheat") / "configs" / f"{name}.json")
+               for name in ("bounded_1d", "hardy_subcritical_1d", "hardy_supercritical_1d")]
+    configs.append(str(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "disk_2d.json"))
+    code = (
+        "import sys, fracheat, fracheat.cli\n"
+        "for path in sys.argv[1:]: fracheat.load_config(path)\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.special'))))"
+    )
+    src = str(Path(fracheat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code, *configs], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_runner_dt_matches_min_over_k_rule():
     from fracheat.runner import STEP_MARGIN, _mesh_family
     from fracheat.spectral import MeshLevel
