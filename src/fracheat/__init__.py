@@ -54,7 +54,6 @@ from .geometry import DomainSpec, Grid, boundary_distance, build_grid, orbit_tab
 from .potentials import (
     PotentialField,
     PotentialSpec,
-    estimate_boundary_hardy_constant,
     hardy_sharp_constant,
     load_custom_table,
     sample_potential,
@@ -65,6 +64,7 @@ from .spectral import (
     SpectralEntry,
     SpectralResult,
     SpectralSeries,
+    estimate_boundary_hardy_constant,
     form_energy,
     refinement_series,
     spectral_bottom,

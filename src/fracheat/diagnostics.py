@@ -17,11 +17,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .assembly import OperatorMatrix, assemble_operator
+from .assembly import OperatorMatrix
 from .errors import BallTooSmall, InsufficientEvidence, NonpositiveState
-from .geometry import DomainSpec, boundary_distance, build_grid
-from .potentials import PotentialField, PotentialSpec, sample_potential
-from .spectral import SpectralSeries, _k_order, form_energy, spectral_bottom
+from .geometry import DomainSpec, boundary_distance
+from .potentials import PotentialField, PotentialSpec
+from .spectral import MeshLevel, SpectralSeries, _k_order, form_energy, spectral_bottom
 from .evolution import Trajectory, evolve
 
 EXISTS = "EXISTS"
@@ -245,6 +245,27 @@ def ground_state_comparability(
     )
 
 
+def _ball_volume(r: float, d: int) -> float:
+    return 2.0 * r if d == 1 else math.pi * r * r
+
+
+def default_ball_schedule(domain: DomainSpec, h: float) -> list:
+    """Radii inradius/2, inradius/4, ... while the ball's volume is at least
+    8 h^d, i.e. while a ball at spacing h holds about eight nodes or more."""
+    d = domain.dimension
+    radii = []
+    r = domain.inradius / 2.0
+    while _ball_volume(r, d) >= 8.0 * h ** d:
+        radii.append(r)
+        r /= 2.0
+    return radii
+
+
+def _ball_spacing(r0: float, h: float) -> float:
+    """r0 / m for the least whole m >= r0 / h, up to rounding."""
+    return r0 / math.ceil(r0 / h * (1.0 - 8.0 * np.finfo(float).eps))
+
+
 def shrinking_ball_certificate(
     domain: DomainSpec,
     alpha: float,
@@ -256,37 +277,42 @@ def shrinking_ball_certificate(
     """Divergence probe on balls shrinking toward the potential's interior
     singular point (the origin).
 
-    Each ball is resolved at its own scale: the largest radius uses spacing
-    h and smaller balls shrink the spacing proportionally, so every ball
-    carries the same node count.  A fixed spacing would cap the resolvable
-    well depth at the lattice scale and the probe would never diverge, no
-    matter the potential.  For each ball the operator is assembled and the
-    spectral bottom of the (1 - epsilon)-scaled potential computed.  The
-    certificate is satisfied (blow-up certified) when at least three
+    Each ball is the largest one, of radius r0, scaled by r / r0: spacing
+    h0 r / r0, with h0 = r0 / m for the least whole m >= r0 / h (up to
+    rounding; h0 is h to the bit when h is r0 / m rounded).  So every ball
+    has the same node count and an even number of cells across: exact +-x
+    pairs and no node at the origin.  A fixed spacing would cap the
+    resolvable well depth at the lattice scale, and the probe would never
+    diverge.  The bottom of L - (1 - epsilon) V on a ball is
+    MeshLevel.build(ball, ...).bottom(None).  The kernel and the Hardy kinds
+    are homogeneous of degree -alpha, so their bottoms obey lambda0(B_r) =
+    (r0 / r)^alpha lambda0(B_r0): only the largest ball is solved.  bounded
+    potentials do not scale, and every ball is solved.
+
+    The certificate is satisfied (blow-up certified) when at least three
     consecutive trailing radii give strictly decreasing negative bottoms
     lying below -C |B|^(-alpha/d) for the fitted C > 0; the fitted log-log
     slope against 1/|B| is reported for comparison with alpha/d.  Raises
-    BallTooSmall when a ball would hold fewer than min_nodes nodes.
+    BallTooSmall when a solved ball holds fewer than min_nodes nodes.
     """
     d = domain.dimension
     radii = [float(r) for r in ball_schedule]
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("ball radii must be strictly decreasing")
+    h0 = _ball_spacing(radii[0], h)
+    homogeneous = potential.kind in ("hardy_interior", "hardy_boundary")
     lambdas = []
-    volumes = []
-    eps = potential.epsilon
-    for r in radii:
+    for r in radii[:1] if homogeneous else radii:
         ball = DomainSpec.interval(r) if d == 1 else DomainSpec.disk(r)
-        grid = build_grid(ball, h * r / radii[0])
-        if grid.n < min_nodes:
+        level = MeshLevel.build(ball, alpha, potential, h0 * r / radii[0])
+        if level.op.n < min_nodes:
             raise BallTooSmall(
-                f"ball of radius {r} holds {grid.n} nodes, fewer than {min_nodes}"
+                f"ball of radius {r} holds {level.op.n} nodes, fewer than {min_nodes}"
             )
-        op = assemble_operator(grid, alpha)
-        fld = sample_potential(potential, grid, alpha)
-        res = spectral_bottom(op, (1.0 - eps) * fld.values)
-        lambdas.append(res.lambda0)
-        volumes.append(2.0 * r if d == 1 else math.pi * r * r)
+        lambdas.append(level.bottom(None).lambda0)
+    if homogeneous:
+        lambdas = [(radii[0] / r) ** alpha * lambdas[0] for r in radii]
+    volumes = [_ball_volume(r, d) for r in radii]
     lambdas_arr = np.array(lambdas)
     volumes_arr = np.array(volumes)
 
@@ -323,7 +349,7 @@ def shrinking_ball_certificate(
         window=window,
         fitted_exponent=exponent,
         fitted_coefficient=fitted_c,
-        epsilon=eps,
+        epsilon=potential.epsilon,
     )
 
 

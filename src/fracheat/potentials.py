@@ -232,32 +232,6 @@ def truncate(field: PotentialField, k: float) -> PotentialField:
     return replace(field, values=vals, truncation_k=level)
 
 
-def estimate_boundary_hardy_constant(domain, alpha: float, h_schedule) -> dict:
-    """Discrete sharp coupling for the boundary-distance potential.
-
-    No closed form is available for the coupling that separates existence
-    from blow-up when the potential is coupling / dist(x, boundary)^alpha.
-    This estimates it as the infimum of form energy over potential mass,
-    i.e. the smallest generalized eigenvalue of (L, D), D = diag(delta^-alpha),
-    across a refinement schedule.  It is the spectral bottom of
-    D^-1/2 L D^-1/2, again a symmetric Z-matrix, found by the same solver as
-    every ground state.  Returns {"series": [(h, value), ...], "estimate":
-    finest value}; the limit is observed, not certified.
-    """
-    from .assembly import assemble_operator
-    from .geometry import build_grid
-    from .spectral import _ground_state
-
-    series = []
-    for h in h_schedule:
-        grid = build_grid(domain, h)
-        op = assemble_operator(grid, alpha)
-        root = boundary_distance(grid) ** (0.5 * alpha)  # the diagonal of D^-1/2
-        mu = _ground_state(root[:, None] * op.entries * root, np.zeros(grid.n)).lambda0
-        series.append((float(h), float(mu)))
-    return {"series": series, "estimate": series[-1][1]}
-
-
 def load_custom_table(path, grid: Grid, epsilon: float = 0.01) -> PotentialSpec:
     """Read a custom potential from a CSV table with header ``index,value``."""
     raw = np.genfromtxt(path, delimiter=",", names=True, dtype=float)

@@ -26,17 +26,18 @@ from .diagnostics import (
     Certificate,
     ClassifierThresholds,
     classify,
+    default_ball_schedule,
     energy_inequality_certificate,
     exponential_bound_certificate,
     ground_state_comparability,
     log_estimate_certificate,
     shrinking_ball_certificate,
 )
-from .errors import BallTooSmall, EmptyGrid
+from .errors import BallTooSmall
 from .evolution import ImplicitStepper, duhamel_residual, initial_state, level_family
-from .geometry import DomainSpec, build_grid
-from .potentials import estimate_boundary_hardy_constant, load_custom_table
-from .spectral import MeshLevel, SpectralSeries, mirror_fold
+from .geometry import build_grid
+from .potentials import load_custom_table
+from .spectral import MeshLevel, SpectralSeries, estimate_boundary_hardy_constant, mirror_fold
 
 STEP_MARGIN = 0.45
 SWEEP_CHUNK = 16  # energy-sweep trials per matrix product
@@ -124,26 +125,6 @@ def _initial_state(grid, config: ExperimentConfig):
     return initial_state(grid, kind=init.get("kind", "inradius_ball"), radius=init.get("radius"))
 
 
-def _auto_ball_schedule(config: ExperimentConfig, h: float) -> list:
-    radii = []
-    r = config.domain.inradius / 2.0
-    while True:
-        ball = (
-            DomainSpec.interval(r)
-            if config.domain.dimension == 1
-            else DomainSpec.disk(r)
-        )
-        try:
-            grid = build_grid(ball, h)
-        except EmptyGrid:
-            break
-        if grid.n < 8:
-            break
-        radii.append(r)
-        r /= 2.0
-    return radii
-
-
 @_one_blas_thread()
 def run_experiment(
     config: ExperimentConfig,
@@ -204,9 +185,7 @@ def run_experiment(
         ]
     }
     if potential.kind == "hardy_boundary":
-        extras["boundary_hardy_constant"] = estimate_boundary_hardy_constant(
-            config.domain, config.alpha, config.h_schedule
-        )
+        extras["boundary_hardy_constant"] = estimate_boundary_hardy_constant([lv.op for lv in levels])
 
     series_path = out / "series.csv"
     series.write_csv(series_path)
@@ -303,7 +282,7 @@ def _certificates(config, potential, finest: MeshLevel, family, probe, seed, fre
         )
     )
 
-    balls = config.ball_schedule or _auto_ball_schedule(config, finest.h)
+    balls = config.ball_schedule or default_ball_schedule(config.domain, finest.h)
     if len(balls) >= 3 and potential.kind != "custom":
         try:
             certs.append(

@@ -25,7 +25,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .assembly import OperatorMatrix, assemble_operator
 from .errors import ConvergenceFailure, DimensionMismatch
-from .geometry import DomainSpec, Grid, build_grid, orbit_table
+from .geometry import DomainSpec, Grid, boundary_distance, build_grid, orbit_table
 from .potentials import PotentialField, PotentialSpec, sample_potential, truncate
 
 RESIDUAL_TOL = 1e-8
@@ -226,6 +226,26 @@ def _checked_pair(B: np.ndarray, d: np.ndarray, v: np.ndarray, solves: int) -> S
             iterations=solves,
         )
     return SpectralResult(lambda0=lam, eigvec=v, iterations=solves)
+
+
+def estimate_boundary_hardy_constant(operators) -> dict:
+    """Discrete sharp coupling for the boundary-distance potential.
+
+    No closed form is available for the coupling that separates existence
+    from blow-up when the potential is coupling / dist(x, boundary)^alpha.
+    This estimates it as the infimum of form energy over potential mass,
+    i.e. the smallest generalized eigenvalue of (L, D), D = diag(delta^-alpha),
+    on each operator of a refinement schedule.  It is the spectral bottom of
+    D^-1/2 L D^-1/2, again a symmetric Z-matrix, found by the same solver as
+    every ground state.  Returns {"series": [(h, value), ...], "estimate":
+    last value}; the limit is observed, not certified.
+    """
+    series = []
+    for op in operators:
+        root = boundary_distance(op.grid) ** (0.5 * op.alpha)  # the diagonal of D^-1/2
+        mu = _ground_state(root[:, None] * op.entries * root, np.zeros(op.n)).lambda0
+        series.append((float(op.grid.h), float(mu)))
+    return {"series": series, "estimate": series[-1][1]}
 
 
 @dataclass(frozen=True)

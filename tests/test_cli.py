@@ -303,6 +303,34 @@ def _the_four_configs():
     return [load_config(str(p)) for p in (*bundled, disk)]
 
 
+def test_default_ball_schedule_builds_no_grid(monkeypatch):
+    from fracheat.diagnostics import default_ball_schedule
+
+    configs = _the_four_configs()
+    calls = []
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("fracheat") and hasattr(mod, "build_grid"):
+            real = mod.build_grid
+            monkeypatch.setattr(mod, "build_grid", lambda *a, real=real: calls.append(a) or real(*a))
+    counts = [len(default_ball_schedule(c.domain, c.h_schedule[-1])) for c in configs]
+    assert counts == [5, 7, 7, 3]
+    assert calls == []
+
+
+def test_ball_probe_runs_where_r0_is_not_whole_cells(tmp_path):
+    # r0 = 0.5 at the finest h = 1/33 is 16.5 cells: a ball at that spacing
+    # would put a node at the origin of the Hardy potential
+    doc = dict(FAST_CONFIG)
+    doc["potential"] = {"kind": "hardy_interior", "c_over_cstar": 2.0, "epsilon": 0.01}
+    doc["h_schedule"] = [0.0625, 0.04, 0.030303030303030304]
+    path = write_config(tmp_path, doc)
+    assert validate_config(path) == []
+    paths = run_experiment(load_config(path), out_dir=tmp_path / "out")
+    report = json.loads(Path(paths["report"]).read_text())
+    ball = next(c for c in report["certificates"] if c["name"] == "shrinking_ball")
+    assert ball["details"]["radii"] == [0.5, 0.25, 0.125]
+
+
 def test_import_leaves_out_quadrature_and_special_functions():
     # a fresh process: importing scipy.integrate and scipy.special took about
     # 0.4 s of every run's set-up, and only the rectangle needs scipy.special
@@ -375,7 +403,7 @@ def test_runner_builds_on_one_level_pipeline(tmp_path, monkeypatch):
 
 
 def test_bundled_configs_validate():
-    for name in ("hardy_subcritical_1d", "hardy_supercritical_1d", "bounded_1d"):
+    for name in ("hardy_subcritical_1d", "hardy_supercritical_1d", "bounded_1d", "hardy_boundary_2d"):
         path = resources.files("fracheat") / "configs" / f"{name}.json"
         assert validate_config(str(path)) == []
 

@@ -240,6 +240,65 @@ def test_shrinking_ball_too_small():
         shrinking_ball_certificate(DOM, ALPHA, PotentialSpec.bounded("1.0"), [0.5, 0.25], 0.25)
 
 
+def _per_ball_oracle(domain, alpha, potential, radii, h):
+    """Every ball built, assembled and solved on its own, at spacing
+    h r / r0 (h puts a whole number of cells on r0)."""
+    lams = []
+    for r in radii:
+        ball = DomainSpec.interval(r) if domain.dimension == 1 else DomainSpec.disk(r)
+        grid = build_grid(ball, h * r / radii[0])
+        op = assemble_operator(grid, alpha)
+        fld = sample_potential(potential, grid, alpha)
+        lams.append(spectral_bottom(op, (1.0 - potential.epsilon) * fld.values).lambda0)
+    return np.array(lams)
+
+
+DISK = DomainSpec.disk(1.0)
+DISK_BALLS = [0.5, 0.25, 0.125]
+
+
+@pytest.mark.parametrize(
+    "domain, alpha, potential, radii, h",
+    [
+        (DOM, ALPHA, PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(1, ALPHA)), BALLS, 1 / 512),
+        (DISK, 1.0, PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(2, 1.0)), DISK_BALLS, 1 / 16),
+        (DISK, 0.5, PotentialSpec.hardy_boundary(0.26), DISK_BALLS, 1 / 16),
+    ],
+)
+def test_shrinking_ball_scaling_matches_per_ball_solves(domain, alpha, potential, radii, h):
+    cert = shrinking_ball_certificate(domain, alpha, potential, radii, h)
+    want = _per_ball_oracle(domain, alpha, potential, radii, h)
+    np.testing.assert_allclose(cert.details["lambda0s"], want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "domain, expr, radii, h",
+    [(DOM, "0.5 + 0.3*cos(3*x)", BALLS, 1 / 64), (DISK, "1 + r*r", DISK_BALLS, 1 / 16)],
+)
+def test_shrinking_ball_bounded_solves_every_ball(domain, expr, radii, h):
+    potential = PotentialSpec.bounded(expr)
+    cert = shrinking_ball_certificate(domain, ALPHA, potential, radii, h)
+    assert np.array_equal(cert.details["lambda0s"], _per_ball_oracle(domain, ALPHA, potential, radii, h))
+
+
+def test_ball_spacing_puts_whole_cells_on_the_largest_radius():
+    from fracheat.diagnostics import _ball_spacing
+
+    # whole up to rounding: the spacing is kept bit for bit
+    for h in (1 / 512, 1 / 128, 1 / 24):
+        assert _ball_spacing(0.5, h) == h
+    # 16.5 cells on r0 = 0.5 would put a node at the origin
+    h0 = _ball_spacing(0.5, 1 / 33)
+    assert h0 <= 1 / 33 and h0 == 0.5 / 17
+    grid = build_grid(DomainSpec.interval(0.5), h0)
+    assert grid.n == 34 and not np.any(grid.points == 0.0)
+    assert len(grid.mirrors) == 1
+    # an explicit schedule: r0 = 0.25 at h = 1/30 is 7.5 cells
+    pot = PotentialSpec.hardy_interior(0.3)
+    cert = shrinking_ball_certificate(DOM, ALPHA, pot, [0.25, 0.125, 0.0625], 1 / 30)
+    assert np.all(np.isfinite(cert.details["lambda0s"]))
+
+
 def _pipeline(coupling_ratio, hs, k_schedule, dt):
     pot = (
         PotentialSpec.bounded("0.3")

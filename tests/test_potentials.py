@@ -153,14 +153,18 @@ def test_truncation_properties():
         truncate(fld, -1.0)
 
 
+def _operators(domain, alpha, hs):
+    return [assemble_operator(build_grid(domain, h), alpha) for h in hs]
+
+
 def test_boundary_hardy_constant_estimate():
-    res = estimate_boundary_hardy_constant(DomainSpec.interval(1.0), 0.5, [1 / 32, 1 / 64])
+    res = estimate_boundary_hardy_constant(_operators(DomainSpec.interval(1.0), 0.5, [1 / 32, 1 / 64]))
     assert len(res["series"]) == 2
     assert all(v > 0 for _, v in res["series"])
     assert res["estimate"] == res["series"][-1][1]
     # the discrete Rayleigh bound is an infimum over a growing space
     assert res["series"][1][1] <= res["series"][0][1] + 1e-10
-    res2d = estimate_boundary_hardy_constant(DomainSpec.rectangle(1.0, 1.0), 0.5, [0.25])
+    res2d = estimate_boundary_hardy_constant(_operators(DomainSpec.rectangle(1.0, 1.0), 0.5, [0.25]))
     assert res2d["estimate"] > 0
 
 
@@ -169,9 +173,9 @@ def test_boundary_hardy_constant_estimate():
     [(DomainSpec.interval(1.0), 0.5, 1 / 32), (DomainSpec.disk(1.0), 1.0, 1 / 6)],
 )
 def test_boundary_hardy_constant_vs_generalized_eigh(domain, alpha, h):
-    res = estimate_boundary_hardy_constant(domain, alpha, [h])
     grid = build_grid(domain, h)
     op = assemble_operator(grid, alpha)
+    res = estimate_boundary_hardy_constant([op])
     weight = np.diag(boundary_distance(grid) ** -alpha)
     mu = linalg.eigh(op.entries, weight, subset_by_index=[0, 0], eigvals_only=True)[0]
     assert res["estimate"] == pytest.approx(mu, rel=1e-12)
