@@ -55,7 +55,6 @@ from .potentials import (
     PotentialField,
     PotentialSpec,
     hardy_sharp_constant,
-    load_custom_table,
     sample_potential,
     truncate,
 )

@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import DENSE_SIZE_CAP
+from .diagnostics import MIN_BALLS, MIN_MESH_LEVELS
 from .errors import ConfigError, DomainError, SingularNode
+from .evolution import initial_state
 from .geometry import DomainSpec, build_grid
 from .potentials import PotentialSpec, hardy_sharp_constant, parse_bounded_expr, sample_potential
 
@@ -47,7 +49,6 @@ class ExperimentConfig:
     ball_schedule: list | None
     output_dir: str | None
     seed: int
-    custom_table_path: str | None = None
     flags: list = field(default_factory=list)
 
     def canonical_json(self) -> str:
@@ -71,31 +72,42 @@ def _domain_from_dict(d: dict, errors: list) -> DomainSpec | None:
     return None
 
 
-def _potential_from_dict(p: dict, d: int, alpha: float, errors: list):
+def _potential_from_dict(p: dict, d: int, alpha: float, errors: list) -> PotentialSpec | None:
     kind = p.get("kind")
     eps = p.get("epsilon", 0.01)
+    if not isinstance(eps, (int, float)) or not 0.0 <= eps < 1.0:
+        errors.append(f"potential.epsilon: must be a number in [0, 1), got {eps!r}")
+        return None
     try:
         if kind == "hardy_interior":
             has_c = "c" in p
             has_ratio = "c_over_cstar" in p
             if has_c == has_ratio:
                 errors.append("potential: give exactly one of 'c' and 'c_over_cstar'")
-                return None, None
+                return None
             c = p["c"] if has_c else p["c_over_cstar"] * hardy_sharp_constant(d, alpha)
-            return PotentialSpec.hardy_interior(c, epsilon=eps), None
+            return PotentialSpec.hardy_interior(c, epsilon=eps)
         if kind == "hardy_boundary":
-            return PotentialSpec.hardy_boundary(p["kappa"], epsilon=eps), None
+            return PotentialSpec.hardy_boundary(p["kappa"], epsilon=eps)
         if kind == "bounded":
             parse_bounded_expr(p["expr"], d)
-            return PotentialSpec.bounded(p["expr"], epsilon=eps), None
-        if kind == "custom":
-            return None, p["table"]
+            return PotentialSpec.bounded(p["expr"], epsilon=eps)
         errors.append(f"potential.kind: unknown kind {kind!r}")
     except KeyError as exc:
         errors.append(f"potential: missing field {exc}")
     except Exception as exc:
         errors.append(f"potential: {exc}")
-    return None, None
+    return None
+
+
+def _object(doc: dict, key: str, errors: list, default=None) -> dict | None:
+    """doc[key] if it is a JSON object, else default; an error unless the
+    key is absent and has a default."""
+    value = doc.get(key, default)
+    if isinstance(value, dict):
+        return value
+    errors.append(f"{key}: must be a JSON object" if key in doc else f"{key}: missing")
+    return default
 
 
 def _is_multiple(t: float, dt: float) -> bool:
@@ -112,37 +124,30 @@ def validate_dict(doc: dict) -> list:
         errors.append(
             f"schema_version: must be {SCHEMA_VERSION}, got {doc.get('schema_version')!r}"
         )
-    domain = None
-    if "domain" not in doc:
-        errors.append("domain: missing")
-    else:
-        domain = _domain_from_dict(doc["domain"], errors)
+    domain_doc = _object(doc, "domain", errors)
+    domain = None if domain_doc is None else _domain_from_dict(domain_doc, errors)
 
     alpha = doc.get("alpha")
     if not isinstance(alpha, (int, float)):
         errors.append("alpha: missing or not a number")
-    elif domain is not None:
+        alpha = None
+    elif domain is not None and not 0.0 < alpha < min(2.0, float(domain.dimension)):
         d = domain.dimension
-        if not (0.0 < alpha < min(2.0, float(d))):
-            errors.append(
-                f"alpha: {alpha} outside the admissible range (0, {min(2, d)}) for d={d}"
-            )
+        errors.append(f"alpha: {alpha} outside the admissible range (0, {min(2, d)}) for d={d}")
+        alpha = None
 
     pot = None
-    if "potential" not in doc:
-        errors.append("potential: missing")
-    elif domain is not None and isinstance(alpha, (int, float)) and 0 < alpha < min(2, domain.dimension):
-        pot, table = _potential_from_dict(doc["potential"], domain.dimension, alpha, errors)
-        eps = doc["potential"].get("epsilon", 0.01)
-        if not (0.0 <= eps < 1.0):
-            errors.append(f"potential.epsilon: must lie in [0, 1), got {eps}")
-        if table is not None and len(doc.get("h_schedule", [])) != 1:
-            errors.append("potential: custom tables require a single-entry h_schedule")
+    pot_doc = _object(doc, "potential", errors)
+    if pot_doc is not None and domain is not None and alpha is not None:
+        pot = _potential_from_dict(pot_doc, domain.dimension, alpha, errors)
 
+    grids = []
     hs = doc.get("h_schedule")
     if not isinstance(hs, list) or not hs:
         errors.append("h_schedule: missing or empty")
     else:
+        if len(hs) < MIN_MESH_LEVELS:
+            errors.append(f"h_schedule: needs at least {MIN_MESH_LEVELS} spacings, got {len(hs)}")
         if any(not isinstance(h, (int, float)) or not 0 < h < math.inf for h in hs):
             errors.append("h_schedule: entries must be positive numbers")
         elif any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
@@ -157,16 +162,19 @@ def validate_dict(doc: dict) -> list:
                 errors.append(
                     f"h_schedule: finest grid exceeds the dense-size cap of {DENSE_SIZE_CAP} nodes"
                 )
-            elif pot is not None:
-                # run samples the potential on every grid: no node may be
-                # singular, and a bounded expression must be finite and nonnegative
-                name = "potential.expr" if pot.kind == "bounded" else "potential"
-                for h in hs:
-                    try:
-                        sample_potential(pot, build_grid(domain, h), alpha)
-                    except (DomainError, SingularNode) as exc:
-                        errors.append(f"{name}: {exc} (h={h})")
-                        break
+            else:
+                grids = [build_grid(domain, h) for h in hs]
+
+    if pot is not None:
+        # run samples the potential on every grid: no node may be
+        # singular, and a bounded expression must be finite and nonnegative
+        name = "potential.expr" if pot.kind == "bounded" else "potential"
+        for h, grid in zip(hs, grids):
+            try:
+                sample_potential(pot, grid, alpha)
+            except (DomainError, SingularNode) as exc:
+                errors.append(f"{name}: {exc} (h={h})")
+                break
 
     ks = doc.get("k_schedule")
     if not isinstance(ks, list) or not ks:
@@ -199,7 +207,11 @@ def validate_dict(doc: dict) -> list:
                         f"probe_times: {t} must be a multiple of dt inside (0, t_final]"
                     )
                     break
-        for t in doc.get("state_checkpoints") or []:
+        checkpoints = doc.get("state_checkpoints") or []
+        if not isinstance(checkpoints, list):
+            errors.append("state_checkpoints: must be a list of times or null")
+            checkpoints = []
+        for t in checkpoints:
             if not isinstance(t, (int, float)) or not (0 <= t <= tf) or (
                 t > 0 and not _is_multiple(t, dt)
             ):
@@ -208,26 +220,37 @@ def validate_dict(doc: dict) -> list:
                 )
                 break
 
-    thresholds = {**_DEFAULT_THRESHOLDS, **doc.get("thresholds", {})}
-    if not (0.0 < thresholds["rel_tol"] < 1.0):
-        errors.append("thresholds.rel_tol: must lie in (0, 1)")
-    if thresholds["divergence_ratio"] <= 1.0:
-        errors.append("thresholds.divergence_ratio: must exceed 1")
-    if thresholds["growth_ratio"] <= 1.0:
-        errors.append("thresholds.growth_ratio: must exceed 1")
+    thresholds = {**_DEFAULT_THRESHOLDS, **_object(doc, "thresholds", errors, {})}
+    mistyped = [k for k in _DEFAULT_THRESHOLDS if not isinstance(thresholds[k], (int, float))]
+    errors.extend(f"thresholds.{k}: must be a number" for k in mistyped)
+    if not mistyped:
+        if not (0.0 < thresholds["rel_tol"] < 1.0):
+            errors.append("thresholds.rel_tol: must lie in (0, 1)")
+        if thresholds["divergence_ratio"] <= 1.0:
+            errors.append("thresholds.divergence_ratio: must exceed 1")
+        if thresholds["growth_ratio"] <= 1.0:
+            errors.append("thresholds.growth_ratio: must exceed 1")
 
-    sweeps = {**_DEFAULT_SWEEPS, **doc.get("sweeps", {})}
+    sweeps = {**_DEFAULT_SWEEPS, **_object(doc, "sweeps", errors, {})}
     for key in ("energy_trials", "log_phis"):
         if not isinstance(sweeps[key], int) or sweeps[key] < 0:
             errors.append(f"sweeps.{key}: must be a nonnegative integer")
 
-    init = doc.get("initial_state", {"kind": "inradius_ball"})
+    init = _object(doc, "initial_state", errors, {"kind": "inradius_ball"})
     if init.get("kind") not in ("inradius_ball", "ball", "constant"):
         errors.append(f"initial_state.kind: unknown kind {init.get('kind')!r}")
     elif init.get("kind") == "ball" and not (
         isinstance(init.get("radius"), (int, float)) and init["radius"] > 0
     ):
         errors.append("initial_state.radius: ball initial state needs a positive radius")
+    else:
+        # run builds the initial state on every grid: it must hold a node
+        for h, grid in zip(hs, grids):
+            try:
+                initial_state(grid, kind=init["kind"], radius=init.get("radius"))
+            except ValueError as exc:
+                errors.append(f"initial_state.radius: {exc} (h={h})")
+                break
 
     balls = doc.get("ball_schedule")
     if balls is not None:
@@ -237,7 +260,13 @@ def validate_dict(doc: dict) -> list:
             errors.append("ball_schedule: must be a list of positive radii or null")
         elif any(r2 >= r1 for r1, r2 in zip(balls, balls[1:])):
             errors.append("ball_schedule: must be strictly decreasing")
+        elif len(balls) < MIN_BALLS:
+            errors.append(f"ball_schedule: needs at least {MIN_BALLS} radii, got {len(balls)}")
+        elif domain is not None and balls[0] > domain.inradius:
+            errors.append(f"ball_schedule: radius {balls[0]} above the inradius {domain.inradius}")
 
+    if not isinstance(doc.get("output_dir"), (str, type(None))):
+        errors.append("output_dir: must be a string or null")
     seed = doc.get("seed", 0)
     if not isinstance(seed, int):
         errors.append("seed: must be an integer")
@@ -251,9 +280,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError("; ".join(errors))
     domain = _domain_from_dict(doc["domain"], [])
     alpha = float(doc["alpha"])
-    pot, table = _potential_from_dict(doc["potential"], domain.dimension, alpha, [])
+    pot = _potential_from_dict(doc["potential"], domain.dimension, alpha, [])
     flags = []
-    if pot is not None and not pot.boundary_theory_holds(domain.dimension, alpha):
+    if not pot.boundary_theory_holds(domain.dimension, alpha):
         flags.append(
             "outside_theory: boundary-singular potential is validated only for "
             "d >= 2 with alpha != 1"
@@ -276,27 +305,27 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         ball_schedule=doc.get("ball_schedule"),
         output_dir=doc.get("output_dir"),
         seed=int(doc.get("seed", 0)),
-        custom_table_path=table,
         flags=flags,
     )
 
 
-def load_config(path) -> ExperimentConfig:
+def _read_json(path):
     try:
-        doc = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"config file: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file: invalid JSON ({exc})")
-    return config_from_dict(doc)
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(_read_json(path))
 
 
 def validate_config(path) -> list:
     """Static validation of a config file; returns the list of violations."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        return [f"config file: {exc}"]
-    except json.JSONDecodeError as exc:
-        return [f"config file: invalid JSON ({exc})"]
+        doc = _read_json(path)
+    except ConfigError as exc:
+        return [str(exc)]
     return validate_dict(doc)

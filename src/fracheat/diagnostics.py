@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .assembly import OperatorMatrix
-from .errors import BallTooSmall, InsufficientEvidence, NonpositiveState
+from .errors import BallTooSmall, DomainError, InsufficientEvidence, NonpositiveState
 from .geometry import DomainSpec, boundary_distance
 from .potentials import PotentialField, PotentialSpec
 from .spectral import MeshLevel, SpectralSeries, _k_order, form_energy, spectral_bottom
@@ -27,6 +27,9 @@ from .evolution import Trajectory, evolve
 EXISTS = "EXISTS"
 BLOW_UP = "BLOW_UP"
 INCONCLUSIVE = "INCONCLUSIVE"
+
+MIN_MESH_LEVELS = 3  # refinements the classifier needs to tell a trend
+MIN_BALLS = 3  # radii in the shortest window the shrinking-ball probe fits
 
 
 def _digest(*parts) -> str:
@@ -275,7 +278,7 @@ def shrinking_ball_certificate(
     min_nodes: int = 8,
 ) -> Certificate:
     """Divergence probe on balls shrinking toward the potential's interior
-    singular point (the origin).
+    singular point (the origin), for hardy_interior and bounded potentials.
 
     Each ball is the largest one, of radius r0, scaled by r / r0: spacing
     h0 r / r0, with h0 = r0 / m for the least whole m >= r0 / h (up to
@@ -284,23 +287,26 @@ def shrinking_ball_certificate(
     pairs and no node at the origin.  A fixed spacing would cap the
     resolvable well depth at the lattice scale, and the probe would never
     diverge.  The bottom of L - (1 - epsilon) V on a ball is
-    MeshLevel.build(ball, ...).bottom(None).  The kernel and the Hardy kinds
-    are homogeneous of degree -alpha, so their bottoms obey lambda0(B_r) =
-    (r0 / r)^alpha lambda0(B_r0): only the largest ball is solved.  bounded
-    potentials do not scale, and every ball is solved.
+    MeshLevel.build(ball, ...).bottom(None).  The kernel and the interior
+    Hardy potential are homogeneous of degree -alpha, so their bottoms obey
+    lambda0(B_r) = (r0 / r)^alpha lambda0(B_r0): only the largest ball is
+    solved.  bounded potentials do not scale, and every ball is solved.
 
-    The certificate is satisfied (blow-up certified) when at least three
+    The certificate is satisfied (blow-up certified) when at least MIN_BALLS
     consecutive trailing radii give strictly decreasing negative bottoms
     lying below -C |B|^(-alpha/d) for the fitted C > 0; the fitted log-log
     slope against 1/|B| is reported for comparison with alpha/d.  Raises
-    BallTooSmall when a solved ball holds fewer than min_nodes nodes.
+    BallTooSmall when a solved ball holds fewer than min_nodes nodes, and
+    DomainError for hardy_boundary, which has no interior singular point.
     """
+    if potential.kind == "hardy_boundary":
+        raise DomainError("the shrinking-ball probe does not apply to hardy_boundary")
     d = domain.dimension
     radii = [float(r) for r in ball_schedule]
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("ball radii must be strictly decreasing")
     h0 = _ball_spacing(radii[0], h)
-    homogeneous = potential.kind in ("hardy_interior", "hardy_boundary")
+    homogeneous = potential.kind == "hardy_interior"
     lambdas = []
     for r in radii[:1] if homogeneous else radii:
         ball = DomainSpec.interval(r) if d == 1 else DomainSpec.disk(r)
@@ -324,7 +330,7 @@ def shrinking_ball_certificate(
         if window >= 1 and not lambdas_arr[i] > lambdas_arr[i + 1]:
             break
         window += 1
-    certified = window >= 3
+    certified = window >= MIN_BALLS
     exponent = math.nan
     fitted_c = 0.0
     if certified:
@@ -393,13 +399,13 @@ def classify(
     divergence_ratio on every consecutive pair of negative levels (at least
     one such pair), and come with sup norms growing by at least growth_ratio
     per refinement.  Everything else is INCONCLUSIVE.  Raises
-    InsufficientEvidence for fewer than three mesh levels or a family that
+    InsufficientEvidence for fewer than MIN_MESH_LEVELS meshes or a family that
     does not cover the deepest truncation per mesh.
     """
     deepest = series.deepest_per_mesh()
-    if len(deepest) < 3:
+    if len(deepest) < MIN_MESH_LEVELS:
         raise InsufficientEvidence(
-            f"need at least 3 mesh levels, series has {len(deepest)}"
+            f"need at least {MIN_MESH_LEVELS} mesh levels, series has {len(deepest)}"
         )
     by_mesh: dict = {}
     for traj in family:

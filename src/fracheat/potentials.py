@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, SingularNode
 from .geometry import Grid, boundary_distance
 
-_KINDS = ("hardy_interior", "hardy_boundary", "bounded", "custom")
+_KINDS = ("hardy_interior", "hardy_boundary", "bounded")
 
 
 def hardy_sharp_constant(d: int, alpha: float) -> float:
@@ -41,7 +41,6 @@ class PotentialSpec:
       hardy_interior -- V(x) = coupling / |x|^alpha, singular at the origin
       hardy_boundary -- V(x) = coupling / dist(x, boundary)^alpha
       bounded        -- V(x) = expr evaluated at x (closed-form descriptor)
-      custom         -- V given by a per-node sample table
 
     epsilon is the scaling reserve used by spectral divergence probes, which
     test the (1 - epsilon)-scaled potential.
@@ -50,7 +49,6 @@ class PotentialSpec:
     kind: str
     coupling: float = 0.0
     expr: str = ""
-    table: np.ndarray | None = None
     epsilon: float = 0.01
 
     def __post_init__(self):
@@ -73,19 +71,12 @@ class PotentialSpec:
     def bounded(expr: str, epsilon: float = 0.01) -> "PotentialSpec":
         return PotentialSpec("bounded", expr=expr, epsilon=epsilon)
 
-    @staticmethod
-    def custom(values, epsilon: float = 0.01) -> "PotentialSpec":
-        vals = np.asarray(values, dtype=float)
-        return PotentialSpec("custom", table=vals, epsilon=epsilon)
-
     def label(self) -> str:
         if self.kind == "hardy_interior":
             return f"hardy_interior(c={self.coupling:.6g})"
         if self.kind == "hardy_boundary":
             return f"hardy_boundary(kappa={self.coupling:.6g})"
-        if self.kind == "bounded":
-            return f"bounded({self.expr})"
-        return "custom"
+        return f"bounded({self.expr})"
 
     def boundary_theory_holds(self, d: int, alpha: float) -> bool:
         """Whether the boundary Hardy inequality backing hardy_boundary is
@@ -188,9 +179,9 @@ def _eval_bounded_expr(expr: str, grid: Grid) -> np.ndarray:
 def sample_potential(spec: PotentialSpec, grid: Grid, alpha: float) -> PotentialField:
     """Evaluate the potential at every node, untruncated.
 
-    The singular families need the form order alpha; bounded/custom ignore it.
+    The singular families need the form order alpha; bounded ignores it.
     Raises SingularNode if a node coincides with a singularity and DomainError
-    when the spec does not fit the grid (origin outside, table length, ...).
+    when the spec does not fit the grid (origin outside, non-finite values, ...).
     """
     if spec.kind == "hardy_interior":
         if not bool(grid.domain.contains(np.zeros((1, grid.dimension)))[0]):
@@ -204,15 +195,8 @@ def sample_potential(spec: PotentialSpec, grid: Grid, alpha: float) -> Potential
         if np.any(delta <= 0.0):
             raise SingularNode("a grid node sits on the boundary")
         vals = spec.coupling * delta ** -alpha
-    elif spec.kind == "bounded":
-        vals = _eval_bounded_expr(spec.expr, grid)
     else:
-        if spec.table is None or spec.table.shape != (grid.n,):
-            got = None if spec.table is None else spec.table.shape
-            raise DomainError(
-                f"custom potential table must have one value per node ({grid.n}), got {got}"
-            )
-        vals = spec.table.astype(float).copy()
+        vals = _eval_bounded_expr(spec.expr, grid)
     if not np.all(np.isfinite(vals)):
         raise DomainError("potential evaluated to non-finite values")
     if np.any(vals < 0.0):
@@ -231,18 +215,3 @@ def truncate(field: PotentialField, k: float) -> PotentialField:
     level = float(k) if field.truncation_k is None else min(float(k), field.truncation_k)
     return replace(field, values=vals, truncation_k=level)
 
-
-def load_custom_table(path, grid: Grid, epsilon: float = 0.01) -> PotentialSpec:
-    """Read a custom potential from a CSV table with header ``index,value``."""
-    raw = np.genfromtxt(path, delimiter=",", names=True, dtype=float)
-    if raw.dtype.names != ("index", "value"):
-        raise DomainError("custom potential table must have header 'index,value'")
-    idx = np.atleast_1d(raw["index"]).astype(int)
-    vals = np.atleast_1d(raw["value"]).astype(float)
-    if sorted(idx.tolist()) != list(range(grid.n)):
-        raise DomainError(
-            f"custom potential table must cover node indices 0..{grid.n - 1} exactly once"
-        )
-    table = np.empty(grid.n)
-    table[idx] = vals
-    return PotentialSpec.custom(table, epsilon=epsilon)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .diagnostics import (
+    MIN_BALLS,
     Certificate,
     ClassifierThresholds,
     classify,
@@ -35,8 +36,6 @@ from .diagnostics import (
 )
 from .errors import BallTooSmall
 from .evolution import ImplicitStepper, duhamel_residual, initial_state, level_family
-from .geometry import build_grid
-from .potentials import load_custom_table
 from .spectral import MeshLevel, SpectralSeries, estimate_boundary_hardy_constant, mirror_fold
 
 STEP_MARGIN = 0.45
@@ -144,15 +143,10 @@ def run_experiment(
     out = Path(out_dir or config.output_dir or "fracheat_run")
     out.mkdir(parents=True, exist_ok=True)
 
-    potential = config.potential
-    if potential is None:
-        grid0 = build_grid(config.domain, config.h_schedule[0])
-        potential = load_custom_table(config.custom_table_path, grid0)
-
     levels = [
-        MeshLevel.build(config.domain, config.alpha, potential, h) for h in config.h_schedule
+        MeshLevel.build(config.domain, config.alpha, config.potential, h) for h in config.h_schedule
     ]
-    series = SpectralSeries.from_levels(levels, potential, config.k_schedule)
+    series = SpectralSeries.from_levels(levels, config.potential, config.k_schedule)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -174,7 +168,7 @@ def run_experiment(
     deepest = families[-1][-1]
     # one factorization of I + dt L serves both free-flow checks
     free = ImplicitStepper(finest.op, None, deepest.dt)
-    certificates = _certificates(config, potential, finest, families[-1], probe, seed, free)
+    certificates = _certificates(config, finest, families[-1], probe, seed, free)
     fld = finest.field_at(config.k_schedule[-1])
     residuals = {"duhamel": duhamel_residual(deepest, finest.op, fld, free=free)}
 
@@ -184,7 +178,7 @@ def run_experiment(
             [lv.h, mirror_fold(lv.op.grid, lv.field.values).order] for lv in levels
         ]
     }
-    if potential.kind == "hardy_boundary":
+    if config.potential.kind == "hardy_boundary":
         extras["boundary_hardy_constant"] = estimate_boundary_hardy_constant([lv.op for lv in levels])
 
     series_path = out / "series.csv"
@@ -226,7 +220,7 @@ def run_experiment(
     }
 
 
-def _certificates(config, potential, finest: MeshLevel, family, probe, seed, free) -> list:
+def _certificates(config, finest: MeshLevel, family, probe, seed, free) -> list:
     rng = np.random.default_rng(seed)
     certs = []
     for k, traj in zip(config.k_schedule, family):
@@ -282,12 +276,13 @@ def _certificates(config, potential, finest: MeshLevel, family, probe, seed, fre
         )
     )
 
+    # the boundary potential has boundary_hardy_constant in extras instead
     balls = config.ball_schedule or default_ball_schedule(config.domain, finest.h)
-    if len(balls) >= 3 and potential.kind != "custom":
+    if len(balls) >= MIN_BALLS and config.potential.kind != "hardy_boundary":
         try:
             certs.append(
                 shrinking_ball_certificate(
-                    config.domain, config.alpha, potential, balls, finest.h
+                    config.domain, config.alpha, config.potential, balls, finest.h
                 )
             )
         except BallTooSmall:

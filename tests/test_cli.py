@@ -434,11 +434,59 @@ def test_boundary_hardy_run_reports_flag_and_estimate(tmp_path):
     est = report["extras"]["boundary_hardy_constant"]
     assert est["estimate"] > 0
     assert len(est["series"]) == len(FAST_CONFIG["h_schedule"])
+    # the shrinking-ball probe would test another potential on its balls
+    assert "shrinking_ball" not in [c["name"] for c in report["certificates"]]
 
 
-def test_custom_table_requires_single_mesh(tmp_path):
-    doc = dict(FAST_CONFIG)
-    doc["potential"] = {"kind": "custom", "table": "whatever.csv"}
+@pytest.mark.parametrize(
+    "change, problem",
+    [
+        ({"h_schedule": [0.125, 0.0625]}, "h_schedule: needs at least 3 spacings"),
+        ({"potential": {"kind": "custom", "table": "t.csv"}}, "unknown kind 'custom'"),
+        (
+            {"potential": {"kind": "bounded", "expr": "sqrt(1 - x*x)"}, "ball_schedule": [1.5, 0.75, 0.375]},
+            "ball_schedule: radius 1.5 above the inradius",
+        ),
+        ({"ball_schedule": [0.5, 0.25]}, "ball_schedule: needs at least 3 radii"),
+        ({"initial_state": {"kind": "ball", "radius": 0.001}}, "initial_state.radius: no grid node"),
+        ({"domain": [1.0]}, "domain: must be a JSON object"),
+        ({"sweeps": 5}, "sweeps: must be a JSON object"),
+        ({"potential": {"kind": "bounded", "expr": "0.5", "epsilon": "x"}}, "potential.epsilon"),
+        ({"thresholds": {"comparability_ratio_bound": "x"}}, "thresholds.comparability_ratio_bound"),
+        ({"state_checkpoints": 0.5}, "state_checkpoints: must be a list"),
+        ({"output_dir": 5}, "output_dir: must be a string"),
+    ],
+    ids=[
+        "two_meshes", "custom", "ball_above_inradius", "two_balls", "tiny_initial_ball",
+        "domain_list", "sweeps_number", "epsilon_string", "comparability_string", "checkpoints_number",
+        "output_dir_number",
+    ],
+)
+def test_validate_rejects_what_run_cannot_execute(tmp_path, change, problem):
+    path = str(write_config(tmp_path, dict(FAST_CONFIG, **change)))
+    runner = CliRunner()
+    bad = runner.invoke(main, ["validate", "--config", path])
+    assert bad.exit_code == 1
+    assert problem in bad.output
+    run = runner.invoke(main, ["run", "--config", path, "--out", str(tmp_path / "out")])
+    assert run.exit_code == 2
+    assert problem in run.output
+
+
+def test_ball_schedule_bounds_that_run_accepts(tmp_path):
+    from fracheat.diagnostics import default_ball_schedule
+
+    # a ball of the inradius itself runs; its nodes lie strictly inside
+    doc = dict(FAST_CONFIG, potential={"kind": "bounded", "expr": "sqrt(1 - x*x)"},
+               ball_schedule=[1.0, 0.5, 0.25])
     path = write_config(tmp_path, doc)
-    violations = validate_config(path)
-    assert any("custom" in v for v in violations)
+    assert validate_config(path) == []
+    report = json.loads(Path(run_experiment(load_config(path), out_dir=tmp_path / "a")["report"]).read_text())
+    ball = next(c for c in report["certificates"] if c["name"] == "shrinking_ball")
+    assert ball["details"]["radii"] == [1.0, 0.5, 0.25]
+    # a default schedule of two radii (finest h = 1/16) is skipped without a word
+    doc = dict(FAST_CONFIG, h_schedule=[0.25, 0.125, 0.0625])
+    cfg = load_config(write_config(tmp_path, doc))
+    assert len(default_ball_schedule(cfg.domain, cfg.h_schedule[-1])) == 2
+    report = json.loads(Path(run_experiment(cfg, out_dir=tmp_path / "b")["report"]).read_text())
+    assert "shrinking_ball" not in [c["name"] for c in report["certificates"]]

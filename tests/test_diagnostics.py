@@ -10,6 +10,7 @@ from fracheat import (
     INCONCLUSIVE,
     BallTooSmall,
     ClassifierThresholds,
+    DomainError,
     DomainSpec,
     InsufficientEvidence,
     NonpositiveState,
@@ -262,13 +263,18 @@ DISK_BALLS = [0.5, 0.25, 0.125]
     [
         (DOM, ALPHA, PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(1, ALPHA)), BALLS, 1 / 512),
         (DISK, 1.0, PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(2, 1.0)), DISK_BALLS, 1 / 16),
-        (DISK, 0.5, PotentialSpec.hardy_boundary(0.26), DISK_BALLS, 1 / 16),
     ],
 )
 def test_shrinking_ball_scaling_matches_per_ball_solves(domain, alpha, potential, radii, h):
     cert = shrinking_ball_certificate(domain, alpha, potential, radii, h)
     want = _per_ball_oracle(domain, alpha, potential, radii, h)
     np.testing.assert_allclose(cert.details["lambda0s"], want, rtol=1e-12, atol=0)
+
+
+def test_shrinking_ball_rejects_hardy_boundary():
+    # a ball grid would sample the distance to the ball's own boundary
+    with pytest.raises(DomainError, match="hardy_boundary"):
+        shrinking_ball_certificate(DISK, 0.5, PotentialSpec.hardy_boundary(0.26), DISK_BALLS, 1 / 16)
 
 
 @pytest.mark.parametrize(

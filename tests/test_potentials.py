@@ -13,7 +13,6 @@ from fracheat import (
     build_grid,
     estimate_boundary_hardy_constant,
     hardy_sharp_constant,
-    load_custom_table,
     sample_potential,
     truncate,
 )
@@ -101,26 +100,6 @@ def test_bounded_expressions():
             sample_potential(PotentialSpec.bounded(f"10 + {expr}"), g, 0.5).values,
             10 + eval(expr, {"x": g.points[:, 0]}),
         )
-
-
-def test_custom_table_roundtrip(tmp_path):
-    g = build_grid(DomainSpec.interval(1.0), 0.25)
-    vals = np.linspace(0.0, 3.0, g.n)
-    path = tmp_path / "table.csv"
-    lines = ["index,value"] + [f"{i},{v}" for i, v in enumerate(vals)]
-    path.write_text("\n".join(lines) + "\n")
-    spec = load_custom_table(path, g)
-    fld = sample_potential(spec, g, 0.5)
-    np.testing.assert_allclose(fld.values, vals, rtol=1e-14)
-
-    short = tmp_path / "short.csv"
-    short.write_text("index,value\n0,1.0\n")
-    with pytest.raises(DomainError):
-        load_custom_table(short, g)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("node,val\n0,1.0\n")
-    with pytest.raises(DomainError):
-        load_custom_table(bad, g)
 
 
 def test_truncation_properties():
