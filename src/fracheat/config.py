@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import DENSE_SIZE_CAP
-from .diagnostics import MIN_BALLS, MIN_MESH_LEVELS
+from .diagnostics import BALL_PROBE_KINDS, MIN_BALL_NODES, MIN_BALLS, MIN_MESH_LEVELS
+from .diagnostics import ball_meshes, default_ball_schedule
 from .errors import ConfigError, DomainError, SingularNode
 from .evolution import initial_state
 from .geometry import DomainSpec, build_grid
@@ -112,7 +113,7 @@ def _object(doc: dict, key: str, errors: list, default=None) -> dict | None:
 
 def _is_multiple(t: float, dt: float) -> bool:
     q = t / dt
-    return abs(q - round(q)) <= 1e-9 * max(1.0, abs(q)) and round(q) >= 1
+    return math.isfinite(q) and abs(q - round(q)) <= 1e-9 * max(1.0, abs(q)) and round(q) >= 1
 
 
 def validate_dict(doc: dict) -> list:
@@ -141,7 +142,7 @@ def validate_dict(doc: dict) -> list:
     if pot_doc is not None and domain is not None and alpha is not None:
         pot = _potential_from_dict(pot_doc, domain.dimension, alpha, errors)
 
-    grids = []
+    levels = []
     hs = doc.get("h_schedule")
     if not isinstance(hs, list) or not hs:
         errors.append("h_schedule: missing or empty")
@@ -163,18 +164,7 @@ def validate_dict(doc: dict) -> list:
                     f"h_schedule: finest grid exceeds the dense-size cap of {DENSE_SIZE_CAP} nodes"
                 )
             else:
-                grids = [build_grid(domain, h) for h in hs]
-
-    if pot is not None:
-        # run samples the potential on every grid: no node may be
-        # singular, and a bounded expression must be finite and nonnegative
-        name = "potential.expr" if pot.kind == "bounded" else "potential"
-        for h, grid in zip(hs, grids):
-            try:
-                sample_potential(pot, grid, alpha)
-            except (DomainError, SingularNode) as exc:
-                errors.append(f"{name}: {exc} (h={h})")
-                break
+                levels = [(f"h={h}", build_grid(domain, h)) for h in hs]
 
     ks = doc.get("k_schedule")
     if not isinstance(ks, list) or not ks:
@@ -245,14 +235,15 @@ def validate_dict(doc: dict) -> list:
         errors.append("initial_state.radius: ball initial state needs a positive radius")
     else:
         # run builds the initial state on every grid: it must hold a node
-        for h, grid in zip(hs, grids):
+        for where, grid in levels:
             try:
                 initial_state(grid, kind=init["kind"], radius=init.get("radius"))
             except ValueError as exc:
-                errors.append(f"initial_state.radius: {exc} (h={h})")
+                errors.append(f"initial_state.radius: {exc} ({where})")
                 break
 
     balls = doc.get("ball_schedule")
+    n_errors = len(errors)
     if balls is not None:
         if not isinstance(balls, list) or any(
             not isinstance(r, (int, float)) or r <= 0 for r in balls
@@ -264,6 +255,27 @@ def validate_dict(doc: dict) -> list:
             errors.append(f"ball_schedule: needs at least {MIN_BALLS} radii, got {len(balls)}")
         elif domain is not None and balls[0] > domain.inradius:
             errors.append(f"ball_schedule: radius {balls[0]} above the inradius {domain.inradius}")
+    probe = []
+    if pot is not None and pot.kind in BALL_PROBE_KINDS and levels and len(errors) == n_errors:
+        # the grids of run's ball probe, none for a default schedule too short
+        # to probe; every ball holds as many nodes as the largest
+        radii = balls or default_ball_schedule(domain, hs[-1])
+        meshes = ball_meshes(domain, radii, hs[-1]) if len(radii) >= MIN_BALLS else []
+        probe = [(f"ball r={ball.inradius}", build_grid(ball, hb)) for ball, hb in meshes]
+        if probe and probe[0][1].n < MIN_BALL_NODES:
+            errors.append(f"ball_schedule: the ball of radius {radii[0]} holds {probe[0][1].n} "
+                          f"nodes, fewer than {MIN_BALL_NODES}")
+
+    if pot is not None:
+        # run samples the potential on every grid: no node may be
+        # singular, and a bounded expression must be finite and nonnegative
+        name = "potential.expr" if pot.kind == "bounded" else "potential"
+        for where, grid in levels + probe:
+            try:
+                sample_potential(pot, grid, alpha)
+            except (DomainError, SingularNode) as exc:
+                errors.append(f"{name}: {exc} ({where})")
+                break
 
     if not isinstance(doc.get("output_dir"), (str, type(None))):
         errors.append("output_dir: must be a string or null")

@@ -30,6 +30,9 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 MIN_MESH_LEVELS = 3  # refinements the classifier needs to tell a trend
 MIN_BALLS = 3  # radii in the shortest window the shrinking-ball probe fits
+MIN_BALL_NODES = 8  # nodes the probe needs on a ball it solves
+# potentials singular at an interior point, the probe's center, or bounded
+BALL_PROBE_KINDS = ("hardy_interior", "bounded")
 
 
 def _digest(*parts) -> str:
@@ -269,13 +272,21 @@ def _ball_spacing(r0: float, h: float) -> float:
     return r0 / math.ceil(r0 / h * (1.0 - 8.0 * np.finfo(float).eps))
 
 
+def ball_meshes(domain: DomainSpec, radii, h: float) -> list:
+    """(ball, spacing) of each probe ball: B_r at h0 r / r0, h0 the
+    _ball_spacing of the largest radius r0 at h."""
+    h0 = _ball_spacing(radii[0], h)
+    ball = DomainSpec.interval if domain.dimension == 1 else DomainSpec.disk
+    return [(ball(r), h0 * r / radii[0]) for r in radii]
+
+
 def shrinking_ball_certificate(
     domain: DomainSpec,
     alpha: float,
     potential: PotentialSpec,
     ball_schedule,
     h: float,
-    min_nodes: int = 8,
+    min_nodes: int = MIN_BALL_NODES,
 ) -> Certificate:
     """Divergence probe on balls shrinking toward the potential's interior
     singular point (the origin), for hardy_interior and bounded potentials.
@@ -297,23 +308,22 @@ def shrinking_ball_certificate(
     lying below -C |B|^(-alpha/d) for the fitted C > 0; the fitted log-log
     slope against 1/|B| is reported for comparison with alpha/d.  Raises
     BallTooSmall when a solved ball holds fewer than min_nodes nodes, and
-    DomainError for hardy_boundary, which has no interior singular point.
+    DomainError for a kind outside BALL_PROBE_KINDS: hardy_boundary has no
+    interior singular point.
     """
-    if potential.kind == "hardy_boundary":
-        raise DomainError("the shrinking-ball probe does not apply to hardy_boundary")
+    if potential.kind not in BALL_PROBE_KINDS:
+        raise DomainError(f"the shrinking-ball probe does not apply to {potential.kind}")
     d = domain.dimension
     radii = [float(r) for r in ball_schedule]
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("ball radii must be strictly decreasing")
-    h0 = _ball_spacing(radii[0], h)
     homogeneous = potential.kind == "hardy_interior"
     lambdas = []
-    for r in radii[:1] if homogeneous else radii:
-        ball = DomainSpec.interval(r) if d == 1 else DomainSpec.disk(r)
-        level = MeshLevel.build(ball, alpha, potential, h0 * r / radii[0])
+    for ball, spacing in ball_meshes(domain, radii, h)[: 1 if homogeneous else None]:
+        level = MeshLevel.build(ball, alpha, potential, spacing)
         if level.op.n < min_nodes:
             raise BallTooSmall(
-                f"ball of radius {r} holds {level.op.n} nodes, fewer than {min_nodes}"
+                f"ball of radius {ball.inradius} holds {level.op.n} nodes, fewer than {min_nodes}"
             )
         lambdas.append(level.bottom(None).lambda0)
     if homogeneous:
@@ -407,15 +417,10 @@ def classify(
         raise InsufficientEvidence(
             f"need at least {MIN_MESH_LEVELS} mesh levels, series has {len(deepest)}"
         )
-    by_mesh: dict = {}
-    for traj in family:
-        key = traj.grid.h
-        cur = by_mesh.get(key)
-        if cur is None or _k_order(traj.k) >= _k_order(cur.k):
-            by_mesh[key] = traj
     sups = []
     for entry in deepest:
-        traj = by_mesh.get(entry.h)
+        on_mesh = [traj for traj in family if traj.grid.h == entry.h]
+        traj = max(on_mesh, key=lambda t: _k_order(t.k), default=None)
         if traj is None:
             raise InsufficientEvidence(f"no trajectory for mesh h={entry.h}")
         if _k_order(traj.k) < _k_order(entry.k):

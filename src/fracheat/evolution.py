@@ -53,12 +53,6 @@ class Trajectory:
     def state_at(self, t: float) -> np.ndarray:
         return self.states[self.index_of_time(t)]
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,l2_norm,max_value\n")
-            for t, nrm, mx in zip(self.times, self.l2_norms, self.max_values):
-                fh.write(f"{float(t)!r},{float(nrm)!r},{float(mx)!r}\n")
-
 
 class ImplicitStepper:
     """Backward-Euler stepper with the factorizations reused across steps.

@@ -23,6 +23,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .diagnostics import (
+    BALL_PROBE_KINDS,
     MIN_BALLS,
     Certificate,
     ClassifierThresholds,
@@ -34,7 +35,6 @@ from .diagnostics import (
     log_estimate_certificate,
     shrinking_ball_certificate,
 )
-from .errors import BallTooSmall
 from .evolution import ImplicitStepper, duhamel_residual, initial_state, level_family
 from .spectral import MeshLevel, SpectralSeries, estimate_boundary_hardy_constant, mirror_fold
 
@@ -276,17 +276,13 @@ def _certificates(config, finest: MeshLevel, family, probe, seed, free) -> list:
         )
     )
 
-    # the boundary potential has boundary_hardy_constant in extras instead
+    # the boundary potential has boundary_hardy_constant in extras instead;
+    # validate has checked the balls' node count and the potential on them
     balls = config.ball_schedule or default_ball_schedule(config.domain, finest.h)
-    if len(balls) >= MIN_BALLS and config.potential.kind != "hardy_boundary":
-        try:
-            certs.append(
-                shrinking_ball_certificate(
-                    config.domain, config.alpha, config.potential, balls, finest.h
-                )
-            )
-        except BallTooSmall:
-            pass
+    if len(balls) >= MIN_BALLS and config.potential.kind in BALL_PROBE_KINDS:
+        certs.append(
+            shrinking_ball_certificate(config.domain, config.alpha, config.potential, balls, finest.h)
+        )
     return certs
 
 

@@ -284,22 +284,15 @@ class SpectralSeries:
                 )
         return series
 
-    def mesh_levels(self) -> list:
-        """Distinct spacings in schedule order."""
-        seen = []
-        for e in self.entries:
-            if e.h not in seen:
-                seen.append(e.h)
-        return seen
-
     def deepest_per_mesh(self) -> list:
-        """One entry per spacing, at the deepest truncation level recorded."""
+        """One entry per spacing, at the deepest truncation level recorded,
+        in the order the spacings first appear."""
         out = {}
         for e in self.entries:
             cur = out.get(e.h)
             if cur is None or _k_order(e.k) >= _k_order(cur.k):
                 out[e.h] = e
-        return [out[h] for h in self.mesh_levels()]
+        return list(out.values())
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:

@@ -442,12 +442,20 @@ def test_boundary_hardy_run_reports_flag_and_estimate(tmp_path):
     "change, problem",
     [
         ({"h_schedule": [0.125, 0.0625]}, "h_schedule: needs at least 3 spacings"),
+        ({"h_schedule": None}, "h_schedule: missing or empty"),
+        ({"h_schedule": 0.125}, "h_schedule: missing or empty"),
         ({"potential": {"kind": "custom", "table": "t.csv"}}, "unknown kind 'custom'"),
         (
             {"potential": {"kind": "bounded", "expr": "sqrt(1 - x*x)"}, "ball_schedule": [1.5, 0.75, 0.375]},
             "ball_schedule: radius 1.5 above the inradius",
         ),
         ({"ball_schedule": [0.5, 0.25]}, "ball_schedule: needs at least 3 radii"),
+        ({"ball_schedule": [0.05, 0.025, 0.0125]}, "ball_schedule: the ball of radius 0.05 holds 4 nodes"),
+        (  # negative only at |x| = 0.045, a node of the r = 0.3 ball, none of the h_schedule grids
+            {"potential": {"kind": "bounded", "expr": "1 - 2*maximum(0, 1 - 1e6*abs(abs(x) - 0.045))"},
+             "ball_schedule": [0.3, 0.15, 0.075]},
+            "potential.expr: potential must be nonnegative (ball r=0.3)",
+        ),
         ({"initial_state": {"kind": "ball", "radius": 0.001}}, "initial_state.radius: no grid node"),
         ({"domain": [1.0]}, "domain: must be a JSON object"),
         ({"sweeps": 5}, "sweeps: must be a JSON object"),
@@ -455,11 +463,13 @@ def test_boundary_hardy_run_reports_flag_and_estimate(tmp_path):
         ({"thresholds": {"comparability_ratio_bound": "x"}}, "thresholds.comparability_ratio_bound"),
         ({"state_checkpoints": 0.5}, "state_checkpoints: must be a list"),
         ({"output_dir": 5}, "output_dir: must be a string"),
+        ({"t_final": 1e308}, "t_final: must be a positive integer multiple of dt"),
     ],
     ids=[
-        "two_meshes", "custom", "ball_above_inradius", "two_balls", "tiny_initial_ball",
+        "two_meshes", "h_schedule_null", "h_schedule_number", "custom", "ball_above_inradius",
+        "two_balls", "balls_too_small", "negative_on_a_ball", "tiny_initial_ball",
         "domain_list", "sweeps_number", "epsilon_string", "comparability_string", "checkpoints_number",
-        "output_dir_number",
+        "output_dir_number", "t_final_overflow",
     ],
 )
 def test_validate_rejects_what_run_cannot_execute(tmp_path, change, problem):
