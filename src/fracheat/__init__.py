@@ -34,6 +34,7 @@ from .errors import (
     EmptyGrid,
     FracheatError,
     InsufficientEvidence,
+    MissingLibrary,
     NonpositiveState,
     SingularNode,
     SolveFailure,

@@ -59,3 +59,7 @@ class InsufficientEvidence(FracheatError):
 
 class ConfigError(FracheatError):
     """Experiment configuration failed validation."""
+
+
+class MissingLibrary(FracheatError):
+    """numpy's bundled OpenBLAS, which the dense Cholesky calls, is absent."""

@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg
 
+from . import _lapack
 from .assembly import OperatorMatrix
 from .errors import SolveFailure, StepTooLarge
 from .geometry import Grid
 from .potentials import PotentialSpec, sample_potential
-from .spectral import MeshLevel, _potential_vector, mirror_fold, spectral_bottom
+from .spectral import MeshLevel, _potential_vector, _trivial_block, mirror_fold, spectral_bottom
 
 STEP_RESTRICTION = 0.5
 
@@ -82,20 +82,27 @@ class ImplicitStepper:
         self.M = M
         self.dt = float(dt)
         self._fold = mirror_fold(M.grid, vals)
-        reps = self._fold.orbits[0]
-        self._diagonal = 1.0 + dt * (np.diag(M.entries)[reps] - vals[reps])
+        self._potential = vals[self._fold.orbits[0]]
         self._factors = {}  # character -> Cholesky factor of its block
 
-    def _factor(self, s: int):
-        """The factor of block s of I + dt (L - diag(V)): dt * L folded from
-        the representatives' rows, the g = e diagonal set to
-        1 + dt (L_ii - V_i), entry for entry the floats of the folded
-        textbook system."""
+    def _factor(self, s: int) -> np.ndarray:
+        """The Cholesky factor (see _lapack.cholesky) of block s of
+        I + dt (L - diag(V)): dt times block s of L, the diagonal of the
+        trivial block set to 1 + dt (B_ii - V_i) from L's cached trivial
+        block B (spectral._trivial_block), that of the g = e term of the
+        other blocks to 1 + dt (L_ii - V_i) before the fold."""
         if s not in self._factors:
-            system = self._fold.block(self.M.entries, s, scale=self.dt, diagonal=self._diagonal)
+            if s == 0:
+                block = _trivial_block(self.M, self._fold)
+                system = self.dt * block
+                system.flat[:: len(block) + 1] = 1.0 + self.dt * (np.diag(block) - self._potential)
+            else:
+                diagonal = np.diag(self.M.entries)[self._fold.orbits[0]]
+                diagonal = 1.0 + self.dt * (diagonal - self._potential)
+                system = self._fold.block(self.M.entries, s, scale=self.dt, diagonal=diagonal)
             try:
-                self._factors[s] = linalg.cho_factor(system, overwrite_a=True, check_finite=False)
-            except linalg.LinAlgError as exc:
+                self._factors[s] = _lapack.cholesky(system)
+            except np.linalg.LinAlgError as exc:
                 raise SolveFailure(f"factorization of the implicit system failed: {exc}")
         return self._factors[s]
 
@@ -108,7 +115,7 @@ class ImplicitStepper:
         parts = self._fold.split(u)
         for s, part in enumerate(parts):
             if np.any(part):
-                parts[s] = linalg.cho_solve(self._factor(s), part, check_finite=False)
+                parts[s] = _lapack.solve(self._factor(s), part)
         w = self._fold.merge(parts)
         floor = -1e-10 * max(1.0, float(np.max(np.abs(w))))
         if np.min(w) < floor:

@@ -10,7 +10,6 @@ across runs.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import math
@@ -21,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _lapack
 from .config import ExperimentConfig
 from .diagnostics import (
     BALL_PROBE_KINDS,
@@ -40,31 +40,15 @@ from .spectral import MeshLevel, SpectralSeries, estimate_boundary_hardy_constan
 
 STEP_MARGIN = 0.45
 SWEEP_CHUNK = 16  # energy-sweep trials per matrix product
-# the OpenBLAS copies that numpy and scipy wheels bundle, and the suffix of
-# their exported symbols
-OPENBLAS_COPIES = (
-    ("numpy.libs/libscipy_openblas64_*.so", "64_"),
-    ("scipy.libs/libscipy_openblas*.so", ""),
-)
 
 
 def _blas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of the bundled OpenBLAS copies;
-    empty for a build that does not export them."""
-    site = Path(np.__file__).resolve().parent.parent
-    controls = []
-    for pattern, suffix in OPENBLAS_COPIES:
-        for path in sorted(site.glob(pattern)):
-            try:
-                lib = ctypes.CDLL(str(path))
-                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
-                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
-            except (OSError, AttributeError):
-                continue
-            get.restype, get.argtypes = ctypes.c_int, []
-            put.restype, put.argtypes = None, [ctypes.c_int]
-            controls.append((get, put))
-    return tuple(controls)
+    """(get, set) thread-count functions of the OpenBLAS that numpy bundles,
+    which every kernel of the run calls; empty for a build without it."""
+    lib = _lapack.library()
+    if lib is None:
+        return ()
+    return ((lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_),)
 
 
 @contextmanager

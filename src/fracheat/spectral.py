@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
+from . import _lapack
 from .assembly import OperatorMatrix, assemble_operator
 from .errors import ConvergenceFailure, DimensionMismatch
 from .geometry import DomainSpec, Grid, boundary_distance, build_grid, orbit_table
@@ -30,6 +29,9 @@ from .potentials import PotentialField, PotentialSpec, sample_potential, truncat
 
 RESIDUAL_TOL = 1e-8
 SHIFT_TRIES = 40
+LANCZOS_VECTORS = 8  # Lanczos vectors per cycle
+LANCZOS_TOL = 1e-14  # Ritz residual bound, relative to the Ritz value
+LANCZOS_RESTARTS = 100  # cycles; the shipped configs need at most 4
 
 
 def _as_state(M: OperatorMatrix, f) -> np.ndarray:
@@ -119,13 +121,17 @@ class MirrorFold:
 def mirror_fold(grid: Grid, vals: np.ndarray) -> MirrorFold:
     """The fold by the grid's mirrors that leave vals exactly invariant."""
     orbits = orbit_table(grid.n, [m for m in grid.mirrors if np.array_equal(vals[m], vals)])
-    return MirrorFold(orbits, linalg.hadamard(len(orbits)).astype(float))
+    chars = np.ones((1, 1))
+    while len(chars) < len(orbits):  # Sylvester's construction
+        chars = np.block([[chars, chars], [chars, -chars]])
+    return MirrorFold(orbits, chars)
 
 
 def _trivial_block(M: OperatorMatrix, fold: MirrorFold) -> np.ndarray:
     """The trivial-character block of L, folded once per operator and mirror
-    subgroup (the solves on one operator differ only in V) and kept in
-    M.blocks under the orbit table's bytes; callers only read it."""
+    subgroup (the solves and steppers on one operator differ only in V and
+    dt) and kept in M.blocks under the orbit table's bytes; callers only
+    read it."""
     key = fold.orbits.tobytes()
     if key not in M.blocks:
         M.blocks[key] = fold.block(M.entries)
@@ -179,10 +185,9 @@ def _ground_state(B: np.ndarray, d: np.ndarray, v0=None) -> SpectralResult:
     n = B.shape[0]
     if n == 1:  # a 1 x 1 matrix is its own bottom
         return SpectralResult(lambda0=float(B[0, 0] - d[0]), eigvec=np.ones(1), iterations=0)
-    A = LinearOperator((n, n), matvec=lambda x: B @ x - d * x, dtype=float)
     v = np.ones(n) if v0 is None else np.array(v0, dtype=float)
     v /= np.linalg.norm(v)
-    Av = A @ v
+    Av = B @ v - d * v
     rho = float(v @ Av)
     delta = max(1.01 * float(np.linalg.norm(Av - rho * v)), 1e-6 * max(1.0, abs(rho)))
     for _ in range(SHIFT_TRIES):
@@ -190,28 +195,57 @@ def _ground_state(B: np.ndarray, d: np.ndarray, v0=None) -> SpectralResult:
         shifted = B.copy()
         shifted.flat[:: n + 1] -= d + sigma
         try:
-            factor = linalg.cho_factor(shifted, overwrite_a=True, check_finite=False)
+            factor = _lapack.cholesky(shifted)
             break
-        except linalg.LinAlgError:
+        except np.linalg.LinAlgError:
             delta *= 4.0
     else:
         raise ConvergenceFailure(
             f"no shift below the spectrum found in {SHIFT_TRIES} factorizations", iterations=0
         )
+    v, solves = _lanczos_top(lambda b: _lapack.solve(factor, b), v)
+    return _checked_pair(B, d, _fix_sign(v / np.linalg.norm(v)), solves)
+
+
+def _lanczos_top(solve, v: np.ndarray) -> tuple:
+    """Top eigenvector of the symmetric positive definite operator solve,
+    started from v: explicitly restarted Lanczos with LANCZOS_VECTORS
+    vectors per cycle, full reorthogonalization (two Gram-Schmidt passes)
+    and a restart from the top Ritz vector.  After every step the top Ritz
+    pair (theta, s) of the tridiagonal T_j is tested for
+    |beta_j s_j| <= LANCZOS_TOL theta, the residual norm of the Ritz pair;
+    beta_j is 0 once the cycle spans the whole space.  Returns the Ritz
+    vector and the number of solves; ConvergenceFailure after
+    LANCZOS_RESTARTS cycles."""
+    n = len(v)
+    m = min(LANCZOS_VECTORS, n)
+    Q = np.empty((m, n))
+    T = np.zeros((m, m))
     solves = 0
-
-    def solve(b):
-        nonlocal solves
-        solves += 1
-        return linalg.cho_solve(factor, b, check_finite=False)
-
-    inverse = LinearOperator((n, n), matvec=solve, dtype=float)
-    try:
-        _, vecs = eigsh(A, k=1, sigma=sigma, OPinv=inverse, v0=v, ncv=min(8, n), tol=0, rng=0)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceFailure(f"shift-invert Lanczos did not converge: {exc}", iterations=solves)
-    v = _fix_sign(vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
-    return _checked_pair(B, d, v, solves)
+    for _ in range(LANCZOS_RESTARTS):
+        Q[0] = v / np.linalg.norm(v)
+        for j in range(m):
+            w = solve(Q[j])
+            solves += 1
+            T[j, j] = Q[j] @ w
+            w -= T[j, j] * Q[j]
+            if j:
+                w -= T[j, j - 1] * Q[j - 1]
+            for _ in range(2):
+                w -= (Q[: j + 1] @ w) @ Q[: j + 1]
+            beta = float(np.linalg.norm(w)) if j + 1 < n else 0.0
+            theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
+            converged = abs(beta * S[j, -1]) <= LANCZOS_TOL * theta[-1]
+            if converged or j + 1 == m:
+                break
+            T[j + 1, j] = T[j, j + 1] = beta
+            Q[j + 1] = w / beta
+        v = S[:, -1] @ Q[: j + 1]
+        if converged:
+            return v, solves
+    raise ConvergenceFailure(
+        f"shift-invert Lanczos did not converge in {LANCZOS_RESTARTS} restarts", iterations=solves
+    )
 
 
 def _checked_pair(B: np.ndarray, d: np.ndarray, v: np.ndarray, solves: int) -> SpectralResult:

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from fracheat import (
+    MissingLibrary,
     assemble_operator,
     build_grid,
     hardy_sharp_constant,
@@ -248,6 +249,18 @@ def test_run_restores_the_callers_blas_threads(tmp_path, monkeypatch):
             put(count)
 
 
+def test_missing_library_fails_the_first_factorization(tmp_path, monkeypatch):
+    import fracheat.runner
+    from fracheat import _lapack
+
+    monkeypatch.setattr(_lapack, "library", lambda: None)
+    path = write_config(tmp_path)
+    assert validate_config(path) == []
+    assert fracheat.runner._blas_thread_controls() == ()
+    with pytest.raises(MissingLibrary, match="libscipy_openblas64_"):
+        run_experiment(load_config(path), out_dir=tmp_path / "out")
+
+
 def test_energy_sweep_chunks_keep_draws_and_slacks(tmp_path, monkeypatch):
     import fracheat.runner
 
@@ -331,22 +344,26 @@ def test_ball_probe_runs_where_r0_is_not_whole_cells(tmp_path):
     assert ball["details"]["radii"] == [0.5, 0.25, 0.125]
 
 
-def test_import_leaves_out_quadrature_and_special_functions():
-    # a fresh process: importing scipy.integrate and scipy.special took about
-    # 0.4 s of every run's set-up, and only the rectangle needs scipy.special
+def test_import_leaves_out_quadrature_and_special_functions(tmp_path):
+    # a fresh process: importing scipy took about 0.35 s of every run's
+    # set-up; the run's kernels are numpy's and its bundled OpenBLAS's, and
+    # only the rectangle needs scipy.special
     configs = [str(resources.files("fracheat") / "configs" / f"{name}.json")
                for name in ("bounded_1d", "hardy_subcritical_1d", "hardy_supercritical_1d")]
     configs.append(str(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "disk_2d.json"))
     code = (
         "import sys, fracheat, fracheat.cli\n"
-        "for path in sys.argv[1:]: fracheat.load_config(path)\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.special'))))"
+        "for path in sys.argv[2:]: fracheat.load_config(path)\n"
+        "fracheat.run_experiment(fracheat.load_config(sys.argv[2]), out_dir=sys.argv[1])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     src = str(Path(fracheat.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", code, *configs], env=dict(os.environ, PYTHONPATH=path),
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), *configs],
+                          env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "report.json").exists()
 
 
 def test_runner_dt_matches_min_over_k_rule():

@@ -3,6 +3,7 @@ import pytest
 from scipy import linalg
 from scipy.linalg import expm
 
+from fracheat import _lapack
 from fracheat import (
     DomainSpec,
     ImplicitStepper,
@@ -21,6 +22,7 @@ from fracheat import (
     truncate,
     variational_residual,
 )
+from fracheat.spectral import _trivial_block, mirror_fold
 
 ALPHA = 0.5
 DOM = DomainSpec.interval(1.0)
@@ -128,7 +130,7 @@ def test_evolve_input_validation(interval_op):
 
 
 def test_stepper_rejects_nonfinite_states(interval_op):
-    # the solve skips scipy's finiteness scan, so the stepper checks u itself
+    # the solve does not scan for non-finite values, so the stepper checks u itself
     stepper = ImplicitStepper(interval_op, None, 1.0 / 32.0)
     for bad in (np.nan, np.inf):
         u = np.ones(interval_op.n)
@@ -142,8 +144,10 @@ def test_stepper_rejects_nonfinite_states(interval_op):
 
 @pytest.mark.parametrize("domain, h, alpha", [(DOM, 1.0 / 64.0, 0.5), (DomainSpec.disk(1.0), 0.125, 1.0)])
 def test_stepper_factor_matches_textbook_system(domain, h, alpha):
-    # the factor of the trivial-character block, folded from the textbook
-    # system I + dt (L - diag(V)) by summing over each orbit's columns
+    # the factor of the trivial-character block, built as dt times L's
+    # cached trivial block with the diagonal 1 + dt (B_ii - V_i); the block
+    # folded from the textbook system I + dt (L - diag(V)) by summing over
+    # each orbit's columns rounds differently and is its oracle
     g = build_grid(domain, h)
     op = assemble_operator(g, alpha)
     fld = sample_potential(PotentialSpec.hardy_interior(0.1), g, alpha)
@@ -152,12 +156,16 @@ def test_stepper_factor_matches_textbook_system(domain, h, alpha):
     stepper.step(initial_state(g))
     orbits = orbit_table(g.n, g.mirrors)
     assert len(orbits) == 2 ** g.dimension
+    B = _trivial_block(op, mirror_fold(g, fld.values))
+    system = dt * B
+    system.flat[:: len(B) + 1] = 1.0 + dt * (np.diag(B) - fld.values[orbits[0]])
+    assert list(stepper._factors) == [0]
+    assert np.array_equal(stepper._factors[0], _lapack.cholesky(system))
     textbook = np.eye(op.n) + dt * (op.entries - np.diag(fld.values))
     block = sum(textbook[np.ix_(orbits[0], row)] for row in orbits)
     factor, lower = linalg.cho_factor(block)
-    assert list(stepper._factors) == [0]
-    assert stepper._factors[0][1] == lower
-    assert np.array_equal(stepper._factors[0][0], factor)
+    assert not lower
+    np.testing.assert_allclose(np.tril(stepper._factors[0]).T, np.triu(factor), rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("domain, h, alpha", [(DOM, 1.0 / 64.0, 0.5), (DomainSpec.disk(1.0), 1.0 / 16.0, 1.0)])
@@ -180,13 +188,13 @@ def test_symmetric_evolve_factors_one_block(domain, h, alpha, monkeypatch):
     op = assemble_operator(g, alpha)
     fld = sample_potential(PotentialSpec.hardy_interior(0.1), g, alpha)
     shapes = []
-    real = linalg.cho_factor
+    real = _lapack.cholesky
 
-    def counting(a, *args, **kwargs):
+    def counting(a):
         shapes.append(a.shape)
-        return real(a, *args, **kwargs)
+        return real(a)
 
-    monkeypatch.setattr(linalg, "cho_factor", counting)
+    monkeypatch.setattr(_lapack, "cholesky", counting)
     traj = evolve(op, fld, initial_state(g), 0.25, 1.0 / 32.0, lambda0=0.0)
     m = g.n // 2 ** g.dimension
     assert shapes == [(m, m)]
@@ -198,8 +206,7 @@ def _unfolded_step(op, vals, u, dt):
     """The stepper before the mirror fold: one factor of the full system."""
     system = dt * op.entries
     system.flat[:: op.n + 1] = 1.0 + dt * (np.diag(op.entries) - vals)
-    factor = linalg.cho_factor(system, overwrite_a=True, check_finite=False)
-    w = linalg.cho_solve(factor, u, check_finite=False)
+    w = _lapack.solve(_lapack.cholesky(system), u)
     return np.maximum(w, 0.0)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from fracheat import evolution, spectral
+from fracheat import _lapack, evolution, spectral
 from fracheat import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -87,13 +87,13 @@ def test_spectral_bottom_monotone_in_potential(interval_op):
 
 def test_convergence_failure_reports_iterations(interval_op, monkeypatch):
     solves = []
-    cho_solve = spectral.linalg.cho_solve
+    real = _lapack.solve
 
-    def counting(*args, **kwargs):
+    def counting(factor, b):
         solves.append(1)
-        return cho_solve(*args, **kwargs)
+        return real(factor, b)
 
-    monkeypatch.setattr(spectral.linalg, "cho_solve", counting)
+    monkeypatch.setattr(_lapack, "solve", counting)
     monkeypatch.setattr(spectral, "RESIDUAL_TOL", 0.0)
     with pytest.raises(ConvergenceFailure) as info:
         spectral_bottom(interval_op)
