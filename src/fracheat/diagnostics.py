@@ -31,6 +31,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 MIN_MESH_LEVELS = 3  # refinements the classifier needs to tell a trend
 MIN_BALLS = 3  # radii in the shortest window the shrinking-ball probe fits
 MIN_BALL_NODES = 8  # nodes the probe needs on a ball it solves
+ENERGY_TOL = 1e-12  # rounding allowance of the energy inequality
+SOLVER_TOL = 1e-7  # relative solver slack of the exponential bound
 # potentials singular at an interior point, the probe's center, or bounded
 BALL_PROBE_KINDS = ("hardy_interior", "bounded")
 
@@ -91,9 +93,7 @@ def _make_certificate(name, inputs, lhs, rhs, tolerance, satisfied=None, **detai
     )
 
 
-def energy_inequality_certificate(
-    M: OperatorMatrix, u, phi, tolerance: float = 1e-12
-) -> Certificate:
+def energy_inequality_certificate(M: OperatorMatrix, u, phi) -> Certificate:
     """Form energy of phi dominates the cross form of (u, phi^2 / u).
 
     The quotient is set to zero off phi's support.  The inequality holds
@@ -120,17 +120,12 @@ def energy_inequality_certificate(
     details = {"slacks": rhs - lhs} if u.ndim == 2 else {}
     return _make_certificate(
         "energy_inequality", (M.entries, u.copy(), phi.copy()), lhs[worst], rhs[worst],
-        tolerance, **details,
+        ENERGY_TOL, **details,
     )
 
 
 def log_estimate_certificate(
-    traj: Trajectory,
-    Phi,
-    V: PotentialField,
-    t1: float,
-    t2: float,
-    dt_tolerance_factor: float = 1.0,
+    traj: Trajectory, Phi, V: PotentialField, t1: float, t2: float
 ) -> Certificate:
     """Potential mass minus form energy of Phi is bounded by the averaged
     log-increment of the solution weighted by Phi^2.
@@ -159,7 +154,7 @@ def log_estimate_certificate(
     ratio[support] = np.log(u2[support] / u1[support])
     rhs = vol * np.sum(ratio * Phi * Phi) / (t2 - t1)
     scale = 1.0 + abs(lhs) + abs(rhs)
-    tolerance = 1e-9 * scale + dt_tolerance_factor * traj.dt * scale
+    tolerance = 1e-9 * scale + traj.dt * scale
     return _make_certificate(
         "log_estimate",
         (M.entries, traj.states, Phi.copy(), vals.copy(), t1, t2),
@@ -172,16 +167,14 @@ def log_estimate_certificate(
     )
 
 
-def exponential_bound_certificate(
-    traj: Trajectory, lambda0: float, solver_tol: float = 1e-7
-) -> Certificate:
+def exponential_bound_certificate(traj: Trajectory, lambda0: float) -> Certificate:
     """Discrete exponential bound ||u(t_n)|| <= ||u0|| (1 + dt lambda0)^-n.
 
     lambda0 is the spectral bottom of the operator minus the potential the
     trajectory was evolved with.  lhs is the worst ratio over the stored
     times after t_0: the t_0 ratio is exactly 1 and would hide the margin,
     so only a single-state trajectory falls back to it.  rhs allows a
-    multiplicative solver slack of 1 + 10 * solver_tol.
+    multiplicative solver slack of 1 + 10 * SOLVER_TOL.
     """
     growth = 1.0 + traj.dt * lambda0
     if growth <= 0.0:
@@ -192,7 +185,7 @@ def exponential_bound_certificate(
     with np.errstate(divide="ignore"):
         logs = np.where(norms > 0, np.log(norms / base) + steps * np.log(growth), -np.inf)
     lhs = float(np.exp(np.max(logs[1:] if len(logs) > 1 else logs)))
-    rhs = 1.0 + 10.0 * solver_tol
+    rhs = 1.0 + 10.0 * SOLVER_TOL
     return _make_certificate(
         "exponential_bound",
         (traj.states, traj.dt, lambda0),
@@ -207,7 +200,6 @@ def ground_state_comparability(
     M: OperatorMatrix,
     u0,
     t: float,
-    dt: float | None = None,
     ratio_bound: float = 25.0,
     free=None,
 ) -> Certificate:
@@ -219,12 +211,11 @@ def ground_state_comparability(
     ground / distance^(alpha/2), whose positivity reflects the boundary decay
     of the ground state; the certificate requires it to be positive.  free,
     when given, is a V = 0 stepper of M, used in place of a new factorization;
-    dt defaults to its step, else to t / 64.
+    the step is its dt, else t / 64.
     """
     if t <= 0:
         raise ValueError(f"comparability time must be positive, got {t}")
-    if dt is None:
-        dt = t / 64.0 if free is None else free.dt
+    dt = t / 64.0 if free is None else free.dt
     res = spectral_bottom(M, None)
     vol = M.cell_volume
     phi0 = res.eigvec / math.sqrt(vol)  # unit discrete L2 norm, positive
@@ -286,7 +277,6 @@ def shrinking_ball_certificate(
     potential: PotentialSpec,
     ball_schedule,
     h: float,
-    min_nodes: int = MIN_BALL_NODES,
 ) -> Certificate:
     """Divergence probe on balls shrinking toward the potential's interior
     singular point (the origin), for hardy_interior and bounded potentials.
@@ -307,7 +297,7 @@ def shrinking_ball_certificate(
     consecutive trailing radii give strictly decreasing negative bottoms
     lying below -C |B|^(-alpha/d) for the fitted C > 0; the fitted log-log
     slope against 1/|B| is reported for comparison with alpha/d.  Raises
-    BallTooSmall when a solved ball holds fewer than min_nodes nodes, and
+    BallTooSmall when a solved ball holds fewer than MIN_BALL_NODES nodes, and
     DomainError for a kind outside BALL_PROBE_KINDS: hardy_boundary has no
     interior singular point.
     """
@@ -321,9 +311,10 @@ def shrinking_ball_certificate(
     lambdas = []
     for ball, spacing in ball_meshes(domain, radii, h)[: 1 if homogeneous else None]:
         level = MeshLevel.build(ball, alpha, potential, spacing)
-        if level.op.n < min_nodes:
+        if level.op.n < MIN_BALL_NODES:
             raise BallTooSmall(
-                f"ball of radius {ball.inradius} holds {level.op.n} nodes, fewer than {min_nodes}"
+                f"ball of radius {ball.inradius} holds {level.op.n} nodes, "
+                f"fewer than {MIN_BALL_NODES}"
             )
         lambdas.append(level.bottom(None).lambda0)
     if homogeneous:

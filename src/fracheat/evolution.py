@@ -59,11 +59,13 @@ class ImplicitStepper:
 
     The step restriction is enforced with lambda0, any lower bound of the
     spectral bottom of L - diag(V) (such as a deeper truncation's), computed
-    here when not given.  The system I + dt (L - diag(V)) is solved on the
-    character blocks of its mirror fold: each state is split into its
-    symmetry components, and a block is factored the first time a state has
-    a nonzero component in it, then kept.  A mirror-symmetric state needs
-    the trivial block only.
+    here when not given.  Each state u is stepped on the group of V's
+    mirrors that leave u exactly invariant: the system I + dt (L - diag(V))
+    maps such states to such states, so it is solved on the values at one
+    representative per orbit, with the block folded by that group.  One
+    factor is kept per group met; a mirror-symmetric state under a
+    mirror-symmetric V needs one n / 2^m block, and the result is invariant
+    under the same group, so an evolution stays on its first block.
     """
 
     def __init__(self, M: OperatorMatrix, V, dt: float, lambda0: float | None = None):
@@ -81,30 +83,27 @@ class ImplicitStepper:
             )
         self.M = M
         self.dt = float(dt)
-        self._fold = mirror_fold(M.grid, vals)
-        self._potential = vals[self._fold.orbits[0]]
-        self._factors = {}  # character -> Cholesky factor of its block
+        self._potential = vals
+        self._mirrors = [m for m in M.grid.mirrors if np.array_equal(vals[m], vals)]
+        self._solvers = {}  # which of V's mirrors fix the state -> (orbits, factor)
 
-    def _factor(self, s: int) -> np.ndarray:
-        """The Cholesky factor (see _lapack.cholesky) of block s of
-        I + dt (L - diag(V)): dt times block s of L, the diagonal of the
-        trivial block set to 1 + dt (B_ii - V_i) from L's cached trivial
-        block B (spectral._trivial_block), that of the g = e term of the
-        other blocks to 1 + dt (L_ii - V_i) before the fold."""
-        if s not in self._factors:
-            if s == 0:
-                block = _trivial_block(self.M, self._fold)
-                system = self.dt * block
-                system.flat[:: len(block) + 1] = 1.0 + self.dt * (np.diag(block) - self._potential)
-            else:
-                diagonal = np.diag(self.M.entries)[self._fold.orbits[0]]
-                diagonal = 1.0 + self.dt * (diagonal - self._potential)
-                system = self._fold.block(self.M.entries, s, scale=self.dt, diagonal=diagonal)
+    def _solver(self, u: np.ndarray) -> tuple:
+        """The orbit table of the mirrors of V that fix u, and the Cholesky
+        factor (see _lapack.cholesky) of I + dt (L - diag(V)) folded by
+        them: dt times L's cached block B (spectral._trivial_block) with the
+        diagonal set to 1 + dt (B_ii - V_i)."""
+        key = tuple(np.array_equal(u[m], u) for m in self._mirrors)
+        if key not in self._solvers:
+            orbits = mirror_fold(self.M.grid, self._potential, u)
+            block = _trivial_block(self.M, orbits)
+            system = self.dt * block
+            diagonal = np.diag(block) - self._potential[orbits[0]]
+            system.flat[:: len(block) + 1] = 1.0 + self.dt * diagonal
             try:
-                self._factors[s] = _lapack.cholesky(system)
+                self._solvers[key] = orbits, _lapack.cholesky(system)
             except np.linalg.LinAlgError as exc:
                 raise SolveFailure(f"factorization of the implicit system failed: {exc}")
-        return self._factors[s]
+        return self._solvers[key]
 
     def step(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -112,11 +111,9 @@ class ImplicitStepper:
             raise ValueError(f"state must have length {self.M.n}")
         if not np.all(np.isfinite(u)) or np.any(u < 0):
             raise ValueError("state must be finite and componentwise nonnegative")
-        parts = self._fold.split(u)
-        for s, part in enumerate(parts):
-            if np.any(part):
-                parts[s] = _lapack.solve(self._factor(s), part)
-        w = self._fold.merge(parts)
+        orbits, factor = self._solver(u)
+        w = np.empty(self.M.n)
+        w[orbits] = _lapack.solve(factor, u[orbits[0]])
         floor = -1e-10 * max(1.0, float(np.max(np.abs(w))))
         if np.min(w) < floor:
             raise SolveFailure(

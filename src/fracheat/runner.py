@@ -24,6 +24,7 @@ from . import _lapack
 from .config import ExperimentConfig
 from .diagnostics import (
     BALL_PROBE_KINDS,
+    ENERGY_TOL,
     MIN_BALLS,
     Certificate,
     ClassifierThresholds,
@@ -156,10 +157,10 @@ def run_experiment(
     fld = finest.field_at(config.k_schedule[-1])
     residuals = {"duhamel": duhamel_residual(deepest, finest.op, fld, free=free)}
 
-    # the order of the mirror group that folds each mesh's solves and steps
+    # the order of the group of mirrors that fix each mesh's potential
     extras = {
         "mirror_group_order": [
-            [lv.h, mirror_fold(lv.op.grid, lv.field.values).order] for lv in levels
+            [lv.h, len(mirror_fold(lv.op.grid, lv.field.values))] for lv in levels
         ]
     }
     if config.potential.kind == "hardy_boundary":
@@ -226,8 +227,8 @@ def _certificates(config, finest: MeshLevel, family, probe, seed, free) -> list:
                 inputs=(f"energy_sweep:{trials}:{seed}".encode(),),
                 lhs=-min_slack,
                 rhs=0.0,
-                tolerance=1e-12,
-                satisfied=bool(-min_slack <= 1e-12),
+                tolerance=ENERGY_TOL,
+                satisfied=bool(-min_slack <= ENERGY_TOL),
                 slack=min_slack,
                 details={"trials": trials, "min_slack": _jsonable(min_slack)},
             )

@@ -6,11 +6,10 @@ its behaviour under mesh refinement and truncation deepening is the raw
 evidence the classifier consumes.
 
 The grid's axis mirrors that also leave V invariant generate a group Z2^m
-that commutes with L - diag(V), which is then block diagonal on the group's
-characters: 2^m blocks of size n / 2^m.  Since L - diag(V) is an
-irreducible Z-matrix, its ground vector is positive (Perron-Frobenius), so
-invariant under every mirror: the bottom lives in the block of the trivial
-character, and only that block is factored and solved.
+that commutes with L - diag(V).  Since L - diag(V) is an irreducible
+Z-matrix, its ground vector is positive (Perron-Frobenius), so invariant
+under every mirror of the group: it is found from the values at one
+representative of each orbit, on the folded n / 2^m block.
 """
 
 from __future__ import annotations
@@ -67,74 +66,36 @@ def _potential_vector(M: OperatorMatrix, V) -> np.ndarray:
     return vals
 
 
-@dataclass(frozen=True, eq=False)
-class MirrorFold:
-    """Block diagonalization of a mirror-invariant matrix by characters.
-
-    orbits is the (order, n / order) orbit table of the mirror group (row 0
-    the representatives) and chars its character table, chars[s, g] = +-1
-    (a Sylvester Hadamard matrix; row 0 is the trivial character).  In the
-    orthonormal basis sum_g chars[s, g] e_orbits[g, r] / sqrt(order), an
-    invariant A is block diagonal with blocks A_s[r, t] = sum_g chars[s, g]
-    A[orbits[0, r], orbits[g, t]].  With order 1 everything is the identity.
-    """
-
-    orbits: np.ndarray
-    chars: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return len(self.orbits)
-
-    def block(self, entries: np.ndarray, s: int = 0, scale: float = 1.0, diagonal=None):
-        """Block s of scale * entries, with the diagonal of its g = e term
-        replaced by diagonal when given, from the representatives' rows only;
-        the identity fold of entries alone is entries itself."""
-        if self.order == 1 and scale == 1.0 and diagonal is None:
-            return entries
-        reps = self.orbits[0]
-        rows = entries if self.order == 1 else entries[reps]
-        out = np.take(rows, reps, axis=1)
-        out *= scale
-        if diagonal is not None:
-            out.flat[:: len(reps) + 1] = diagonal
-        for g in range(1, self.order):
-            part = np.take(rows, self.orbits[g], axis=1)
-            part *= scale
-            if self.chars[s, g] > 0:
-                out += part
-            else:
-                out -= part
-        return out
-
-    def split(self, u: np.ndarray) -> np.ndarray:
-        """Character components of u, row s scaled by sqrt(order)."""
-        return self.chars @ u[self.orbits]
-
-    def merge(self, parts: np.ndarray) -> np.ndarray:
-        """The vector whose split is parts."""
-        out = np.empty(self.orbits.size)
-        out[self.orbits] = (self.chars @ parts) / self.order
-        return out
+def mirror_fold(grid: Grid, *vectors) -> np.ndarray:
+    """Orbit table (geometry.orbit_table) of the grid's mirrors that leave
+    every vector exactly invariant; row 0 holds the representatives and the
+    number of rows is the group's order."""
+    mirrors = [m for m in grid.mirrors if all(np.array_equal(v[m], v) for v in vectors)]
+    return orbit_table(grid.n, mirrors)
 
 
-def mirror_fold(grid: Grid, vals: np.ndarray) -> MirrorFold:
-    """The fold by the grid's mirrors that leave vals exactly invariant."""
-    orbits = orbit_table(grid.n, [m for m in grid.mirrors if np.array_equal(vals[m], vals)])
-    chars = np.ones((1, 1))
-    while len(chars) < len(orbits):  # Sylvester's construction
-        chars = np.block([[chars, chars], [chars, -chars]])
-    return MirrorFold(orbits, chars)
+def _fold_block(entries: np.ndarray, orbits: np.ndarray) -> np.ndarray:
+    """B[r, t] = sum_g entries[orbits[0, r], orbits[g, t]], from the
+    representatives' rows only: on vectors invariant under the group, a
+    matrix that commutes with it acts as B on the representatives' values.
+    The fold by the trivial group is entries itself."""
+    if len(orbits) == 1:
+        return entries
+    rows = entries[orbits[0]]
+    out = np.take(rows, orbits[0], axis=1)
+    for g in orbits[1:]:
+        out += np.take(rows, g, axis=1)
+    return out
 
 
-def _trivial_block(M: OperatorMatrix, fold: MirrorFold) -> np.ndarray:
-    """The trivial-character block of L, folded once per operator and mirror
-    subgroup (the solves and steppers on one operator differ only in V and
-    dt) and kept in M.blocks under the orbit table's bytes; callers only
-    read it."""
-    key = fold.orbits.tobytes()
+def _trivial_block(M: OperatorMatrix, orbits: np.ndarray) -> np.ndarray:
+    """The fold of L by the group of orbits, folded once per operator and
+    mirror subgroup (the solves and steppers on one operator differ only in
+    V and dt) and kept in M.blocks under the orbit table's bytes; callers
+    only read it."""
+    key = orbits.tobytes()
     if key not in M.blocks:
-        M.blocks[key] = fold.block(M.entries)
+        M.blocks[key] = _fold_block(M.entries, orbits)
     return M.blocks[key]
 
 
@@ -148,28 +109,27 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 def spectral_bottom(M: OperatorMatrix, V=None, v0=None) -> SpectralResult:
     """Smallest eigenvalue and unit ground vector of M - diag(V).
 
-    Solved on the trivial-character block of the mirror fold (the whole
-    matrix when no mirror leaves V invariant) by shift-invert Lanczos about a
-    shift that a Cholesky factorization certifies to lie below the spectrum;
-    v0 is the warm start (default the constant vector).  The returned pair,
-    unfolded, always satisfies ||(M - V) v - lambda v|| <= RESIDUAL_TOL on
-    the full matrix; otherwise ConvergenceFailure is raised.  iterations
-    counts the shift-invert solves.  The eigenvector sign is fixed so its
-    sum is nonnegative.
+    Solved on the block folded by the mirrors that leave V invariant (the
+    whole matrix when none does) by shift-invert Lanczos about a shift that
+    a Cholesky factorization certifies to lie below the spectrum; v0 is the
+    warm start (default the constant vector), summed over each orbit.  The
+    returned pair, unfolded, always satisfies ||(M - V) v - lambda v|| <=
+    RESIDUAL_TOL on the full matrix; otherwise ConvergenceFailure is raised.
+    iterations counts the shift-invert solves.  The eigenvector sign is
+    fixed so its sum is nonnegative.
     """
     vals = _potential_vector(M, V)
     if v0 is not None:
         v0 = _as_state(M, v0)
         if not (np.all(np.isfinite(v0)) and np.any(v0)):
             raise ValueError("warm start must be finite and nonzero")
-    fold = mirror_fold(M.grid, vals)
-    reps = fold.orbits[0]
-    warm = None if v0 is None else fold.split(v0)[0]
-    res = _ground_state(_trivial_block(M, fold), vals[reps], warm)
-    if fold.order == 1:
+    orbits = mirror_fold(M.grid, vals)
+    warm = None if v0 is None else v0[orbits].sum(axis=0)
+    res = _ground_state(_trivial_block(M, orbits), vals[orbits[0]], warm)
+    if len(orbits) == 1:
         return res
     v = np.empty(M.n)
-    v[fold.orbits] = res.eigvec / math.sqrt(fold.order)
+    v[orbits] = res.eigvec / math.sqrt(len(orbits))
     return _checked_pair(M.entries, vals, v, res.iterations)
 
 
@@ -296,14 +256,13 @@ class SpectralSeries:
     """Spectral bottoms over a (mesh, truncation) schedule for one potential."""
 
     entries: list = field(default_factory=list)
-    potential_id: str = ""
 
     @classmethod
     def from_levels(cls, levels, potential: PotentialSpec, k_schedule) -> "SpectralSeries":
         """Spectral bottoms of the (1 - epsilon)-scaled truncations at every
         mesh level, mesh-major."""
         eps = potential.epsilon
-        series = cls(potential_id=potential.label())
+        series = cls()
         for lv in levels:
             for k in k_schedule:
                 res = lv.bottom(k)
@@ -361,7 +320,6 @@ class MeshLevel:
         self.h = op.grid.h
         self.op = op
         self.field = fld
-        self._top = float(np.max(fld.values))
         self._fields = {}
         self._bottoms = {}  # (effective k, potential scale) -> SpectralResult
         self._warm = None  # eigenvector of the latest solve on this mesh
@@ -375,7 +333,7 @@ class MeshLevel:
     def effective_k(self, k):
         """The truncation level that min(V, k) actually applies: None when
         k >= max V."""
-        return None if k is None or k >= self._top else k
+        return None if k is None or k >= self.field.max_value else k
 
     def field_at(self, k) -> PotentialField:
         key = self.effective_k(k)

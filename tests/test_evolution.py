@@ -144,10 +144,10 @@ def test_stepper_rejects_nonfinite_states(interval_op):
 
 @pytest.mark.parametrize("domain, h, alpha", [(DOM, 1.0 / 64.0, 0.5), (DomainSpec.disk(1.0), 0.125, 1.0)])
 def test_stepper_factor_matches_textbook_system(domain, h, alpha):
-    # the factor of the trivial-character block, built as dt times L's
-    # cached trivial block with the diagonal 1 + dt (B_ii - V_i); the block
-    # folded from the textbook system I + dt (L - diag(V)) by summing over
-    # each orbit's columns rounds differently and is its oracle
+    # the factor of the block folded by the whole mirror group, built as dt
+    # times L's cached block with the diagonal 1 + dt (B_ii - V_i); the
+    # block folded from the textbook system I + dt (L - diag(V)) by summing
+    # over each orbit's columns rounds differently and is its oracle
     g = build_grid(domain, h)
     op = assemble_operator(g, alpha)
     fld = sample_potential(PotentialSpec.hardy_interior(0.1), g, alpha)
@@ -159,13 +159,15 @@ def test_stepper_factor_matches_textbook_system(domain, h, alpha):
     B = _trivial_block(op, mirror_fold(g, fld.values))
     system = dt * B
     system.flat[:: len(B) + 1] = 1.0 + dt * (np.diag(B) - fld.values[orbits[0]])
-    assert list(stepper._factors) == [0]
-    assert np.array_equal(stepper._factors[0], _lapack.cholesky(system))
+    assert list(stepper._solvers) == [(True,) * g.dimension]
+    cached, factor_of_state = stepper._solvers[(True,) * g.dimension]
+    assert np.array_equal(cached, orbits)
+    assert np.array_equal(factor_of_state, _lapack.cholesky(system))
     textbook = np.eye(op.n) + dt * (op.entries - np.diag(fld.values))
     block = sum(textbook[np.ix_(orbits[0], row)] for row in orbits)
     factor, lower = linalg.cho_factor(block)
     assert not lower
-    np.testing.assert_allclose(np.tril(stepper._factors[0]).T, np.triu(factor), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(np.tril(factor_of_state).T, np.triu(factor), rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("domain, h, alpha", [(DOM, 1.0 / 64.0, 0.5), (DomainSpec.disk(1.0), 1.0 / 16.0, 1.0)])
@@ -179,7 +181,8 @@ def test_stepper_matches_textbook_solve_on_asymmetric_state(domain, h, alpha):
     textbook = np.eye(op.n) + dt * (op.entries - np.diag(fld.values))
     want = linalg.cho_solve(linalg.cho_factor(textbook), u)
     np.testing.assert_allclose(stepper.step(u), want, rtol=1e-12, atol=0)
-    assert sorted(stepper._factors) == list(range(2 ** g.dimension))
+    # no mirror fixes a random state: one factor of the full system
+    assert [factor.shape for _, factor in stepper._solvers.values()] == [(g.n, g.n)]
 
 
 @pytest.mark.parametrize("domain, h, alpha", [(DOM, 1.0 / 64.0, 0.5), (DomainSpec.disk(1.0), 1.0 / 16.0, 1.0)])
@@ -202,6 +205,40 @@ def test_symmetric_evolve_factors_one_block(domain, h, alpha, monkeypatch):
         assert np.array_equal(traj.states[:, image], traj.states)
 
 
+@pytest.mark.parametrize("axis", [0, 1])
+def test_state_fixed_by_one_mirror_steps_on_its_subgroup(axis, monkeypatch):
+    # a state even in one coordinate only, under a V that every mirror fixes
+    g = build_grid(DomainSpec.disk(1.0), 1.0 / 16.0)
+    op = assemble_operator(g, 1.0)
+    fld = sample_potential(PotentialSpec.hardy_interior(0.1), g, 1.0)
+    dt = 1.0 / 32.0
+    even, odd = g.points[:, axis], g.points[:, 1 - axis]
+    u = np.exp(odd) * (1.0 + even * even)
+    fixing = [m for m in g.mirrors if np.array_equal(u[m], u)]
+    assert len(g.mirrors) == 2 and len(fixing) == 1
+    shapes = []
+    real = _lapack.cholesky
+
+    def counting(a):
+        shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(_lapack, "cholesky", counting)
+    stepper = ImplicitStepper(op, fld, dt, lambda0=0.0)
+    w = stepper.step(u)
+    textbook = np.eye(op.n) + dt * (op.entries - np.diag(fld.values))
+    want = linalg.cho_solve(linalg.cho_factor(textbook), u)
+    np.testing.assert_allclose(w, want, rtol=1e-12, atol=0)
+    assert np.array_equal(w[fixing[0]], w)
+    assert shapes == [(g.n // 2, g.n // 2)]
+    # a later symmetric state adds one factor, on the whole group
+    stepper.step(initial_state(g))
+    assert shapes == [(g.n // 2, g.n // 2), (g.n // 4, g.n // 4)]
+    stepper.step(w)
+    stepper.step(initial_state(g))
+    assert len(shapes) == 2
+
+
 def _unfolded_step(op, vals, u, dt):
     """The stepper before the mirror fold: one factor of the full system."""
     system = dt * op.entries
@@ -216,7 +253,6 @@ def test_asymmetric_problem_steps_on_the_full_system(h, expr):
     op = assemble_operator(g, ALPHA)
     fld = sample_potential(PotentialSpec.bounded(expr), g, ALPHA)
     stepper = ImplicitStepper(op, fld, 1.0 / 32.0, lambda0=0.0)
-    assert stepper._fold.order == 1
     u = initial_state(g)
     for _ in range(4):
         want = _unfolded_step(op, fld.values, u, 1.0 / 32.0)

@@ -41,16 +41,6 @@ def test_cholesky_rejects_what_it_cannot_factor():
         _lapack.solve(_lapack.cholesky(np.eye(3)), np.ones(4))
 
 
-@pytest.mark.parametrize("domain, h, order", [
-    (DomainSpec.interval(1.0), 0.25, 2), (DomainSpec.disk(1.0), 0.25, 4),
-])
-def test_character_table_is_sylvester_hadamard(domain, h, order):
-    g = build_grid(domain, h)
-    assert np.array_equal(mirror_fold(g, np.zeros(g.n)).chars, linalg.hadamard(order))
-    skew = g.points @ np.arange(1.0, g.dimension + 1.0)  # invariant under no mirror
-    assert np.array_equal(mirror_fold(g, skew).chars, linalg.hadamard(1))
-
-
 def _z_matrix(n, seed):
     """A dense symmetric irreducible Z-matrix with a spread spectrum."""
     rng = np.random.default_rng(seed)
@@ -73,9 +63,9 @@ def test_lanczos_bottom_spans_small_spaces(n):
 
 def test_lanczos_bottom_matches_dense_eigh_at_512():
     g = build_grid(DomainSpec.interval(1.0), 1.0 / 512.0)
-    fold = mirror_fold(g, np.zeros(g.n))
-    B = _trivial_block(assemble_operator(g, 0.5), fold)
-    d = 0.3 / np.abs(g.points[fold.orbits[0], 0]) ** 0.5  # a Hardy-type well
+    orbits = mirror_fold(g, np.zeros(g.n))
+    B = _trivial_block(assemble_operator(g, 0.5), orbits)
+    d = 0.3 / np.abs(g.points[orbits[0], 0]) ** 0.5  # a Hardy-type well
     res = _ground_state(B, d)
     w, vecs = np.linalg.eigh(B - np.diag(d))
     assert len(B) == 512
