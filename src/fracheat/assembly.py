@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import AllocationError, ConvergenceFailure, DomainError, UnsupportedFunction
-from .geometry import DomainSpec, Grid
+from .geometry import DomainSpec, Grid, _group_permutations, orbit_table
 
 DENSE_SIZE_CAP = 8192
 
@@ -57,19 +58,60 @@ def normalization_constant(d: int, alpha: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense symmetric discretization of the killed nonlocal operator."""
+    """Dense symmetric discretization L of the killed nonlocal operator,
+    stored once per orbit of the grid's mirror group.
+
+    entries holds the rows of the representatives orbits[0] (see
+    geometry.orbit_table); every other row follows from them: row g r of L
+    is entries[r][perms[g]], perms[g] the node permutation of the group
+    element g.  So L commutes exactly with every mirror, and with no mirror
+    entries is the whole matrix.
+    """
 
     n: int
     entries: np.ndarray
     alpha: float
     grid: Grid
     kappa: np.ndarray
-    # folded blocks of entries, filled on first use by the spectral solver
+    # folded blocks of L, filled on first use by the spectral solver
     blocks: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def cell_volume(self) -> float:
         return self.grid.cell_volume
+
+    @cached_property
+    def orbits(self) -> np.ndarray:
+        return orbit_table(self.n, self.grid.mirrors)
+
+    @cached_property
+    def perms(self) -> np.ndarray:
+        return _group_permutations(self.n, self.grid.mirrors)
+
+    def apply(self, F) -> np.ndarray:
+        """L F for F of shape (n,) or (k, n), one product with the stored
+        rows per group element: (L F)[..., g r] = F[..., perms[g]] . entries[r]."""
+        F = np.asarray(F, dtype=float)
+        out = np.empty(F.shape)
+        for perm, nodes in zip(self.perms, self.orbits):
+            out[..., nodes] = F[..., perm] @ self.entries.T
+        return out
+
+    def rows(self, nodes) -> np.ndarray:
+        """L[nodes]: the stored array itself when nodes are the
+        representatives, else gathered by the rule row g r = entries[r][perms[g]]."""
+        nodes = np.asarray(nodes)
+        if np.array_equal(nodes, self.orbits[0]):
+            return self.entries
+        # node orbits[g, r] is entry g * (n / 2^m) + r of the flattened table
+        where = np.empty(self.n, dtype=np.intp)
+        where[self.orbits.ravel()] = np.arange(self.n)
+        element, rep = np.divmod(where[nodes], self.orbits.shape[1])
+        out = np.empty((len(nodes), self.n))
+        for g, perm in enumerate(self.perms):
+            mine = element == g
+            out[mine] = self.entries[np.ix_(rep[mine], perm)]
+        return out
 
 
 # --- killing density ---------------------------------------------------------
@@ -242,14 +284,15 @@ def killing_density(grid: Grid, alpha: float) -> np.ndarray:
 # --- operator assembly -------------------------------------------------------
 
 
-def _axis_offsets(index: np.ndarray) -> np.ndarray:
-    """|index_i - index_j| for all node pairs, in index's integer type."""
-    out = np.subtract.outer(index, index)
+def _axis_offsets(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """|rows_i - index_j| for all pairs, in the indices' integer type."""
+    out = np.subtract.outer(rows, index)
     return np.abs(out, out=out)
 
 
 def assemble_operator(grid: Grid, alpha: float) -> OperatorMatrix:
-    """Assemble the dense symmetric matrix of the killed nonlocal operator.
+    """Assemble the killed nonlocal operator, stored as the rows of one
+    representative per orbit of the grid's mirror group (OperatorMatrix).
 
     Off-diagonal couplings are -A h^d / |x_i - x_j|^(d + alpha); the diagonal
     carries the negated off-diagonal row sum plus the killing density, so row
@@ -258,7 +301,7 @@ def assemble_operator(grid: Grid, alpha: float) -> OperatorMatrix:
     The kernel is translation invariant and the nodes sit on a lattice, so a
     coupling depends only on the offset |i - j| of the lattice indices: it is
     tabulated once over the offset box, at distance h |i - j|, and gathered
-    through an int32 table of flat offsets.
+    for the representatives' rows through an int32 table of flat offsets.
     """
     d = grid.dimension
     _check_order(d, alpha)
@@ -269,6 +312,7 @@ def assemble_operator(grid: Grid, alpha: float) -> OperatorMatrix:
     A = normalization_constant(d, alpha)
     kappa = killing_density(grid, alpha)
     lattice = grid.lattice
+    reps = orbit_table(grid.n, grid.mirrors)[0]
     shape = lattice.max(axis=0) + 1
     squares = np.zeros(())
     for size in shape:
@@ -277,17 +321,17 @@ def assemble_operator(grid: Grid, alpha: float) -> OperatorMatrix:
         table = A * grid.cell_volume * (grid.h * np.sqrt(squares)) ** -(d + alpha)
     table.flat[0] = 0.0  # the zero offset is the diagonal
     # row-major flat index of (|di|, |dj|) in the table, built axis by axis
-    offsets = _axis_offsets(lattice[:, 0])
+    offsets = _axis_offsets(lattice[reps, 0], lattice[:, 0])
     for a in range(1, d):
         offsets *= shape[a]
-        offsets += _axis_offsets(lattice[:, a])
+        offsets += _axis_offsets(lattice[reps, a], lattice[:, a])
     # indexing casts the int32 offsets chunk by chunk (np.take would copy them
     # to intp whole); the offsets are freed before the row sums
     entries = table.ravel()[offsets]
     del offsets
-    diagonal = entries.sum(axis=1) + kappa
+    diagonal = entries.sum(axis=1) + kappa[reps]
     np.negative(entries, out=entries)
-    np.fill_diagonal(entries, diagonal)
+    entries[np.arange(len(reps)), reps] = diagonal
     entries.setflags(write=False)
     kappa.setflags(write=False)
     return OperatorMatrix(n=grid.n, entries=entries, alpha=alpha, grid=grid, kappa=kappa)
@@ -384,7 +428,7 @@ def fourier_form_check(f, alpha: float, grid: Grid, modes: int | None = None):
     _check_supported_inside(f, grid.domain)
     vals = _eval_on_points(f, grid.points)
     op = assemble_operator(grid, alpha)
-    e_discrete = float(grid.cell_volume * vals @ (op.entries @ vals))
+    e_discrete = float(grid.cell_volume * vals @ op.apply(vals))
     if modes is None:
         modes = 2 ** 16 if d == 1 else 2 ** 10
     e_fourier = _fourier_energy(f, grid.domain, alpha, modes)

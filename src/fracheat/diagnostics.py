@@ -113,9 +113,8 @@ def energy_inequality_certificate(M: OperatorMatrix, u, phi) -> Certificate:
         raise NonpositiveState("u must be nonnegative everywhere")
     quotient = np.zeros_like(u)
     quotient[support] = phi[support] ** 2 / u[support]
-    # u @ L is L u: the operator is exactly symmetric
-    lhs = np.atleast_1d(M.cell_volume * np.sum(quotient * (u @ M.entries), axis=-1))
-    rhs = np.atleast_1d(M.cell_volume * np.sum(phi * (phi @ M.entries), axis=-1))
+    lhs = np.atleast_1d(M.cell_volume * np.sum(quotient * M.apply(u), axis=-1))
+    rhs = np.atleast_1d(M.cell_volume * np.sum(phi * M.apply(phi), axis=-1))
     worst = int(np.argmin(rhs - lhs))
     details = {"slacks": rhs - lhs} if u.ndim == 2 else {}
     return _make_certificate(

@@ -255,11 +255,11 @@ def variational_residual(traj: Trajectory, M: OperatorMatrix, V, phi, phi_t=None
     else:
         dphis = np.gradient(phis, traj.dt, axis=0)
     vol = M.cell_volume
+    Lphis = M.apply(phis)
     integrand = np.empty(nt)
     source = np.empty(nt)
     for i in range(nt):
-        Lphi = M.entries @ phis[i]
-        integrand[i] = vol * np.dot(traj.states[i], -dphis[i] + Lphi)
+        integrand[i] = vol * np.dot(traj.states[i], -dphis[i] + Lphis[i])
         source[i] = vol * np.dot(traj.states[i] * phis[i], vals)
     boundary = vol * (
         np.dot(traj.states[-1], phis[-1]) - np.dot(traj.states[0], phis[0])

@@ -43,7 +43,7 @@ def _as_state(M: OperatorMatrix, f) -> np.ndarray:
 def form_energy(M: OperatorMatrix, f) -> float:
     """Discrete form energy <L f, f> h^d of a grid function."""
     f = _as_state(M, f)
-    return float(M.cell_volume * f @ (M.entries @ f))
+    return float(M.cell_volume * f @ M.apply(f))
 
 
 class SpectralResult(NamedTuple):
@@ -74,14 +74,13 @@ def mirror_fold(grid: Grid, *vectors) -> np.ndarray:
     return orbit_table(grid.n, mirrors)
 
 
-def _fold_block(entries: np.ndarray, orbits: np.ndarray) -> np.ndarray:
-    """B[r, t] = sum_g entries[orbits[0, r], orbits[g, t]], from the
-    representatives' rows only: on vectors invariant under the group, a
-    matrix that commutes with it acts as B on the representatives' values.
-    The fold by the trivial group is entries itself."""
+def _fold_block(rows: np.ndarray, orbits: np.ndarray) -> np.ndarray:
+    """B[r, t] = sum_g rows[r, orbits[g, t]], from the representatives' rows
+    rows = A[orbits[0]] only: on vectors invariant under the group, a matrix
+    A that commutes with it acts as B on the representatives' values.  The
+    fold by the trivial group is rows itself."""
     if len(orbits) == 1:
-        return entries
-    rows = entries[orbits[0]]
+        return rows
     out = np.take(rows, orbits[0], axis=1)
     for g in orbits[1:]:
         out += np.take(rows, g, axis=1)
@@ -92,10 +91,12 @@ def _trivial_block(M: OperatorMatrix, orbits: np.ndarray) -> np.ndarray:
     """The fold of L by the group of orbits, folded once per operator and
     mirror subgroup (the solves and steppers on one operator differ only in
     V and dt) and kept in M.blocks under the orbit table's bytes; callers
-    only read it."""
+    only read it.  The grid's whole group folds the stored rows; a subgroup
+    gathers its representatives' rows from them, and the trivial group, met
+    only when no mirror fixes V, makes the whole n x n matrix."""
     key = orbits.tobytes()
     if key not in M.blocks:
-        M.blocks[key] = _fold_block(M.entries, orbits)
+        M.blocks[key] = _fold_block(M.rows(orbits[0]), orbits)
     return M.blocks[key]
 
 
@@ -130,7 +131,7 @@ def spectral_bottom(M: OperatorMatrix, V=None, v0=None) -> SpectralResult:
         return res
     v = np.empty(M.n)
     v[orbits] = res.eigvec / math.sqrt(len(orbits))
-    return _checked_pair(M.entries, vals, v, res.iterations)
+    return _checked_pair(M.apply(v), vals, v, res.iterations)
 
 
 def _ground_state(B: np.ndarray, d: np.ndarray, v0=None) -> SpectralResult:
@@ -164,7 +165,8 @@ def _ground_state(B: np.ndarray, d: np.ndarray, v0=None) -> SpectralResult:
             f"no shift below the spectrum found in {SHIFT_TRIES} factorizations", iterations=0
         )
     v, solves = _lanczos_top(lambda b: _lapack.solve(factor, b), v)
-    return _checked_pair(B, d, _fix_sign(v / np.linalg.norm(v)), solves)
+    v = _fix_sign(v / np.linalg.norm(v))
+    return _checked_pair(B @ v, d, v, solves)
 
 
 def _lanczos_top(solve, v: np.ndarray) -> tuple:
@@ -208,10 +210,10 @@ def _lanczos_top(solve, v: np.ndarray) -> tuple:
     )
 
 
-def _checked_pair(B: np.ndarray, d: np.ndarray, v: np.ndarray, solves: int) -> SpectralResult:
-    """The Rayleigh quotient of B - diag(d) at the unit vector v, once the
-    residual of the pair is within RESIDUAL_TOL."""
-    Av = B @ v - d * v
+def _checked_pair(Bv: np.ndarray, d: np.ndarray, v: np.ndarray, solves: int) -> SpectralResult:
+    """The Rayleigh quotient of B - diag(d) at the unit vector v, given
+    Bv = B v, once the residual of the pair is within RESIDUAL_TOL."""
+    Av = Bv - d * v
     lam = float(v @ Av)
     residual = float(np.linalg.norm(Av - lam * v))
     if residual > RESIDUAL_TOL:
@@ -231,13 +233,18 @@ def estimate_boundary_hardy_constant(operators) -> dict:
     i.e. the smallest generalized eigenvalue of (L, D), D = diag(delta^-alpha),
     on each operator of a refinement schedule.  It is the spectral bottom of
     D^-1/2 L D^-1/2, again a symmetric Z-matrix, found by the same solver as
-    every ground state.  Returns {"series": [(h, value), ...], "estimate":
-    last value}; the limit is observed, not certified.
+    every ground state, on the block folded by the mirrors that fix delta
+    (its ground vector is positive, so invariant under them).  Returns
+    {"series": [(h, value), ...], "estimate": last value}; the limit is
+    observed, not certified.
     """
     series = []
     for op in operators:
-        root = boundary_distance(op.grid) ** (0.5 * op.alpha)  # the diagonal of D^-1/2
-        mu = _ground_state(root[:, None] * op.entries * root, np.zeros(op.n)).lambda0
+        delta = boundary_distance(op.grid)
+        orbits = mirror_fold(op.grid, delta)
+        root = delta[orbits[0]] ** (0.5 * op.alpha)  # the diagonal of D^-1/2
+        block = root[:, None] * _trivial_block(op, orbits) * root
+        mu = _ground_state(block, np.zeros(len(root))).lambda0
         series.append((float(op.grid.h), float(mu)))
     return {"series": series, "estimate": series[-1][1]}
 

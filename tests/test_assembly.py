@@ -28,6 +28,7 @@ from fracheat.assembly import (
     _halfline_kernel_integral,
 )
 from fracheat.errors import ConvergenceFailure, DomainError
+from fracheat.spectral import _trivial_block, mirror_fold
 
 # regression value: smallest eigenvalue of the assembled operator on the
 # unit interval at alpha = 0.5, h = 1/256 (refinement study fixture)
@@ -299,7 +300,7 @@ def test_operator_single_node_is_kappa():
 
 
 def test_operator_structure(interval_op):
-    E = interval_op.entries
+    E = interval_op.apply(np.eye(interval_op.n))
     assert np.max(np.abs(E - E.T)) == 0.0
     off = E - np.diag(np.diag(E))
     assert np.max(off) <= 0.0
@@ -329,17 +330,26 @@ def _pairwise_assembly(grid, alpha):
 def test_offset_gather_matches_pairwise_oracle_on_dyadic_grids(dom, h, alpha):
     # h a power of two: h |i - j| and x_i - x_j are the same floats
     g = build_grid(dom, h)
-    E = assemble_operator(g, alpha).entries
-    assert np.array_equal(E, _pairwise_assembly(g, alpha))
+    op = assemble_operator(g, alpha)
+    oracle = _pairwise_assembly(g, alpha)
+    assert len(op.orbits) == 2 ** dom.dimension
+    assert np.array_equal(op.entries, oracle[op.orbits[0]])
+    E = op.apply(np.eye(op.n))
+    off = ~np.eye(op.n, dtype=bool)
+    assert np.array_equal(E[off], oracle[off])
     assert np.array_equal(E, E.T)
+    # every node of an orbit carries its representative's diagonal; the
+    # oracle sums each row on its own and differs in the last bits
+    diagonal = np.diag(E)
+    assert all(np.array_equal(diagonal[nodes], diagonal[op.orbits[0]]) for nodes in op.orbits)
 
 
 @pytest.mark.parametrize(
     "dom,h,alpha",
     [
         (DomainSpec.disk(1.0), 1 / 24, 1.0),
-        (DomainSpec.interval(1.0), 0.03, 0.5),
-        (DomainSpec.rectangle(1.0, 0.56), 0.05, 1.0),  # 2 b / h is not whole
+        (DomainSpec.interval(1.0), 0.03, 0.5),  # no mirror: the whole matrix is stored
+        (DomainSpec.rectangle(1.0, 0.56), 0.05, 1.0),  # 2 b / h is not whole: the x mirror only
     ],
 )
 def test_offset_gather_matches_pairwise_oracle(dom, h, alpha):
@@ -347,14 +357,54 @@ def test_offset_gather_matches_pairwise_oracle(dom, h, alpha):
     # by up to about 1.1e-14 relative; against the largest entry both agree
     # to 1e-14
     g = build_grid(dom, h)
-    E = assemble_operator(g, alpha).entries
+    op = assemble_operator(g, alpha)
+    assert op.entries.shape == (g.n // 2 ** len(g.mirrors), g.n)
+    E = op.apply(np.eye(op.n))
     oracle = _pairwise_assembly(g, alpha)
     assert np.max(np.abs(E - oracle)) <= 1e-14 * np.max(np.abs(oracle))
     assert np.array_equal(E, E.T)
+    # asymmetric batches and single vectors
+    F = np.random.default_rng(8).standard_normal((5, g.n))
+    want = F @ oracle.T
+    assert np.max(np.abs(op.apply(F) - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(op.apply(F[2]) - want[2])) <= 1e-14 * np.max(np.abs(want[2]))
+
+
+@pytest.mark.parametrize(
+    "dom,h,alpha", [(DomainSpec.interval(1.0), 1 / 512, 0.5), (DomainSpec.disk(1.0), 1 / 24, 1.0)]
+)
+def test_apply_commutes_exactly_with_every_mirror(dom, h, alpha):
+    g = build_grid(dom, h)
+    op = assemble_operator(g, alpha)
+    assert len(g.mirrors) == dom.dimension
+    F = np.random.default_rng(9).standard_normal((3, g.n))
+    for m in g.mirrors:
+        assert np.array_equal(op.apply(F[0][m]), op.apply(F[0])[m])
+        assert np.array_equal(op.apply(F[:, m]), op.apply(F)[:, m])
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_subgroup_block_matches_pairwise_oracle_fold(axis):
+    # V fixed by the mirror of one axis only: the block of that subgroup
+    # gathers its representatives' rows from the stored ones
+    g = build_grid(DomainSpec.disk(1.0), 1 / 16)
+    op = assemble_operator(g, 1.0)
+    V = 1.0 + 0.1 * g.points[:, 1 - axis] + 0.2 * g.points[:, axis] ** 2
+    orbits = mirror_fold(g, V)
+    assert len(orbits) == 2 and len(op.orbits) == 4
+    block = _trivial_block(op, orbits)
+    L = op.apply(np.eye(op.n))
+    assert np.array_equal(block, sum(L[np.ix_(orbits[0], row)] for row in orbits))
+    # the dyadic oracle differs only in the diagonals of non-representatives
+    want = sum(_pairwise_assembly(g, 1.0)[np.ix_(orbits[0], row)] for row in orbits)
+    off = ~np.eye(len(block), dtype=bool)
+    assert np.array_equal(block[off], want[off])
+    np.testing.assert_allclose(np.diag(block), np.diag(want), rtol=2e-15, atol=0)
 
 
 def test_assembly_peak_memory():
-    # the int32 offsets and the matrix, not an n^2 x d difference array
+    # the int32 offsets and the representatives' rows, n / 2^m of them, not
+    # the whole matrix or an n^2 x d difference array
     g = build_grid(DomainSpec.disk(1.0), 1 / 24)
     tracemalloc.start()
     try:
@@ -362,7 +412,7 @@ def test_assembly_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 8 * g.n ** 2
+    assert peak < 2 * 8 * g.n ** 2 / 2 ** len(g.mirrors)
 
 
 def test_operator_size_cap():

@@ -44,7 +44,7 @@ def test_step_matches_matrix_exponential_locally():
     g = build_grid(DOM, 1.0 / 16.0)
     op = assemble_operator(g, ALPHA)
     fld = sample_potential(PotentialSpec.bounded("0.4 + 0.2*cos(2*x)"), g, ALPHA)
-    A = op.entries - np.diag(fld.values)
+    A = op.apply(np.eye(op.n)) - np.diag(fld.values)
     u = initial_state(g)
     errs = []
     for dt in (0.02, 0.01):
@@ -163,7 +163,7 @@ def test_stepper_factor_matches_textbook_system(domain, h, alpha):
     cached, factor_of_state = stepper._solvers[(True,) * g.dimension]
     assert np.array_equal(cached, orbits)
     assert np.array_equal(factor_of_state, _lapack.cholesky(system))
-    textbook = np.eye(op.n) + dt * (op.entries - np.diag(fld.values))
+    textbook = np.eye(op.n) + dt * (op.apply(np.eye(op.n)) - np.diag(fld.values))
     block = sum(textbook[np.ix_(orbits[0], row)] for row in orbits)
     factor, lower = linalg.cho_factor(block)
     assert not lower
@@ -178,7 +178,7 @@ def test_stepper_matches_textbook_solve_on_asymmetric_state(domain, h, alpha):
     dt = 1.0 / 32.0
     stepper = ImplicitStepper(op, fld, dt)
     u = np.random.default_rng(3).uniform(0.0, 1.0, g.n)
-    textbook = np.eye(op.n) + dt * (op.entries - np.diag(fld.values))
+    textbook = np.eye(op.n) + dt * (op.apply(np.eye(op.n)) - np.diag(fld.values))
     want = linalg.cho_solve(linalg.cho_factor(textbook), u)
     np.testing.assert_allclose(stepper.step(u), want, rtol=1e-12, atol=0)
     # no mirror fixes a random state: one factor of the full system
@@ -226,7 +226,7 @@ def test_state_fixed_by_one_mirror_steps_on_its_subgroup(axis, monkeypatch):
     monkeypatch.setattr(_lapack, "cholesky", counting)
     stepper = ImplicitStepper(op, fld, dt, lambda0=0.0)
     w = stepper.step(u)
-    textbook = np.eye(op.n) + dt * (op.entries - np.diag(fld.values))
+    textbook = np.eye(op.n) + dt * (op.apply(np.eye(op.n)) - np.diag(fld.values))
     want = linalg.cho_solve(linalg.cho_factor(textbook), u)
     np.testing.assert_allclose(w, want, rtol=1e-12, atol=0)
     assert np.array_equal(w[fixing[0]], w)
@@ -241,8 +241,9 @@ def test_state_fixed_by_one_mirror_steps_on_its_subgroup(axis, monkeypatch):
 
 def _unfolded_step(op, vals, u, dt):
     """The stepper before the mirror fold: one factor of the full system."""
-    system = dt * op.entries
-    system.flat[:: op.n + 1] = 1.0 + dt * (np.diag(op.entries) - vals)
+    L = op.apply(np.eye(op.n))
+    system = dt * L
+    system.flat[:: op.n + 1] = 1.0 + dt * (np.diag(L) - vals)
     w = _lapack.solve(_lapack.cholesky(system), u)
     return np.maximum(w, 0.0)
 
@@ -396,7 +397,8 @@ def test_two_dimensional_pipeline_smoke():
 
     g = build_grid(DomainSpec.disk(1.0), 0.25)
     op = assemble_operator(g, 1.0)
-    assert np.max(np.abs(op.entries - op.entries.T)) == 0.0
+    L = op.apply(np.eye(op.n))
+    assert np.max(np.abs(L - L.T)) == 0.0
     fld = sample_potential(PotentialSpec.hardy_interior(0.1), g, 1.0)
     lam = spectral_bottom(op, fld.values).lambda0
     traj = evolve(op, fld, initial_state(g), 0.25, 1.0 / 32.0, lambda0=lam)
@@ -406,7 +408,7 @@ def test_two_dimensional_pipeline_smoke():
 
     rect = build_grid(DomainSpec.rectangle(1.0, 1.5), 0.25)
     op_r = assemble_operator(rect, 0.8)
-    np.testing.assert_allclose(op_r.entries.sum(axis=1), op_r.kappa, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(op_r.apply(np.ones(rect.n)), op_r.kappa, rtol=0, atol=1e-12)
     assert spectral_bottom(op_r).lambda0 > 0
 
 

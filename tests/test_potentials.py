@@ -149,14 +149,18 @@ def test_boundary_hardy_constant_estimate():
 
 @pytest.mark.parametrize(
     "domain, alpha, h",
-    [(DomainSpec.interval(1.0), 0.5, 1 / 32), (DomainSpec.disk(1.0), 1.0, 1 / 6)],
+    [
+        (DomainSpec.interval(1.0), 0.5, 1 / 32),
+        (DomainSpec.disk(1.0), 1.0, 1 / 6),
+        (DomainSpec.disk(1.0), 1.0, 1 / 12),  # n = 448, folded by four mirror images
+    ],
 )
 def test_boundary_hardy_constant_vs_generalized_eigh(domain, alpha, h):
     grid = build_grid(domain, h)
     op = assemble_operator(grid, alpha)
     res = estimate_boundary_hardy_constant([op])
     weight = np.diag(boundary_distance(grid) ** -alpha)
-    mu = linalg.eigh(op.entries, weight, subset_by_index=[0, 0], eigvals_only=True)[0]
+    mu = linalg.eigh(op.apply(np.eye(op.n)), weight, subset_by_index=[0, 0], eigvals_only=True)[0]
     assert res["estimate"] == pytest.approx(mu, rel=1e-12)
 
 
