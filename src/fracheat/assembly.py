@@ -32,7 +32,8 @@ from .geometry import DomainSpec, Grid, _group_permutations, orbit_table
 DENSE_SIZE_CAP = 8192
 
 
-def _check_order(d: int, alpha: float) -> None:
+def check_order(d: int, alpha: float) -> None:
+    """Raise DomainError unless d is 1 or 2 and 0 < alpha < min(2, d)."""
     if d not in (1, 2):
         raise DomainError(f"dimension must be 1 or 2, got {d}")
     if not (0.0 < alpha < min(2.0, float(d))):
@@ -48,7 +49,7 @@ def normalization_constant(d: int, alpha: float) -> float:
     * Gamma(1 - alpha/2)).  Accurate to full double precision; the gamma
     arguments stay well inside the smooth range.
     """
-    _check_order(d, alpha)
+    check_order(d, alpha)
     return (
         alpha
         * math.gamma((d + alpha) / 2.0)
@@ -73,8 +74,8 @@ class OperatorMatrix:
     alpha: float
     grid: Grid
     kappa: np.ndarray
-    # folded blocks of L, filled on first use by the spectral solver
-    blocks: dict = field(default_factory=dict, init=False, repr=False)
+    # (orbits, block) per mirror subgroup, filled by fold
+    _folds: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def cell_volume(self) -> float:
@@ -97,21 +98,40 @@ class OperatorMatrix:
             out[..., nodes] = F[..., perm] @ self.entries.T
         return out
 
-    def rows(self, nodes) -> np.ndarray:
-        """L[nodes]: the stored array itself when nodes are the
-        representatives, else gathered by the rule row g r = entries[r][perms[g]]."""
-        nodes = np.asarray(nodes)
-        if np.array_equal(nodes, self.orbits[0]):
-            return self.entries
-        # node orbits[g, r] is entry g * (n / 2^m) + r of the flattened table
-        where = np.empty(self.n, dtype=np.intp)
-        where[self.orbits.ravel()] = np.arange(self.n)
-        element, rep = np.divmod(where[nodes], self.orbits.shape[1])
-        out = np.empty((len(nodes), self.n))
-        for g, perm in enumerate(self.perms):
-            mine = element == g
-            out[mine] = self.entries[np.ix_(rep[mine], perm)]
-        return out
+    def fold(self, *vectors) -> tuple:
+        """(orbits, B): the orbit table (geometry.orbit_table) of the grid's
+        mirrors that leave every vector exactly invariant, and L folded by
+        their group, B[r, t] = sum_g L[orbits[0, r], orbits[g, t]], which acts
+        as L on the representatives' values of the vectors that group fixes.
+
+        B is built once per subgroup and cached; callers only read it.  The
+        grid's whole group folds the stored rows, a subgroup gathers its
+        representatives' rows from them (row g r = entries[r][perms[g]]), and
+        the trivial group, met only when no mirror fixes the vectors, makes
+        the whole n x n matrix.
+        """
+        mirrors = self.grid.mirrors
+        key = tuple(i for i, m in enumerate(mirrors) if all(np.array_equal(v[m], v) for v in vectors))
+        if key not in self._folds:
+            orbits = orbit_table(self.n, [mirrors[i] for i in key])
+            if len(key) == len(mirrors):
+                rows = self.entries
+            else:
+                # node orbits[g, r] is entry g * (n / 2^m) + r of the flattened table
+                where = np.empty(self.n, dtype=np.intp)
+                where[self.orbits.ravel()] = np.arange(self.n)
+                element, rep = np.divmod(where[orbits[0]], self.orbits.shape[1])
+                rows = np.empty((orbits.shape[1], self.n))
+                for g, perm in enumerate(self.perms):
+                    mine = element == g
+                    rows[mine] = self.entries[np.ix_(rep[mine], perm)]
+            block = rows
+            if len(orbits) > 1:
+                block = np.take(rows, orbits[0], axis=1)
+                for g in orbits[1:]:
+                    block += np.take(rows, g, axis=1)
+            self._folds[key] = orbits, block
+        return self._folds[key]
 
 
 # --- killing density ---------------------------------------------------------
@@ -260,7 +280,7 @@ def killing_density(grid: Grid, alpha: float) -> np.ndarray:
     quadrature over the distinct node radii (about 1e-14).
     """
     d = grid.dimension
-    _check_order(d, alpha)
+    check_order(d, alpha)
     A = normalization_constant(d, alpha)
     pts = grid.points
     if d == 1:
@@ -304,7 +324,7 @@ def assemble_operator(grid: Grid, alpha: float) -> OperatorMatrix:
     for the representatives' rows through an int32 table of flat offsets.
     """
     d = grid.dimension
-    _check_order(d, alpha)
+    check_order(d, alpha)
     if grid.n > DENSE_SIZE_CAP:
         raise AllocationError(
             f"grid has {grid.n} nodes, above the dense-storage cap {DENSE_SIZE_CAP}"
@@ -424,7 +444,7 @@ def fourier_form_check(f, alpha: float, grid: Grid, modes: int | None = None):
     f(x, y) in d = 2, vectorized.
     """
     d = grid.dimension
-    _check_order(d, alpha)
+    check_order(d, alpha)
     _check_supported_inside(f, grid.domain)
     vals = _eval_on_points(f, grid.points)
     op = assemble_operator(grid, alpha)

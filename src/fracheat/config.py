@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .assembly import DENSE_SIZE_CAP
+from .assembly import DENSE_SIZE_CAP, check_order
 from .diagnostics import BALL_PROBE_KINDS, MIN_BALL_NODES, MIN_BALLS, MIN_MESH_LEVELS
 from .diagnostics import ball_meshes, default_ball_schedule
 from .errors import ConfigError, DomainError, SingularNode
@@ -43,41 +44,58 @@ class ExperimentConfig:
     k_schedule: list
     dt: float
     t_final: float
-    probe_times: list
+    probe_time: float
     thresholds: dict
     sweeps: dict
     initial_state: dict
     ball_schedule: list | None
     output_dir: str | None
     seed: int
+    state_checkpoints: list
     flags: list = field(default_factory=list)
 
     def canonical_json(self) -> str:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
 
 
+def _is_number(value, kind=(int, float)) -> bool:
+    """Whether value is a JSON number (an integer for kind=int) within the
+    range of a finite double; a bool is neither."""
+    return isinstance(value, kind) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+_DOMAIN_SIZES = {"interval": ("R",), "rectangle": ("a", "b"), "disk": ("R",)}
+
+
 def _domain_from_dict(d: dict, errors: list) -> DomainSpec | None:
     kind = d.get("kind")
-    try:
-        if kind == "interval":
-            return DomainSpec.interval(d["R"])
-        if kind == "rectangle":
-            return DomainSpec.rectangle(d["a"], d["b"])
-        if kind == "disk":
-            return DomainSpec.disk(d["R"])
+    names = _DOMAIN_SIZES.get(kind)
+    if names is None:
         errors.append(f"domain.kind: unknown kind {kind!r}")
-    except KeyError as exc:
-        errors.append(f"domain: missing size parameter {exc}")
-    except Exception as exc:
-        errors.append(f"domain: {exc}")
+        return None
+    missing = [name for name in names if name not in d]
+    mistyped = [name for name in names if name in d and not _is_number(d[name])]
+    if missing:
+        errors.append(f"domain: missing size parameter {missing[0]!r}")
+    elif mistyped:
+        errors.append(f"domain.{mistyped[0]}: must be a number")
+    else:
+        try:
+            return DomainSpec(kind, tuple(float(d[name]) for name in names))
+        except DomainError as exc:
+            errors.append(f"domain: {exc}")
     return None
 
 
 def _potential_from_dict(p: dict, d: int, alpha: float, errors: list) -> PotentialSpec | None:
     kind = p.get("kind")
     eps = p.get("epsilon", 0.01)
-    if not isinstance(eps, (int, float)) or not 0.0 <= eps < 1.0:
+    if not _is_number(eps) or not 0.0 <= eps < 1.0:
         errors.append(f"potential.epsilon: must be a number in [0, 1), got {eps!r}")
+        return None
+    mistyped = [name for name in ("c", "c_over_cstar", "kappa") if name in p and not _is_number(p[name])]
+    if mistyped:
+        errors.append(f"potential.{mistyped[0]}: must be a number")
         return None
     try:
         if kind == "hardy_interior":
@@ -116,11 +134,13 @@ def _is_multiple(t: float, dt: float) -> bool:
     return math.isfinite(q) and abs(q - round(q)) <= 1e-9 * max(1.0, abs(q)) and round(q) >= 1
 
 
-def validate_dict(doc: dict) -> list:
-    """Full static validation; returns a list of 'field: problem' strings."""
+def _parse(doc: dict) -> tuple:
+    """Full static validation of a config document, and the config it
+    describes: (a list of 'field: problem' strings, the ExperimentConfig
+    or None when the list is not empty)."""
     errors: list = []
     if not isinstance(doc, dict):
-        return ["document: top level must be a JSON object"]
+        return ["document: top level must be a JSON object"], None
     if doc.get("schema_version") != SCHEMA_VERSION:
         errors.append(
             f"schema_version: must be {SCHEMA_VERSION}, got {doc.get('schema_version')!r}"
@@ -129,13 +149,16 @@ def validate_dict(doc: dict) -> list:
     domain = None if domain_doc is None else _domain_from_dict(domain_doc, errors)
 
     alpha = doc.get("alpha")
-    if not isinstance(alpha, (int, float)):
+    if not _is_number(alpha):
         errors.append("alpha: missing or not a number")
         alpha = None
-    elif domain is not None and not 0.0 < alpha < min(2.0, float(domain.dimension)):
-        d = domain.dimension
-        errors.append(f"alpha: {alpha} outside the admissible range (0, {min(2, d)}) for d={d}")
-        alpha = None
+    elif domain is not None:
+        try:
+            check_order(domain.dimension, alpha)
+            alpha = float(alpha)
+        except DomainError as exc:
+            errors.append(f"alpha: {exc}")
+            alpha = None
 
     pot = None
     pot_doc = _object(doc, "potential", errors)
@@ -149,7 +172,7 @@ def validate_dict(doc: dict) -> list:
     else:
         if len(hs) < MIN_MESH_LEVELS:
             errors.append(f"h_schedule: needs at least {MIN_MESH_LEVELS} spacings, got {len(hs)}")
-        if any(not isinstance(h, (int, float)) or not 0 < h < math.inf for h in hs):
+        if any(not _is_number(h) or not 0 < h < math.inf for h in hs):
             errors.append("h_schedule: entries must be positive numbers")
         elif any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
             errors.append("h_schedule: must be strictly decreasing")
@@ -171,7 +194,7 @@ def validate_dict(doc: dict) -> list:
         errors.append("k_schedule: missing or empty")
     else:
         order = [math.inf if k is None else k for k in ks]
-        if any(not isinstance(k, (int, float)) and k is not None for k in ks):
+        if any(not _is_number(k) and k is not None for k in ks):
             errors.append("k_schedule: entries must be numbers or null")
         elif any(k2 <= k1 for k1, k2 in zip(order, order[1:])):
             errors.append("k_schedule: must be strictly increasing (null last)")
@@ -180,38 +203,31 @@ def validate_dict(doc: dict) -> list:
 
     dt = doc.get("dt")
     tf = doc.get("t_final")
-    if not isinstance(dt, (int, float)) or dt <= 0:
-        errors.append("dt: missing or not positive")
-    if not isinstance(tf, (int, float)) or tf <= 0:
-        errors.append("t_final: missing or not positive")
-    if isinstance(dt, (int, float)) and isinstance(tf, (int, float)) and dt > 0 and tf > 0:
+    if not _is_number(dt) or dt <= 0:
+        errors.append("dt: missing or not a positive number")
+    if not _is_number(tf) or tf <= 0:
+        errors.append("t_final: missing or not a positive number")
+    if _is_number(dt) and _is_number(tf) and dt > 0 and tf > 0:
         if not _is_multiple(tf, dt):
             errors.append("t_final: must be a positive integer multiple of dt")
         probes = doc.get("probe_times", [tf])
-        if not isinstance(probes, list) or not probes:
-            errors.append("probe_times: must be a nonempty list")
-        else:
-            for t in probes:
-                if not isinstance(t, (int, float)) or not (0 < t <= tf) or not _is_multiple(t, dt):
-                    errors.append(
-                        f"probe_times: {t} must be a multiple of dt inside (0, t_final]"
-                    )
-                    break
+        if not isinstance(probes, list) or len(probes) != 1:
+            errors.append("probe_times: must be a list of one time")
+        elif not _is_number(probes[0]) or not (0 < probes[0] <= tf) or not _is_multiple(probes[0], dt):
+            errors.append(f"probe_times: {probes[0]} must be a multiple of dt inside (0, t_final]")
         checkpoints = doc.get("state_checkpoints") or []
         if not isinstance(checkpoints, list):
             errors.append("state_checkpoints: must be a list of times or null")
             checkpoints = []
         for t in checkpoints:
-            if not isinstance(t, (int, float)) or not (0 <= t <= tf) or (
-                t > 0 and not _is_multiple(t, dt)
-            ):
+            if not _is_number(t) or not (0 <= t <= tf) or (t > 0 and not _is_multiple(t, dt)):
                 errors.append(
                     f"state_checkpoints: {t} must be a multiple of dt inside [0, t_final]"
                 )
                 break
 
     thresholds = {**_DEFAULT_THRESHOLDS, **_object(doc, "thresholds", errors, {})}
-    mistyped = [k for k in _DEFAULT_THRESHOLDS if not isinstance(thresholds[k], (int, float))]
+    mistyped = [k for k in _DEFAULT_THRESHOLDS if not _is_number(thresholds[k])]
     errors.extend(f"thresholds.{k}: must be a number" for k in mistyped)
     if not mistyped:
         if not (0.0 < thresholds["rel_tol"] < 1.0):
@@ -223,15 +239,13 @@ def validate_dict(doc: dict) -> list:
 
     sweeps = {**_DEFAULT_SWEEPS, **_object(doc, "sweeps", errors, {})}
     for key in ("energy_trials", "log_phis"):
-        if not isinstance(sweeps[key], int) or sweeps[key] < 0:
+        if not _is_number(sweeps[key], int) or sweeps[key] < 0:
             errors.append(f"sweeps.{key}: must be a nonnegative integer")
 
     init = _object(doc, "initial_state", errors, {"kind": "inradius_ball"})
     if init.get("kind") not in ("inradius_ball", "ball", "constant"):
         errors.append(f"initial_state.kind: unknown kind {init.get('kind')!r}")
-    elif init.get("kind") == "ball" and not (
-        isinstance(init.get("radius"), (int, float)) and init["radius"] > 0
-    ):
+    elif init.get("kind") == "ball" and not (_is_number(init.get("radius")) and init["radius"] > 0):
         errors.append("initial_state.radius: ball initial state needs a positive radius")
     else:
         # run builds the initial state on every grid: it must hold a node
@@ -245,9 +259,7 @@ def validate_dict(doc: dict) -> list:
     balls = doc.get("ball_schedule")
     n_errors = len(errors)
     if balls is not None:
-        if not isinstance(balls, list) or any(
-            not isinstance(r, (int, float)) or r <= 0 for r in balls
-        ):
+        if not isinstance(balls, list) or any(not _is_number(r) or r <= 0 for r in balls):
             errors.append("ball_schedule: must be a list of positive radii or null")
         elif any(r2 >= r1 for r1, r2 in zip(balls, balls[1:])):
             errors.append("ball_schedule: must be strictly decreasing")
@@ -280,45 +292,48 @@ def validate_dict(doc: dict) -> list:
     if not isinstance(doc.get("output_dir"), (str, type(None))):
         errors.append("output_dir: must be a string or null")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_number(seed, int):
         errors.append("seed: must be an integer")
-    return errors
-
-
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Parse and validate; raises ConfigError naming the offending field."""
-    errors = validate_dict(doc)
     if errors:
-        raise ConfigError("; ".join(errors))
-    domain = _domain_from_dict(doc["domain"], [])
-    alpha = float(doc["alpha"])
-    pot = _potential_from_dict(doc["potential"], domain.dimension, alpha, [])
+        return errors, None
     flags = []
     if not pot.boundary_theory_holds(domain.dimension, alpha):
         flags.append(
             "outside_theory: boundary-singular potential is validated only for "
             "d >= 2 with alpha != 1"
         )
-    dt = float(doc["dt"])
-    tf = float(doc["t_final"])
-    return ExperimentConfig(
+    return errors, ExperimentConfig(
         raw=doc,
         domain=domain,
         alpha=alpha,
         potential=pot,
-        h_schedule=[float(h) for h in doc["h_schedule"]],
-        k_schedule=[None if k is None else float(k) for k in doc["k_schedule"]],
-        dt=dt,
-        t_final=tf,
-        probe_times=[float(t) for t in doc.get("probe_times", [tf])],
-        thresholds={**_DEFAULT_THRESHOLDS, **doc.get("thresholds", {})},
-        sweeps={**_DEFAULT_SWEEPS, **doc.get("sweeps", {})},
-        initial_state=doc.get("initial_state", {"kind": "inradius_ball"}),
-        ball_schedule=doc.get("ball_schedule"),
+        h_schedule=[float(h) for h in hs],
+        k_schedule=[None if k is None else float(k) for k in ks],
+        dt=float(dt),
+        t_final=float(tf),
+        probe_time=float(probes[0]),
+        thresholds=thresholds,
+        sweeps=sweeps,
+        initial_state=init,
+        ball_schedule=balls,
         output_dir=doc.get("output_dir"),
-        seed=int(doc.get("seed", 0)),
+        seed=seed,
+        state_checkpoints=checkpoints,
         flags=flags,
     )
+
+
+def validate_dict(doc: dict) -> list:
+    """Full static validation; returns a list of 'field: problem' strings."""
+    return _parse(doc)[0]
+
+
+def config_from_dict(doc: dict) -> ExperimentConfig:
+    """Parse and validate; raises ConfigError naming the offending field."""
+    errors, config = _parse(doc)
+    if errors:
+        raise ConfigError("; ".join(errors))
+    return config
 
 
 def _read_json(path):

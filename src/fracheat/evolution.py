@@ -19,7 +19,7 @@ from .assembly import OperatorMatrix
 from .errors import SolveFailure, StepTooLarge
 from .geometry import Grid
 from .potentials import PotentialSpec, sample_potential
-from .spectral import MeshLevel, _potential_vector, _trivial_block, mirror_fold, spectral_bottom
+from .spectral import MeshLevel, _potential_vector, spectral_bottom
 
 STEP_RESTRICTION = 0.5
 
@@ -84,26 +84,24 @@ class ImplicitStepper:
         self.M = M
         self.dt = float(dt)
         self._potential = vals
-        self._mirrors = [m for m in M.grid.mirrors if np.array_equal(vals[m], vals)]
-        self._solvers = {}  # which of V's mirrors fix the state -> (orbits, factor)
+        self._factors = {}  # orbit table's bytes -> factor
 
     def _solver(self, u: np.ndarray) -> tuple:
-        """The orbit table of the mirrors of V that fix u, and the Cholesky
+        """The orbit table of the mirrors that fix V and u, and the Cholesky
         factor (see _lapack.cholesky) of I + dt (L - diag(V)) folded by
-        them: dt times L's cached block B (spectral._trivial_block) with the
+        them: dt times L's cached block B (OperatorMatrix.fold) with the
         diagonal set to 1 + dt (B_ii - V_i)."""
-        key = tuple(np.array_equal(u[m], u) for m in self._mirrors)
-        if key not in self._solvers:
-            orbits = mirror_fold(self.M.grid, self._potential, u)
-            block = _trivial_block(self.M, orbits)
+        orbits, block = self.M.fold(self._potential, u)
+        key = orbits.tobytes()
+        if key not in self._factors:
             system = self.dt * block
             diagonal = np.diag(block) - self._potential[orbits[0]]
             system.flat[:: len(block) + 1] = 1.0 + self.dt * diagonal
             try:
-                self._solvers[key] = orbits, _lapack.cholesky(system)
+                self._factors[key] = _lapack.cholesky(system)
             except np.linalg.LinAlgError as exc:
                 raise SolveFailure(f"factorization of the implicit system failed: {exc}")
-        return self._solvers[key]
+        return orbits, self._factors[key]
 
     def step(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)

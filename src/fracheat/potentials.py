@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .assembly import check_order
 from .errors import DomainError, SingularNode
 from .geometry import Grid, boundary_distance
 
@@ -24,12 +25,7 @@ _KINDS = ("hardy_interior", "hardy_boundary", "bounded")
 def hardy_sharp_constant(d: int, alpha: float) -> float:
     """Sharp coupling 2^alpha * Gamma^2((d+alpha)/4) / Gamma^2((d-alpha)/4)
     separating existence from blow-up for the interior potential c/|x|^alpha."""
-    if d not in (1, 2):
-        raise DomainError(f"dimension must be 1 or 2, got {d}")
-    if not (0.0 < alpha < min(2.0, float(d))):
-        raise DomainError(
-            f"order alpha={alpha} outside the admissible range (0, {min(2, d)}) for d={d}"
-        )
+    check_order(d, alpha)
     return 2.0 ** alpha * math.gamma((d + alpha) / 4.0) ** 2 / math.gamma((d - alpha) / 4.0) ** 2
 
 

@@ -37,7 +37,7 @@ from .diagnostics import (
     shrinking_ball_certificate,
 )
 from .evolution import ImplicitStepper, duhamel_residual, initial_state, level_family
-from .spectral import MeshLevel, SpectralSeries, estimate_boundary_hardy_constant, mirror_fold
+from .spectral import MeshLevel, SpectralSeries, estimate_boundary_hardy_constant
 
 STEP_MARGIN = 0.45
 SWEEP_CHUNK = 16  # energy-sweep trials per matrix product
@@ -104,6 +104,12 @@ def _mesh_family(level: MeshLevel, config: ExperimentConfig) -> list:
     return level_family(level, config.k_schedule, u0, config.t_final, dt)
 
 
+def _mirror_group_order(level: MeshLevel) -> int:
+    """2^m, m the number of the grid's mirrors that fix the potential."""
+    V = level.field.values
+    return 2 ** sum(np.array_equal(V[m], V) for m in level.op.grid.mirrors)
+
+
 def _initial_state(grid, config: ExperimentConfig):
     init = config.initial_state
     return initial_state(grid, kind=init.get("kind", "inradius_ball"), radius=init.get("radius"))
@@ -139,7 +145,7 @@ def run_experiment(
     else:
         families = [_mesh_family(lv, config) for lv in levels]
 
-    probe = config.probe_times[0]
+    probe = config.probe_time
     thresholds = ClassifierThresholds(
         rel_tol=config.thresholds["rel_tol"],
         divergence_ratio=config.thresholds["divergence_ratio"],
@@ -158,11 +164,7 @@ def run_experiment(
     residuals = {"duhamel": duhamel_residual(deepest, finest.op, fld, free=free)}
 
     # the order of the group of mirrors that fix each mesh's potential
-    extras = {
-        "mirror_group_order": [
-            [lv.h, len(mirror_fold(lv.op.grid, lv.field.values))] for lv in levels
-        ]
-    }
+    extras = {"mirror_group_order": [[lv.h, _mirror_group_order(lv)] for lv in levels]}
     if config.potential.kind == "hardy_boundary":
         extras["boundary_hardy_constant"] = estimate_boundary_hardy_constant([lv.op for lv in levels])
 
@@ -172,9 +174,8 @@ def run_experiment(
     _write_trajectories(traj_path, families)
     curves_path = out / "curves.csv"
     _write_curves(curves_path, series, verdict)
-    checkpoints = config.raw.get("state_checkpoints") or []
-    if checkpoints:
-        _write_states(out / "states.csv", families, checkpoints)
+    if config.state_checkpoints:
+        _write_states(out / "states.csv", families, config.state_checkpoints)
 
     digest = hashlib.sha256(config.canonical_json().encode()).hexdigest()[:16]
     report = {

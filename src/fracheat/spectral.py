@@ -9,7 +9,7 @@ The grid's axis mirrors that also leave V invariant generate a group Z2^m
 that commutes with L - diag(V).  Since L - diag(V) is an irreducible
 Z-matrix, its ground vector is positive (Perron-Frobenius), so invariant
 under every mirror of the group: it is found from the values at one
-representative of each orbit, on the folded n / 2^m block.
+representative of each orbit, on the n / 2^m block OperatorMatrix.fold.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from . import _lapack
 from .assembly import OperatorMatrix, assemble_operator
 from .errors import ConvergenceFailure, DimensionMismatch
-from .geometry import DomainSpec, Grid, boundary_distance, build_grid, orbit_table
+from .geometry import DomainSpec, boundary_distance, build_grid
 from .potentials import PotentialField, PotentialSpec, sample_potential, truncate
 
 RESIDUAL_TOL = 1e-8
@@ -66,40 +66,6 @@ def _potential_vector(M: OperatorMatrix, V) -> np.ndarray:
     return vals
 
 
-def mirror_fold(grid: Grid, *vectors) -> np.ndarray:
-    """Orbit table (geometry.orbit_table) of the grid's mirrors that leave
-    every vector exactly invariant; row 0 holds the representatives and the
-    number of rows is the group's order."""
-    mirrors = [m for m in grid.mirrors if all(np.array_equal(v[m], v) for v in vectors)]
-    return orbit_table(grid.n, mirrors)
-
-
-def _fold_block(rows: np.ndarray, orbits: np.ndarray) -> np.ndarray:
-    """B[r, t] = sum_g rows[r, orbits[g, t]], from the representatives' rows
-    rows = A[orbits[0]] only: on vectors invariant under the group, a matrix
-    A that commutes with it acts as B on the representatives' values.  The
-    fold by the trivial group is rows itself."""
-    if len(orbits) == 1:
-        return rows
-    out = np.take(rows, orbits[0], axis=1)
-    for g in orbits[1:]:
-        out += np.take(rows, g, axis=1)
-    return out
-
-
-def _trivial_block(M: OperatorMatrix, orbits: np.ndarray) -> np.ndarray:
-    """The fold of L by the group of orbits, folded once per operator and
-    mirror subgroup (the solves and steppers on one operator differ only in
-    V and dt) and kept in M.blocks under the orbit table's bytes; callers
-    only read it.  The grid's whole group folds the stored rows; a subgroup
-    gathers its representatives' rows from them, and the trivial group, met
-    only when no mirror fixes V, makes the whole n x n matrix."""
-    key = orbits.tobytes()
-    if key not in M.blocks:
-        M.blocks[key] = _fold_block(M.rows(orbits[0]), orbits)
-    return M.blocks[key]
-
-
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     s = v.sum()
     if s < 0 or (s == 0 and v[np.argmax(np.abs(v))] < 0):
@@ -110,9 +76,10 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 def spectral_bottom(M: OperatorMatrix, V=None, v0=None) -> SpectralResult:
     """Smallest eigenvalue and unit ground vector of M - diag(V).
 
-    Solved on the block folded by the mirrors that leave V invariant (the
-    whole matrix when none does) by shift-invert Lanczos about a shift that
-    a Cholesky factorization certifies to lie below the spectrum; v0 is the
+    Solved on M.fold(V), the block folded by the mirrors that leave V
+    invariant (the whole matrix when none does), by shift-invert Lanczos
+    about a shift that a Cholesky factorization certifies to lie below the
+    spectrum; v0 is the
     warm start (default the constant vector), summed over each orbit.  The
     returned pair, unfolded, always satisfies ||(M - V) v - lambda v|| <=
     RESIDUAL_TOL on the full matrix; otherwise ConvergenceFailure is raised.
@@ -124,9 +91,9 @@ def spectral_bottom(M: OperatorMatrix, V=None, v0=None) -> SpectralResult:
         v0 = _as_state(M, v0)
         if not (np.all(np.isfinite(v0)) and np.any(v0)):
             raise ValueError("warm start must be finite and nonzero")
-    orbits = mirror_fold(M.grid, vals)
+    orbits, block = M.fold(vals)
     warm = None if v0 is None else v0[orbits].sum(axis=0)
-    res = _ground_state(_trivial_block(M, orbits), vals[orbits[0]], warm)
+    res = _ground_state(block, vals[orbits[0]], warm)
     if len(orbits) == 1:
         return res
     v = np.empty(M.n)
@@ -241,9 +208,9 @@ def estimate_boundary_hardy_constant(operators) -> dict:
     series = []
     for op in operators:
         delta = boundary_distance(op.grid)
-        orbits = mirror_fold(op.grid, delta)
+        orbits, block = op.fold(delta)
         root = delta[orbits[0]] ** (0.5 * op.alpha)  # the diagonal of D^-1/2
-        block = root[:, None] * _trivial_block(op, orbits) * root
+        block = root[:, None] * block * root
         mu = _ground_state(block, np.zeros(len(root))).lambda0
         series.append((float(op.grid.h), float(mu)))
     return {"series": series, "estimate": series[-1][1]}

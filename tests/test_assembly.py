@@ -28,7 +28,6 @@ from fracheat.assembly import (
     _halfline_kernel_integral,
 )
 from fracheat.errors import ConvergenceFailure, DomainError
-from fracheat.spectral import _trivial_block, mirror_fold
 
 # regression value: smallest eigenvalue of the assembled operator on the
 # unit interval at alpha = 0.5, h = 1/256 (refinement study fixture)
@@ -390,9 +389,8 @@ def test_subgroup_block_matches_pairwise_oracle_fold(axis):
     g = build_grid(DomainSpec.disk(1.0), 1 / 16)
     op = assemble_operator(g, 1.0)
     V = 1.0 + 0.1 * g.points[:, 1 - axis] + 0.2 * g.points[:, axis] ** 2
-    orbits = mirror_fold(g, V)
+    orbits, block = op.fold(V)
     assert len(orbits) == 2 and len(op.orbits) == 4
-    block = _trivial_block(op, orbits)
     L = op.apply(np.eye(op.n))
     assert np.array_equal(block, sum(L[np.ix_(orbits[0], row)] for row in orbits))
     # the dyadic oracle differs only in the diagonals of non-representatives

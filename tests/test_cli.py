@@ -441,6 +441,19 @@ def test_state_checkpoint_dump(tmp_path):
     assert any("state_checkpoints" in v for v in validate_config(write_config(tmp_path, bad)))
 
 
+def test_config_parsed_once(tmp_path, monkeypatch):
+    # load_config builds the config from the values that validation checked
+    from fracheat import config
+
+    calls = []
+    real = config._potential_from_dict
+    monkeypatch.setattr(config, "_potential_from_dict", lambda *args: calls.append(args) or real(*args))
+    cfg = load_config(write_config(tmp_path, dict(FAST_CONFIG, state_checkpoints=[0.25])))
+    assert len(calls) == 1
+    assert (cfg.alpha, cfg.probe_time, cfg.state_checkpoints) == (0.5, 0.5, [0.25])
+    assert cfg.h_schedule == [0.125, 0.0625, 0.03125] and cfg.k_schedule == [0.25, None]
+
+
 def test_boundary_hardy_run_reports_flag_and_estimate(tmp_path):
     doc = dict(FAST_CONFIG)
     doc["potential"] = {"kind": "hardy_boundary", "kappa": 0.1, "epsilon": 0.01}
@@ -481,12 +494,30 @@ def test_boundary_hardy_run_reports_flag_and_estimate(tmp_path):
         ({"state_checkpoints": 0.5}, "state_checkpoints: must be a list"),
         ({"output_dir": 5}, "output_dir: must be a string"),
         ({"t_final": 1e308}, "t_final: must be a positive integer multiple of dt"),
+        # a bool is not a JSON number: each of these ran as 1, 0 or the string's float
+        ({"domain": {"kind": "disk", "R": 1.0}, "alpha": True, "h_schedule": [0.25, 0.125, 0.0625]},
+         "alpha: missing or not a number"),
+        ({"sweeps": {"energy_trials": True}}, "sweeps.energy_trials: must be a nonnegative integer"),
+        ({"domain": {"kind": "disk", "R": "1.0"}, "h_schedule": [0.25, 0.125, 0.0625]},
+         "domain.R: must be a number"),
+        ({"potential": {"kind": "hardy_boundary", "kappa": "0.26"}}, "potential.kappa: must be a number"),
+        ({"h_schedule": [True, 0.5, 0.25]}, "h_schedule: entries must be positive numbers"),
+        ({"k_schedule": [True, None]}, "k_schedule: entries must be numbers or null"),
+        ({"potential": {"kind": "bounded", "expr": "0.5", "epsilon": False}}, "potential.epsilon"),
+        ({"seed": True}, "seed: must be an integer"),
+        # integers beyond a double's range crashed validate or run on float()
+        ({"dt": 1, "t_final": 10 ** 400}, "t_final: missing or not a positive number"),
+        ({"k_schedule": [10 ** 400, None]}, "k_schedule: entries must be numbers or null"),
+        # run reads one probe time
+        ({"probe_times": [0.25, 0.5]}, "probe_times: must be a list of one time"),
     ],
     ids=[
         "two_meshes", "h_schedule_null", "h_schedule_number", "custom", "ball_above_inradius",
         "two_balls", "balls_too_small", "negative_on_a_ball", "tiny_initial_ball",
         "domain_list", "sweeps_number", "epsilon_string", "comparability_string", "checkpoints_number",
-        "output_dir_number", "t_final_overflow",
+        "output_dir_number", "t_final_overflow", "alpha_true", "trials_true", "domain_R_string",
+        "kappa_string", "h_true", "k_true", "epsilon_false", "seed_true", "t_final_huge_int",
+        "k_huge_int", "two_probe_times",
     ],
 )
 def test_validate_rejects_what_run_cannot_execute(tmp_path, change, problem):

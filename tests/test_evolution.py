@@ -22,7 +22,6 @@ from fracheat import (
     truncate,
     variational_residual,
 )
-from fracheat.spectral import _trivial_block, mirror_fold
 
 ALPHA = 0.5
 DOM = DomainSpec.interval(1.0)
@@ -156,12 +155,12 @@ def test_stepper_factor_matches_textbook_system(domain, h, alpha):
     stepper.step(initial_state(g))
     orbits = orbit_table(g.n, g.mirrors)
     assert len(orbits) == 2 ** g.dimension
-    B = _trivial_block(op, mirror_fold(g, fld.values))
+    folded, B = op.fold(fld.values)
+    assert np.array_equal(folded, orbits)
     system = dt * B
     system.flat[:: len(B) + 1] = 1.0 + dt * (np.diag(B) - fld.values[orbits[0]])
-    assert list(stepper._solvers) == [(True,) * g.dimension]
-    cached, factor_of_state = stepper._solvers[(True,) * g.dimension]
-    assert np.array_equal(cached, orbits)
+    assert len(stepper._factors) == 1
+    factor_of_state = stepper._factors[orbits.tobytes()]
     assert np.array_equal(factor_of_state, _lapack.cholesky(system))
     textbook = np.eye(op.n) + dt * (op.apply(np.eye(op.n)) - np.diag(fld.values))
     block = sum(textbook[np.ix_(orbits[0], row)] for row in orbits)
@@ -182,7 +181,7 @@ def test_stepper_matches_textbook_solve_on_asymmetric_state(domain, h, alpha):
     want = linalg.cho_solve(linalg.cho_factor(textbook), u)
     np.testing.assert_allclose(stepper.step(u), want, rtol=1e-12, atol=0)
     # no mirror fixes a random state: one factor of the full system
-    assert [factor.shape for _, factor in stepper._solvers.values()] == [(g.n, g.n)]
+    assert [factor.shape for factor in stepper._factors.values()] == [(g.n, g.n)]
 
 
 @pytest.mark.parametrize("domain, h, alpha", [(DOM, 1.0 / 64.0, 0.5), (DomainSpec.disk(1.0), 1.0 / 16.0, 1.0)])

@@ -3,7 +3,7 @@ import pytest
 from scipy import linalg
 
 from fracheat import DomainSpec, _lapack, assemble_operator, build_grid, spectral
-from fracheat.spectral import _ground_state, _trivial_block, mirror_fold
+from fracheat.spectral import _ground_state
 
 BLOCKS = [(DomainSpec.interval(1.0), 1.0 / 64.0, 0.5), (DomainSpec.disk(1.0), 1.0 / 16.0, 1.0)]
 
@@ -11,7 +11,7 @@ BLOCKS = [(DomainSpec.interval(1.0), 1.0 / 64.0, 0.5), (DomainSpec.disk(1.0), 1.
 def _system(domain, h, alpha):
     """I + L/32 on the trivial mirror block, as a step would factor it."""
     g = build_grid(domain, h)
-    B = _trivial_block(assemble_operator(g, alpha), mirror_fold(g, np.zeros(g.n)))
+    _, B = assemble_operator(g, alpha).fold(np.zeros(g.n))
     return np.eye(len(B)) + B / 32.0
 
 
@@ -63,8 +63,7 @@ def test_lanczos_bottom_spans_small_spaces(n):
 
 def test_lanczos_bottom_matches_dense_eigh_at_512():
     g = build_grid(DomainSpec.interval(1.0), 1.0 / 512.0)
-    orbits = mirror_fold(g, np.zeros(g.n))
-    B = _trivial_block(assemble_operator(g, 0.5), orbits)
+    orbits, B = assemble_operator(g, 0.5).fold(np.zeros(g.n))
     d = 0.3 / np.abs(g.points[orbits[0], 0]) ** 0.5  # a Hardy-type well
     res = _ground_state(B, d)
     w, vecs = np.linalg.eigh(B - np.diag(d))

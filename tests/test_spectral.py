@@ -231,7 +231,7 @@ def test_folded_bottom_matches_unfolded_solver(case):
     domain, h, alpha, potential = FOLD_CASES[case]
     op = assemble_operator(build_grid(domain, h), alpha)
     V = sample_potential(potential, op.grid, alpha).values
-    assert len(spectral.mirror_fold(op.grid, V)) == 2 ** domain.dimension
+    assert len(op.fold(V)[0]) == 2 ** domain.dimension
     L = op.apply(np.eye(op.n))
     full = spectral._ground_state(L, V)
     folded = spectral_bottom(op, V)
@@ -246,7 +246,7 @@ def test_asymmetric_problem_solves_on_the_full_matrix(h, expr):
     # no mirror applies: group order 1, and the solve is the unfolded one
     op = assemble_operator(build_grid(DomainSpec.interval(1.0), h), 0.5)
     V = sample_potential(PotentialSpec.bounded(expr), op.grid, 0.5).values
-    assert len(spectral.mirror_fold(op.grid, V)) == 1
+    assert len(op.fold(V)[0]) == 1
     warm = np.random.default_rng(4).uniform(0.5, 1.0, op.n)
     for v0 in (None, warm):
         full = spectral._ground_state(op.apply(np.eye(op.n)), V, v0)
@@ -255,7 +255,7 @@ def test_asymmetric_problem_solves_on_the_full_matrix(h, expr):
         assert np.array_equal(res.eigvec, full.eigvec)
 
 
-def test_trivial_block_folded_once_per_operator_and_subgroup(monkeypatch):
+def test_operator_folded_once_per_subgroup():
     # solves on one operator share one fold per mirror subgroup, and give
     # the floats of solves that each fold a freshly assembled operator
     domain, h, alpha, potential = FOLD_CASES["disk_hardy"]
@@ -263,11 +263,11 @@ def test_trivial_block_folded_once_per_operator_and_subgroup(monkeypatch):
     V = sample_potential(potential, grid, alpha).values
     Vs = [V, 0.5 * V, np.minimum(V, 1.0), V + 0.1 * (grid.points[:, 0] > 0)]
     fresh = [spectral_bottom(assemble_operator(grid, alpha), W) for W in Vs]
-    folds = _counting(monkeypatch, spectral, "_fold_block")
     op = assemble_operator(grid, alpha)
     cached = [spectral_bottom(op, W) for W in Vs]
-    assert [len(spectral.mirror_fold(grid, W)) for W in Vs] == [4, 4, 4, 2]
-    assert len(folds) == 2
+    assert len(op._folds) == 2
+    assert [len(op.fold(W)[0]) for W in Vs] == [4, 4, 4, 2]
+    assert len(op._folds) == 2
     for got, want in zip(cached, fresh):
         assert got.lambda0 == want.lambda0
         assert np.array_equal(got.eigvec, want.eigvec)
