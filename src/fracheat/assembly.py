@@ -199,48 +199,23 @@ def _gauss_kronrod(f, breaks, epsabs=0.0, epsrel=0.0):
         errs = np.r_[np.delete(errs, split), new_errs]
 
 
-def _halfline_kernel_integral(s, m, alpha):
-    """Integral of (s^2 + t^2)^(-(2+alpha)/2) over t in [m, inf) for m > 0.
-
-    Evaluated through the regularized incomplete beta function; stable both
-    for s >> m and for s -> 0.  Broadcasts over arrays s and m.
-    """
-    # imported here: only the rectangle needs scipy.special, which loads slowly
-    from scipy.special import beta as beta_fn, betainc
-
-    s = np.asarray(s, dtype=float)
-    m = np.asarray(m, dtype=float)
-    s, m = np.broadcast_arrays(s, m)
-    b = 0.5 * (1.0 + alpha)
-    out = np.where(s == 0.0, m ** (-1.0 - alpha) / (1.0 + alpha), 0.0)
-    pos = s > 0.0
-    sn = s[pos]
-    mn = m[pos]
-    x = sn * sn / (sn * sn + mn * mn)
-    out[pos] = sn ** (-1.0 - alpha) * 0.5 * beta_fn(0.5, b) * betainc(b, 0.5, x)
-    return out
-
-
-def _box_complement_integral(points: np.ndarray, a: float, b: float, alpha: float) -> np.ndarray:
+def _rectangle_complement_integral(points: np.ndarray, a: float, b: float, alpha: float) -> np.ndarray:
     """Integral of |x - y|^(-2 - alpha) over the complement of the box
     (-a, a) x (-b, b), for each interior point x.
 
-    The complement splits into two full vertical half-planes (closed form)
-    and two horizontal half-strips, each reduced to a 1-d quadrature of a
-    smooth integrand whose inner integral is in closed form.
+    As for the disk, it is (1/alpha) times the integral of e^-alpha over the
+    directions, e the exit distance.  A side at distance p is left at e =
+    p / cos(phi), phi the angle from its normal, so it adds p^-alpha times
+    F(atan(l1 / p)) + F(atan(l2 / p)), with F(phi) the integral of cos^alpha
+    over [0, phi] and l1, l2 the distances along the side to its corners.
+    The eight F of every point are one vector quadrature of phi cos^alpha(phi t)
+    over t in [0, 1]; phi < pi/2, so the integrands are smooth.
     """
-    x1 = points[:, 0]
-    x2 = points[:, 1]
-    full_line = math.sqrt(math.pi) * math.gamma(0.5 * (1.0 + alpha)) / math.gamma(1.0 + 0.5 * alpha)
-    sides = full_line / alpha * ((a - x1) ** -alpha + (a + x1) ** -alpha)
-
-    def strip(margins):
-        def f(y1):
-            return _halfline_kernel_integral(np.abs(y1 - x1[:, None]), margins[:, None], alpha)
-
-        return _gauss_kronrod(f, [-a, a], epsabs=1e-13, epsrel=1e-10)
-
-    return sides + strip(b - x2) + strip(b + x2)
+    x1, x2 = points[:, 0], points[:, 1]
+    gaps = np.stack([a - x1, a + x1, b - x2, b + x2])  # the sides x1 = a, -a, x2 = b, -b
+    phi = np.arctan2(gaps[[2, 3, 2, 3, 0, 1, 0, 1]], gaps[[0, 0, 1, 1, 2, 2, 3, 3]]).reshape(-1, 1)
+    F = _gauss_kronrod(lambda t: phi * np.cos(phi * t) ** alpha, [0.0, 0.5, 1.0], epsrel=1e-13)
+    return (gaps ** -alpha * F.reshape(4, 2, -1).sum(axis=1)).sum(axis=0) / alpha
 
 
 def _disk_complement_integral(radii: np.ndarray, R: float, alpha: float) -> np.ndarray:
@@ -274,10 +249,12 @@ def killing_density(grid: Grid, alpha: float) -> np.ndarray:
     """Killing density kappa_i = A(d, alpha) * integral over the complement of
     the domain of |x_i - y|^(-d - alpha) dy, for every node x_i.
 
-    d = 1 is in closed form.  The rectangle adds closed-form half-planes to
-    half-strips by Gauss-Kronrod (relative tolerance 1e-10) over the distinct
-    folded nodes (|x1|, |x2|); the disk is one exit-distance Gauss-Kronrod
-    quadrature over the distinct node radii (about 1e-14).
+    The domains are convex, so for every kind the integral is (1/alpha) times
+    the integral of e^-alpha over the directions, e the exit distance from x_i.
+    In d = 1 that is the closed form (R - x)^-alpha + (R + x)^-alpha.  The
+    rectangle and the disk are each one Gauss-Kronrod vector quadrature to
+    relative tolerance 1e-13: the rectangle's over the distinct folded nodes
+    (|x1|, |x2|), the disk's over the distinct node radii.
     """
     d = grid.dimension
     check_order(d, alpha)
@@ -294,7 +271,7 @@ def killing_density(grid: Grid, alpha: float) -> np.ndarray:
             np.round(folded, 12), axis=0, return_index=True, return_inverse=True
         )
         a, b = grid.domain.params
-        return A * _box_complement_integral(folded[first], a, b, alpha)[inverse]
+        return A * _rectangle_complement_integral(folded[first], a, b, alpha)[inverse]
     # disk: the integral is radial, so it is computed once per distinct radius
     radii = np.hypot(pts[:, 0], pts[:, 1])
     _, first, inverse = np.unique(np.round(radii, 12), return_index=True, return_inverse=True)

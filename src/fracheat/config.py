@@ -32,6 +32,9 @@ _DEFAULT_THRESHOLDS = {
     "comparability_ratio_bound": 25.0,
 }
 _DEFAULT_SWEEPS = {"energy_trials": 200, "log_phis": 20}
+_TOP_KEYS = ("schema_version", "domain", "alpha", "potential", "h_schedule", "k_schedule", "dt",
+             "t_final", "probe_times", "state_checkpoints", "thresholds", "sweeps", "initial_state",
+             "ball_schedule", "output_dir", "seed")
 
 
 @dataclass
@@ -64,7 +67,15 @@ def _is_number(value, kind=(int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
+def _closed(obj: dict, where: str, keys, errors: list) -> None:
+    """An error naming each key of the config object obj outside keys."""
+    errors.extend(f"{where}{key}: unknown key" for key in obj if key not in keys)
+
+
 _DOMAIN_SIZES = {"interval": ("R",), "rectangle": ("a", "b"), "disk": ("R",)}
+_POTENTIAL_FIELDS = {
+    "hardy_interior": ("c", "c_over_cstar"), "hardy_boundary": ("kappa",), "bounded": ("expr",),
+}
 
 
 def _domain_from_dict(d: dict, errors: list) -> DomainSpec | None:
@@ -73,6 +84,7 @@ def _domain_from_dict(d: dict, errors: list) -> DomainSpec | None:
     if names is None:
         errors.append(f"domain.kind: unknown kind {kind!r}")
         return None
+    _closed(d, "domain.", ("kind", *names), errors)
     missing = [name for name in names if name not in d]
     mistyped = [name for name in names if name in d and not _is_number(d[name])]
     if missing:
@@ -89,6 +101,10 @@ def _domain_from_dict(d: dict, errors: list) -> DomainSpec | None:
 
 def _potential_from_dict(p: dict, d: int, alpha: float, errors: list) -> PotentialSpec | None:
     kind = p.get("kind")
+    if kind not in _POTENTIAL_FIELDS:
+        errors.append(f"potential.kind: unknown kind {kind!r}")
+        return None
+    _closed(p, "potential.", ("kind", "epsilon", *_POTENTIAL_FIELDS[kind]), errors)
     eps = p.get("epsilon", 0.01)
     if not _is_number(eps) or not 0.0 <= eps < 1.0:
         errors.append(f"potential.epsilon: must be a number in [0, 1), got {eps!r}")
@@ -108,10 +124,8 @@ def _potential_from_dict(p: dict, d: int, alpha: float, errors: list) -> Potenti
             return PotentialSpec.hardy_interior(c, epsilon=eps)
         if kind == "hardy_boundary":
             return PotentialSpec.hardy_boundary(p["kappa"], epsilon=eps)
-        if kind == "bounded":
-            parse_bounded_expr(p["expr"], d)
-            return PotentialSpec.bounded(p["expr"], epsilon=eps)
-        errors.append(f"potential.kind: unknown kind {kind!r}")
+        parse_bounded_expr(p["expr"], d)
+        return PotentialSpec.bounded(p["expr"], epsilon=eps)
     except KeyError as exc:
         errors.append(f"potential: missing field {exc}")
     except Exception as exc:
@@ -141,6 +155,7 @@ def _parse(doc: dict) -> tuple:
     errors: list = []
     if not isinstance(doc, dict):
         return ["document: top level must be a JSON object"], None
+    _closed(doc, "", _TOP_KEYS, errors)
     if doc.get("schema_version") != SCHEMA_VERSION:
         errors.append(
             f"schema_version: must be {SCHEMA_VERSION}, got {doc.get('schema_version')!r}"
@@ -226,7 +241,9 @@ def _parse(doc: dict) -> tuple:
                 )
                 break
 
-    thresholds = {**_DEFAULT_THRESHOLDS, **_object(doc, "thresholds", errors, {})}
+    thresholds = _object(doc, "thresholds", errors, {})
+    _closed(thresholds, "thresholds.", _DEFAULT_THRESHOLDS, errors)
+    thresholds = {**_DEFAULT_THRESHOLDS, **thresholds}
     mistyped = [k for k in _DEFAULT_THRESHOLDS if not _is_number(thresholds[k])]
     errors.extend(f"thresholds.{k}: must be a number" for k in mistyped)
     if not mistyped:
@@ -237,12 +254,15 @@ def _parse(doc: dict) -> tuple:
         if thresholds["growth_ratio"] <= 1.0:
             errors.append("thresholds.growth_ratio: must exceed 1")
 
-    sweeps = {**_DEFAULT_SWEEPS, **_object(doc, "sweeps", errors, {})}
+    sweeps = _object(doc, "sweeps", errors, {})
+    _closed(sweeps, "sweeps.", _DEFAULT_SWEEPS, errors)
+    sweeps = {**_DEFAULT_SWEEPS, **sweeps}
     for key in ("energy_trials", "log_phis"):
         if not _is_number(sweeps[key], int) or sweeps[key] < 0:
             errors.append(f"sweeps.{key}: must be a nonnegative integer")
 
     init = _object(doc, "initial_state", errors, {"kind": "inradius_ball"})
+    _closed(init, "initial_state.", ("kind", "radius"), errors)
     if init.get("kind") not in ("inradius_ball", "ball", "constant"):
         errors.append(f"initial_state.kind: unknown kind {init.get('kind')!r}")
     elif init.get("kind") == "ball" and not (_is_number(init.get("radius")) and init["radius"] > 0):

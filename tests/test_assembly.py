@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import gamma
+from scipy.special import beta as beta_fn, betainc, gamma
 
 from fracheat import (
     AllocationError,
@@ -21,11 +21,10 @@ from fracheat import (
     spectral_bottom,
 )
 from fracheat.assembly import (
-    _box_complement_integral,
     _disk_complement_integral,
     _fourier_energy,
     _gauss_kronrod,
-    _halfline_kernel_integral,
+    _rectangle_complement_integral,
 )
 from fracheat.errors import ConvergenceFailure, DomainError
 
@@ -98,7 +97,7 @@ def _polar_box_complement(x1, x2, a, b, alpha):
 @pytest.mark.parametrize("point", [(0.3, -1.1), (0.93, 1.85), (0.0, 0.0)])
 def test_box_complement_vs_polar_oracle(point):
     a, b, alpha = 1.0, 2.0, 0.8
-    mine = _box_complement_integral(np.array([point]), a, b, alpha)[0]
+    mine = _rectangle_complement_integral(np.array([point]), a, b, alpha)[0]
     oracle = _polar_box_complement(point[0], point[1], a, b, alpha)
     assert mine == pytest.approx(oracle, rel=1e-9)
 
@@ -140,7 +139,7 @@ def _box_minus_disk_oracle(rho, R, alpha):
         return r * (r * r - 2.0 * r * rho * np.cos(theta) + rho * rho) ** -p
 
     ring, _ = integrate.dblquad(inner, 0.0, np.pi, lambda t: R, rmax, epsabs=1e-13, epsrel=1e-9)
-    return _box_complement_integral(np.array([[rho, 0.0]]), R, R, alpha)[0] + 2.0 * ring
+    return _rectangle_complement_integral(np.array([[rho, 0.0]]), R, R, alpha)[0] + 2.0 * ring
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
@@ -213,6 +212,55 @@ def test_disk_killing_density_node_near_circle(alpha):
         np.testing.assert_allclose(kap[radii == rho], oracle, rtol=1e-12, atol=0)
 
 
+def _halfline_kernel_integral(s, m, alpha):
+    """Integral of (s^2 + t^2)^(-(2+alpha)/2) over t in [m, inf) for m > 0.
+
+    Evaluated through the regularized incomplete beta function; stable both
+    for s >> m and for s -> 0.  Broadcasts over arrays s and m.
+    """
+    s = np.asarray(s, dtype=float)
+    m = np.asarray(m, dtype=float)
+    s, m = np.broadcast_arrays(s, m)
+    b = 0.5 * (1.0 + alpha)
+    out = np.where(s == 0.0, m ** (-1.0 - alpha) / (1.0 + alpha), 0.0)
+    pos = s > 0.0
+    sn = s[pos]
+    mn = m[pos]
+    x = sn * sn / (sn * sn + mn * mn)
+    out[pos] = sn ** (-1.0 - alpha) * 0.5 * beta_fn(0.5, b) * betainc(b, 0.5, x)
+    return out
+
+
+def _box_complement_integral(points: np.ndarray, a: float, b: float, alpha: float) -> np.ndarray:
+    """Integral of |x - y|^(-2 - alpha) over the complement of the box
+    (-a, a) x (-b, b), for each interior point x.
+
+    The complement splits into two full vertical half-planes (closed form)
+    and two horizontal half-strips, each reduced to a 1-d quadrature of a
+    smooth integrand whose inner integral is in closed form.
+    """
+    x1 = points[:, 0]
+    x2 = points[:, 1]
+    full_line = math.sqrt(math.pi) * math.gamma(0.5 * (1.0 + alpha)) / math.gamma(1.0 + 0.5 * alpha)
+    sides = full_line / alpha * ((a - x1) ** -alpha + (a + x1) ** -alpha)
+
+    def strip(margins):
+        def f(y1):
+            return _halfline_kernel_integral(np.abs(y1 - x1[:, None]), margins[:, None], alpha)
+
+        return _gauss_kronrod(f, [-a, a], epsabs=1e-13, epsrel=1e-10)
+
+    return sides + strip(b - x2) + strip(b + x2)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_rectangle_killing_density_vs_betainc_oracle(alpha):
+    # every node of the box, against the half-planes-plus-half-strips form
+    g = build_grid(DomainSpec.rectangle(1.0, 0.56), 0.05)
+    oracle = normalization_constant(2, alpha) * _box_complement_integral(g.points, 1.0, 0.56, alpha)
+    np.testing.assert_allclose(killing_density(g, alpha), oracle, rtol=1e-14, atol=0)
+
+
 def _quad_vec_disk(radii, R, alpha):
     # the scipy quad_vec form of _disk_complement_integral, kept as its oracle
     gap = R - radii
@@ -233,7 +281,7 @@ def _quad_vec_disk(radii, R, alpha):
 
 
 def _quad_vec_box(points, a, b, alpha):
-    # the scipy quad_vec form of _box_complement_integral, kept as its oracle
+    # _box_complement_integral under scipy's quad_vec, a second oracle
     x1, x2 = points[:, 0], points[:, 1]
     full_line = np.sqrt(np.pi) * gamma(0.5 * (1.0 + alpha)) / gamma(1.0 + 0.5 * alpha)
     sides = full_line / alpha * ((a - x1) ** -alpha + (a + x1) ** -alpha)
@@ -261,7 +309,7 @@ def test_disk_gauss_kronrod_vs_quad_vec(h, alpha):
 def test_rectangle_gauss_kronrod_vs_quad_vec():
     g = build_grid(DomainSpec.rectangle(1.0, 0.56), 0.05)
     folded = np.unique(np.round(np.abs(g.points), 12), axis=0)
-    mine = _box_complement_integral(folded, 1.0, 0.56, 0.8)
+    mine = _rectangle_complement_integral(folded, 1.0, 0.56, 0.8)
     np.testing.assert_allclose(mine, _quad_vec_box(folded, 1.0, 0.56, 0.8), rtol=1e-13, atol=0)
 
 
@@ -286,7 +334,7 @@ def test_rectangle_killing_density_vs_all_nodes(alpha):
     # oracle: the box integral evaluated at every node, without folding
     dom = DomainSpec.rectangle(1.0, 0.5)
     g = build_grid(dom, 1 / 12)
-    oracle = normalization_constant(2, alpha) * _box_complement_integral(g.points, 1.0, 0.5, alpha)
+    oracle = normalization_constant(2, alpha) * _rectangle_complement_integral(g.points, 1.0, 0.5, alpha)
     np.testing.assert_allclose(killing_density(g, alpha), oracle, rtol=1e-12, atol=0)
 
 

@@ -347,14 +347,20 @@ def test_ball_probe_runs_where_r0_is_not_whole_cells(tmp_path):
 def test_import_leaves_out_quadrature_and_special_functions(tmp_path):
     # a fresh process: importing scipy took about 0.35 s of every run's
     # set-up; the run's kernels are numpy's and its bundled OpenBLAS's, and
-    # only the rectangle needs scipy.special
+    # the killing density's quadrature is the package's own, for the disk and
+    # the rectangle alike.  bounded_1d runs, and so does disk_2d on a square.
     configs = [str(resources.files("fracheat") / "configs" / f"{name}.json")
                for name in ("bounded_1d", "hardy_subcritical_1d", "hardy_supercritical_1d")]
-    configs.append(str(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "disk_2d.json"))
+    disk = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "disk_2d.json"
+    square = tmp_path / "square.json"
+    doc = dict(json.loads(disk.read_text()), domain={"kind": "rectangle", "a": 1, "b": 1})
+    square.write_text(json.dumps(doc))
+    configs += [str(disk), str(square)]
     code = (
         "import sys, fracheat, fracheat.cli\n"
         "for path in sys.argv[2:]: fracheat.load_config(path)\n"
-        "fracheat.run_experiment(fracheat.load_config(sys.argv[2]), out_dir=sys.argv[1])\n"
+        "for i, path in enumerate((sys.argv[2], sys.argv[-1])):\n"
+        "    fracheat.run_experiment(fracheat.load_config(path), out_dir=f'{sys.argv[1]}/{i}')\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     src = str(Path(fracheat.__file__).resolve().parents[1])
@@ -363,7 +369,7 @@ def test_import_leaves_out_quadrature_and_special_functions(tmp_path):
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
-    assert (tmp_path / "report.json").exists()
+    assert (tmp_path / "0" / "report.json").exists() and (tmp_path / "1" / "report.json").exists()
 
 
 def test_runner_dt_matches_min_over_k_rule():
@@ -510,6 +516,15 @@ def test_boundary_hardy_run_reports_flag_and_estimate(tmp_path):
         ({"k_schedule": [10 ** 400, None]}, "k_schedule: entries must be numbers or null"),
         # run reads one probe time
         ({"probe_times": [0.25, 0.5]}, "probe_times: must be a list of one time"),
+        # misspelled keys ran with the defaults in their place
+        ({"ball_schedul": [0.3, 0.15, 0.075]}, "ball_schedul: unknown key"),
+        ({"thresholds": {"growth_ratoi": 3.0}}, "thresholds.growth_ratoi: unknown key"),
+        ({"sweeps": {"energy_trails": 1, "log_phis": 10}}, "sweeps.energy_trails: unknown key"),
+        ({"potential": {"kind": "bounded", "expr": "0.5", "epsilom": 0.2}}, "potential.epsilom: unknown key"),
+        # each kind names its own keys
+        ({"potential": {"kind": "hardy_interior", "c": 0.1, "kappa": 0.1}}, "potential.kappa: unknown key"),
+        ({"domain": {"kind": "interval", "R": 1.0, "b": 1.0}}, "domain.b: unknown key"),
+        ({"initial_state": {"kind": "ball", "radius": 0.5, "center": 0.1}}, "initial_state.center: unknown key"),
     ],
     ids=[
         "two_meshes", "h_schedule_null", "h_schedule_number", "custom", "ball_above_inradius",
@@ -517,7 +532,8 @@ def test_boundary_hardy_run_reports_flag_and_estimate(tmp_path):
         "domain_list", "sweeps_number", "epsilon_string", "comparability_string", "checkpoints_number",
         "output_dir_number", "t_final_overflow", "alpha_true", "trials_true", "domain_R_string",
         "kappa_string", "h_true", "k_true", "epsilon_false", "seed_true", "t_final_huge_int",
-        "k_huge_int", "two_probe_times",
+        "k_huge_int", "two_probe_times", "ball_schedul", "growth_ratoi", "energy_trails", "epsilom",
+        "interior_kappa", "interval_b", "initial_center",
     ],
 )
 def test_validate_rejects_what_run_cannot_execute(tmp_path, change, problem):
