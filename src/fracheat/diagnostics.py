@@ -21,7 +21,7 @@ from .assembly import OperatorMatrix
 from .errors import BallTooSmall, DomainError, InsufficientEvidence, NonpositiveState
 from .geometry import DomainSpec, boundary_distance
 from .potentials import PotentialField, PotentialSpec
-from .spectral import MeshLevel, SpectralSeries, _k_order, form_energy, spectral_bottom
+from .spectral import MeshLevel, SpectralSeries, _k_order, spectral_bottom
 from .evolution import Trajectory, evolve
 
 EXISTS = "EXISTS"
@@ -113,8 +113,9 @@ def energy_inequality_certificate(M: OperatorMatrix, u, phi) -> Certificate:
         raise NonpositiveState("u must be nonnegative everywhere")
     quotient = np.zeros_like(u)
     quotient[support] = phi[support] ** 2 / u[support]
-    lhs = np.atleast_1d(M.cell_volume * np.sum(quotient * M.apply(u), axis=-1))
-    rhs = np.atleast_1d(M.cell_volume * np.sum(phi * M.apply(phi), axis=-1))
+    Lu, Lphi = M.apply(np.stack((u, phi)).reshape(-1, M.n)).reshape((2,) + u.shape)
+    lhs = np.atleast_1d(M.cell_volume * np.sum(quotient * Lu, axis=-1))
+    rhs = np.atleast_1d(M.cell_volume * np.sum(phi * Lphi, axis=-1))
     worst = int(np.argmin(rhs - lhs))
     details = {"slacks": rhs - lhs} if u.ndim == 2 else {}
     return _make_certificate(
@@ -132,31 +133,34 @@ def log_estimate_certificate(
     Phi must be normalized in the discrete L2 norm; the trajectory must be
     strictly positive at t1 and t2 on Phi's support with 0 < t1 < t2.  The
     tolerance combines a rounding floor with a term proportional to dt, the
-    time-discretization error scale.
+    time-discretization error scale.  Phi may also be a (phis, n) array,
+    one test function per row; the certificate is then the row with the
+    least slack, and that row is its Phi.
     """
     if not (0.0 < t1 < t2):
         raise ValueError(f"need 0 < t1 < t2, got t1={t1}, t2={t2}")
     M = traj.operator
-    Phi = np.asarray(Phi, dtype=float)
+    Phi = np.atleast_2d(np.asarray(Phi, dtype=float))
     vol = M.cell_volume
-    mass = vol * np.sum(Phi * Phi)
-    if abs(mass - 1.0) > 1e-8:
+    mass = vol * np.sum(Phi * Phi, axis=1)
+    if np.any(np.abs(mass - 1.0) > 1e-8):
         raise ValueError(f"Phi must have unit discrete L2 mass, got {mass}")
-    u1 = traj.state_at(t1)
-    u2 = traj.state_at(t2)
-    support = Phi != 0.0
+    u1, u2 = traj.state_at(t1), traj.state_at(t2)
+    support = np.any(Phi != 0.0, axis=0)
     if np.any(u1[support] <= 0.0) or np.any(u2[support] <= 0.0):
         raise NonpositiveState("trajectory must be strictly positive on Phi's support")
     vals = np.asarray(getattr(V, "values", V), dtype=float)
-    lhs = vol * np.sum(Phi * Phi * vals) - form_energy(M, Phi)
-    ratio = np.zeros_like(Phi)
+    lhs = vol * np.sum(Phi * Phi * vals, axis=1) - vol * np.sum(Phi * M.apply(Phi), axis=1)
+    ratio = np.zeros(M.n)
     ratio[support] = np.log(u2[support] / u1[support])
-    rhs = vol * np.sum(ratio * Phi * Phi) / (t2 - t1)
+    rhs = vol * np.sum(ratio * Phi * Phi, axis=1) / (t2 - t1)
+    worst = int(np.argmin(rhs - lhs))
+    lhs, rhs = lhs[worst], rhs[worst]
     scale = 1.0 + abs(lhs) + abs(rhs)
     tolerance = 1e-9 * scale + traj.dt * scale
     return _make_certificate(
         "log_estimate",
-        (M.entries, traj.states, Phi.copy(), vals.copy(), t1, t2),
+        (M.entries, traj.states, Phi[worst].copy(), vals.copy(), t1, t2),
         lhs,
         rhs,
         tolerance,

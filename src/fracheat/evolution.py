@@ -10,6 +10,7 @@ blow-up classification leans on this sign structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,7 +66,7 @@ class ImplicitStepper:
     representative per orbit, with the block folded by that group.  One
     factor is kept per group met; a mirror-symmetric state under a
     mirror-symmetric V needs one n / 2^m block, and the result is invariant
-    under the same group, so an evolution stays on its first block.
+    under the same group, so evolve folds once for the whole trajectory.
     """
 
     def __init__(self, M: OperatorMatrix, V, dt: float, lambda0: float | None = None):
@@ -104,21 +105,32 @@ class ImplicitStepper:
         return orbits, self._factors[key]
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.M.n,):
-            raise ValueError(f"state must have length {self.M.n}")
-        if not np.all(np.isfinite(u)) or np.any(u < 0):
-            raise ValueError("state must be finite and componentwise nonnegative")
+        u = _checked_state(u, self.M.n)
         orbits, factor = self._solver(u)
         w = np.empty(self.M.n)
-        w[orbits] = _lapack.solve(factor, u[orbits[0]])
-        floor = -1e-10 * max(1.0, float(np.max(np.abs(w))))
-        if np.min(w) < floor:
-            raise SolveFailure(
-                f"solver produced a genuinely negative entry {np.min(w):.3e}"
-            )
-        # inverse positivity holds exactly; clip roundoff-level negatives
-        return np.maximum(w, 0.0)
+        w[orbits] = _advance(factor, u[orbits[0]])
+        return w
+
+
+def _checked_state(u, n: int) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if u.shape != (n,):
+        raise ValueError(f"state must have length {n}")
+    if not np.all(np.isfinite(u)) or np.any(u < 0):
+        raise ValueError("state must be finite and componentwise nonnegative")
+    return u
+
+
+def _advance(factor: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One step on the representatives' values: the solve with a stepper's
+    factor, clipped at 0.  Raises SolveFailure on a non-finite value or a
+    genuinely negative one."""
+    w = _lapack.solve(factor, u)
+    low, top = float(np.min(w)), float(np.max(w))  # max |w| is max(top, -low)
+    if not (math.isfinite(low) and math.isfinite(top)) or low < -1e-10 * max(1.0, top, -low):
+        raise SolveFailure(f"solver produced a non-finite or genuinely negative entry {low:.3e}")
+    # inverse positivity holds exactly; clip roundoff-level negatives
+    return np.maximum(w, 0.0, out=w)
 
 
 def step(M: OperatorMatrix, V, u, dt: float, lambda0: float | None = None) -> np.ndarray:
@@ -142,10 +154,8 @@ def evolve(
     PotentialField, else None.  stepper, when given, is a stepper already
     factored for (M, V, dt) and is used in place of a new one.
     """
-    u0 = np.asarray(u0, dtype=float)
-    if np.any(u0 < 0):
-        raise ValueError("initial state must be componentwise nonnegative")
-    if not np.any(u0 > 0):
+    u = _checked_state(u0, M.n)
+    if not np.any(u > 0):
         raise ValueError("initial state must not be identically zero")
     steps = int(round(t_final / dt))
     if steps < 1 or abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
@@ -154,14 +164,17 @@ def evolve(
         stepper = ImplicitStepper(M, V, dt, lambda0=lambda0)
     elif stepper.M is not M or stepper.dt != dt:
         raise ValueError("stepper was factored for another operator or time step")
+    # the mirrors that fix V and u0 fix every later state: one fold serves all
+    orbits, factor = stepper._solver(u)
     states = np.empty((steps + 1, M.n))
-    states[0] = u0
+    states[0] = u
+    u = u[orbits[0]]
     for i in range(steps):
-        states[i + 1] = stepper.step(states[i])
+        u = _advance(factor, u)
+        states[i + 1][orbits] = u
     states.setflags(write=False)
     times = dt * np.arange(steps + 1)
-    vol = M.cell_volume
-    norms = np.sqrt(vol * np.sum(states * states, axis=1))
+    norms = np.sqrt(M.cell_volume * np.sum(states * states, axis=1))
     k = getattr(V, "truncation_k", None)
     return Trajectory(
         times=times,

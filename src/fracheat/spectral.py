@@ -163,7 +163,8 @@ def _lanczos_top(solve, v: np.ndarray) -> tuple:
             for _ in range(2):
                 w -= (Q[: j + 1] @ w) @ Q[: j + 1]
             beta = float(np.linalg.norm(w)) if j + 1 < n else 0.0
-            theta, S = np.linalg.eigh(T[: j + 1, : j + 1])
+            # a 1 x 1 tridiagonal is its own Ritz pair
+            theta, S = np.linalg.eigh(T[: j + 1, : j + 1]) if j else (T[0, :1], np.ones((1, 1)))
             converged = abs(beta * S[j, -1]) <= LANCZOS_TOL * theta[-1]
             if converged or j + 1 == m:
                 break

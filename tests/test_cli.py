@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -272,7 +273,15 @@ def test_energy_sweep_chunks_keep_draws_and_slacks(tmp_path, monkeypatch):
         chunks.append((M, u.copy(), phi.copy(), cert))
         return cert
 
+    logs = []
+    real_log = fracheat.runner.log_estimate_certificate
+
+    def log_spy(traj, Phi, V, t1, t2):
+        logs.append((traj, Phi.copy(), V, t1, t2))
+        return real_log(traj, Phi, V, t1, t2)
+
     monkeypatch.setattr(fracheat.runner, "energy_inequality_certificate", spy)
+    monkeypatch.setattr(fracheat.runner, "log_estimate_certificate", log_spy)
     doc = dict(FAST_CONFIG, sweeps={"energy_trials": 70, "log_phis": 5})
     paths = run_experiment(load_config(write_config(tmp_path, doc)), out_dir=tmp_path / "out")
     assert [len(c[1]) for c in chunks] == [16, 16, 16, 16, 6]
@@ -289,6 +298,17 @@ def test_energy_sweep_chunks_keep_draws_and_slacks(tmp_path, monkeypatch):
     report = json.loads(Path(paths["report"]).read_text())
     (sweep,) = [c for c in report["certificates"] if c["name"] == "energy_inequality_sweep"]
     assert sweep["details"] == {"trials": 70, "min_slack": min(slacks)}
+    # the log sweep: one batch of the next five draws, reported by its worst row
+    ((traj, Phi, V, t1, t2),) = logs
+    vol = traj.operator.cell_volume
+    singles = []
+    for row in Phi:
+        raw = np.abs(rng.standard_normal(traj.operator.n)) + 0.05
+        assert np.array_equal(row, raw / math.sqrt(vol * np.sum(raw * raw)))
+        singles.append(real_log(traj, row, V, t1, t2))
+    (log,) = [c for c in report["certificates"] if c["name"] == "log_estimate_sweep"]
+    assert log["inputs_digest"] == min(singles, key=lambda c: c.slack).inputs_digest
+    assert set(log["details"]) == {"t1", "t2", "dt", "phis"}
 
 
 def test_one_free_flow_factor_per_run(tmp_path, monkeypatch):
@@ -349,6 +369,8 @@ def test_import_leaves_out_quadrature_and_special_functions(tmp_path):
     # set-up; the run's kernels are numpy's and its bundled OpenBLAS's, and
     # the killing density's quadrature is the package's own, for the disk and
     # the rectangle alike.  bounded_1d runs, and so does disk_2d on a square.
+    # A serial run leaves out concurrent.futures too (about 9 ms with the
+    # logging it loads); only --threads above 1 needs its pool.
     configs = [str(resources.files("fracheat") / "configs" / f"{name}.json")
                for name in ("bounded_1d", "hardy_subcritical_1d", "hardy_supercritical_1d")]
     disk = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "disk_2d.json"
@@ -361,7 +383,7 @@ def test_import_leaves_out_quadrature_and_special_functions(tmp_path):
         "for path in sys.argv[2:]: fracheat.load_config(path)\n"
         "for i, path in enumerate((sys.argv[2], sys.argv[-1])):\n"
         "    fracheat.run_experiment(fracheat.load_config(path), out_dir=f'{sys.argv[1]}/{i}')\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'concurrent.futures'))"
     )
     src = str(Path(fracheat.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

@@ -141,6 +141,21 @@ def test_log_certificate_adjacent_times(interval_op):
     assert cert.satisfied
 
 
+def test_log_certificate_rows_match_single_phis(interval_op):
+    fld = sample_potential(PotentialSpec.bounded("0.5"), interval_op.grid, ALPHA)
+    traj = evolve(interval_op, fld, initial_state(interval_op.grid), 0.25, 1.0 / 32.0)
+    raw = np.abs(np.random.default_rng(5).standard_normal((6, interval_op.n))) + 0.05
+    Phi = raw / np.sqrt(interval_op.cell_volume * np.sum(raw * raw, axis=1, keepdims=True))
+    batch = log_estimate_certificate(traj, Phi, fld, 0.125, 0.25)
+    singles = [log_estimate_certificate(traj, row, fld, 0.125, 0.25) for row in Phi]
+    worst = min(singles, key=lambda c: c.slack)
+    assert batch.lhs == pytest.approx(worst.lhs, rel=1e-12)
+    assert batch.rhs == pytest.approx(worst.rhs, rel=1e-12)
+    assert batch.details == worst.details and batch.satisfied
+    # the worst row is the batch certificate's Phi
+    assert batch.inputs_digest == worst.inputs_digest
+
+
 def test_log_certificate_validation(interval_op):
     fld = sample_potential(PotentialSpec.bounded("0.5"), interval_op.grid, ALPHA)
     traj = evolve(interval_op, fld, initial_state(interval_op.grid), 0.25, 1.0 / 32.0)

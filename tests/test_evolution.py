@@ -8,7 +8,9 @@ from fracheat import (
     DomainSpec,
     ImplicitStepper,
     PotentialSpec,
+    SolveFailure,
     StepTooLarge,
+    Trajectory,
     assemble_operator,
     build_grid,
     duhamel_residual,
@@ -126,6 +128,11 @@ def test_evolve_input_validation(interval_op):
         evolve(interval_op, None, -u0, 0.5, 0.1)
     with pytest.raises(ValueError):
         evolve(interval_op, None, u0, 0.5, 0.3)  # not a multiple
+    for bad in (np.nan, np.inf):
+        u = u0.copy()
+        u[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            evolve(interval_op, None, u, 0.5, 0.1)
 
 
 def test_stepper_rejects_nonfinite_states(interval_op):
@@ -258,6 +265,67 @@ def test_asymmetric_problem_steps_on_the_full_system(h, expr):
         want = _unfolded_step(op, fld.values, u, 1.0 / 32.0)
         u = stepper.step(u)
         assert np.array_equal(u, want)
+
+
+@pytest.mark.parametrize("domain, h, potential, order", [
+    (DOM, 1.0 / 64.0, PotentialSpec.hardy_interior(0.1), 2),
+    (DOM, 0.03, PotentialSpec.hardy_interior(0.1), 1),
+    (DomainSpec.disk(1.0), 1.0 / 16.0, PotentialSpec.hardy_interior(0.1), 4),
+    (DomainSpec.disk(1.0), 1.0 / 16.0, PotentialSpec.bounded("0.5 + 0.1*x + 0.2*y*y"), 2),
+])
+def test_evolve_matches_a_loop_of_steps(domain, h, potential, order, monkeypatch):
+    # evolve folds once per trajectory; the reference steps every state
+    # through ImplicitStepper.step, which folds again each time
+    g = build_grid(domain, h)
+    op = assemble_operator(g, 1.0 if g.dimension == 2 else ALPHA)
+    fld = sample_potential(potential, g, op.alpha)
+    u0, dt, steps = initial_state(g), 1.0 / 32.0, 8
+    stepper = ImplicitStepper(op, fld, dt, lambda0=0.0)
+    want = [u0]
+    for _ in range(steps):
+        want.append(stepper.step(want[-1]))
+    want = np.array(want)
+    factors, solves = [], []
+    cholesky, solve = _lapack.cholesky, _lapack.solve
+
+    def counting_cholesky(a):
+        factors.append(a.shape)
+        return cholesky(a)
+
+    def counting_solve(factor, b):
+        solves.append(len(b))
+        return solve(factor, b)
+
+    monkeypatch.setattr(_lapack, "cholesky", counting_cholesky)
+    monkeypatch.setattr(_lapack, "solve", counting_solve)
+    traj = evolve(op, fld, u0, steps * dt, dt, lambda0=0.0)
+    m = g.n // order
+    assert factors == [(m, m)] and solves == [m] * steps
+    monkeypatch.undo()
+    assert np.array_equal(traj.states, want)
+    assert np.array_equal(traj.l2_norms, np.sqrt(op.cell_volume * np.sum(want * want, axis=1)))
+    looped = Trajectory(traj.times, want, None, dt, g, op, traj.l2_norms)
+    assert duhamel_residual(traj, op, fld) == duhamel_residual(looped, op, fld)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
+def test_evolve_stops_at_a_bad_solve(interval_op, bad, monkeypatch):
+    # evolve checks only u0 on entry, so the step kernel
+    # must stop at the solve that goes wrong
+    solve, calls = _lapack.solve, []
+
+    def faulty(factor, b):
+        x = solve(factor, b)
+        calls.append(len(b))
+        if len(calls) == 3:
+            x[len(x) // 2] = bad
+        return x
+
+    monkeypatch.setattr(_lapack, "solve", faulty)
+    u0 = initial_state(interval_op.grid)
+    with pytest.raises(SolveFailure):
+        evolve(interval_op, None, u0, 0.25, 1.0 / 32.0)
+    assert len(calls) == 3
 
 
 def test_evolve_rejects_a_stepper_for_another_step(interval_op):
