@@ -18,6 +18,7 @@ from .diagnostics import (
     ClassifierThresholds,
     Verdict,
     classify,
+    energy_inequality_all_pairs,
     energy_inequality_certificate,
     exponential_bound_certificate,
     ground_state_comparability,
@@ -65,7 +66,6 @@ from .spectral import (
     SpectralResult,
     SpectralSeries,
     estimate_boundary_hardy_constant,
-    form_energy,
     refinement_series,
     spectral_bottom,
 )

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AllocationError, ConvergenceFailure, DomainError, UnsupportedFunction
+from .errors import AllocationError, ConvergenceFailure, DimensionMismatch, DomainError, UnsupportedFunction
 from .geometry import DomainSpec, Grid, _group_permutations, orbit_table
 
 DENSE_SIZE_CAP = 8192
@@ -93,6 +93,8 @@ class OperatorMatrix:
         """L F for F of shape (n,) or (k, n), one product with the stored
         rows per group element: (L F)[..., g r] = F[..., perms[g]] . entries[r]."""
         F = np.asarray(F, dtype=float)
+        if F.shape[-1:] != (self.n,):
+            raise DimensionMismatch(f"expected vectors of length {self.n}, got shape {F.shape}")
         out = np.empty(F.shape)
         for perm, nodes in zip(self.perms, self.orbits):
             out[..., nodes] = F[..., perm] @ self.entries.T

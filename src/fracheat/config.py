@@ -31,6 +31,7 @@ _DEFAULT_THRESHOLDS = {
     "growth_ratio": 1.5,
     "comparability_ratio_bound": 25.0,
 }
+# energy_trials is validated, then unread: the energy check is exact
 _DEFAULT_SWEEPS = {"energy_trials": 200, "log_phis": 20}
 _TOP_KEYS = ("schema_version", "domain", "alpha", "potential", "h_schedule", "k_schedule", "dt",
              "t_final", "probe_times", "state_checkpoints", "thresholds", "sweeps", "initial_state",

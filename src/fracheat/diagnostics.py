@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -32,6 +32,7 @@ MIN_MESH_LEVELS = 3  # refinements the classifier needs to tell a trend
 MIN_BALLS = 3  # radii in the shortest window the shrinking-ball probe fits
 MIN_BALL_NODES = 8  # nodes the probe needs on a ball it solves
 ENERGY_TOL = 1e-12  # rounding allowance of the energy inequality
+SCAN_ROWS = 64  # stored operator rows copied at a time by the exact energy check
 SOLVER_TOL = 1e-7  # relative solver slack of the exponential bound
 # potentials singular at an interior point, the probe's center, or bounded
 BALL_PROBE_KINDS = ("hardy_interior", "bounded")
@@ -121,6 +122,32 @@ def energy_inequality_certificate(M: OperatorMatrix, u, phi) -> Certificate:
     return _make_certificate(
         "energy_inequality", (M.entries, u.copy(), phi.copy()), lhs[worst], rhs[worst],
         ENERGY_TOL, **details,
+    )
+
+
+def energy_inequality_all_pairs(M: OperatorMatrix) -> Certificate:
+    """The energy inequality for every admissible pair, decided exactly: a
+    pair's slack is the sum over i < j of (-L_ij) h^d u_i u_j (phi_i / u_i -
+    phi_j / u_j)^2, so it holds for all pairs iff every off-diagonal L_ij <= 0.
+    The certificate is energy_inequality_certificate at u = e_i + e_j, phi =
+    e_i - e_j (slack -4 L_ij h^d) for the largest off-diagonal L_ij, read from
+    the stored rows SCAN_ROWS at a time; satisfied iff L_ij <= 0, exactly."""
+    reps = M.orbits[0]
+    i, j, value = 0, 0, -math.inf  # L has no off-diagonal when n = 1
+    for start in range(0, len(reps), SCAN_ROWS):
+        rows = M.entries[start : start + SCAN_ROWS].copy()
+        rows[np.arange(len(rows)), reps[start : start + SCAN_ROWS]] = -np.inf
+        r, c = divmod(int(np.argmax(rows)), M.n)
+        if rows[r, c] > value:
+            i, j, value = int(reps[start + r]), c, float(rows[r, c])
+    u = np.zeros(M.n)
+    u[[i, j]] = 1.0
+    phi = u.copy()
+    phi[j] = -1.0
+    return replace(
+        energy_inequality_certificate(M, u, phi), name="energy_inequality_all_pairs",
+        inputs=(i, j, value), tolerance=0.0, satisfied=bool(value <= 0.0),
+        details={"i": i, "j": j, "L_ij": value},
     )
 
 

@@ -152,7 +152,7 @@ def evolve(
     t_final must be an integer multiple of dt (to 1e-9 relative).  The k
     recorded on the trajectory is the truncation level of V when V is a
     PotentialField, else None.  stepper, when given, is a stepper already
-    factored for (M, V, dt) and is used in place of a new one.
+    factored for (M, V, dt), V to the bit, and is used in place of a new one.
     """
     u = _checked_state(u0, M.n)
     if not np.any(u > 0):
@@ -162,8 +162,9 @@ def evolve(
         raise ValueError(f"t_final={t_final} is not a positive multiple of dt={dt}")
     if stepper is None:
         stepper = ImplicitStepper(M, V, dt, lambda0=lambda0)
-    elif stepper.M is not M or stepper.dt != dt:
-        raise ValueError("stepper was factored for another operator or time step")
+    elif (stepper.M is not M or stepper.dt != dt
+          or not np.array_equal(stepper._potential, _potential_vector(M, V))):
+        raise ValueError("stepper was factored for another operator, time step or potential")
     # the mirrors that fix V and u0 fix every later state: one fold serves all
     orbits, factor = stepper._solver(u)
     states = np.empty((steps + 1, M.n))
@@ -233,8 +234,8 @@ def duhamel_residual(traj: Trajectory, M: OperatorMatrix, V, free=None) -> float
     vals = _potential_vector(M, V)
     if free is None:
         free = ImplicitStepper(M, None, traj.dt)
-    elif free.M is not M or free.dt != traj.dt:
-        raise ValueError("free stepper was factored for another operator or time step")
+    elif free.M is not M or free.dt != traj.dt or np.any(free._potential):
+        raise ValueError("free stepper was factored for another operator, time step or a potential")
     acc = traj.states[0].copy()
     worst = 0.0
     for n in range(1, len(traj.times)):

@@ -33,19 +33,6 @@ LANCZOS_TOL = 1e-14  # Ritz residual bound, relative to the Ritz value
 LANCZOS_RESTARTS = 100  # cycles; the shipped configs need at most 4
 
 
-def _as_state(M: OperatorMatrix, f) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.shape != (M.n,):
-        raise DimensionMismatch(f"expected a vector of length {M.n}, got shape {f.shape}")
-    return f
-
-
-def form_energy(M: OperatorMatrix, f) -> float:
-    """Discrete form energy <L f, f> h^d of a grid function."""
-    f = _as_state(M, f)
-    return float(M.cell_volume * f @ M.apply(f))
-
-
 class SpectralResult(NamedTuple):
     lambda0: float
     eigvec: np.ndarray
@@ -88,7 +75,9 @@ def spectral_bottom(M: OperatorMatrix, V=None, v0=None) -> SpectralResult:
     """
     vals = _potential_vector(M, V)
     if v0 is not None:
-        v0 = _as_state(M, v0)
+        v0 = np.asarray(v0, dtype=float)
+        if v0.shape != (M.n,):
+            raise DimensionMismatch(f"expected a vector of length {M.n}, got shape {v0.shape}")
         if not (np.all(np.isfinite(v0)) and np.any(v0)):
             raise ValueError("warm start must be finite and nonzero")
     orbits, block = M.fold(vals)

@@ -14,11 +14,13 @@ from fracheat import (
     DomainSpec,
     InsufficientEvidence,
     NonpositiveState,
+    OperatorMatrix,
     PotentialSpec,
     Trajectory,
     assemble_operator,
     build_grid,
     classify,
+    energy_inequality_all_pairs,
     energy_inequality_certificate,
     evolve,
     exponential_bound_certificate,
@@ -110,6 +112,68 @@ def test_energy_certificate_bad_trial_in_a_stack(interval_op):
     u[3, 9] = -0.5  # off the support, still inadmissible
     with pytest.raises(NonpositiveState):
         energy_inequality_certificate(interval_op, u, phi)
+
+
+# a grid with no mirror, whose stored rows are the whole matrix, and one with two
+ALL_PAIRS_GRIDS = [(DomainSpec.interval(1.0), 0.03, 0), (DomainSpec.disk(1.0), 1.0 / 16.0, 2)]
+
+
+def unit(n, i):
+    e = np.zeros(n)
+    e[i] = 1.0
+    return e
+
+
+def _with_coupling(op, i, j, value):
+    """A copy of op with L_ij = L_ji = value at every mirror image of (i, j)."""
+    full = op.apply(np.eye(op.n))
+    for perm in op.perms:
+        full[perm[i], perm[j]] = full[perm[j], perm[i]] = value
+    return OperatorMatrix(n=op.n, entries=full[op.orbits[0]], alpha=op.alpha, grid=op.grid,
+                          kappa=op.kappa)
+
+
+@pytest.mark.parametrize("domain, h, mirrors", ALL_PAIRS_GRIDS)
+def test_energy_all_pairs_fails_at_a_positive_coupling(domain, h, mirrors):
+    op = assemble_operator(build_grid(domain, h), ALPHA)
+    assert len(op.grid.mirrors) == mirrors
+    sound = energy_inequality_all_pairs(op)
+    assert sound.satisfied and sound.details["L_ij"] < 0.0
+    i, j = 5, op.n // 2 + 3
+    # the coupling's own magnitude, and one whose slack is below rounding
+    for value in (-op.apply(unit(op.n, j))[i], 1e-300):
+        bad = energy_inequality_all_pairs(_with_coupling(op, i, j, value))
+        images = {(int(p[a]), int(p[b])) for p in op.perms for a, b in ((i, j), (j, i))}
+        assert not bad.satisfied
+        assert (bad.details["i"], bad.details["j"]) in images and bad.details["L_ij"] == value
+
+
+@pytest.mark.parametrize("domain, h, mirrors", ALL_PAIRS_GRIDS)
+def test_energy_witness_slack_is_four_couplings(domain, h, mirrors):
+    op = assemble_operator(build_grid(domain, h), ALPHA)
+    i, j = 2, op.n - 7
+    for M in (op, _with_coupling(op, i, j, 0.25)):
+        cert = energy_inequality_all_pairs(M)
+        value = cert.details["L_ij"]
+        assert value == M.apply(unit(M.n, cert.details["j"]))[cert.details["i"]]
+        assert abs(cert.slack + 4.0 * value * M.cell_volume) <= 1e-14 * cert.rhs
+    assert cert.details["L_ij"] == 0.25 and cert.slack < 0.0
+
+
+@pytest.mark.parametrize("domain, h", [(DomainSpec.interval(1.0), 1.0 / 256.0),
+                                       (DomainSpec.disk(1.0), 1.0 / 12.0)])
+def test_energy_slack_is_the_off_diagonal_sum(domain, h):
+    # slack = sum_{i<j} (-L_ij) h^d u_i u_j (phi_i/u_i - phi_j/u_j)^2: kappa cancels
+    op = assemble_operator(build_grid(domain, h), ALPHA)
+    off = -op.apply(np.eye(op.n))
+    np.fill_diagonal(off, 0.0)
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        u = rng.uniform(0.1, 1.1, op.n)
+        phi = rng.standard_normal(op.n)
+        q = phi / u
+        want = 0.5 * op.cell_volume * np.sum(off * np.outer(u, u) * np.subtract.outer(q, q) ** 2)
+        assert energy_inequality_certificate(op, u, phi).slack == pytest.approx(want, rel=1e-12)
 
 
 def test_log_certificate_eigenmode_identity(interval_op):

@@ -340,6 +340,21 @@ def test_evolve_rejects_a_stepper_for_another_step(interval_op):
         duhamel_residual(traj, interval_op, None, free=stepper)
 
 
+def test_evolve_rejects_a_stepper_for_another_potential(interval_op):
+    # a free stepper used to return the free flow, labelled as V's
+    fld = sample_potential(PotentialSpec.bounded("0.5"), interval_op.grid, ALPHA)
+    u0 = initial_state(interval_op.grid)
+    free = ImplicitStepper(interval_op, None, 1.0 / 32.0)
+    with pytest.raises(ValueError, match="potential"):
+        evolve(interval_op, fld, u0, 0.5, 1.0 / 32.0, stepper=free)
+    stepper = ImplicitStepper(interval_op, fld, 1.0 / 32.0)
+    reused = evolve(interval_op, fld, u0, 0.5, 1.0 / 32.0, stepper=stepper)
+    assert np.array_equal(reused.states, evolve(interval_op, fld, u0, 0.5, 1.0 / 32.0).states)
+    # the Duhamel reconstruction's free flow must be free
+    with pytest.raises(ValueError, match="potential"):
+        duhamel_residual(reused, interval_op, fld, free=stepper)
+
+
 def test_monotone_family_inactive_truncation(interval_op):
     u0 = initial_state(interval_op.grid)
     fam = monotone_family(
