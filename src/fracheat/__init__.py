@@ -49,7 +49,6 @@ from .evolution import (
     evolve,
     initial_state,
     monotone_family,
-    step,
     variational_residual,
 )
 from .geometry import DomainSpec, Grid, boundary_distance, build_grid, orbit_table
@@ -62,6 +61,7 @@ from .potentials import (
 )
 from .runner import run_experiment
 from .spectral import (
+    MeshLevel,
     SpectralEntry,
     SpectralResult,
     SpectralSeries,

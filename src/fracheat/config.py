@@ -208,13 +208,13 @@ def _parse(doc: dict) -> tuple:
     ks = doc.get("k_schedule")
     if not isinstance(ks, list) or not ks:
         errors.append("k_schedule: missing or empty")
+    elif any(not _is_number(k) and k is not None for k in ks):
+        errors.append("k_schedule: entries must be numbers or null")
     else:
-        order = [math.inf if k is None else k for k in ks]
-        if any(not _is_number(k) and k is not None for k in ks):
-            errors.append("k_schedule: entries must be numbers or null")
-        elif any(k2 <= k1 for k1, k2 in zip(order, order[1:])):
+        ks = [math.inf if k is None else float(k) for k in ks]  # null: untruncated
+        if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
             errors.append("k_schedule: must be strictly increasing (null last)")
-        elif any(k is not None and k < 0 for k in ks):
+        elif any(k < 0 for k in ks):
             errors.append("k_schedule: levels must be nonnegative")
 
     dt = doc.get("dt")
@@ -329,7 +329,7 @@ def _parse(doc: dict) -> tuple:
         alpha=alpha,
         potential=pot,
         h_schedule=[float(h) for h in hs],
-        k_schedule=[None if k is None else float(k) for k in ks],
+        k_schedule=ks,
         dt=float(dt),
         t_final=float(tf),
         probe_time=float(probes[0]),

@@ -18,10 +18,10 @@ from functools import cached_property
 import numpy as np
 
 from .assembly import OperatorMatrix
-from .errors import BallTooSmall, DomainError, InsufficientEvidence, NonpositiveState
+from .errors import BallTooSmall, DimensionMismatch, DomainError, InsufficientEvidence, NonpositiveState
 from .geometry import DomainSpec, boundary_distance
 from .potentials import PotentialField, PotentialSpec
-from .spectral import MeshLevel, SpectralSeries, _k_order, spectral_bottom
+from .spectral import MeshLevel, SpectralSeries, spectral_bottom
 from .evolution import Trajectory, evolve
 
 EXISTS = "EXISTS"
@@ -72,8 +72,9 @@ class Certificate:
 
     @cached_property
     def inputs_digest(self) -> str:
-        """SHA-256 prefix of the inputs, hashed on first read: a sweep makes
-        many certificates and reports few digests."""
+        """SHA-256 prefix of the inputs, hashed on first read: a certificate
+        whose digest is never read is never hashed, such as the witness check
+        inside energy_inequality_all_pairs, whose inputs are the operator."""
         return _digest(*self.inputs)
 
 
@@ -97,16 +98,17 @@ def _make_certificate(name, inputs, lhs, rhs, tolerance, satisfied=None, **detai
 def energy_inequality_certificate(M: OperatorMatrix, u, phi) -> Certificate:
     """Form energy of phi dominates the cross form of (u, phi^2 / u).
 
-    The quotient is set to zero off phi's support.  The inequality holds
-    term by term in the discrete double sum, so the slack is nonnegative up
-    to rounding for every admissible pair: u must be strictly positive on
-    the support of phi and nonnegative elsewhere (NonpositiveState if not).
-    u and phi may also be (trials, n) arrays, one pair per row; the
-    certificate is then the row with the least slack, and details["slacks"]
-    holds the slack of every row.
+    u and phi are one pair of vectors of length n (DimensionMismatch if
+    not).  The quotient is set to zero off phi's support.  The inequality
+    holds term by term in the discrete double sum, so the slack is
+    nonnegative up to rounding for every admissible pair: u must be strictly
+    positive on the support of phi and nonnegative elsewhere
+    (NonpositiveState if not).
     """
     u = np.asarray(u, dtype=float)
     phi = np.asarray(phi, dtype=float)
+    if u.shape != (M.n,) or phi.shape != (M.n,):
+        raise DimensionMismatch(f"u and phi must have shape ({M.n},), got {u.shape} and {phi.shape}")
     support = phi != 0.0
     if np.any(u[support] <= 0.0):
         raise NonpositiveState("u must be strictly positive on the support of phi")
@@ -114,14 +116,11 @@ def energy_inequality_certificate(M: OperatorMatrix, u, phi) -> Certificate:
         raise NonpositiveState("u must be nonnegative everywhere")
     quotient = np.zeros_like(u)
     quotient[support] = phi[support] ** 2 / u[support]
-    Lu, Lphi = M.apply(np.stack((u, phi)).reshape(-1, M.n)).reshape((2,) + u.shape)
-    lhs = np.atleast_1d(M.cell_volume * np.sum(quotient * Lu, axis=-1))
-    rhs = np.atleast_1d(M.cell_volume * np.sum(phi * Lphi, axis=-1))
-    worst = int(np.argmin(rhs - lhs))
-    details = {"slacks": rhs - lhs} if u.ndim == 2 else {}
+    Lu, Lphi = M.apply(np.stack((u, phi)))
+    lhs = M.cell_volume * np.sum(quotient * Lu)
+    rhs = M.cell_volume * np.sum(phi * Lphi)
     return _make_certificate(
-        "energy_inequality", (M.entries, u.copy(), phi.copy()), lhs[worst], rhs[worst],
-        ENERGY_TOL, **details,
+        "energy_inequality", (M.entries, u.copy(), phi.copy()), lhs, rhs, ENERGY_TOL
     )
 
 
@@ -318,7 +317,7 @@ def shrinking_ball_certificate(
     pairs and no node at the origin.  A fixed spacing would cap the
     resolvable well depth at the lattice scale, and the probe would never
     diverge.  The bottom of L - (1 - epsilon) V on a ball is
-    MeshLevel.build(ball, ...).bottom(None).  The kernel and the interior
+    MeshLevel.build(ball, ...).bottom(math.inf).  The kernel and the interior
     Hardy potential are homogeneous of degree -alpha, so their bottoms obey
     lambda0(B_r) = (r0 / r)^alpha lambda0(B_r0): only the largest ball is
     solved.  bounded potentials do not scale, and every ball is solved.
@@ -346,7 +345,7 @@ def shrinking_ball_certificate(
                 f"ball of radius {ball.inradius} holds {level.op.n} nodes, "
                 f"fewer than {MIN_BALL_NODES}"
             )
-        lambdas.append(level.bottom(None).lambda0)
+        lambdas.append(level.bottom(math.inf).lambda0)
     if homogeneous:
         lambdas = [(radii[0] / r) ** alpha * lambdas[0] for r in radii]
     volumes = [_ball_volume(r, d) for r in radii]
@@ -441,10 +440,10 @@ def classify(
     sups = []
     for entry in deepest:
         on_mesh = [traj for traj in family if traj.grid.h == entry.h]
-        traj = max(on_mesh, key=lambda t: _k_order(t.k), default=None)
+        traj = max(on_mesh, key=lambda t: t.k, default=None)
         if traj is None:
             raise InsufficientEvidence(f"no trajectory for mesh h={entry.h}")
-        if _k_order(traj.k) < _k_order(entry.k):
+        if traj.k < entry.k:
             raise InsufficientEvidence(
                 f"family at h={entry.h} stops at k={traj.k}, series reaches k={entry.k}"
             )

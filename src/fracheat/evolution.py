@@ -19,7 +19,6 @@ from . import _lapack
 from .assembly import OperatorMatrix
 from .errors import SolveFailure, StepTooLarge
 from .geometry import Grid
-from .potentials import PotentialSpec, sample_potential
 from .spectral import MeshLevel, _potential_vector, spectral_bottom
 
 STEP_RESTRICTION = 0.5
@@ -35,7 +34,7 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    k: float | None
+    k: float
     dt: float
     grid: Grid
     operator: OperatorMatrix
@@ -133,11 +132,6 @@ def _advance(factor: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.maximum(w, 0.0, out=w)
 
 
-def step(M: OperatorMatrix, V, u, dt: float, lambda0: float | None = None) -> np.ndarray:
-    """One backward-Euler step: solve (I + dt (L - diag(V))) w = u."""
-    return ImplicitStepper(M, V, dt, lambda0=lambda0).step(u)
-
-
 def evolve(
     M: OperatorMatrix,
     V,
@@ -151,7 +145,7 @@ def evolve(
 
     t_final must be an integer multiple of dt (to 1e-9 relative).  The k
     recorded on the trajectory is the truncation level of V when V is a
-    PotentialField, else None.  stepper, when given, is a stepper already
+    PotentialField, else math.inf.  stepper, when given, is a stepper already
     factored for (M, V, dt), V to the bit, and is used in place of a new one.
     """
     u = _checked_state(u0, M.n)
@@ -176,11 +170,10 @@ def evolve(
     states.setflags(write=False)
     times = dt * np.arange(steps + 1)
     norms = np.sqrt(M.cell_volume * np.sum(states * states, axis=1))
-    k = getattr(V, "truncation_k", None)
     return Trajectory(
         times=times,
         states=states,
-        k=k,
+        k=getattr(V, "truncation_k", math.inf),
         dt=float(dt),
         grid=M.grid,
         operator=M,
@@ -188,23 +181,10 @@ def evolve(
     )
 
 
-def monotone_family(
-    M: OperatorMatrix,
-    potential: PotentialSpec,
-    k_schedule,
-    u0,
-    t_final: float,
-    dt: float,
-) -> list:
-    """Trajectories of the truncated problems for every level in k_schedule,
-    on one shared time grid.  Levels must increase; None means untruncated.
-    Deeper truncations dominate shallower ones pointwise."""
-    level = MeshLevel(M, sample_potential(potential, M.grid, M.alpha))
-    return level_family(level, k_schedule, u0, t_final, dt)
-
-
-def level_family(level: MeshLevel, k_schedule, u0, t_final: float, dt: float) -> list:
-    """Evolve u0 under every truncation min(V, k) of one mesh level.  The
+def monotone_family(level: MeshLevel, k_schedule, u0, t_final: float, dt: float) -> list:
+    """Trajectories of the truncated problems min(V, k) of one mesh level for
+    every k in k_schedule (increasing; math.inf is untruncated), on one shared
+    time grid; deeper truncations dominate shallower ones pointwise.  The
     step restriction of every level is enforced with the bottom of the
     deepest one, a lower bound for them all.  Levels that share one field
     (k >= max V) are evolved once; each trajectory carries its own k."""
@@ -215,7 +195,7 @@ def level_family(level: MeshLevel, k_schedule, u0, t_final: float, dt: float) ->
         key = level.effective_k(k)
         if key not in runs:
             runs[key] = evolve(level.op, level.field_at(k), u0, t_final, dt, lambda0=floor)
-        family.append(replace(runs[key], k=None if k is None else float(k)))
+        family.append(replace(runs[key], k=float(k)))
     return family
 
 

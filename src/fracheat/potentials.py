@@ -84,10 +84,11 @@ class PotentialSpec:
 
 @dataclass(frozen=True, eq=False)
 class PotentialField:
-    """Potential sampled on a grid, optionally truncated at a level."""
+    """Potential sampled on a grid, truncated at the level truncation_k
+    (math.inf when untruncated)."""
 
     values: np.ndarray
-    truncation_k: float | None
+    truncation_k: float
     spec: PotentialSpec
     grid: Grid
 
@@ -198,7 +199,7 @@ def sample_potential(spec: PotentialSpec, grid: Grid, alpha: float) -> Potential
     if np.any(vals < 0.0):
         raise DomainError("potential must be nonnegative")
     vals.setflags(write=False)
-    return PotentialField(values=vals, truncation_k=None, spec=spec, grid=grid)
+    return PotentialField(values=vals, truncation_k=math.inf, spec=spec, grid=grid)
 
 
 def truncate(field: PotentialField, k: float) -> PotentialField:
@@ -208,6 +209,5 @@ def truncate(field: PotentialField, k: float) -> PotentialField:
         raise ValueError(f"truncation level must be nonnegative, got {k}")
     vals = np.minimum(field.values, k)
     vals.setflags(write=False)
-    level = float(k) if field.truncation_k is None else min(float(k), field.truncation_k)
-    return replace(field, values=vals, truncation_k=level)
+    return replace(field, values=vals, truncation_k=min(float(k), field.truncation_k))
 

@@ -34,34 +34,27 @@ from .diagnostics import (
     log_estimate_certificate,
     shrinking_ball_certificate,
 )
-from .evolution import ImplicitStepper, duhamel_residual, initial_state, level_family
-from .spectral import MeshLevel, SpectralSeries, estimate_boundary_hardy_constant
+from .evolution import ImplicitStepper, duhamel_residual, initial_state, monotone_family
+from .spectral import MeshLevel, SpectralSeries, estimate_boundary_hardy_constant, refinement_series
 
 STEP_MARGIN = 0.45
 
 
-def _blas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of the OpenBLAS that numpy bundles,
-    which every kernel of the run calls; empty for a build without it."""
-    lib = _lapack.library()
-    if lib is None:
-        return ()
-    return ((lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_),)
-
-
 @contextmanager
 def _one_blas_thread():
-    """Run with every bundled OpenBLAS at one thread, then restore the
-    caller's counts, also when the body raises."""
-    controls = _blas_thread_controls()
-    saved = [get() for get, _ in controls]
-    for _, put in controls:
-        put(1)
+    """Run with numpy's bundled OpenBLAS, which every kernel of the run
+    calls, at one thread, then restore the caller's count, also when the
+    body raises.  A build without the library is left as it is."""
+    lib = _lapack.library()
+    if lib is None:
+        yield
+        return
+    saved = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
     try:
         yield
     finally:
-        for (_, put), count in zip(controls, saved):
-            put(count)
+        lib.scipy_openblas_set_num_threads64_(saved)
 
 
 def _jsonable(value):
@@ -98,7 +91,7 @@ def _mesh_family(level: MeshLevel, config: ExperimentConfig) -> list:
     while dt * max(0.0, -worst) >= STEP_MARGIN:
         dt *= 0.5
     u0 = _initial_state(level.op.grid, config)
-    return level_family(level, config.k_schedule, u0, config.t_final, dt)
+    return monotone_family(level, config.k_schedule, u0, config.t_final, dt)
 
 
 def _mirror_group_order(level: MeshLevel) -> int:
@@ -134,7 +127,7 @@ def run_experiment(
     levels = [
         MeshLevel.build(config.domain, config.alpha, config.potential, h) for h in config.h_schedule
     ]
-    series = SpectralSeries.from_levels(levels, config.potential, config.k_schedule)
+    series = refinement_series(levels, config.k_schedule)
 
     if threads > 1:
         # here, not at the top: with its logging it is ~9 ms of a cold import
@@ -251,9 +244,8 @@ def _write_trajectories(path, families) -> None:
         fh.write("h,k,t,l2_norm,max_value\n")
         for family in families:
             for traj in family:
-                ktxt = "inf" if traj.k is None else repr(traj.k)
                 for t, nrm, mx in zip(traj.times, traj.l2_norms, traj.max_values):
-                    fh.write(f"{traj.grid.h!r},{ktxt},{float(t)!r},{float(nrm)!r},{float(mx)!r}\n")
+                    fh.write(f"{traj.grid.h!r},{traj.k!r},{float(t)!r},{float(nrm)!r},{float(mx)!r}\n")
 
 
 def _write_states(path, families, checkpoints) -> None:
@@ -261,11 +253,10 @@ def _write_states(path, families, checkpoints) -> None:
         fh.write("h,k,t,index,value\n")
         for family in families:
             for traj in family:
-                ktxt = "inf" if traj.k is None else repr(traj.k)
                 for t in checkpoints:
                     state = traj.state_at(t)
                     for i, v in enumerate(state):
-                        fh.write(f"{traj.grid.h!r},{ktxt},{float(t)!r},{i},{float(v)!r}\n")
+                        fh.write(f"{traj.grid.h!r},{traj.k!r},{float(t)!r},{i},{float(v)!r}\n")
 
 
 def _write_curves(path, series: SpectralSeries, verdict) -> None:
@@ -276,5 +267,4 @@ def _write_curves(path, series: SpectralSeries, verdict) -> None:
         for h, sup in verdict.evidence["sup_norms"]:
             fh.write(f"sup_norm_vs_h,{h!r},{sup!r}\n")
         for e in series.entries:
-            k = "inf" if e.k is None else repr(e.k)
-            fh.write(f"lambda0_vs_k@h={e.h!r},{k},{e.lambda0!r}\n")
+            fh.write(f"lambda0_vs_k@h={e.h!r},{e.k!r},{e.lambda0!r}\n")

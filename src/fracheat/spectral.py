@@ -15,7 +15,7 @@ representative of each orbit, on the n / 2^m block OperatorMatrix.fold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -209,7 +209,7 @@ def estimate_boundary_hardy_constant(operators) -> dict:
 @dataclass(frozen=True)
 class SpectralEntry:
     h: float
-    k: float | None  # truncation level; None means untruncated
+    k: float  # truncation level; math.inf is the untruncated potential
     epsilon: float
     lambda0: float
     iterations: int
@@ -219,35 +219,14 @@ class SpectralEntry:
 class SpectralSeries:
     """Spectral bottoms over a (mesh, truncation) schedule for one potential."""
 
-    entries: list = field(default_factory=list)
-
-    @classmethod
-    def from_levels(cls, levels, potential: PotentialSpec, k_schedule) -> "SpectralSeries":
-        """Spectral bottoms of the (1 - epsilon)-scaled truncations at every
-        mesh level, mesh-major."""
-        eps = potential.epsilon
-        series = cls()
-        for lv in levels:
-            for k in k_schedule:
-                res = lv.bottom(k)
-                series.entries.append(
-                    SpectralEntry(
-                        h=lv.h,
-                        k=None if k is None else float(k),
-                        epsilon=eps,
-                        lambda0=res.lambda0,
-                        iterations=res.iterations,
-                    )
-                )
-        return series
+    entries: list
 
     def deepest_per_mesh(self) -> list:
         """One entry per spacing, at the deepest truncation level recorded,
         in the order the spacings first appear."""
         out = {}
         for e in self.entries:
-            cur = out.get(e.h)
-            if cur is None or _k_order(e.k) >= _k_order(cur.k):
+            if e.h not in out or e.k >= out[e.h].k:
                 out[e.h] = e
         return list(out.values())
 
@@ -255,29 +234,14 @@ class SpectralSeries:
         with open(path, "w") as fh:
             fh.write("h,k,epsilon,lambda0,iterations\n")
             for e in self.entries:
-                k = "inf" if e.k is None else repr(e.k)
-                fh.write(f"{e.h!r},{k},{e.epsilon!r},{e.lambda0!r},{e.iterations}\n")
-
-
-def _k_order(k) -> float:
-    return math.inf if k is None else float(k)
-
-
-def _validate_schedules(h_schedule, k_schedule) -> None:
-    if len(h_schedule) == 0 or len(k_schedule) == 0:
-        raise ValueError("schedules must be nonempty")
-    if any(h2 >= h1 for h1, h2 in zip(h_schedule, h_schedule[1:])):
-        raise ValueError("h schedule must be strictly decreasing")
-    ks = [_k_order(k) for k in k_schedule]
-    if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
-        raise ValueError("k schedule must be strictly increasing (None/inf last)")
+                fh.write(f"{e.h!r},{e.k!r},{e.epsilon!r},{e.lambda0!r},{e.iterations}\n")
 
 
 class MeshLevel:
     """One spacing h: grid, operator, the untruncated sampled potential, and
     each distinct truncation min(V, k) with its spectral bottoms, computed
-    once.  A truncation level k of None means the untruncated field; every
-    k >= max V leaves the field bit-for-bit unchanged and shares its results.
+    once.  The level k = math.inf is the untruncated field; every k >= max V
+    leaves the field bit-for-bit unchanged and shares its results.
     """
 
     def __init__(self, op: OperatorMatrix, fld: PotentialField):
@@ -295,14 +259,14 @@ class MeshLevel:
         return cls(op, sample_potential(potential, grid, alpha))
 
     def effective_k(self, k):
-        """The truncation level that min(V, k) actually applies: None when
-        k >= max V."""
-        return None if k is None or k >= self.field.max_value else k
+        """The truncation level that min(V, k) actually applies: math.inf
+        when k >= max V."""
+        return math.inf if k >= self.field.max_value else k
 
     def field_at(self, k) -> PotentialField:
         key = self.effective_k(k)
         if key not in self._fields:
-            self._fields[key] = self.field if key is None else truncate(self.field, key)
+            self._fields[key] = self.field if key == math.inf else truncate(self.field, key)
         return self._fields[key]
 
     def bottom(self, k) -> SpectralResult:
@@ -317,7 +281,7 @@ class MeshLevel:
     def lambda0_floor(self, k_schedule) -> float:
         """min over k_schedule of lambda0(k), solved at the deepest level
         only: min(V, k) grows with k, so the bottom does not increase."""
-        return self.lambda0(max(k_schedule, key=_k_order))
+        return self.lambda0(max(k_schedule))
 
     def _solve(self, k, scale: float) -> SpectralResult:
         """The bottom for scale * min(V, k), solved once, warm-started from
@@ -330,16 +294,15 @@ class MeshLevel:
         return self._bottoms[key]
 
 
-def refinement_series(
-    domain: DomainSpec,
-    alpha: float,
-    potential: PotentialSpec,
-    h_schedule,
-    k_schedule,
-) -> SpectralSeries:
-    """Probe the spectral bottom across refining meshes and deepening
-    truncations.  Entries are ordered mesh-major, matching the schedules;
-    a k of None means the untruncated sampled potential."""
-    _validate_schedules(h_schedule, k_schedule)
-    levels = [MeshLevel.build(domain, alpha, potential, h) for h in h_schedule]
-    return SpectralSeries.from_levels(levels, potential, k_schedule)
+def refinement_series(levels, k_schedule) -> SpectralSeries:
+    """Spectral bottoms of the (1 - epsilon)-scaled truncations min(V, k) at
+    every MeshLevel of levels and every k of k_schedule, mesh-major; epsilon
+    is that of each level's potential."""
+    entries = []
+    for lv in levels:
+        for k in k_schedule:
+            res = lv.bottom(k)
+            entries.append(
+                SpectralEntry(lv.h, float(k), lv.field.spec.epsilon, res.lambda0, res.iterations)
+            )
+    return SpectralSeries(entries)

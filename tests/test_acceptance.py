@@ -34,6 +34,7 @@ from fracheat import (
     sample_potential,
     spectral_bottom,
 )
+from fracheat.spectral import MeshLevel
 
 ALPHA = 0.5
 DOM = DomainSpec.interval(1.0)
@@ -127,9 +128,8 @@ def test_criterion_4_monotone_family():
     grid = build_grid(DOM, 1.0 / 256.0)
     op = assemble_operator(grid, ALPHA)
     u0 = initial_state(grid)
-    family = monotone_family(
-        op, PotentialSpec.hardy_interior(0.5 * CSTAR), [1, 2, 4, 8, 16], u0, 0.5, 1.0 / 64.0
-    )
+    level = MeshLevel(op, sample_potential(PotentialSpec.hardy_interior(0.5 * CSTAR), grid, ALPHA))
+    family = monotone_family(level, [1, 2, 4, 8, 16], u0, 0.5, 1.0 / 64.0)
     worst = -math.inf
     for lower, higher in zip(family, family[1:]):
         worst = max(worst, float(np.max(lower.states - higher.states)))

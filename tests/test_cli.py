@@ -22,6 +22,7 @@ from fracheat import (
     refinement_series,
     run_experiment,
 )
+from fracheat.spectral import MeshLevel
 import fracheat
 from fracheat.cli import main
 from fracheat.config import validate_config
@@ -222,26 +223,27 @@ def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 def test_run_restores_the_callers_blas_threads(tmp_path, monkeypatch):
     import fracheat.runner
+    from fracheat import _lapack
 
-    controls = fracheat.runner._blas_thread_controls()
-    if not controls:
-        pytest.skip("this numpy/scipy build does not bundle OpenBLAS")
+    lib = _lapack.library()
+    if lib is None:
+        pytest.skip("this numpy build does not bundle OpenBLAS")
+    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
     seen = []
     real = fracheat.runner.classify
 
     def spy(*args):
-        seen.append([get() for get, _ in controls])
+        seen.append(get())
         return real(*args)
 
     monkeypatch.setattr(fracheat.runner, "classify", spy)
-    before = [get() for get, _ in controls]
+    before = get()
     try:
-        for _, put in controls:
-            put(2)
-        callers = [get() for get, _ in controls]
+        put(2)
+        callers = get()
         run_experiment(load_config(write_config(tmp_path)), out_dir=tmp_path / "out", threads=2)
-        assert seen == [[1] * len(controls)]
-        assert [get() for get, _ in controls] == callers
+        assert seen == [1]
+        assert get() == callers
 
         def fail(*args):
             raise RuntimeError("stop")
@@ -249,20 +251,18 @@ def test_run_restores_the_callers_blas_threads(tmp_path, monkeypatch):
         monkeypatch.setattr(fracheat.runner, "classify", fail)
         with pytest.raises(RuntimeError):
             run_experiment(load_config(write_config(tmp_path)), out_dir=tmp_path / "out")
-        assert [get() for get, _ in controls] == callers
+        assert get() == callers
     finally:
-        for (_, put), count in zip(controls, before):
-            put(count)
+        put(before)
 
 
 def test_missing_library_fails_the_first_factorization(tmp_path, monkeypatch):
-    import fracheat.runner
     from fracheat import _lapack
 
+    # the BLAS pin leaves a build without the library alone
     monkeypatch.setattr(_lapack, "library", lambda: None)
     path = write_config(tmp_path)
     assert validate_config(path) == []
-    assert fracheat.runner._blas_thread_controls() == ()
     with pytest.raises(MissingLibrary, match="libscipy_openblas64_"):
         run_experiment(load_config(path), out_dir=tmp_path / "out")
 
@@ -379,7 +379,6 @@ def test_import_leaves_out_quadrature_and_special_functions(tmp_path):
 
 def test_runner_dt_matches_min_over_k_rule():
     from fracheat.runner import STEP_MARGIN, _mesh_family
-    from fracheat.spectral import MeshLevel
 
     for cfg in _the_four_configs():
         def coarsest():
@@ -408,22 +407,21 @@ def test_runner_builds_on_one_level_pipeline(tmp_path, monkeypatch):
     cfg = load_config(write_config(tmp_path))
     paths = run_experiment(cfg, out_dir=tmp_path / "out")
 
-    series = refinement_series(cfg.domain, cfg.alpha, cfg.potential, cfg.h_schedule, cfg.k_schedule)
+    levels = [MeshLevel.build(cfg.domain, cfg.alpha, cfg.potential, h) for h in cfg.h_schedule]
+    series = refinement_series(levels, cfg.k_schedule)
     rows = [line.split(",") for line in Path(paths["series"]).read_text().splitlines()[1:]]
     parsed = [
-        (float(h), None if k == "inf" else float(k), float(eps), float(lam), int(its))
-        for h, k, eps, lam, its in rows
+        (float(h), float(k), float(eps), float(lam), int(its)) for h, k, eps, lam, its in rows
     ]
     assert parsed == [(e.h, e.k, e.epsilon, e.lambda0, e.iterations) for e in series.entries]
 
     family = captured["family"]
     assert len(family) == len(cfg.h_schedule) * len(cfg.k_schedule)
     for i, h in enumerate(cfg.h_schedule):
-        op = assemble_operator(build_grid(cfg.domain, h), cfg.alpha)
+        level = MeshLevel.build(cfg.domain, cfg.alpha, cfg.potential, h)
         runner_family = family[i * len(cfg.k_schedule):(i + 1) * len(cfg.k_schedule)]
         expected = monotone_family(
-            op, cfg.potential, cfg.k_schedule, initial_state(op.grid), cfg.t_final,
-            runner_family[0].dt,
+            level, cfg.k_schedule, initial_state(level.op.grid), cfg.t_final, runner_family[0].dt
         )
         for got, want in zip(runner_family, expected):
             assert got.grid.h == h and got.k == want.k
@@ -452,6 +450,24 @@ def test_state_checkpoint_dump(tmp_path):
     assert any("state_checkpoints" in v for v in validate_config(write_config(tmp_path, bad)))
 
 
+def test_untruncated_level_is_inf_in_csv_and_null_in_json(tmp_path):
+    cfg = load_config(write_config(tmp_path, dict(FAST_CONFIG, state_checkpoints=[0.5])))
+    assert cfg.k_schedule == [0.25, math.inf]  # JSON null, the untruncated level
+    paths = run_experiment(cfg, out_dir=tmp_path / "out")
+
+    def levels(name, column, curve=""):
+        rows = [line.split(",") for line in (tmp_path / "out" / name).read_text().splitlines()[1:]]
+        return {row[column] for row in rows if row[0].startswith(curve)}
+
+    assert levels("trajectories.csv", 1) == {"0.25", "inf"}
+    assert levels("states.csv", 1) == {"0.25", "inf"}
+    assert levels("curves.csv", 1, "lambda0_vs_k") == {"0.25", "inf"}
+    text = Path(paths["report"]).read_text()
+    assert "Infinity" not in text
+    evidence = json.loads(text)["verdict"]["evidence"]["lambda0"]
+    assert [k for _, k, _ in evidence] == [None] * len(cfg.h_schedule)
+
+
 def test_config_parsed_once(tmp_path, monkeypatch):
     # load_config builds the config from the values that validation checked
     from fracheat import config
@@ -462,7 +478,7 @@ def test_config_parsed_once(tmp_path, monkeypatch):
     cfg = load_config(write_config(tmp_path, dict(FAST_CONFIG, state_checkpoints=[0.25])))
     assert len(calls) == 1
     assert (cfg.alpha, cfg.probe_time, cfg.state_checkpoints) == (0.5, 0.5, [0.25])
-    assert cfg.h_schedule == [0.125, 0.0625, 0.03125] and cfg.k_schedule == [0.25, None]
+    assert cfg.h_schedule == [0.125, 0.0625, 0.03125] and cfg.k_schedule == [0.25, math.inf]
 
 
 def test_boundary_hardy_run_reports_flag_and_estimate(tmp_path):
@@ -519,6 +535,11 @@ def test_boundary_hardy_run_reports_flag_and_estimate(tmp_path):
         # integers beyond a double's range crashed validate or run on float()
         ({"dt": 1, "t_final": 10 ** 400}, "t_final: missing or not a positive number"),
         ({"k_schedule": [10 ** 400, None]}, "k_schedule: entries must be numbers or null"),
+        # the schedule rules
+        ({"h_schedule": []}, "h_schedule: missing or empty"),
+        ({"h_schedule": [0.03125, 0.0625, 0.125]}, "h_schedule: must be strictly decreasing"),
+        ({"k_schedule": [0.5, 0.25, None]}, "k_schedule: must be strictly increasing (null last)"),
+        ({"k_schedule": [0.25, None, 0.5]}, "k_schedule: must be strictly increasing (null last)"),
         # run reads one probe time
         ({"probe_times": [0.25, 0.5]}, "probe_times: must be a list of one time"),
         # misspelled keys ran with the defaults in their place
@@ -537,7 +558,8 @@ def test_boundary_hardy_run_reports_flag_and_estimate(tmp_path):
         "domain_list", "sweeps_number", "epsilon_string", "comparability_string", "checkpoints_number",
         "output_dir_number", "t_final_overflow", "alpha_true", "trials_true", "domain_R_string",
         "kappa_string", "h_true", "k_true", "epsilon_false", "seed_true", "t_final_huge_int",
-        "k_huge_int", "two_probe_times", "ball_schedul", "growth_ratoi", "energy_trails", "epsilom",
+        "k_huge_int", "h_empty", "h_increasing", "k_decreasing", "k_null_before_number",
+        "two_probe_times", "ball_schedul", "growth_ratoi", "energy_trails", "epsilom",
         "interior_kappa", "interval_b", "initial_center",
     ],
 )

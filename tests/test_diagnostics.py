@@ -10,6 +10,7 @@ from fracheat import (
     INCONCLUSIVE,
     BallTooSmall,
     ClassifierThresholds,
+    DimensionMismatch,
     DomainError,
     DomainSpec,
     InsufficientEvidence,
@@ -34,6 +35,7 @@ from fracheat import (
     shrinking_ball_certificate,
     spectral_bottom,
 )
+from fracheat.spectral import MeshLevel
 
 ALPHA = 0.5
 DOM = DomainSpec.interval(1.0)
@@ -84,34 +86,15 @@ def test_energy_certificate_rejects_nonpositive(interval_op):
         energy_inequality_certificate(interval_op, u2, phi2)
 
 
-def test_energy_certificate_rows_match_single_trials(interval_op):
-    rng = np.random.default_rng(3)
+def test_energy_certificate_takes_one_pair(interval_op):
     n = interval_op.n
-    u = rng.uniform(0.1, 1.1, size=(16, n))
-    phi = rng.standard_normal((16, n))
-    batch = energy_inequality_certificate(interval_op, u, phi)
-    slacks = batch.details["slacks"]
-    singles = [energy_inequality_certificate(interval_op, u[j], phi[j]) for j in range(16)]
-    for got, single in zip(slacks, singles):
-        assert got == pytest.approx(single.slack, rel=1e-12)
-    worst = min(singles, key=lambda c: c.slack)
-    assert batch.slack == np.min(slacks)
-    assert batch.lhs == pytest.approx(worst.lhs, rel=1e-12)
-    assert batch.satisfied and all(c.satisfied for c in singles)
-
-
-def test_energy_certificate_bad_trial_in_a_stack(interval_op):
-    n = interval_op.n
-    u = np.ones((5, n))
-    phi = np.ones((5, n))
-    u[3, 9] = 0.0  # on phi's support in trial 3 only
-    with pytest.raises(NonpositiveState):
-        energy_inequality_certificate(interval_op, u, phi)
-    phi[3] = 0.0
-    phi[3, 2] = 1.0
-    u[3, 9] = -0.5  # off the support, still inadmissible
-    with pytest.raises(NonpositiveState):
-        energy_inequality_certificate(interval_op, u, phi)
+    stacked = np.ones((5, n))
+    with pytest.raises(DimensionMismatch):
+        energy_inequality_certificate(interval_op, stacked, stacked)
+    with pytest.raises(DimensionMismatch):
+        energy_inequality_certificate(interval_op, np.ones(n + 1), np.ones(n + 1))
+    with pytest.raises(DimensionMismatch):
+        energy_inequality_certificate(interval_op, np.ones(n), np.ones(n - 1))
 
 
 # a grid with no mirror, whose stored rows are the whole matrix, and one with two
@@ -233,7 +216,7 @@ def test_log_certificate_validation(interval_op):
     states[4, :] = np.maximum(states[4, :], 0.0)
     states[4, 7] = 0.0
     broken = Trajectory(
-        times=traj.times, states=states, k=None, dt=traj.dt,
+        times=traj.times, states=states, k=math.inf, dt=traj.dt,
         grid=traj.grid, operator=traj.operator, l2_norms=traj.l2_norms,
     )
     t_bad = traj.times[4]
@@ -390,16 +373,20 @@ def _pipeline(coupling_ratio, hs, k_schedule, dt):
         if coupling_ratio is None
         else PotentialSpec.hardy_interior(coupling_ratio * hardy_sharp_constant(1, ALPHA))
     )
-    series = refinement_series(DOM, ALPHA, pot, hs, k_schedule)
+    return _series_and_family(pot, hs, k_schedule, dt)
+
+
+def _series_and_family(pot, hs, k_schedule, dt):
+    levels = [MeshLevel.build(DOM, ALPHA, pot, h) for h in hs]
+    series = refinement_series(levels, k_schedule)
     family = []
-    for h in hs:
-        op = assemble_operator(build_grid(DOM, h), ALPHA)
-        family.extend(monotone_family(op, pot, k_schedule, initial_state(op.grid), 0.5, dt))
+    for lv in levels:
+        family.extend(monotone_family(lv, k_schedule, initial_state(lv.op.grid), 0.5, dt))
     return series, family
 
 
 def test_classify_bounded_exists():
-    series, family = _pipeline(None, [1 / 16, 1 / 32, 1 / 64], [0.25, None], 1.0 / 32.0)
+    series, family = _pipeline(None, [1 / 16, 1 / 32, 1 / 64], [0.25, math.inf], 1.0 / 32.0)
     verdict = classify(series, family)
     assert verdict.label == EXISTS
     assert verdict.epsilon == 0.01
@@ -408,10 +395,10 @@ def test_classify_bounded_exists():
 
 
 def test_classify_insufficient_evidence():
-    series, family = _pipeline(None, [1 / 16, 1 / 32], [None], 1.0 / 32.0)
+    series, family = _pipeline(None, [1 / 16, 1 / 32], [math.inf], 1.0 / 32.0)
     with pytest.raises(InsufficientEvidence):
         classify(series, family)
-    series3, family3 = _pipeline(None, [1 / 16, 1 / 32, 1 / 64], [None], 1.0 / 32.0)
+    series3, family3 = _pipeline(None, [1 / 16, 1 / 32, 1 / 64], [math.inf], 1.0 / 32.0)
     with pytest.raises(InsufficientEvidence):
         classify(series3, family3[:-1])
     with pytest.raises(InsufficientEvidence):
@@ -499,18 +486,14 @@ def test_classify_monotone_in_coupling():
     labels = {}
     for mult in (2.0, 3.0):
         pot = PotentialSpec.hardy_interior(mult * hardy_sharp_constant(1, ALPHA))
-        series = refinement_series(DOM, ALPHA, pot, hs, [None])
-        family = []
-        for h in hs:
-            op = assemble_operator(build_grid(DOM, h), ALPHA)
-            family.extend(monotone_family(op, pot, [None], initial_state(op.grid), 0.5, 1 / 64))
+        series, family = _series_and_family(pot, hs, [math.inf], 1 / 64)
         labels[mult] = classify(series, family, thresholds).label
     if labels[2.0] == "BLOW_UP":
         assert labels[3.0] == "BLOW_UP"
 
 
 def test_classify_inconclusive_on_mixed_signals():
-    series, family = _pipeline(None, [1 / 16, 1 / 32, 1 / 64], [None], 1.0 / 32.0)
+    series, family = _pipeline(None, [1 / 16, 1 / 32, 1 / 64], [math.inf], 1.0 / 32.0)
     # corrupt the finest spectral entry so neither test can pass
     from fracheat.spectral import SpectralEntry
 

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import linalg
 from scipy.linalg import expm
 
 from fracheat import _lapack
+from fracheat.spectral import MeshLevel
 from fracheat import (
     DomainSpec,
     ImplicitStepper,
@@ -20,7 +23,6 @@ from fracheat import (
     orbit_table,
     sample_potential,
     spectral_bottom,
-    step,
     truncate,
     variational_residual,
 )
@@ -32,12 +34,12 @@ DOM = DomainSpec.interval(1.0)
 def test_step_ground_mode_decay(interval_op):
     res = spectral_bottom(interval_op)
     dt = 0.01
-    w = step(interval_op, None, res.eigvec, dt, lambda0=res.lambda0)
+    w = ImplicitStepper(interval_op, None, dt, lambda0=res.lambda0).step(res.eigvec)
     np.testing.assert_allclose(w, res.eigvec / (1.0 + dt * res.lambda0), rtol=1e-12)
 
 
 def test_step_zero_state(interval_op):
-    w = step(interval_op, None, np.zeros(interval_op.n), 0.01)
+    w = ImplicitStepper(interval_op, None, 0.01).step(np.zeros(interval_op.n))
     assert np.array_equal(w, np.zeros(interval_op.n))
 
 
@@ -49,7 +51,7 @@ def test_step_matches_matrix_exponential_locally():
     u = initial_state(g)
     errs = []
     for dt in (0.02, 0.01):
-        w = step(op, fld, u, dt)
+        w = ImplicitStepper(op, fld, dt).step(u)
         exact = expm(-dt * A) @ u
         errs.append(np.linalg.norm(w - exact))
     # backward Euler is first order: local error O(dt^2), so halving dt
@@ -60,7 +62,7 @@ def test_step_matches_matrix_exponential_locally():
 def test_step_restriction_enforced(interval_op):
     strong = np.full(interval_op.n, 60.0)  # lambda0 ~ -59, dt max(0,-l) >= 1/2
     with pytest.raises(StepTooLarge):
-        step(interval_op, strong, np.ones(interval_op.n), 0.01)
+        ImplicitStepper(interval_op, strong, 0.01).step(np.ones(interval_op.n))
 
 
 def test_evolve_free_decay_and_positivity(interval_op):
@@ -90,8 +92,9 @@ def test_evolve_constant_potential_growth(interval_op):
 def test_two_small_steps_beat_one_large(interval_op):
     res = spectral_bottom(interval_op)
     dt = 0.02
-    one = step(interval_op, None, res.eigvec, 2 * dt, lambda0=res.lambda0)
-    two = step(interval_op, None, step(interval_op, None, res.eigvec, dt), dt)
+    one = ImplicitStepper(interval_op, None, 2 * dt, lambda0=res.lambda0).step(res.eigvec)
+    small = ImplicitStepper(interval_op, None, dt)
+    two = small.step(small.step(res.eigvec))
     # (1 + dt lam)^2 = 1 + 2 dt lam + (dt lam)^2 > 1 + 2 dt lam
     assert np.all(two <= one + 1e-14)
     factor_two = (1.0 + dt * res.lambda0) ** -2
@@ -304,7 +307,7 @@ def test_evolve_matches_a_loop_of_steps(domain, h, potential, order, monkeypatch
     monkeypatch.undo()
     assert np.array_equal(traj.states, want)
     assert np.array_equal(traj.l2_norms, np.sqrt(op.cell_volume * np.sum(want * want, axis=1)))
-    looped = Trajectory(traj.times, want, None, dt, g, op, traj.l2_norms)
+    looped = Trajectory(traj.times, want, math.inf, dt, g, op, traj.l2_norms)
     assert duhamel_residual(traj, op, fld) == duhamel_residual(looped, op, fld)
 
 
@@ -357,9 +360,8 @@ def test_evolve_rejects_a_stepper_for_another_potential(interval_op):
 
 def test_monotone_family_inactive_truncation(interval_op):
     u0 = initial_state(interval_op.grid)
-    fam = monotone_family(
-        interval_op, PotentialSpec.bounded("0.3"), [0.5, 1.0, 2.0], u0, 0.25, 1.0 / 32.0
-    )
+    level = MeshLevel(interval_op, sample_potential(PotentialSpec.bounded("0.3"), interval_op.grid, ALPHA))
+    fam = monotone_family(level, [0.5, 1.0, 2.0], u0, 0.25, 1.0 / 32.0)
     # max V = 0.3 <= every level: all trajectories identical
     assert np.array_equal(fam[0].states, fam[1].states)
     assert np.array_equal(fam[1].states, fam[2].states)
@@ -373,9 +375,8 @@ def test_monotone_family_ordering():
     op = assemble_operator(g, ALPHA)
     c = 0.5 * hardy_sharp_constant(1, ALPHA)
     u0 = initial_state(g)
-    fam = monotone_family(
-        op, PotentialSpec.hardy_interior(c), [0.25, 0.5, 1.0, None], u0, 0.25, 1.0 / 32.0
-    )
+    level = MeshLevel(op, sample_potential(PotentialSpec.hardy_interior(c), g, ALPHA))
+    fam = monotone_family(level, [0.25, 0.5, 1.0, math.inf], u0, 0.25, 1.0 / 32.0)
     for lo, hi in zip(fam, fam[1:]):
         assert np.all(hi.states >= lo.states - 1e-10)
     # truncation at the lowest level is active, so the ordering is strict somewhere

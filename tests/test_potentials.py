@@ -1,3 +1,4 @@
+import math
 import time
 
 import mpmath
@@ -51,7 +52,7 @@ def test_hardy_interior_sampling():
     r = np.abs(g.points[:, 0])
     np.testing.assert_allclose(fld.values, 0.3 * r ** -alpha, rtol=1e-14)
     assert fld.values[1] == pytest.approx(0.3 * 2.0, rel=1e-14)  # |x| = 0.25
-    assert fld.truncation_k is None
+    assert fld.truncation_k == math.inf
     assert np.all(np.isfinite(fld.values))
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import linalg
@@ -18,8 +20,13 @@ from fracheat import (
     spectral_bottom,
     truncate,
 )
-from fracheat.evolution import level_family
+from fracheat.evolution import monotone_family
 from fracheat.spectral import MeshLevel
+
+
+def _series(domain, alpha, potential, h_schedule, k_schedule):
+    levels = [MeshLevel.build(domain, alpha, potential, h) for h in h_schedule]
+    return refinement_series(levels, k_schedule)
 
 
 def unit(n, i):
@@ -116,7 +123,7 @@ def test_potential_vector_validation(interval_op):
 def test_refinement_series_bounded_shift():
     dom = DomainSpec.interval(1.0)
     pot = PotentialSpec.bounded("0.5 + 0.3*cos(3*x)")
-    series = refinement_series(dom, 0.5, pot, [1 / 16, 1 / 32], [0.25, 0.5, None])
+    series = _series(dom, 0.5, pot, [1 / 16, 1 / 32], [0.25, 0.5, math.inf])
     assert len(series.entries) == 6
     free = {
         h: spectral_bottom(assemble_operator(build_grid(dom, h), 0.5)).lambda0
@@ -135,9 +142,9 @@ def test_refinement_series_supercritical_decreasing():
     from fracheat import hardy_sharp_constant
 
     c = 2.0 * hardy_sharp_constant(1, 0.5)
-    series = refinement_series(
+    series = _series(
         DomainSpec.interval(1.0), 0.5, PotentialSpec.hardy_interior(c),
-        [1 / 64, 1 / 128, 1 / 256], [None],
+        [1 / 64, 1 / 128, 1 / 256], [math.inf],
     )
     lams = [e.lambda0 for e in series.entries]
     assert all(b < a for a, b in zip(lams, lams[1:]))
@@ -149,9 +156,9 @@ def test_refinement_series_subcritical_stabilizes():
     from fracheat import hardy_sharp_constant
 
     c = 0.5 * hardy_sharp_constant(1, 0.5)
-    series = refinement_series(
+    series = _series(
         DomainSpec.interval(1.0), 0.5, PotentialSpec.hardy_interior(c),
-        [1 / 32, 1 / 64, 1 / 128], [None],
+        [1 / 32, 1 / 64, 1 / 128], [math.inf],
     )
     lams = [e.lambda0 for e in series.entries]
     diffs = [abs(a - b) for a, b in zip(lams, lams[1:])]
@@ -159,8 +166,8 @@ def test_refinement_series_subcritical_stabilizes():
 
 
 def test_series_csv_format(tmp_path):
-    series = refinement_series(
-        DomainSpec.interval(1.0), 0.5, PotentialSpec.bounded("1"), [1 / 8], [1.0, None]
+    series = _series(
+        DomainSpec.interval(1.0), 0.5, PotentialSpec.bounded("1"), [1 / 8], [1.0, math.inf]
     )
     path = tmp_path / "series.csv"
     series.write_csv(path)
@@ -168,19 +175,6 @@ def test_series_csv_format(tmp_path):
     assert lines[0] == "h,k,epsilon,lambda0,iterations"
     assert len(lines) == 3
     assert lines[2].split(",")[1] == "inf"
-
-
-def test_schedule_validation():
-    dom = DomainSpec.interval(1.0)
-    pot = PotentialSpec.bounded("1")
-    with pytest.raises(ValueError):
-        refinement_series(dom, 0.5, pot, [], [1.0])
-    with pytest.raises(ValueError):
-        refinement_series(dom, 0.5, pot, [1 / 8, 1 / 4], [1.0])
-    with pytest.raises(ValueError):
-        refinement_series(dom, 0.5, pot, [1 / 8], [2.0, 1.0])
-    with pytest.raises(ValueError):
-        refinement_series(dom, 0.5, pot, [1 / 8], [None, 1.0])
 
 
 def _dense_bottom(op, V):
@@ -208,8 +202,8 @@ def test_solver_matches_dense_oracle(case):
     fld = sample_potential(potential, op.grid, alpha)
     top = float(fld.values.max())
     warm = None
-    for k in (0.25 * top, 0.5 * top, None):
-        V = fld.values if k is None else truncate(fld, k).values
+    for k in (0.25 * top, 0.5 * top, math.inf):
+        V = truncate(fld, k).values
         lam, vec = _dense_bottom(op, V)
         # cold start, then warm from the eigenvector of the previous k
         for v0 in (None, warm):
@@ -300,14 +294,14 @@ def _counting(monkeypatch, module, name):
 def test_mesh_level_warm_starts_in_k_order(monkeypatch):
     calls = _counting(monkeypatch, spectral, "spectral_bottom")
     level = MeshLevel.build(DomainSpec.interval(1.0), 0.5, PotentialSpec.bounded("0.5 + 0.3*cos(3*x)"), 1 / 32)
-    series = spectral.SpectralSeries.from_levels([level], level.field.spec, [0.25, 0.5, None])
+    series = refinement_series([level], [0.25, 0.5, math.inf])
     assert len(calls) == 3  # the series needs only the scaled bottoms
     # unscaled bottoms are solved on demand, continuing the warm-start chain
-    lambdas = [level.lambda0(k) for k in (0.25, 0.5, None)]
+    lambdas = [level.lambda0(k) for k in (0.25, 0.5, math.inf)]
     assert len(calls) == 6
     eps = level.field.spec.epsilon
     for i, ((op, V), kwargs, _) in enumerate(calls):
-        k = (0.25, 0.5, None)[i % 3]
+        k = (0.25, 0.5, math.inf)[i % 3]
         scale = 1.0 - eps if i < 3 else 1.0
         np.testing.assert_array_equal(V, scale * level.field_at(k).values)
         if i == 0:
@@ -316,8 +310,8 @@ def test_mesh_level_warm_starts_in_k_order(monkeypatch):
             assert kwargs["v0"] is calls[i - 1][2].eigvec
     assert [e.lambda0 for e in series.entries] == [calls[i][2].lambda0 for i in (0, 1, 2)]
     assert lambdas == [calls[i][2].lambda0 for i in (3, 4, 5)]
-    assert [level.lambda0(k) for k in (0.25, 0.5, None)] == lambdas
-    assert level.lambda0_floor([0.25, 0.5, None]) == lambdas[-1]
+    assert [level.lambda0(k) for k in (0.25, 0.5, math.inf)] == lambdas
+    assert level.lambda0_floor([0.25, 0.5, math.inf]) == lambdas[-1]
     assert len(calls) == 6
 
 
@@ -326,7 +320,7 @@ def test_truncated_bottoms_do_not_increase_with_k():
     hardy = PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(1, 0.5))
     for potential in (hardy, PotentialSpec.bounded("0.5 + 0.3*cos(3*x)")):
         level = MeshLevel.build(DomainSpec.interval(1.0), 0.5, potential, 1 / 64)
-        ks = [0.25, 0.5, 1, 2, 4, 8, 16, None]
+        ks = [0.25, 0.5, 1, 2, 4, 8, 16, math.inf]
         lambdas = [level.lambda0(k) for k in ks]
         assert all(l2 <= l1 for l1, l2 in zip(lambdas, lambdas[1:]))
         assert level.lambda0_floor(ks) == min(lambdas)
@@ -335,19 +329,19 @@ def test_truncated_bottoms_do_not_increase_with_k():
 def test_shared_truncations_solve_and_evolve_once(monkeypatch):
     bottoms = _counting(monkeypatch, spectral, "spectral_bottom")
     evolves = _counting(monkeypatch, evolution, "evolve")
-    # max V = 0.8, so k = 1, 2 and None all give the untruncated field
+    # max V = 0.8, so k = 1, 2 and inf all give the untruncated field
     level = MeshLevel.build(DomainSpec.interval(1.0), 0.5, PotentialSpec.bounded("0.5 + 0.3*cos(3*x)"), 1 / 32)
-    ks = [0.25, 1, 2.0, None]
-    assert [level.effective_k(k) for k in ks] == [0.25, None, None, None]
+    ks = [0.25, 1, 2.0, math.inf]
+    assert [level.effective_k(k) for k in ks] == [0.25, math.inf, math.inf, math.inf]
     u0 = initial_state(level.op.grid)
-    family = level_family(level, ks, u0, 0.25, 1 / 32)
+    family = monotone_family(level, ks, u0, 0.25, 1 / 32)
     assert len(bottoms) == 1  # the deepest unscaled bottom bounds every level
     assert len(evolves) == 2
-    assert level.bottom(1) is level.bottom(None)
+    assert level.bottom(1) is level.bottom(math.inf)
     assert len(bottoms) == 2  # one scaled solve serves both names of the full field
-    assert [traj.k for traj in family] == [0.25, 1.0, 2.0, None]
+    assert [traj.k for traj in family] == [0.25, 1.0, 2.0, math.inf]
     for k, traj in zip(ks, family):
-        V = level.field if k is None else truncate(level.field, k)
+        V = level.field if k == math.inf else truncate(level.field, k)
         direct = evolve(level.op, V, u0, 0.25, 1 / 32)
         assert traj.k == direct.k
         assert np.array_equal(traj.states, direct.states)
