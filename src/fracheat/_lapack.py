@@ -80,6 +80,26 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def refactor(factor: np.ndarray, a22: np.ndarray) -> np.ndarray:
+    """Turn the factor of A (see cholesky) into that of a matrix that agrees
+    with A outside its trailing r x r block a22, r = len(a22), in place and
+    return it.  The leading t = n - r rows of the factor stay; its trailing
+    block becomes the factor of the Schur complement a22 - L21 L21^T,
+    L21 = factor[t:, :t], which a22 is overwritten with.  r = n is a full
+    factorization and r = 0 leaves the factor as it is.  Raises
+    np.linalg.LinAlgError when the new matrix is not positive definite."""
+    n, r = _square(factor), len(a22)
+    if r == 0:
+        return factor
+    _square(a22)
+    t = n - r
+    if t:
+        low = factor[t:, :t]
+        a22 -= low @ low.T
+    factor[t:, t:] = cholesky(a22)
+    return factor
+
+
 def solve(factor: np.ndarray, b) -> np.ndarray:
     """x with R^T R x = b for the factor returned by cholesky: R^T y = b,
     then R x = y, each one trsv.  b is not modified."""

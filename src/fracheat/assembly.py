@@ -90,14 +90,22 @@ class OperatorMatrix:
         return _group_permutations(self.n, self.grid.mirrors)
 
     def apply(self, F) -> np.ndarray:
-        """L F for F of shape (n,) or (k, n), one product with the stored
-        rows per group element: (L F)[..., g r] = F[..., perms[g]] . entries[r]."""
+        """L F for F of shape (n,) or (k, n) from the stored rows,
+        (L F)[..., g r] = F[..., perms[g]] . entries[r], with one product per
+        distinct permuted input: an F that every mirror fixes costs one
+        product instead of one per group element."""
         F = np.asarray(F, dtype=float)
         if F.shape[-1:] != (self.n,):
             raise DimensionMismatch(f"expected vectors of length {self.n}, got shape {F.shape}")
         out = np.empty(F.shape)
+        done = []  # (permuted input, its product)
         for perm, nodes in zip(self.perms, self.orbits):
-            out[..., nodes] = F[..., perm] @ self.entries.T
+            G = F[..., perm]
+            product = next((p for H, p in done if np.array_equal(H, G)), None)
+            if product is None:
+                product = G @ self.entries.T
+                done.append((G, product))
+            out[..., nodes] = product
         return out
 
     def fold(self, *vectors) -> tuple:

@@ -15,11 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _lapack
 from .assembly import OperatorMatrix
 from .errors import SolveFailure, StepTooLarge
 from .geometry import Grid
-from .spectral import MeshLevel, _potential_vector, spectral_bottom
+from .spectral import MeshLevel, _potential_vector, _SortedFactor, spectral_bottom
 
 STEP_RESTRICTION = 0.5
 
@@ -66,6 +65,8 @@ class ImplicitStepper:
     factor is kept per group met; a mirror-symmetric state under a
     mirror-symmetric V needs one n / 2^m block, and the result is invariant
     under the same group, so evolve folds once for the whole trajectory.
+    truncate lowers V to min(V, k) in place, refactoring only the trailing
+    blocks where the two differ.
     """
 
     def __init__(self, M: OperatorMatrix, V, dt: float, lambda0: float | None = None):
@@ -84,30 +85,43 @@ class ImplicitStepper:
         self.M = M
         self.dt = float(dt)
         self._potential = vals
-        self._factors = {}  # orbit table's bytes -> factor
+        self._factors = {}  # orbit table's bytes -> (table in the factor's order, factor)
 
     def _solver(self, u: np.ndarray) -> tuple:
-        """The orbit table of the mirrors that fix V and u, and the Cholesky
-        factor (see _lapack.cholesky) of I + dt (L - diag(V)) folded by
-        them: dt times L's cached block B (OperatorMatrix.fold) with the
-        diagonal set to 1 + dt (B_ii - V_i)."""
+        """The orbit table of the mirrors that fix V and u, and the factor of
+        I + dt (L - diag(V)) folded by them: dt times L's cached block B
+        (OperatorMatrix.fold) with the diagonal set to 1 + dt (B_ii - V_i),
+        its rows sorted by V (_SortedFactor).  The table's columns are in
+        the factor's order, so a representatives' vector taken with it is
+        ready for the solve."""
         orbits, block = self.M.fold(self._potential, u)
         key = orbits.tobytes()
         if key not in self._factors:
-            system = self.dt * block
-            diagonal = np.diag(block) - self._potential[orbits[0]]
-            system.flat[:: len(block) + 1] = 1.0 + self.dt * diagonal
+            V = self._potential[orbits[0]]
             try:
-                self._factors[key] = _lapack.cholesky(system)
+                system = _SortedFactor(block, self.dt, 1.0 + self.dt * (np.diag(block) - V), V)
             except np.linalg.LinAlgError as exc:
                 raise SolveFailure(f"factorization of the implicit system failed: {exc}")
-        return orbits, self._factors[key]
+            self._factors[key] = orbits[:, system.order], system
+        return self._factors[key]
+
+    def truncate(self, k: float) -> None:
+        """Make this the stepper of min(V, k), in place.  min(V, k) <= V, so
+        V's step restriction covers it.  Its rows sort by V, so each kept
+        factor changes only in the trailing block of the representatives
+        with V > k, and only that block is refactored."""
+        if not k >= 0:
+            raise ValueError(f"truncation level must be nonnegative, got {k}")
+        self._potential = np.minimum(self._potential, k)
+        for orbits, system in self._factors.values():
+            diagonal = np.diag(system.B)[system.order]
+            system.update(1.0 + self.dt * (diagonal - self._potential[orbits[0]]))
 
     def step(self, u: np.ndarray) -> np.ndarray:
         u = _checked_state(u, self.M.n)
-        orbits, factor = self._solver(u)
+        orbits, system = self._solver(u)
         w = np.empty(self.M.n)
-        w[orbits] = _advance(factor, u[orbits[0]])
+        w[orbits] = _advance(system, u[orbits[0]])
         return w
 
 
@@ -120,11 +134,11 @@ def _checked_state(u, n: int) -> np.ndarray:
     return u
 
 
-def _advance(factor: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One step on the representatives' values: the solve with a stepper's
-    factor, clipped at 0.  Raises SolveFailure on a non-finite value or a
-    genuinely negative one."""
-    w = _lapack.solve(factor, u)
+def _advance(system: _SortedFactor, u: np.ndarray) -> np.ndarray:
+    """One step on the representatives' values, in the factor's order: the
+    solve with a stepper's factor, clipped at 0.  Raises SolveFailure on a
+    non-finite value or a genuinely negative one."""
+    w = system.solve(u)
     low, top = float(np.min(w)), float(np.max(w))  # max |w| is max(top, -low)
     if not (math.isfinite(low) and math.isfinite(top)) or low < -1e-10 * max(1.0, top, -low):
         raise SolveFailure(f"solver produced a non-finite or genuinely negative entry {low:.3e}")
@@ -160,12 +174,12 @@ def evolve(
           or not np.array_equal(stepper._potential, _potential_vector(M, V))):
         raise ValueError("stepper was factored for another operator, time step or potential")
     # the mirrors that fix V and u0 fix every later state: one fold serves all
-    orbits, factor = stepper._solver(u)
+    orbits, system = stepper._solver(u)
     states = np.empty((steps + 1, M.n))
     states[0] = u
     u = u[orbits[0]]
     for i in range(steps):
-        u = _advance(factor, u)
+        u = _advance(system, u)
         states[i + 1][orbits] = u
     states.setflags(write=False)
     times = dt * np.arange(steps + 1)
@@ -186,17 +200,19 @@ def monotone_family(level: MeshLevel, k_schedule, u0, t_final: float, dt: float)
     every k in k_schedule (increasing; math.inf is untruncated), on one shared
     time grid; deeper truncations dominate shallower ones pointwise.  The
     step restriction of every level is enforced with the bottom of the
-    deepest one, a lower bound for them all.  Levels that share one field
-    (k >= max V) are evolved once; each trajectory carries its own k."""
+    deepest one, a lower bound for them all.  One stepper serves the
+    family: it is factored at the deepest level and truncated level by
+    level towards the shallowest (ImplicitStepper.truncate).  Levels that
+    share one field (k >= max V) are evolved once; each trajectory carries
+    its own k."""
     floor = level.lambda0_floor(k_schedule)
+    deepest_first = sorted({level.effective_k(k) for k in k_schedule}, reverse=True)
+    stepper = ImplicitStepper(level.op, level.field_at(deepest_first[0]), dt, lambda0=floor)
     runs = {}
-    family = []
-    for k in k_schedule:
-        key = level.effective_k(k)
-        if key not in runs:
-            runs[key] = evolve(level.op, level.field_at(k), u0, t_final, dt, lambda0=floor)
-        family.append(replace(runs[key], k=float(k)))
-    return family
+    for key in deepest_first:
+        stepper.truncate(key)
+        runs[key] = evolve(level.op, level.field_at(key), u0, t_final, dt, stepper=stepper)
+    return [replace(runs[level.effective_k(k)], k=float(k)) for k in k_schedule]
 
 
 def duhamel_residual(traj: Trajectory, M: OperatorMatrix, V, free=None) -> float:

@@ -429,6 +429,43 @@ def test_apply_commutes_exactly_with_every_mirror(dom, h, alpha):
         assert np.array_equal(op.apply(F[:, m]), op.apply(F)[:, m])
 
 
+class _CountingRows(np.ndarray):
+    """Stored rows that count the products taken with them."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            type(self).products += 1
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "dom,h,alpha", [(DomainSpec.interval(1.0), 1 / 256, 0.5), (DomainSpec.disk(1.0), 1 / 16, 1.0)]
+)
+def test_apply_takes_one_product_per_distinct_permuted_input(dom, h, alpha):
+    from dataclasses import replace
+
+    g = build_grid(dom, h)
+    op = assemble_operator(g, alpha)
+    counted = replace(op, entries=op.entries.view(_CountingRows))
+    rng = np.random.default_rng(10)
+    x = g.points[:, 0]
+    invariant = np.exp(-np.sum(g.points ** 2, axis=1))  # every mirror fixes it
+    cases = [(invariant, 1), (rng.standard_normal(g.n), len(op.perms)),
+             (rng.standard_normal((10, g.n)), len(op.perms)), (np.stack([invariant] * 3), 1)]
+    if g.dimension == 2:  # fixed by the mirror of one axis only
+        cases.append((1.0 + x * x + 0.1 * g.points[:, 1], 2))
+    for F, products in cases:
+        want = np.empty(F.shape)  # one product per group element, the oracle
+        for perm, nodes in zip(op.perms, op.orbits):
+            want[..., nodes] = F[..., perm] @ op.entries.T
+        _CountingRows.products = 0
+        assert np.array_equal(counted.apply(F), want)
+        assert _CountingRows.products == products
+        assert np.array_equal(op.apply(F), want)
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 def test_subgroup_block_matches_pairwise_oracle_fold(axis):
     # V fixed by the mirror of one axis only: the block of that subgroup

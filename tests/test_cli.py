@@ -312,6 +312,35 @@ def test_one_free_flow_factor_per_run(tmp_path, monkeypatch):
     assert free[0][0] == assemble_operator(build_grid(cfg.domain, cfg.h_schedule[-1]), cfg.alpha).n
 
 
+def test_one_factorization_per_family_at_the_finest_order(tmp_path, monkeypatch):
+    from fracheat import _lapack
+
+    orders = []
+    real = _lapack.cholesky
+
+    def counting(a):
+        orders.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(_lapack, "cholesky", counting)
+    hardy = {"kind": "hardy_interior", "c_over_cstar": 2.0, "epsilon": 0.01}
+    doc = dict(FAST_CONFIG, potential=hardy, h_schedule=[0.0625, 0.03125, 0.015625], k_schedule=[0.5, 1, 2, None])
+    cfg = load_config(write_config(tmp_path, doc))
+    run_experiment(cfg, out_dir=tmp_path / "out")
+    level = MeshLevel.build(cfg.domain, cfg.alpha, cfg.potential, cfg.h_schedule[-1])
+    assert [level.effective_k(k) for k in cfg.k_schedule] == [0.5, 1, 2, math.inf]
+    reps = level.op.fold(level.field.values)[0][0]
+    m = len(reps)
+    assert m == level.op.n // 2  # the one mirror of the interval fixes V
+    # the scaled bottoms, the unscaled bottoms and the steppers are one
+    # family each; the free bottom and the free stepper add one each
+    assert orders.count(m) == 5
+    # the shallower levels refactor trailing blocks of the representatives above k
+    above = [int(np.sum(level.field.values[reps] > k)) for k in (2, 1, 0.5)]
+    assert 0 < above[0] < above[-1] < m
+    assert orders.count(above[0]) >= 3
+
+
 def _the_four_configs():
     bundled = [resources.files("fracheat") / "configs" / f"{name}.json"
                for name in ("bounded_1d", "hardy_subcritical_1d", "hardy_supercritical_1d")]

@@ -154,9 +154,10 @@ def test_stepper_rejects_nonfinite_states(interval_op):
 @pytest.mark.parametrize("domain, h, alpha", [(DOM, 1.0 / 64.0, 0.5), (DomainSpec.disk(1.0), 0.125, 1.0)])
 def test_stepper_factor_matches_textbook_system(domain, h, alpha):
     # the factor of the block folded by the whole mirror group, built as dt
-    # times L's cached block with the diagonal 1 + dt (B_ii - V_i); the
-    # block folded from the textbook system I + dt (L - diag(V)) by summing
-    # over each orbit's columns rounds differently and is its oracle
+    # times L's cached block with the diagonal 1 + dt (B_ii - V_i), rows and
+    # columns sorted by V; the block folded from the textbook system
+    # I + dt (L - diag(V)) by summing over each orbit's columns rounds
+    # differently and is its oracle
     g = build_grid(domain, h)
     op = assemble_operator(g, alpha)
     fld = sample_potential(PotentialSpec.hardy_interior(0.1), g, alpha)
@@ -167,13 +168,16 @@ def test_stepper_factor_matches_textbook_system(domain, h, alpha):
     assert len(orbits) == 2 ** g.dimension
     folded, B = op.fold(fld.values)
     assert np.array_equal(folded, orbits)
-    system = dt * B
-    system.flat[:: len(B) + 1] = 1.0 + dt * (np.diag(B) - fld.values[orbits[0]])
+    order = np.argsort(fld.values[orbits[0]], kind="stable")
+    system = dt * B[np.ix_(order, order)]
+    system.flat[:: len(B) + 1] = 1.0 + dt * (np.diag(B) - fld.values[orbits[0]])[order]
     assert len(stepper._factors) == 1
-    factor_of_state = stepper._factors[orbits.tobytes()]
+    sorted_orbits, factored = stepper._factors[orbits.tobytes()]
+    assert np.array_equal(sorted_orbits, orbits[:, order])
+    factor_of_state = factored.factor
     assert np.array_equal(factor_of_state, _lapack.cholesky(system))
     textbook = np.eye(op.n) + dt * (op.apply(np.eye(op.n)) - np.diag(fld.values))
-    block = sum(textbook[np.ix_(orbits[0], row)] for row in orbits)
+    block = sum(textbook[np.ix_(orbits[0][order], row[order])] for row in orbits)
     factor, lower = linalg.cho_factor(block)
     assert not lower
     np.testing.assert_allclose(np.tril(factor_of_state).T, np.triu(factor), rtol=1e-13, atol=0)
@@ -191,7 +195,7 @@ def test_stepper_matches_textbook_solve_on_asymmetric_state(domain, h, alpha):
     want = linalg.cho_solve(linalg.cho_factor(textbook), u)
     np.testing.assert_allclose(stepper.step(u), want, rtol=1e-12, atol=0)
     # no mirror fixes a random state: one factor of the full system
-    assert [factor.shape for factor in stepper._factors.values()] == [(g.n, g.n)]
+    assert [system.factor.shape for _, system in stepper._factors.values()] == [(g.n, g.n)]
 
 
 @pytest.mark.parametrize("domain, h, alpha", [(DOM, 1.0 / 64.0, 0.5), (DomainSpec.disk(1.0), 1.0 / 16.0, 1.0)])
@@ -249,11 +253,14 @@ def test_state_fixed_by_one_mirror_steps_on_its_subgroup(axis, monkeypatch):
 
 
 def _unfolded_step(op, vals, u, dt):
-    """The stepper before the mirror fold: one factor of the full system."""
-    L = op.apply(np.eye(op.n))
+    """The stepper before the mirror fold: one factor of the full system,
+    its rows and columns sorted by V as the stepper sorts them."""
+    order = np.argsort(vals, kind="stable")
+    L = op.apply(np.eye(op.n))[np.ix_(order, order)]
     system = dt * L
-    system.flat[:: op.n + 1] = 1.0 + dt * (np.diag(L) - vals)
-    w = _lapack.solve(_lapack.cholesky(system), u)
+    system.flat[:: op.n + 1] = 1.0 + dt * (np.diag(L) - vals[order])
+    w = np.empty(op.n)
+    w[order] = _lapack.solve(_lapack.cholesky(system), u[order])
     return np.maximum(w, 0.0)
 
 
@@ -386,6 +393,78 @@ def test_monotone_family_ordering():
     big = truncate(fld, fld.max_value + 1.0)
     same = evolve(op, big, u0, 0.25, 1.0 / 32.0)
     assert np.array_equal(same.states, fam[-1].states)
+
+
+FAMILY_CASES = [
+    # V fixed by the one mirror of the interval; null last, and a finite deepest level
+    (DOM, 1.0 / 128.0, ALPHA, "hardy_1d", [0.5, 1.0, 2.0, math.inf]),
+    (DOM, 1.0 / 128.0, ALPHA, "hardy_1d", [0.5, 1.0, 2.0]),
+    # V fixed by both mirrors of the disk
+    (DomainSpec.disk(1.0), 1.0 / 16.0, 1.0, "hardy_2d", [1.0, 4.0, math.inf]),
+    # 0.2 <= V <= 0.8: k = 0.25 truncates almost every representative
+    (DOM, 1.0 / 64.0, ALPHA, "bounded", [0.25, 0.5, math.inf]),
+]
+
+
+@pytest.mark.parametrize("domain, h, alpha, kind, ks", FAMILY_CASES)
+def test_family_steppers_match_fresh_steppers(domain, h, alpha, kind, ks):
+    from fracheat import hardy_sharp_constant
+
+    potential = (PotentialSpec.bounded("0.5 + 0.3*cos(3*x)") if kind == "bounded" else
+                 PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(domain.dimension, alpha)))
+    level = MeshLevel.build(domain, alpha, potential, h)
+    assert len({level.effective_k(k) for k in ks}) == len(ks)
+    floor = level.lambda0_floor(ks)
+    dt = 1.0 / 32.0
+    while dt * max(0.0, -floor) >= 0.45:
+        dt *= 0.5
+    u0 = initial_state(level.op.grid)
+    family = monotone_family(level, ks, u0, 0.25, dt)
+    for k, traj in zip(ks, family):
+        direct = evolve(level.op, level.field_at(k), u0, 0.25, dt, lambda0=floor)
+        assert traj.k == direct.k == k
+        scale = np.max(direct.states, axis=1, keepdims=True)
+        assert np.max(np.abs(traj.states - direct.states) / scale) <= 1e-13
+        np.testing.assert_allclose(traj.l2_norms, direct.l2_norms, rtol=1e-13, atol=0)
+    # the deepest level is factored from scratch, as a fresh stepper is
+    assert np.array_equal(family[-1].states, direct.states)
+
+
+def test_truncate_refactors_the_trailing_block_only(monkeypatch):
+    from fracheat import hardy_sharp_constant
+
+    g = build_grid(DOM, 1.0 / 128.0)
+    op = assemble_operator(g, ALPHA)
+    fld = sample_potential(PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(1, ALPHA)), g, ALPHA)
+    stepper = ImplicitStepper(op, fld, 1.0 / 64.0, lambda0=0.0)
+    u0 = initial_state(g)
+    stepper.step(u0)
+    orders = []
+    real = _lapack.cholesky
+
+    def counting(a):
+        orders.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(_lapack, "cholesky", counting)
+    reps = op.fold(fld.values)[0][0]
+    previous = math.inf
+    for k in (4.0, 2.0, 2.0, 1.0, 0.5):
+        before = len(orders)
+        stepper.truncate(k)
+        assert np.array_equal(stepper._potential, truncate(fld, k).values)
+        # the representatives above k sit last in the factor's order, and
+        # only their block is refactored; a repeated level refactors nothing
+        above = int(np.sum(fld.values[reps] > k))
+        assert orders[before:] == ([] if k == previous else [above])
+        assert 0 < above < len(reps)
+        fresh = ImplicitStepper(op, truncate(fld, k), 1.0 / 64.0, lambda0=0.0)
+        np.testing.assert_allclose(stepper.step(u0), fresh.step(u0), rtol=1e-13, atol=0)
+        previous = k
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            stepper.truncate(bad)
+    assert np.array_equal(stepper._potential, truncate(fld, 0.5).values)
 
 
 def test_duhamel_residual_free_flow(interval_op):
