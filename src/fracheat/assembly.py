@@ -114,33 +114,39 @@ class OperatorMatrix:
         their group, B[r, t] = sum_g L[orbits[0, r], orbits[g, t]], which acts
         as L on the representatives' values of the vectors that group fixes.
 
-        B is built once per subgroup and cached; callers only read it.  The
+        B is built once per subgroup and cached; callers only read it.  Its
+        first call sorts the table's columns, and B with them, stably by the
+        first vector on orbits[0]: spectral._SortedFactor's order.  The
         grid's whole group folds the stored rows, a subgroup gathers its
         representatives' rows from them (row g r = entries[r][perms[g]]), and
         the trivial group, met only when no mirror fixes the vectors, makes
-        the whole n x n matrix.
+        the whole n x n matrix.  A grid with no mirror keeps B = entries, in
+        node order, rather than a second n x n copy.
         """
         mirrors = self.grid.mirrors
         key = tuple(i for i, m in enumerate(mirrors) if all(np.array_equal(v[m], v) for v in vectors))
+        if key not in self._folds and not mirrors:
+            self._folds[key] = orbit_table(self.n, []), self.entries
         if key not in self._folds:
             orbits = orbit_table(self.n, [mirrors[i] for i in key])
+            if vectors:
+                orbits = orbits[:, np.argsort(vectors[0][orbits[0]], kind="stable")]
+            # node orbits[g, r] is entry g * (n / 2^m) + r of the flattened table
+            where = np.empty(self.n, dtype=np.intp)
+            where[self.orbits.ravel()] = np.arange(self.n)
+            element, rep = np.divmod(where[orbits[0]], self.orbits.shape[1])
             if len(key) == len(mirrors):
-                rows = self.entries
+                rows = self.entries  # stored row rep[r] is orbits[0, r]'s; B's rows are ordered last
             else:
-                # node orbits[g, r] is entry g * (n / 2^m) + r of the flattened table
-                where = np.empty(self.n, dtype=np.intp)
-                where[self.orbits.ravel()] = np.arange(self.n)
-                element, rep = np.divmod(where[orbits[0]], self.orbits.shape[1])
                 rows = np.empty((orbits.shape[1], self.n))
                 for g, perm in enumerate(self.perms):
                     mine = element == g
                     rows[mine] = self.entries[np.ix_(rep[mine], perm)]
-            block = rows
-            if len(orbits) > 1:
-                block = np.take(rows, orbits[0], axis=1)
-                for g in orbits[1:]:
-                    block += np.take(rows, g, axis=1)
-            self._folds[key] = orbits, block
+                rep = slice(None)
+            block = np.take(rows, orbits[0], axis=1)
+            for g in orbits[1:]:
+                block += np.take(rows, g, axis=1)
+            self._folds[key] = orbits, block[rep]
         return self._folds[key]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -38,13 +39,32 @@ SOLVER_TOL = 1e-7  # relative solver slack of the exponential bound
 BALL_PROBE_KINDS = ("hardy_interior", "bounded")
 
 
+_ARRAY_DIGESTS = {}  # id -> (weak reference, digest), see _array_digest
+
+
+def _array_digest(a: np.ndarray) -> bytes:
+    """The hex SHA-256 of a's bytes.  An array that owns read-only data
+    (the operator's entries, a trajectory's states) is hashed once while it
+    lives, however many certificates read it."""
+    memo = _ARRAY_DIGESTS.get(id(a))
+    if memo is not None and memo[0]() is a:
+        return memo[1]
+    hasher = hashlib.sha256()
+    hasher.update(np.ascontiguousarray(a))
+    digest = hasher.hexdigest().encode()
+    if a.base is None and not a.flags.writeable:
+        key = id(a)
+        _ARRAY_DIGESTS[key] = weakref.ref(a, lambda _: _ARRAY_DIGESTS.pop(key, None)), digest
+    return digest
+
+
 def _digest(*parts) -> str:
     # Only sha256(), update and hexdigest: the benchmark's tracer stands in
-    # for hashlib with exactly these.
+    # for hashlib with exactly these.  An array enters as its own digest.
     hasher = hashlib.sha256()
     for p in parts:
         if isinstance(p, np.ndarray):
-            hasher.update(np.ascontiguousarray(p))
+            hasher.update(_array_digest(p))
         elif isinstance(p, bytes):
             hasher.update(p)
         else:

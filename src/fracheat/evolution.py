@@ -139,7 +139,7 @@ def _advance(system: _SortedFactor, u: np.ndarray) -> np.ndarray:
     solve with a stepper's factor, clipped at 0.  Raises SolveFailure on a
     non-finite value or a genuinely negative one."""
     w = system.solve(u)
-    low, top = float(np.min(w)), float(np.max(w))  # max |w| is max(top, -low)
+    low, top = float(w.min()), float(w.max())  # max |w| is max(top, -low)
     if not (math.isfinite(low) and math.isfinite(top)) or low < -1e-10 * max(1.0, top, -low):
         raise SolveFailure(f"solver produced a non-finite or genuinely negative entry {low:.3e}")
     # inverse positivity holds exactly; clip roundoff-level negatives
@@ -173,14 +173,14 @@ def evolve(
     elif (stepper.M is not M or stepper.dt != dt
           or not np.array_equal(stepper._potential, _potential_vector(M, V))):
         raise ValueError("stepper was factored for another operator, time step or potential")
-    # the mirrors that fix V and u0 fix every later state: one fold serves all
+    # the mirrors that fix V and u0 fix every later state: one fold, one unfold
     orbits, system = stepper._solver(u)
-    states = np.empty((steps + 1, M.n))
-    states[0] = u
-    u = u[orbits[0]]
+    reps = np.empty((steps + 1, orbits.shape[1]))
+    reps[0] = u[orbits[0]]
     for i in range(steps):
-        u = _advance(system, u)
-        states[i + 1][orbits] = u
+        reps[i + 1] = _advance(system, reps[i])
+    states = np.empty((steps + 1, M.n))
+    states[:, orbits] = reps[:, None, :]
     states.setflags(write=False)
     times = dt * np.arange(steps + 1)
     norms = np.sqrt(M.cell_volume * np.sum(states * states, axis=1))

@@ -63,7 +63,7 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 def spectral_bottom(M: OperatorMatrix, V=None, v0=None) -> SpectralResult:
     """Smallest eigenvalue and unit ground vector of M - diag(V): the family
     of one of spectral_bottoms, which says how it is solved and checked.  v0
-    is the warm start (default the constant vector)."""
+    is the warm start (default the boundary profile delta^(alpha/2))."""
     return spectral_bottoms(M, [V], v0)[0]
 
 
@@ -74,28 +74,30 @@ def spectral_bottoms(M: OperatorMatrix, potentials, v0=None) -> list:
 
     Solved by _ground_states on M.fold(*potentials), the block folded by
     the mirrors that fix every V (the whole matrix when none does); v0,
-    summed over each orbit, warm-starts the first member.  Each pair,
-    unfolded, satisfies ||(M - V) v - lambda v|| <= RESIDUAL_TOL on the
-    full matrix, else ConvergenceFailure is raised.  iterations counts the
-    shift-invert solves; the eigenvector sums to a nonnegative value.
+    summed over each orbit, warm-starts the first member; by default it is
+    delta^(alpha/2), delta the distance to the boundary, as ground states
+    vanish like it (Ros-Oton & Serra 2014).  Each pair, unfolded, satisfies
+    ||(M - V) v - lambda v|| <= RESIDUAL_TOL on the full matrix, else
+    ConvergenceFailure is raised.  iterations counts the shift-invert
+    solves; the eigenvector sums to a nonnegative value.
     """
     vals = [_potential_vector(M, V) for V in potentials]
-    if v0 is not None:
+    if v0 is None:
+        v0 = boundary_distance(M.grid) ** (M.alpha / 2.0)
+    else:
         v0 = np.asarray(v0, dtype=float)
         if v0.shape != (M.n,):
             raise DimensionMismatch(f"expected a vector of length {M.n}, got shape {v0.shape}")
         if not (np.all(np.isfinite(v0)) and np.any(v0)):
             raise ValueError("warm start must be finite and nonzero")
     orbits, block = M.fold(*vals)
-    warm = None if v0 is None else v0[orbits].sum(axis=0)
-    results = _ground_states(block, [d[orbits[0]] for d in vals], warm)
-    if len(orbits) == 1:
-        return results
+    results = _ground_states(block, [d[orbits[0]] for d in vals], v0[orbits].sum(axis=0))
     checked = []
     for res, d in zip(results, vals):
         v = np.empty(M.n)
         v[orbits] = res.eigvec / math.sqrt(len(orbits))
-        checked.append(_checked_pair(M.apply(v), d, v, res.iterations))
+        whole = len(orbits) == 1  # the block is the whole matrix, reordered: residual checked
+        checked.append(res._replace(eigvec=v) if whole else _checked_pair(M.apply(v), d, v, res.iterations))
     return checked
 
 
@@ -356,7 +358,7 @@ class MeshLevel:
         effective levels not solved yet are solved once, as one family
         (spectral_bottoms), deepest first; the family starts from the
         deepest eigenvector of the latest family on this mesh (the first
-        from the constant)."""
+        from spectral_bottoms' default, the boundary profile)."""
         keys = [(self.effective_k(k), scale) for k in k_schedule]
         new = sorted({k for k, _ in keys if (k, scale) not in self._bottoms}, reverse=True)
         if new:

@@ -26,6 +26,7 @@ from fracheat.assembly import (
     _rectangle_complement_integral,
 )
 from fracheat.errors import ConvergenceFailure, DomainError
+from fracheat.geometry import orbit_table
 
 # regression value: smallest eigenvalue of the assembled operator on the
 # unit interval at alpha = 0.5, h = 1/256 (refinement study fixture)
@@ -482,6 +483,38 @@ def test_subgroup_block_matches_pairwise_oracle_fold(axis):
     off = ~np.eye(len(block), dtype=bool)
     assert np.array_equal(block[off], want[off])
     np.testing.assert_allclose(np.diag(block), np.diag(want), rtol=2e-15, atol=0)
+
+
+@pytest.mark.parametrize("dom, h, alpha", [(DomainSpec.interval(1.0), 1 / 64, 0.5),
+                                            (DomainSpec.disk(1.0), 1 / 16, 1.0)])
+def test_fold_orders_its_table_by_the_first_vector(dom, h, alpha):
+    # a fresh fold's table is orbit_table's, its columns in stable order of
+    # the first vector on the representatives, and its block is the fold in
+    # that order; the second vector chooses the subgroup, not the order.
+    # The trivial group of a grid with mirrors is sorted too
+    g = build_grid(dom, h)
+    radius = np.linalg.norm(g.points, axis=1)
+    for V, u in ((np.exp(-radius), np.ones(g.n)), (np.round(radius, 1), np.ones(g.n)),
+                 (np.zeros(g.n), np.ones(g.n)), (np.exp(-radius), 1.0 + 0.1 * g.points[:, 0])):
+        op = assemble_operator(g, alpha)
+        orbits, block = op.fold(V, u)
+        mirrors = [m for m in g.mirrors if np.array_equal(V[m], V) and np.array_equal(u[m], u)]
+        table = orbit_table(g.n, mirrors)
+        order = np.argsort(V[table[0]], kind="stable")
+        assert np.array_equal(orbits, table[:, order])
+        assert np.all(np.diff(V[orbits[0]]) >= 0)
+        L = op.apply(np.eye(g.n))
+        assert np.array_equal(block, sum(L[np.ix_(orbits[0], row)] for row in orbits))
+        assert op.fold(np.ones(g.n), u)[0] is orbits  # cached in the first call's order
+
+
+def test_fold_without_mirrors_is_the_stored_matrix():
+    # no mirror on the grid: B is entries itself, in node order, not a copy
+    g = build_grid(DomainSpec.interval(1.0), 0.03)
+    op = assemble_operator(g, 0.5)
+    assert not g.mirrors and op.entries.shape == (g.n, g.n)
+    orbits, block = op.fold(np.exp(-np.abs(g.points[:, 0])))
+    assert np.array_equal(orbits, np.arange(g.n)[None]) and block is op.entries
 
 
 def test_assembly_peak_memory():

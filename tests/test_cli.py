@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -267,6 +268,31 @@ def test_missing_library_fails_the_first_factorization(tmp_path, monkeypatch):
         run_experiment(load_config(path), out_dir=tmp_path / "out")
 
 
+def _abs_normal_oracle(seed, rows, n):
+    """runner._abs_normal word by word: the SHAKE-256 stream of the seed's
+    digits, cut into little-endian 64-bit words; word i's top 53 bits give
+    the uniform (m + 1/2) 2^-53, the first rows * n of them the radii and
+    the next rows * n the angles of Box-Muller."""
+    count = rows * n
+    stream = hashlib.shake_256(str(seed).encode()).digest(16 * count)
+    words = [int.from_bytes(stream[8 * i : 8 * i + 8], "little") for i in range(2 * count)]
+    u = np.array([((w >> 11) + 0.5) * 2.0 ** -53 for w in words])
+    assert np.all((0.0 < u) & (u < 1.0))
+    radius, angle = u[:count].reshape(rows, n), u[count:].reshape(rows, n)
+    return np.sqrt(-2.0 * np.log(radius)) * np.abs(np.cos(2.0 * np.pi * angle))
+
+
+def test_log_sweep_draws_are_half_normal():
+    from fracheat.runner import _abs_normal
+
+    draws = _abs_normal(11, (40, 1000))
+    assert np.array_equal(draws, _abs_normal_oracle(11, 40, 1000))
+    assert not np.array_equal(draws, _abs_normal(12, (40, 1000)))
+    # |N(0, 1)|: mean sqrt(2 / pi), P(< 1) = erf(1 / sqrt 2), each to 6 standard errors
+    assert abs(draws.mean() - math.sqrt(2.0 / math.pi)) <= 6 * 0.6028 / 200
+    assert abs(np.mean(draws < 1.0) - math.erf(0.5 ** 0.5)) <= 6 * 0.4655 / 200
+
+
 def test_log_sweep_batch_keeps_draws_and_worst_row(tmp_path, monkeypatch):
     import fracheat.runner
 
@@ -280,13 +306,12 @@ def test_log_sweep_batch_keeps_draws_and_worst_row(tmp_path, monkeypatch):
     monkeypatch.setattr(fracheat.runner, "log_estimate_certificate", log_spy)
     paths = run_experiment(load_config(write_config(tmp_path)), out_dir=tmp_path / "out")
     report = json.loads(Path(paths["report"]).read_text())
-    # one batch of the seed's first five draws, reported by its worst row
-    rng = np.random.default_rng(FAST_CONFIG["seed"])
+    # one batch of the seed's first five rows of draws, reported by its worst row
     ((traj, Phi, V, t1, t2),) = logs
+    draws = _abs_normal_oracle(FAST_CONFIG["seed"], *Phi.shape)
     vol = traj.operator.cell_volume
     singles = []
-    for row in Phi:
-        raw = np.abs(rng.standard_normal(traj.operator.n)) + 0.05
+    for row, raw in zip(Phi, draws + 0.05):
         assert np.array_equal(row, raw / math.sqrt(vol * np.sum(raw * raw)))
         singles.append(real_log(traj, row, V, t1, t2))
     (log,) = [c for c in report["certificates"] if c["name"] == "log_estimate_sweep"]
@@ -382,7 +407,8 @@ def test_import_leaves_out_quadrature_and_special_functions(tmp_path):
     # the killing density's quadrature is the package's own, for the disk and
     # the rectangle alike.  bounded_1d runs, and so does disk_2d on a square.
     # A serial run leaves out concurrent.futures too (about 9 ms with the
-    # logging it loads); only --threads above 1 needs its pool.
+    # logging it loads); only --threads above 1 needs its pool.  Nor does the
+    # log-estimate sweep load numpy.random (about ten extension modules).
     configs = [str(resources.files("fracheat") / "configs" / f"{name}.json")
                for name in ("bounded_1d", "hardy_subcritical_1d", "hardy_supercritical_1d")]
     disk = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "disk_2d.json"
@@ -395,7 +421,8 @@ def test_import_leaves_out_quadrature_and_special_functions(tmp_path):
         "for path in sys.argv[2:]: fracheat.load_config(path)\n"
         "for i, path in enumerate((sys.argv[2], sys.argv[-1])):\n"
         "    fracheat.run_experiment(fracheat.load_config(path), out_dir=f'{sys.argv[1]}/{i}')\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'concurrent.futures'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "             or m == 'concurrent.futures' or m.startswith('numpy.random')))"
     )
     src = str(Path(fracheat.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

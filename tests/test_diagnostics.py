@@ -456,6 +456,7 @@ def test_energy_certificates_hash_nothing_until_read(interval_op, monkeypatch):
             return self._h.hexdigest()
 
     monkeypatch.setattr(fracheat.diagnostics, "hashlib", types.SimpleNamespace(sha256=CountingSha256))
+    monkeypatch.setattr(fracheat.diagnostics, "_ARRAY_DIGESTS", {})  # the shared operator's too
     n = interval_op.n
     rng = np.random.default_rng(6)
     certs = [
@@ -463,10 +464,31 @@ def test_energy_certificates_hash_nothing_until_read(interval_op, monkeypatch):
         for _ in range(50)
     ]
     assert sum(hashed) == 0
+    # each array is hashed, then its 64-byte hex digest enters the certificate's
     digest = certs[-1].inputs_digest
-    assert sum(hashed) == interval_op.entries.nbytes + 2 * n * 8
+    assert sum(hashed) == interval_op.entries.nbytes + 2 * n * 8 + 3 * 64
     assert certs[-1].inputs_digest == digest
-    assert sum(hashed) == interval_op.entries.nbytes + 2 * n * 8
+    assert sum(hashed) == interval_op.entries.nbytes + 2 * n * 8 + 3 * 64
+    # the read-only operator is hashed once while it lives; the pair's copies again
+    certs[0].inputs_digest
+    assert sum(hashed) == interval_op.entries.nbytes + 2 * (2 * n * 8 + 3 * 64)
+
+
+def test_array_digest_memo_keeps_only_live_read_only_arrays():
+    from fracheat.diagnostics import _ARRAY_DIGESTS, _digest
+
+    a = np.arange(6.0)
+    first = _digest(a)
+    a[0] = 1.0  # a writable array is hashed on every digest
+    assert _digest(a) != first
+    assert id(a) not in _ARRAY_DIGESTS
+    a.setflags(write=False)
+    memo = _digest(a)
+    assert id(a) in _ARRAY_DIGESTS
+    assert _digest(a[::-1][::-1]) == memo  # a read-only view's bytes are hashed, not memoized
+    key = id(a)
+    del a
+    assert key not in _ARRAY_DIGESTS
 
 
 def test_hashed_arrays_are_read_only(interval_op):

@@ -154,10 +154,11 @@ def test_stepper_rejects_nonfinite_states(interval_op):
 @pytest.mark.parametrize("domain, h, alpha", [(DOM, 1.0 / 64.0, 0.5), (DomainSpec.disk(1.0), 0.125, 1.0)])
 def test_stepper_factor_matches_textbook_system(domain, h, alpha):
     # the factor of the block folded by the whole mirror group, built as dt
-    # times L's cached block with the diagonal 1 + dt (B_ii - V_i), rows and
-    # columns sorted by V; the block folded from the textbook system
-    # I + dt (L - diag(V)) by summing over each orbit's columns rounds
-    # differently and is its oracle
+    # times L's cached block with the diagonal 1 + dt (B_ii - V_i); the
+    # fold's table, and the block with it, is already sorted by V, so the
+    # factor's order is the table's.  The block folded from the textbook
+    # system I + dt (L - diag(V)) by summing over each orbit's columns
+    # rounds differently and is its oracle
     g = build_grid(domain, h)
     op = assemble_operator(g, alpha)
     fld = sample_potential(PotentialSpec.hardy_interior(0.1), g, alpha)
@@ -167,17 +168,18 @@ def test_stepper_factor_matches_textbook_system(domain, h, alpha):
     orbits = orbit_table(g.n, g.mirrors)
     assert len(orbits) == 2 ** g.dimension
     folded, B = op.fold(fld.values)
-    assert np.array_equal(folded, orbits)
     order = np.argsort(fld.values[orbits[0]], kind="stable")
-    system = dt * B[np.ix_(order, order)]
-    system.flat[:: len(B) + 1] = 1.0 + dt * (np.diag(B) - fld.values[orbits[0]])[order]
+    assert np.array_equal(folded, orbits[:, order])
+    system = dt * B
+    system.flat[:: len(B) + 1] = 1.0 + dt * (np.diag(B) - fld.values[folded[0]])
     assert len(stepper._factors) == 1
-    sorted_orbits, factored = stepper._factors[orbits.tobytes()]
-    assert np.array_equal(sorted_orbits, orbits[:, order])
+    sorted_orbits, factored = stepper._factors[folded.tobytes()]
+    assert np.array_equal(sorted_orbits, folded)
+    assert np.array_equal(factored.order, np.arange(len(B)))
     factor_of_state = factored.factor
     assert np.array_equal(factor_of_state, _lapack.cholesky(system))
     textbook = np.eye(op.n) + dt * (op.apply(np.eye(op.n)) - np.diag(fld.values))
-    block = sum(textbook[np.ix_(orbits[0][order], row[order])] for row in orbits)
+    block = sum(textbook[np.ix_(folded[0], row)] for row in folded)
     factor, lower = linalg.cho_factor(block)
     assert not lower
     np.testing.assert_allclose(np.tril(factor_of_state).T, np.triu(factor), rtol=1e-13, atol=0)

@@ -21,6 +21,7 @@ from fracheat import (
     truncate,
 )
 from fracheat.evolution import monotone_family
+from fracheat.geometry import boundary_distance
 from fracheat.spectral import MeshLevel
 
 
@@ -240,34 +241,55 @@ def test_folded_bottom_matches_unfolded_solver(case):
 
 @pytest.mark.parametrize("h, expr", [(1 / 64, "1 + 0.5*x"), (0.03, "0.5 + 0.3*cos(3*x)")])
 def test_asymmetric_problem_solves_on_the_full_matrix(h, expr):
-    # no mirror applies: group order 1, and the solve is the unfolded one
+    # no mirror applies: group order 1, and the solve is the unfolded one on
+    # the whole matrix in the fold's order, returned in node order.  At
+    # h = 1/64 the order is V's; at h = 0.03 the grid has no mirror, and the
+    # fold is the stored matrix in node order
     op = assemble_operator(build_grid(DomainSpec.interval(1.0), h), 0.5)
     V = sample_potential(PotentialSpec.bounded(expr), op.grid, 0.5).values
-    assert len(op.fold(V)[0]) == 1
+    orbits = op.fold(V)[0]
+    assert len(orbits) == 1
+    order = orbits[0]
+    assert np.array_equal(order, np.argsort(V, kind="stable") if op.grid.mirrors else np.arange(op.n))
+    L = op.apply(np.eye(op.n))
+    lam, vec = _dense_bottom(op, V)
+    profile = boundary_distance(op.grid) ** (op.alpha / 2)  # the default start
     warm = np.random.default_rng(4).uniform(0.5, 1.0, op.n)
-    for v0 in (None, warm):
-        full = spectral._ground_states(op.apply(np.eye(op.n)), [V], v0)[0]
+    for v0, start in ((None, profile), (warm, warm)):
+        full = spectral._ground_states(L[np.ix_(order, order)], [V[order]], start[order])[0]
         res = spectral_bottom(op, V, v0=v0)
         assert res.lambda0 == full.lambda0
-        assert np.array_equal(res.eigvec, full.eigvec)
+        assert np.array_equal(res.eigvec[order], full.eigvec)
+        assert np.linalg.norm(L @ res.eigvec - V * res.eigvec - res.lambda0 * res.eigvec) <= spectral.RESIDUAL_TOL
+        assert res.lambda0 == pytest.approx(lam, rel=1e-12)
+        assert np.linalg.norm(res.eigvec - vec) <= 1e-10
 
 
 def test_operator_folded_once_per_subgroup():
-    # solves on one operator share one fold per mirror subgroup, and give
-    # the floats of solves that each fold a freshly assembled operator
+    # solves on one operator share one fold per mirror subgroup, ordered by
+    # the first solve's potential, and give the floats of solves that each
+    # fold a freshly assembled operator first by that potential
     domain, h, alpha, potential = FOLD_CASES["disk_hardy"]
     grid = build_grid(domain, h)
     V = sample_potential(potential, grid, alpha).values
     Vs = [V, 0.5 * V, np.minimum(V, 1.0), V + 0.1 * (grid.points[:, 0] > 0)]
-    fresh = [spectral_bottom(assemble_operator(grid, alpha), W) for W in Vs]
+    fresh = []
+    for W in Vs:
+        op = assemble_operator(grid, alpha)
+        op.fold(V)
+        fresh.append(spectral_bottom(op, W))
     op = assemble_operator(grid, alpha)
     cached = [spectral_bottom(op, W) for W in Vs]
     assert len(op._folds) == 2
     assert [len(op.fold(W)[0]) for W in Vs] == [4, 4, 4, 2]
     assert len(op._folds) == 2
-    for got, want in zip(cached, fresh):
+    for W, got, want in zip(Vs, cached, fresh):
         assert got.lambda0 == want.lambda0
         assert np.array_equal(got.eigvec, want.eigvec)
+        # a fold in W's own order rounds differently
+        own = spectral_bottom(assemble_operator(grid, alpha), W)
+        assert got.lambda0 == pytest.approx(own.lambda0, rel=1e-12)
+        assert np.linalg.norm(got.eigvec - own.eigvec) <= 1e-10
 
 
 def test_solver_warm_start_validated(interval_op):
@@ -276,6 +298,67 @@ def test_solver_warm_start_validated(interval_op):
     for bad in (np.zeros(interval_op.n), np.full(interval_op.n, np.nan)):
         with pytest.raises(ValueError):
             spectral_bottom(interval_op, v0=bad)
+
+
+START_CASES = {
+    "interval": (DomainSpec.interval(1.0), 1 / 64, 0.5, PotentialSpec.bounded("0.5 + 0.3*cos(3*x)")),
+    "disk": (DomainSpec.disk(1.0), 1 / 12, 1.0,
+             PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(2, 1.0))),
+    "rectangle": (DomainSpec.rectangle(1.0, 0.5), 1 / 16, 0.8, PotentialSpec.bounded("1 + x*x - 0.5*y*y")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(START_CASES))
+def test_boundary_profile_start_matches_constant_start(case):
+    # without v0 the solve starts from delta^(alpha/2); the bottom is that
+    # of a start from the constant vector
+    domain, h, alpha, potential = START_CASES[case]
+    op = assemble_operator(build_grid(domain, h), alpha)
+    V = sample_potential(potential, op.grid, alpha).values
+    for W in (V, None):
+        res = spectral_bottom(op, W)
+        const = spectral_bottom(op, W, v0=np.ones(op.n))
+        assert res.lambda0 == pytest.approx(const.lambda0, rel=1e-12)
+        assert np.linalg.norm(res.eigvec - const.eigvec) <= 1e-10
+
+
+def test_cold_families_take_no_more_solves_from_the_boundary_profile():
+    # the cold families of a disk run: each mesh's first (scaled) family,
+    # the free bottom and the shrinking-ball bottom
+    from fracheat.diagnostics import ball_meshes, default_ball_schedule
+
+    disk = DomainSpec.disk(1.0)
+    potential = PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(2, 1.0))
+    scale = 1.0 - potential.epsilon
+    for h in (1 / 8, 1 / 12):
+        level = MeshLevel.build(disk, 1.0, potential, h)
+        ball, spacing = ball_meshes(disk, default_ball_schedule(disk, h), h)[0]
+        probe = MeshLevel.build(ball, 1.0, potential, spacing)
+        families = [(level.op, [scale * level.field_at(k).values for k in (math.inf, 4, 1)]),
+                    (level.op, [None]), (probe.op, [scale * probe.field.values])]
+        for op, potentials in families:
+            profile = spectral.spectral_bottoms(op, potentials)
+            const = spectral.spectral_bottoms(op, potentials, v0=np.ones(op.n))
+            assert sum(r.iterations for r in profile) <= sum(r.iterations for r in const)
+
+
+def test_disk_factors_take_the_fold_in_its_order(monkeypatch):
+    # the mesh's fold is ordered by V, so every factor of the mesh (scaled
+    # and unscaled bottoms, truncated and free steppers, the free bottom)
+    # copies its trailing blocks from it without an index gather
+    level = MeshLevel.build(DomainSpec.disk(1.0), 1.0, FOLD_CASES["disk_hardy"][3], 1 / 12)
+    ks = (1, 4, math.inf)
+    op = level.op
+    assert len(op.fold(level.field.values)[0]) == 4
+    gathers = _counting(monkeypatch, np, "ix_")
+    factors = _counting(monkeypatch, spectral._SortedFactor, "_trailing")
+    level.bottoms(ks)
+    level.lambda0s(ks)
+    u0 = initial_state(op.grid)
+    monotone_family(level, ks, u0, 0.25, 1 / 64)
+    evolution.ImplicitStepper(op, None, 1 / 64).step(u0)
+    spectral_bottom(op)
+    assert len(factors) > 10 and gathers == []
 
 
 def _counting(monkeypatch, module, name):
@@ -321,8 +404,9 @@ def test_mesh_level_solves_each_family_deepest_first(monkeypatch):
         assert kwargs["v0"] is (None if i == 0 else families[0][2][0].eigvec)
         order = np.argsort(potentials[0][orbits[0]], kind="stable")
         first = starts[3 * i][0][1]
-        if i == 0:
-            np.testing.assert_allclose(first, np.full(len(first), len(first) ** -0.5), rtol=1e-15)
+        if i == 0:  # the boundary profile delta^(alpha/2)
+            profile = boundary_distance(level.op.grid) ** (level.op.alpha / 2)
+            np.testing.assert_allclose(first, _folded_direction(profile, orbits, order), atol=1e-15)
         else:
             np.testing.assert_allclose(first, _folded_direction(kwargs["v0"], orbits, order), atol=1e-15)
         # and each later level from the eigenvector of the level before
