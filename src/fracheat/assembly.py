@@ -30,6 +30,7 @@ from .errors import AllocationError, ConvergenceFailure, DimensionMismatch, Doma
 from .geometry import DomainSpec, Grid, _group_permutations, orbit_table
 
 DENSE_SIZE_CAP = 8192
+SCAN_ROWS = 64  # rows of L gathered from the offset table at a time
 
 
 def check_order(d: int, alpha: float) -> None:
@@ -60,17 +61,18 @@ def normalization_constant(d: int, alpha: float) -> float:
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Dense symmetric discretization L of the killed nonlocal operator,
-    stored once per orbit of the grid's mirror group.
+    stored as its lattice-offset table.
 
-    entries holds the rows of the representatives orbits[0] (see
-    geometry.orbit_table); every other row follows from them: row g r of L
-    is entries[r][perms[g]], perms[g] the node permutation of the group
-    element g.  So L commutes exactly with every mirror, and with no mirror
-    entries is the whole matrix.
+    The kernel is translation invariant and the nodes sit on a lattice, so
+    off the diagonal L_ij = entries[|lattice_i - lattice_j|] (entries[0] =
+    0), the table spanning the lattice's box; diagonal holds every L_ii, a
+    node carrying its mirror representative's.  So L commutes exactly with
+    every mirror, and couplings gathers any block of L from the table.
     """
 
     n: int
     entries: np.ndarray
+    diagonal: np.ndarray
     alpha: float
     grid: Grid
     kappa: np.ndarray
@@ -89,11 +91,46 @@ class OperatorMatrix:
     def perms(self) -> np.ndarray:
         return _group_permutations(self.n, self.grid.mirrors)
 
+    @cached_property
+    def _fft(self) -> tuple:
+        """The lattice box doubled per axis, on which circular convolution
+        is linear, each node's flat index in it, and the table's rFFT on it
+        (offset -k at 2 s - k)."""
+        box = tuple(2 * s for s in self.entries.shape)
+        kernel = np.pad(self.entries, [(0, 1)] * len(box))
+        for a, s in enumerate(self.entries.shape):
+            kernel = kernel.take(np.r_[: s + 1, s - 1 : 0 : -1], axis=a)
+        return box, np.ravel_multi_index(tuple(self.grid.lattice.T), box), np.fft.rfftn(kernel)
+
+    def couplings(self, rows, cols) -> np.ndarray:
+        """L's off-diagonal entries between the nodes rows and cols, 0 where
+        a node meets itself, gathered from the table through int32 flat
+        offsets (indexing casts them chunk by chunk; np.take would copy)."""
+        lattice, offsets = self.grid.lattice, 0
+        for a, size in enumerate(self.entries.shape):
+            step = np.subtract.outer(lattice[rows, a], lattice[cols, a])
+            offsets = np.add(offsets * size, np.abs(step, out=step), out=step)
+        return self.entries.ravel()[offsets]
+
+    def _product(self, G: np.ndarray) -> np.ndarray:
+        """(L G)[..., orbits[0]]: the table convolved with G on the doubled
+        box by FFT, read at the representatives, plus the diagonal term."""
+        box, where, kernel = self._fft
+        axes = tuple(range(-len(box), 0))
+        padded = np.zeros(G.shape[:-1] + (math.prod(box),))
+        padded[..., where] = G
+        spectrum = np.fft.rfftn(padded.reshape(G.shape[:-1] + box), axes=axes)
+        del padded
+        spectrum *= kernel
+        conv = np.fft.irfftn(spectrum, s=box, axes=axes).reshape(G.shape[:-1] + (-1,))
+        reps = self.orbits[0]
+        return conv[..., where[reps]] + self.diagonal[reps] * G[..., reps]
+
     def apply(self, F) -> np.ndarray:
-        """L F for F of shape (n,) or (k, n) from the stored rows,
-        (L F)[..., g r] = F[..., perms[g]] . entries[r], with one product per
-        distinct permuted input: an F that every mirror fixes costs one
-        product instead of one per group element."""
+        """L F for F of shape (n,) or (k, n), (L F)[..., orbits[g]] =
+        (L F[..., perms[g]])[..., orbits[0]], one FFT product per distinct
+        permuted input: one in all for an F that every mirror fixes, and the
+        same ones for each mirror image of F, so L commutes exactly with it."""
         F = np.asarray(F, dtype=float)
         if F.shape[-1:] != (self.n,):
             raise DimensionMismatch(f"expected vectors of length {self.n}, got shape {F.shape}")
@@ -103,7 +140,7 @@ class OperatorMatrix:
             G = F[..., perm]
             product = next((p for H, p in done if np.array_equal(H, G)), None)
             if product is None:
-                product = G @ self.entries.T
+                product = self._product(G)
                 done.append((G, product))
             out[..., nodes] = product
         return out
@@ -116,37 +153,27 @@ class OperatorMatrix:
 
         B is built once per subgroup and cached; callers only read it.  Its
         first call sorts the table's columns, and B with them, stably by the
-        first vector on orbits[0]: spectral._SortedFactor's order.  The
-        grid's whole group folds the stored rows, a subgroup gathers its
-        representatives' rows from them (row g r = entries[r][perms[g]]), and
-        the trivial group, met only when no mirror fixes the vectors, makes
-        the whole n x n matrix.  A grid with no mirror keeps B = entries, in
-        node order, rather than a second n x n copy.
+        first vector on orbits[0]: spectral._SortedFactor's order.  Every
+        group, the trivial one and a mirror-free grid's included, gathers
+        its terms from the table SCAN_ROWS rows at a time and sums them in
+        the group's order, the diagonal set on the identity term.
         """
         mirrors = self.grid.mirrors
         key = tuple(i for i, m in enumerate(mirrors) if all(np.array_equal(v[m], v) for v in vectors))
-        if key not in self._folds and not mirrors:
-            self._folds[key] = orbit_table(self.n, []), self.entries
         if key not in self._folds:
             orbits = orbit_table(self.n, [mirrors[i] for i in key])
             if vectors:
                 orbits = orbits[:, np.argsort(vectors[0][orbits[0]], kind="stable")]
-            # node orbits[g, r] is entry g * (n / 2^m) + r of the flattened table
-            where = np.empty(self.n, dtype=np.intp)
-            where[self.orbits.ravel()] = np.arange(self.n)
-            element, rep = np.divmod(where[orbits[0]], self.orbits.shape[1])
-            if len(key) == len(mirrors):
-                rows = self.entries  # stored row rep[r] is orbits[0, r]'s; B's rows are ordered last
-            else:
-                rows = np.empty((orbits.shape[1], self.n))
-                for g, perm in enumerate(self.perms):
-                    mine = element == g
-                    rows[mine] = self.entries[np.ix_(rep[mine], perm)]
-                rep = slice(None)
-            block = np.take(rows, orbits[0], axis=1)
-            for g in orbits[1:]:
-                block += np.take(rows, g, axis=1)
-            self._folds[key] = orbits, block[rep]
+            reps = orbits[0]
+            block = np.empty((len(reps), len(reps)))
+            for start in range(0, len(reps), SCAN_ROWS):
+                rows = reps[start : start + SCAN_ROWS]
+                chunk = block[start : start + SCAN_ROWS]
+                chunk[...] = self.couplings(rows, reps)
+                chunk.flat[start :: len(reps) + 1] = self.diagonal[rows]
+                for g in orbits[1:]:
+                    chunk += self.couplings(rows, g)
+            self._folds[key] = orbits, block
         return self._folds[key]
 
 
@@ -297,15 +324,9 @@ def killing_density(grid: Grid, alpha: float) -> np.ndarray:
 # --- operator assembly -------------------------------------------------------
 
 
-def _axis_offsets(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """|rows_i - index_j| for all pairs, in the indices' integer type."""
-    out = np.subtract.outer(rows, index)
-    return np.abs(out, out=out)
-
-
 def assemble_operator(grid: Grid, alpha: float) -> OperatorMatrix:
-    """Assemble the killed nonlocal operator, stored as the rows of one
-    representative per orbit of the grid's mirror group (OperatorMatrix).
+    """Assemble the killed nonlocal operator as its lattice-offset table
+    and its diagonal (OperatorMatrix).
 
     Off-diagonal couplings are -A h^d / |x_i - x_j|^(d + alpha); the diagonal
     carries the negated off-diagonal row sum plus the killing density, so row
@@ -313,8 +334,9 @@ def assemble_operator(grid: Grid, alpha: float) -> OperatorMatrix:
 
     The kernel is translation invariant and the nodes sit on a lattice, so a
     coupling depends only on the offset |i - j| of the lattice indices: it is
-    tabulated once over the offset box, at distance h |i - j|, and gathered
-    for the representatives' rows through an int32 table of flat offsets.
+    tabulated once over the offset box, at distance h |i - j|.  The row of
+    each mirror representative is gathered from the table SCAN_ROWS rows at
+    a time and summed in node order, and its orbit shares the sum.
     """
     d = grid.dimension
     check_order(d, alpha)
@@ -324,30 +346,20 @@ def assemble_operator(grid: Grid, alpha: float) -> OperatorMatrix:
         )
     A = normalization_constant(d, alpha)
     kappa = killing_density(grid, alpha)
-    lattice = grid.lattice
-    reps = orbit_table(grid.n, grid.mirrors)[0]
-    shape = lattice.max(axis=0) + 1
     squares = np.zeros(())
-    for size in shape:
+    for size in grid.lattice.max(axis=0) + 1:
         squares = np.add.outer(squares, np.arange(size, dtype=float) ** 2)
     with np.errstate(divide="ignore"):
-        table = A * grid.cell_volume * (grid.h * np.sqrt(squares)) ** -(d + alpha)
+        table = -A * grid.cell_volume * (grid.h * np.sqrt(squares)) ** -(d + alpha)
     table.flat[0] = 0.0  # the zero offset is the diagonal
-    # row-major flat index of (|di|, |dj|) in the table, built axis by axis
-    offsets = _axis_offsets(lattice[reps, 0], lattice[:, 0])
-    for a in range(1, d):
-        offsets *= shape[a]
-        offsets += _axis_offsets(lattice[reps, a], lattice[:, a])
-    # indexing casts the int32 offsets chunk by chunk (np.take would copy them
-    # to intp whole); the offsets are freed before the row sums
-    entries = table.ravel()[offsets]
-    del offsets
-    diagonal = entries.sum(axis=1) + kappa[reps]
-    np.negative(entries, out=entries)
-    entries[np.arange(len(reps)), reps] = diagonal
-    entries.setflags(write=False)
-    kappa.setflags(write=False)
-    return OperatorMatrix(n=grid.n, entries=entries, alpha=alpha, grid=grid, kappa=kappa)
+    op = OperatorMatrix(n=grid.n, entries=table, diagonal=np.empty(grid.n), alpha=alpha, grid=grid, kappa=kappa)
+    reps = op.orbits[0]
+    sums = [op.couplings(reps[start : start + SCAN_ROWS], np.arange(grid.n)).sum(axis=1)
+            for start in range(0, len(reps), SCAN_ROWS)]
+    op.diagonal[op.orbits] = kappa[reps] - np.concatenate(sums)
+    for a in (table, op.diagonal, kappa):
+        a.setflags(write=False)
+    return op
 
 
 # --- Fourier-side oracle -----------------------------------------------------

@@ -13,12 +13,12 @@ from __future__ import annotations
 import hashlib
 import math
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .assembly import OperatorMatrix
+from .assembly import SCAN_ROWS, OperatorMatrix
 from .errors import BallTooSmall, DimensionMismatch, DomainError, InsufficientEvidence, NonpositiveState
 from .geometry import DomainSpec, boundary_distance
 from .potentials import PotentialField, PotentialSpec
@@ -33,7 +33,6 @@ MIN_MESH_LEVELS = 3  # refinements the classifier needs to tell a trend
 MIN_BALLS = 3  # radii in the shortest window the shrinking-ball probe fits
 MIN_BALL_NODES = 8  # nodes the probe needs on a ball it solves
 ENERGY_TOL = 1e-12  # rounding allowance of the energy inequality
-SCAN_ROWS = 64  # stored operator rows copied at a time by the exact energy check
 SOLVER_TOL = 1e-7  # relative solver slack of the exponential bound
 # potentials singular at an interior point, the probe's center, or bounded
 BALL_PROBE_KINDS = ("hardy_interior", "bounded")
@@ -44,8 +43,8 @@ _ARRAY_DIGESTS = {}  # id -> (weak reference, digest), see _array_digest
 
 def _array_digest(a: np.ndarray) -> bytes:
     """The hex SHA-256 of a's bytes.  An array that owns read-only data
-    (the operator's entries, a trajectory's states) is hashed once while it
-    lives, however many certificates read it."""
+    (the operator's table and diagonal, a trajectory's states) is hashed
+    once while it lives, however many certificates read it."""
     memo = _ARRAY_DIGESTS.get(id(a))
     if memo is not None and memo[0]() is a:
         return memo[1]
@@ -140,7 +139,7 @@ def energy_inequality_certificate(M: OperatorMatrix, u, phi) -> Certificate:
     lhs = M.cell_volume * np.sum(quotient * Lu)
     rhs = M.cell_volume * np.sum(phi * Lphi)
     return _make_certificate(
-        "energy_inequality", (M.entries, u.copy(), phi.copy()), lhs, rhs, ENERGY_TOL
+        "energy_inequality", (M.entries, M.diagonal, u.copy(), phi.copy()), lhs, rhs, ENERGY_TOL
     )
 
 
@@ -149,12 +148,13 @@ def energy_inequality_all_pairs(M: OperatorMatrix) -> Certificate:
     pair's slack is the sum over i < j of (-L_ij) h^d u_i u_j (phi_i / u_i -
     phi_j / u_j)^2, so it holds for all pairs iff every off-diagonal L_ij <= 0.
     The certificate is energy_inequality_certificate at u = e_i + e_j, phi =
-    e_i - e_j (slack -4 L_ij h^d) for the largest off-diagonal L_ij, read from
-    the stored rows SCAN_ROWS at a time; satisfied iff L_ij <= 0, exactly."""
+    e_i - e_j (slack -4 L_ij h^d) for the first largest off-diagonal L_ij of
+    the representatives' rows, gathered from the offset table SCAN_ROWS at a
+    time; satisfied iff L_ij <= 0, exactly."""
     reps = M.orbits[0]
     i, j, value = 0, 0, -math.inf  # L has no off-diagonal when n = 1
     for start in range(0, len(reps), SCAN_ROWS):
-        rows = M.entries[start : start + SCAN_ROWS].copy()
+        rows = M.couplings(reps[start : start + SCAN_ROWS], np.arange(M.n))
         rows[np.arange(len(rows)), reps[start : start + SCAN_ROWS]] = -np.inf
         r, c = divmod(int(np.argmax(rows)), M.n)
         if rows[r, c] > value:
@@ -206,7 +206,7 @@ def log_estimate_certificate(
     tolerance = 1e-9 * scale + traj.dt * scale
     return _make_certificate(
         "log_estimate",
-        (M.entries, traj.states, Phi[worst].copy(), vals.copy(), t1, t2),
+        (M.entries, M.diagonal, traj.states, Phi[worst].copy(), vals.copy(), t1, t2),
         lhs,
         rhs,
         tolerance,
@@ -278,7 +278,7 @@ def ground_state_comparability(
     lhs = r_max / r_min if r_min > 0 else math.inf
     return _make_certificate(
         "ground_state_comparability",
-        (M.entries, np.array(u0, dtype=float), t, dt),
+        (M.entries, M.diagonal, np.array(u0, dtype=float), t, dt),
         lhs,
         ratio_bound,
         0.0,
@@ -418,13 +418,7 @@ class ClassifierThresholds:
     atol: float = 1e-8
 
     def as_dict(self) -> dict:
-        return {
-            "rel_tol": self.rel_tol,
-            "divergence_ratio": self.divergence_ratio,
-            "growth_ratio": self.growth_ratio,
-            "probe_time": self.probe_time,
-            "atol": self.atol,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

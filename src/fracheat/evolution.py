@@ -256,22 +256,15 @@ def variational_residual(traj: Trajectory, M: OperatorMatrix, V, phi, phi_t=None
     """
     vals = _potential_vector(M, V)
     times = traj.times
-    nt = len(times)
     phis = np.stack([np.asarray(phi(t, traj.grid.points), dtype=float) for t in times])
     if phi_t is not None:
         dphis = np.stack([np.asarray(phi_t(t, traj.grid.points), dtype=float) for t in times])
     else:
         dphis = np.gradient(phis, traj.dt, axis=0)
     vol = M.cell_volume
-    Lphis = M.apply(phis)
-    integrand = np.empty(nt)
-    source = np.empty(nt)
-    for i in range(nt):
-        integrand[i] = vol * np.dot(traj.states[i], -dphis[i] + Lphis[i])
-        source[i] = vol * np.dot(traj.states[i] * phis[i], vals)
-    boundary = vol * (
-        np.dot(traj.states[-1], phis[-1]) - np.dot(traj.states[0], phis[0])
-    )
+    integrand = vol * np.sum(traj.states * (M.apply(phis) - dphis), axis=1)
+    source = vol * np.sum(traj.states * phis * vals, axis=1)
+    boundary = vol * (np.dot(traj.states[-1], phis[-1]) - np.dot(traj.states[0], phis[0]))
     lhs = boundary + np.trapezoid(integrand, times)
     rhs = np.trapezoid(source, times)
     return float(abs(lhs - rhs))

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -342,12 +343,18 @@ def test_operator_single_node_is_kappa():
     g = build_grid(DomainSpec.interval(1.0), 1.5)
     assert g.n == 1
     op = assemble_operator(g, 0.5)
-    assert op.entries.shape == (1, 1)
-    assert op.entries[0, 0] == pytest.approx(op.kappa[0], rel=1e-15)
+    assert op.entries.shape == (1,) and op.diagonal.shape == (1,)
+    assert op.diagonal[0] == pytest.approx(op.kappa[0], rel=1e-15)
+
+
+def _dense(op):
+    """L in node order, bit for bit: the trivial group's fold by a vector no
+    mirror fixes, sorted by it, on a copy of op that has no fold cached."""
+    return replace(op).fold(np.arange(op.n, dtype=float))[1]
 
 
 def test_operator_structure(interval_op):
-    E = interval_op.apply(np.eye(interval_op.n))
+    E = _dense(interval_op)
     assert np.max(np.abs(E - E.T)) == 0.0
     off = E - np.diag(np.diag(E))
     assert np.max(off) <= 0.0
@@ -380,8 +387,9 @@ def test_offset_gather_matches_pairwise_oracle_on_dyadic_grids(dom, h, alpha):
     op = assemble_operator(g, alpha)
     oracle = _pairwise_assembly(g, alpha)
     assert len(op.orbits) == 2 ** dom.dimension
-    assert np.array_equal(op.entries, oracle[op.orbits[0]])
-    E = op.apply(np.eye(op.n))
+    E = _dense(op)
+    assert np.array_equal(E[op.orbits[0]], oracle[op.orbits[0]])
+    assert np.array_equal(op.diagonal, np.diag(E))
     off = ~np.eye(op.n, dtype=bool)
     assert np.array_equal(E[off], oracle[off])
     assert np.array_equal(E, E.T)
@@ -395,7 +403,7 @@ def test_offset_gather_matches_pairwise_oracle_on_dyadic_grids(dom, h, alpha):
     "dom,h,alpha",
     [
         (DomainSpec.disk(1.0), 1 / 24, 1.0),
-        (DomainSpec.interval(1.0), 0.03, 0.5),  # no mirror: the whole matrix is stored
+        (DomainSpec.interval(1.0), 0.03, 0.5),  # no mirror
         (DomainSpec.rectangle(1.0, 0.56), 0.05, 1.0),  # 2 b / h is not whole: the x mirror only
     ],
 )
@@ -405,16 +413,52 @@ def test_offset_gather_matches_pairwise_oracle(dom, h, alpha):
     # to 1e-14
     g = build_grid(dom, h)
     op = assemble_operator(g, alpha)
-    assert op.entries.shape == (g.n // 2 ** len(g.mirrors), g.n)
-    E = op.apply(np.eye(op.n))
+    assert op.entries.shape == tuple(g.lattice.max(axis=0) + 1) and op.diagonal.shape == (g.n,)
+    E = _dense(op)
     oracle = _pairwise_assembly(g, alpha)
     assert np.max(np.abs(E - oracle)) <= 1e-14 * np.max(np.abs(oracle))
     assert np.array_equal(E, E.T)
-    # asymmetric batches and single vectors
+
+
+def _chunked_pairwise_product(grid, alpha, F, chunk=256):
+    """Oracle: F @ L.T with L's rows built from x_i - x_j, chunk rows at a
+    time, so no n x n array is made."""
+    d = grid.dimension
+    pts = grid.points
+    kappa = killing_density(grid, alpha)
+    out = np.empty(F.shape)
+    for start in range(0, grid.n, chunk):
+        rows = np.arange(start, min(start + chunk, grid.n))
+        diff = pts[rows, None, :] - pts[None, :, :]
+        with np.errstate(divide="ignore"):
+            w = normalization_constant(d, alpha) * grid.cell_volume * np.sqrt(np.sum(diff * diff, axis=-1)) ** -(d + alpha)
+        w[np.arange(len(rows)), rows] = 0.0
+        L = -w
+        L[np.arange(len(rows)), rows] = w.sum(axis=1) + kappa[rows]
+        out[..., rows] = F @ L.T
+    return out
+
+
+@pytest.mark.parametrize(
+    "dom,h,alpha",
+    [
+        (DomainSpec.interval(1.0), 1 / 2048, 0.5),  # n = 4096
+        (DomainSpec.interval(1.0), 0.03, 0.5),  # no mirror
+        (DomainSpec.disk(1.0), 1 / 24, 1.0),
+        (DomainSpec.rectangle(1.0, 0.56), 0.05, 1.0),
+    ],
+)
+def test_apply_matches_row_chunked_pairwise_oracle(dom, h, alpha):
+    # FFT products on the doubled lattice box, against the rows: asymmetric
+    # batches, single vectors and a vector every mirror fixes
+    g = build_grid(dom, h)
+    op = assemble_operator(g, alpha)
     F = np.random.default_rng(8).standard_normal((5, g.n))
-    want = F @ oracle.T
+    F[4] = np.exp(-np.sum(g.points ** 2, axis=1))
+    want = _chunked_pairwise_product(g, alpha, F)
     assert np.max(np.abs(op.apply(F) - want)) <= 1e-14 * np.max(np.abs(want))
-    assert np.max(np.abs(op.apply(F[2]) - want[2])) <= 1e-14 * np.max(np.abs(want[2]))
+    for row in (2, 4):
+        assert np.max(np.abs(op.apply(F[row]) - want[row])) <= 1e-14 * np.max(np.abs(want[row]))
 
 
 @pytest.mark.parametrize(
@@ -430,26 +474,15 @@ def test_apply_commutes_exactly_with_every_mirror(dom, h, alpha):
         assert np.array_equal(op.apply(F[:, m]), op.apply(F)[:, m])
 
 
-class _CountingRows(np.ndarray):
-    """Stored rows that count the products taken with them."""
-
-    products = 0
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            type(self).products += 1
-        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
-
-
 @pytest.mark.parametrize(
     "dom,h,alpha", [(DomainSpec.interval(1.0), 1 / 256, 0.5), (DomainSpec.disk(1.0), 1 / 16, 1.0)]
 )
-def test_apply_takes_one_product_per_distinct_permuted_input(dom, h, alpha):
-    from dataclasses import replace
-
+def test_apply_takes_one_product_per_distinct_permuted_input(dom, h, alpha, monkeypatch):
     g = build_grid(dom, h)
     op = assemble_operator(g, alpha)
-    counted = replace(op, entries=op.entries.view(_CountingRows))
+    products = []  # one inverse FFT per product
+    inverse = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn", lambda *a, **kw: products.append(a[0].shape) or inverse(*a, **kw))
     rng = np.random.default_rng(10)
     x = g.points[:, 0]
     invariant = np.exp(-np.sum(g.points ** 2, axis=1))  # every mirror fixes it
@@ -457,26 +490,25 @@ def test_apply_takes_one_product_per_distinct_permuted_input(dom, h, alpha):
              (rng.standard_normal((10, g.n)), len(op.perms)), (np.stack([invariant] * 3), 1)]
     if g.dimension == 2:  # fixed by the mirror of one axis only
         cases.append((1.0 + x * x + 0.1 * g.points[:, 1], 2))
-    for F, products in cases:
+    for F, count in cases:
         want = np.empty(F.shape)  # one product per group element, the oracle
         for perm, nodes in zip(op.perms, op.orbits):
-            want[..., nodes] = F[..., perm] @ op.entries.T
-        _CountingRows.products = 0
-        assert np.array_equal(counted.apply(F), want)
-        assert _CountingRows.products == products
+            want[..., nodes] = op._product(F[..., perm])
+        products.clear()
         assert np.array_equal(op.apply(F), want)
+        assert len(products) == count
 
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_subgroup_block_matches_pairwise_oracle_fold(axis):
     # V fixed by the mirror of one axis only: the block of that subgroup
-    # gathers its representatives' rows from the stored ones
+    # gathers its representatives' rows from the table
     g = build_grid(DomainSpec.disk(1.0), 1 / 16)
     op = assemble_operator(g, 1.0)
     V = 1.0 + 0.1 * g.points[:, 1 - axis] + 0.2 * g.points[:, axis] ** 2
     orbits, block = op.fold(V)
     assert len(orbits) == 2 and len(op.orbits) == 4
-    L = op.apply(np.eye(op.n))
+    L = _dense(op)
     assert np.array_equal(block, sum(L[np.ix_(orbits[0], row)] for row in orbits))
     # the dyadic oracle differs only in the diagonals of non-representatives
     want = sum(_pairwise_assembly(g, 1.0)[np.ix_(orbits[0], row)] for row in orbits)
@@ -486,12 +518,13 @@ def test_subgroup_block_matches_pairwise_oracle_fold(axis):
 
 
 @pytest.mark.parametrize("dom, h, alpha", [(DomainSpec.interval(1.0), 1 / 64, 0.5),
-                                            (DomainSpec.disk(1.0), 1 / 16, 1.0)])
+                                            (DomainSpec.disk(1.0), 1 / 16, 1.0),
+                                            (DomainSpec.interval(1.0), 0.03, 0.5)])  # no mirror
 def test_fold_orders_its_table_by_the_first_vector(dom, h, alpha):
     # a fresh fold's table is orbit_table's, its columns in stable order of
     # the first vector on the representatives, and its block is the fold in
     # that order; the second vector chooses the subgroup, not the order.
-    # The trivial group of a grid with mirrors is sorted too
+    # The trivial group is sorted too, on a grid with mirrors or without
     g = build_grid(dom, h)
     radius = np.linalg.norm(g.points, axis=1)
     for V, u in ((np.exp(-radius), np.ones(g.n)), (np.round(radius, 1), np.ones(g.n)),
@@ -503,23 +536,71 @@ def test_fold_orders_its_table_by_the_first_vector(dom, h, alpha):
         order = np.argsort(V[table[0]], kind="stable")
         assert np.array_equal(orbits, table[:, order])
         assert np.all(np.diff(V[orbits[0]]) >= 0)
-        L = op.apply(np.eye(g.n))
+        L = _dense(op)
         assert np.array_equal(block, sum(L[np.ix_(orbits[0], row)] for row in orbits))
         assert op.fold(np.ones(g.n), u)[0] is orbits  # cached in the first call's order
 
 
-def test_fold_without_mirrors_is_the_stored_matrix():
-    # no mirror on the grid: B is entries itself, in node order, not a copy
-    g = build_grid(DomainSpec.interval(1.0), 0.03)
-    op = assemble_operator(g, 0.5)
-    assert not g.mirrors and op.entries.shape == (g.n, g.n)
-    orbits, block = op.fold(np.exp(-np.abs(g.points[:, 0])))
-    assert np.array_equal(orbits, np.arange(g.n)[None]) and block is op.entries
+def _pairwise_lattice_oracle(grid, alpha):
+    """Oracle: L built pair by pair from the kernel at h |lattice_i -
+    lattice_j|, each diagonal the row sum of its orbit's representative in
+    node order plus kappa, the sum every node of the orbit carries."""
+    d = grid.dimension
+    lattice = grid.lattice.astype(float)
+    squares = np.sum((lattice[:, None, :] - lattice[None, :, :]) ** 2, axis=-1)
+    with np.errstate(divide="ignore"):
+        L = -normalization_constant(d, alpha) * grid.cell_volume * (grid.h * np.sqrt(squares)) ** -(d + alpha)
+    np.fill_diagonal(L, 0.0)
+    orbits = orbit_table(grid.n, grid.mirrors)
+    diagonal = np.empty(grid.n)
+    diagonal[orbits] = killing_density(grid, alpha)[orbits[0]] - L[orbits[0]].sum(axis=1)
+    np.fill_diagonal(L, diagonal)
+    return L
+
+
+@pytest.mark.parametrize("dom, h, alpha", [(DomainSpec.interval(1.0), 1 / 64, 0.5),
+                                            (DomainSpec.interval(1.0), 0.03, 0.5),  # no mirror
+                                            (DomainSpec.disk(1.0), 1 / 16, 1.0)])
+def test_every_fold_matches_the_pairwise_oracle_bit_for_bit(dom, h, alpha):
+    # the whole group, one mirror's subgroup (on the disk), and the trivial
+    # group: each block is the oracle's fold over the op's sorted table
+    g = build_grid(dom, h)
+    oracle = _pairwise_lattice_oracle(g, alpha)
+    x, r = g.points[:, 0], np.linalg.norm(g.points, axis=1)
+    vectors = [np.exp(-r), np.arange(g.n, dtype=float)]
+    if g.dimension == 2:
+        vectors.append(1.0 + 0.1 * g.points[:, 1] + x * x)
+    for V in vectors:
+        orbits, block = assemble_operator(g, alpha).fold(V)
+        mirrors = [m for m in g.mirrors if np.array_equal(V[m], V)]
+        table = orbit_table(g.n, mirrors)
+        assert np.array_equal(orbits, table[:, np.argsort(V[table[0]], kind="stable")])
+        assert np.array_equal(block, sum(oracle[np.ix_(orbits[0], row)] for row in orbits))
+
+
+@pytest.mark.parametrize("dom, h", [(DomainSpec.interval(1.0), 1 / 256),
+                                    (DomainSpec.interval(1.0), 0.03),
+                                    (DomainSpec.disk(1.0), 1 / 24)])
+def test_operator_holds_no_array_of_its_representatives_rows(dom, h):
+    # the offset table and the diagonal, not n / 2^m rows of n entries;
+    # products and folds add only vectors, the table's spectrum and blocks
+    g = build_grid(dom, h)
+    op = assemble_operator(g, 0.5 if g.dimension == 1 else 1.0)
+    rows = g.n // 2 ** len(g.mirrors) * g.n
+
+    def arrays():
+        held = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+        held += [v for t in vars(op).values() if isinstance(t, tuple) for v in t if isinstance(v, np.ndarray)]
+        return held
+
+    assert all(a.size < rows for a in arrays())
+    op.apply(np.random.default_rng(1).standard_normal((2, g.n)))
+    assert all(a.size < rows for a in arrays())
 
 
 def test_assembly_peak_memory():
-    # the int32 offsets and the representatives' rows, n / 2^m of them, not
-    # the whole matrix or an n^2 x d difference array
+    # the offset table and 64 gathered rows at a time, not the
+    # representatives' rows, the whole matrix or an n^2 x d difference array
     g = build_grid(DomainSpec.disk(1.0), 1 / 24)
     tracemalloc.start()
     try:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from fracheat import (
     DomainSpec,
     InsufficientEvidence,
     NonpositiveState,
-    OperatorMatrix,
     PotentialSpec,
     Trajectory,
     assemble_operator,
@@ -97,23 +97,31 @@ def test_energy_certificate_takes_one_pair(interval_op):
         energy_inequality_certificate(interval_op, np.ones(n), np.ones(n - 1))
 
 
-# a grid with no mirror, whose stored rows are the whole matrix, and one with two
+# a grid with no mirror and one with two
 ALL_PAIRS_GRIDS = [(DomainSpec.interval(1.0), 0.03, 0), (DomainSpec.disk(1.0), 1.0 / 16.0, 2)]
 
 
-def unit(n, i):
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
+def _offset(op, i, j):
+    return tuple(np.abs(op.grid.lattice[i] - op.grid.lattice[j]))
 
 
 def _with_coupling(op, i, j, value):
-    """A copy of op with L_ij = L_ji = value at every mirror image of (i, j)."""
-    full = op.apply(np.eye(op.n))
-    for perm in op.perms:
-        full[perm[i], perm[j]] = full[perm[j], perm[i]] = value
-    return OperatorMatrix(n=op.n, entries=full[op.orbits[0]], alpha=op.alpha, grid=op.grid,
-                          kappa=op.kappa)
+    """A copy of op whose offset table holds value at the offset of nodes i
+    and j: L_ab = value for every pair (a, b) at that offset."""
+    table = op.entries.copy()
+    table[_offset(op, i, j)] = value
+    table.setflags(write=False)
+    return replace(op, entries=table)
+
+
+def _first_pair_at_offset(op, i, j):
+    """The first pair (representative r, node b) at the offset of (i, j), in
+    the order of the representatives' rows and of the nodes in a row."""
+    lattice = op.grid.lattice
+    for r in op.orbits[0]:
+        hits = np.flatnonzero(np.all(np.abs(lattice - lattice[r]) == _offset(op, i, j), axis=1))
+        if hits.size:
+            return int(r), int(hits[0])
 
 
 @pytest.mark.parametrize("domain, h, mirrors", ALL_PAIRS_GRIDS)
@@ -123,12 +131,13 @@ def test_energy_all_pairs_fails_at_a_positive_coupling(domain, h, mirrors):
     sound = energy_inequality_all_pairs(op)
     assert sound.satisfied and sound.details["L_ij"] < 0.0
     i, j = 5, op.n // 2 + 3
+    witness = _first_pair_at_offset(op, i, j)
+    assert _offset(op, *witness) == _offset(op, i, j)
     # the coupling's own magnitude, and one whose slack is below rounding
-    for value in (-op.apply(unit(op.n, j))[i], 1e-300):
+    for value in (-op.couplings([i], [j])[0, 0], 1e-300):
         bad = energy_inequality_all_pairs(_with_coupling(op, i, j, value))
-        images = {(int(p[a]), int(p[b])) for p in op.perms for a, b in ((i, j), (j, i))}
         assert not bad.satisfied
-        assert (bad.details["i"], bad.details["j"]) in images and bad.details["L_ij"] == value
+        assert (bad.details["i"], bad.details["j"]) == witness and bad.details["L_ij"] == value
 
 
 @pytest.mark.parametrize("domain, h, mirrors", ALL_PAIRS_GRIDS)
@@ -138,7 +147,9 @@ def test_energy_witness_slack_is_four_couplings(domain, h, mirrors):
     for M in (op, _with_coupling(op, i, j, 0.25)):
         cert = energy_inequality_all_pairs(M)
         value = cert.details["L_ij"]
-        assert value == M.apply(unit(M.n, cert.details["j"]))[cert.details["i"]]
+        # L in node order, bit for bit: the fold by a vector no mirror fixes
+        L = M.fold(np.arange(M.n, dtype=float))[1]
+        assert value == L[cert.details["i"], cert.details["j"]]
         assert abs(cert.slack + 4.0 * value * M.cell_volume) <= 1e-14 * cert.rhs
     assert cert.details["L_ij"] == 0.25 and cert.slack < 0.0
 
@@ -148,7 +159,7 @@ def test_energy_witness_slack_is_four_couplings(domain, h, mirrors):
 def test_energy_slack_is_the_off_diagonal_sum(domain, h):
     # slack = sum_{i<j} (-L_ij) h^d u_i u_j (phi_i/u_i - phi_j/u_j)^2: kappa cancels
     op = assemble_operator(build_grid(domain, h), ALPHA)
-    off = -op.apply(np.eye(op.n))
+    off = -op.fold(np.arange(op.n, dtype=float))[1]  # -L, in node order
     np.fill_diagonal(off, 0.0)
     rng = np.random.default_rng(9)
     for _ in range(5):
@@ -414,18 +425,18 @@ def test_digests_on_demand_match_eager(interval_op):
     u = rng.uniform(0.1, 1.1, n)
     phi = rng.standard_normal(n)
     energy = energy_inequality_certificate(interval_op, u, phi)
-    want = {"energy": _digest(interval_op.entries, u, phi)}
+    want = {"energy": _digest(interval_op.entries, interval_op.diagonal, u, phi)}
     fld = sample_potential(PotentialSpec.bounded("0.5"), grid, ALPHA)
     lam = spectral_bottom(interval_op, fld.values).lambda0
     traj = evolve(interval_op, fld, initial_state(grid), 0.25, 1.0 / 32.0, lambda0=lam)
     Phi = np.ones(n) / math.sqrt(interval_op.cell_volume * n)
     log = log_estimate_certificate(traj, Phi, fld, 0.125, 0.25)
-    want["log"] = _digest(interval_op.entries, traj.states, Phi, fld.values, 0.125, 0.25)
+    want["log"] = _digest(interval_op.entries, interval_op.diagonal, traj.states, Phi, fld.values, 0.125, 0.25)
     bound = exponential_bound_certificate(traj, lam)
     want["bound"] = _digest(traj.states, traj.dt, lam)
     u0 = initial_state(grid)
     ground = ground_state_comparability(interval_op, u0, 0.25)
-    want["ground"] = _digest(interval_op.entries, u0, 0.25, 0.25 / 64.0)
+    want["ground"] = _digest(interval_op.entries, interval_op.diagonal, u0, 0.25, 0.25 / 64.0)
     spec = PotentialSpec.bounded("1.0")
     ball = shrinking_ball_certificate(DOM, ALPHA, spec, BALLS, 1 / 64)
     want["ball"] = _digest(
@@ -466,12 +477,13 @@ def test_energy_certificates_hash_nothing_until_read(interval_op, monkeypatch):
     assert sum(hashed) == 0
     # each array is hashed, then its 64-byte hex digest enters the certificate's
     digest = certs[-1].inputs_digest
-    assert sum(hashed) == interval_op.entries.nbytes + 2 * n * 8 + 3 * 64
+    operator = interval_op.entries.nbytes + interval_op.diagonal.nbytes
+    assert sum(hashed) == operator + 2 * n * 8 + 4 * 64
     assert certs[-1].inputs_digest == digest
-    assert sum(hashed) == interval_op.entries.nbytes + 2 * n * 8 + 3 * 64
+    assert sum(hashed) == operator + 2 * n * 8 + 4 * 64
     # the read-only operator is hashed once while it lives; the pair's copies again
     certs[0].inputs_digest
-    assert sum(hashed) == interval_op.entries.nbytes + 2 * (2 * n * 8 + 3 * 64)
+    assert sum(hashed) == operator + 2 * (2 * n * 8 + 4 * 64)
 
 
 def test_array_digest_memo_keeps_only_live_read_only_arrays():
@@ -494,7 +506,9 @@ def test_array_digest_memo_keeps_only_live_read_only_arrays():
 def test_hashed_arrays_are_read_only(interval_op):
     traj = evolve(interval_op, None, initial_state(interval_op.grid), 0.25, 1.0 / 32.0)
     with pytest.raises(ValueError):
-        interval_op.entries[0, 0] = 1.0
+        interval_op.entries[0] = 1.0
+    with pytest.raises(ValueError):
+        interval_op.diagonal[0] = 1.0
     with pytest.raises(ValueError):
         traj.states[0, 0] = 1.0
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ def test_form_energy_basics(interval_op):
 
     assert energy(np.zeros(n)) == 0.0
     e3 = unit(n, 3)
-    assert energy(e3) == pytest.approx(interval_op.entries[3, 3] * vol, rel=1e-14)
+    assert energy(e3) == pytest.approx(interval_op.diagonal[3] * vol, rel=1e-14)
     rng = np.random.default_rng(0)
     for _ in range(20):
         f = rng.standard_normal(n)
@@ -242,16 +243,17 @@ def test_folded_bottom_matches_unfolded_solver(case):
 @pytest.mark.parametrize("h, expr", [(1 / 64, "1 + 0.5*x"), (0.03, "0.5 + 0.3*cos(3*x)")])
 def test_asymmetric_problem_solves_on_the_full_matrix(h, expr):
     # no mirror applies: group order 1, and the solve is the unfolded one on
-    # the whole matrix in the fold's order, returned in node order.  At
-    # h = 1/64 the order is V's; at h = 0.03 the grid has no mirror, and the
-    # fold is the stored matrix in node order
+    # the whole matrix in the fold's order, V's, returned in node order.  At
+    # h = 1/64 V is fixed by no mirror; at h = 0.03 the grid has none
     op = assemble_operator(build_grid(DomainSpec.interval(1.0), h), 0.5)
     V = sample_potential(PotentialSpec.bounded(expr), op.grid, 0.5).values
     orbits = op.fold(V)[0]
     assert len(orbits) == 1
     order = orbits[0]
-    assert np.array_equal(order, np.argsort(V, kind="stable") if op.grid.mirrors else np.arange(op.n))
-    L = op.apply(np.eye(op.n))
+    assert np.array_equal(order, np.argsort(V, kind="stable"))
+    # L in node order, bit for bit: a fold by a vector no mirror fixes, on a
+    # copy of op without the fold by V cached
+    L = replace(op).fold(np.arange(op.n, dtype=float))[1]
     lam, vec = _dense_bottom(op, V)
     profile = boundary_distance(op.grid) ** (op.alpha / 2)  # the default start
     warm = np.random.default_rng(4).uniform(0.5, 1.0, op.n)
