@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AllocationError, ConvergenceFailure, DimensionMismatch, DomainError, UnsupportedFunction
-from .geometry import DomainSpec, Grid, _group_permutations, orbit_table
+from .geometry import DomainSpec, Grid, orbit_table
 
 DENSE_SIZE_CAP = 8192
 SCAN_ROWS = 64  # rows of L gathered from the offset table at a time
@@ -67,7 +67,8 @@ class OperatorMatrix:
     off the diagonal L_ij = entries[|lattice_i - lattice_j|] (entries[0] =
     0), the table spanning the lattice's box; diagonal holds every L_ii, a
     node carrying its mirror representative's.  So L commutes exactly with
-    every mirror, and couplings gathers any block of L from the table.
+    every mirror, and couplings gathers any block of L from the table; apply,
+    one FFT product, commutes with them only to rounding.
     """
 
     n: int
@@ -86,10 +87,6 @@ class OperatorMatrix:
     @cached_property
     def orbits(self) -> np.ndarray:
         return orbit_table(self.n, self.grid.mirrors)
-
-    @cached_property
-    def perms(self) -> np.ndarray:
-        return _group_permutations(self.n, self.grid.mirrors)
 
     @cached_property
     def _fft(self) -> tuple:
@@ -112,38 +109,21 @@ class OperatorMatrix:
             offsets = np.add(offsets * size, np.abs(step, out=step), out=step)
         return self.entries.ravel()[offsets]
 
-    def _product(self, G: np.ndarray) -> np.ndarray:
-        """(L G)[..., orbits[0]]: the table convolved with G on the doubled
-        box by FFT, read at the representatives, plus the diagonal term."""
-        box, where, kernel = self._fft
-        axes = tuple(range(-len(box), 0))
-        padded = np.zeros(G.shape[:-1] + (math.prod(box),))
-        padded[..., where] = G
-        spectrum = np.fft.rfftn(padded.reshape(G.shape[:-1] + box), axes=axes)
-        del padded
-        spectrum *= kernel
-        conv = np.fft.irfftn(spectrum, s=box, axes=axes).reshape(G.shape[:-1] + (-1,))
-        reps = self.orbits[0]
-        return conv[..., where[reps]] + self.diagonal[reps] * G[..., reps]
-
     def apply(self, F) -> np.ndarray:
-        """L F for F of shape (n,) or (k, n), (L F)[..., orbits[g]] =
-        (L F[..., perms[g]])[..., orbits[0]], one FFT product per distinct
-        permuted input: one in all for an F that every mirror fixes, and the
-        same ones for each mirror image of F, so L commutes exactly with it."""
+        """L F for F of shape (n,) or (k, n): the table convolved with F on
+        the doubled box by FFT, read at every node, plus diagonal * F."""
         F = np.asarray(F, dtype=float)
         if F.shape[-1:] != (self.n,):
             raise DimensionMismatch(f"expected vectors of length {self.n}, got shape {F.shape}")
-        out = np.empty(F.shape)
-        done = []  # (permuted input, its product)
-        for perm, nodes in zip(self.perms, self.orbits):
-            G = F[..., perm]
-            product = next((p for H, p in done if np.array_equal(H, G)), None)
-            if product is None:
-                product = self._product(G)
-                done.append((G, product))
-            out[..., nodes] = product
-        return out
+        box, where, kernel = self._fft
+        axes = tuple(range(-len(box), 0))
+        padded = np.zeros(F.shape[:-1] + (math.prod(box),))
+        padded[..., where] = F
+        spectrum = np.fft.rfftn(padded.reshape(F.shape[:-1] + box), axes=axes)
+        del padded
+        spectrum *= kernel
+        conv = np.fft.irfftn(spectrum, s=box, axes=axes).reshape(F.shape[:-1] + (-1,))
+        return conv[..., where] + self.diagonal * F
 
     def fold(self, *vectors) -> tuple:
         """(orbits, B): the orbit table (geometry.orbit_table) of the grid's

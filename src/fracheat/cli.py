@@ -22,13 +22,14 @@ def main():
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(), help="JSON experiment config")
 @click.option("--out", "out_dir", default=None, type=click.Path(), help="Output directory")
-@click.option("--threads", default=1, show_default=True, help="Worker pool size")
 @click.option("--seed", default=None, type=int, help="Override the config RNG seed")
-def run(config_path, out_dir, threads, seed):
+# the run is serial; hidden, and 1 its only value, for callers that still pass it
+@click.option("--threads", type=click.IntRange(1, 1), hidden=True, expose_value=False)
+def run(config_path, out_dir, seed):
     """Execute the configured experiment and write the report files."""
     try:
         config = load_config(config_path)
-        paths = run_experiment(config, out_dir=out_dir, threads=threads, seed=seed)
+        paths = run_experiment(config, out_dir=out_dir, seed=seed)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)

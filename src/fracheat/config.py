@@ -219,6 +219,7 @@ def _parse(doc: dict) -> tuple:
 
     dt = doc.get("dt")
     tf = doc.get("t_final")
+    probe_steps = None
     if not _is_number(dt) or dt <= 0:
         errors.append("dt: missing or not a positive number")
     if not _is_number(tf) or tf <= 0:
@@ -231,6 +232,8 @@ def _parse(doc: dict) -> tuple:
             errors.append("probe_times: must be a list of one time")
         elif not _is_number(probes[0]) or not (0 < probes[0] <= tf) or not _is_multiple(probes[0], dt):
             errors.append(f"probe_times: {probes[0]} must be a multiple of dt inside (0, t_final]")
+        else:
+            probe_steps = round(probes[0] / dt)
         checkpoints = doc.get("state_checkpoints") or []
         if not isinstance(checkpoints, list):
             errors.append("state_checkpoints: must be a list of times or null")
@@ -261,6 +264,9 @@ def _parse(doc: dict) -> tuple:
     for key in ("energy_trials", "log_phis"):
         if not _is_number(sweeps[key], int) or sweeps[key] < 0:
             errors.append(f"sweeps.{key}: must be a nonnegative integer")
+    # the log estimate reads the state at an earlier step than the probe
+    if probe_steps == 1 and _is_number(sweeps["log_phis"], int) and sweeps["log_phis"] > 0:
+        errors.append("probe_times: must be at least 2*dt when sweeps.log_phis > 0")
 
     init = _object(doc, "initial_state", errors, {"kind": "inradius_ball"})
     _closed(init, "initial_state.", ("kind", "radius"), errors)
@@ -359,11 +365,15 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 def _read_json(path):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"config file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file: not UTF-8 text ({exc})")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file: invalid JSON ({exc})")
+    except RecursionError:
+        raise ConfigError("config file: JSON nested too deeply")
 
 
 def load_config(path) -> ExperimentConfig:

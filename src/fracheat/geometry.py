@@ -169,16 +169,6 @@ class Grid:
         return tuple(found)
 
 
-def _group_permutations(n: int, mirrors) -> np.ndarray:
-    """(order, n) node permutations of the group generated by commuting node
-    involutions: row g is the product of the mirrors whose bits are set in
-    g, so row 0 is the identity.  Every row is its own inverse."""
-    perms = [np.arange(n)]
-    for image in mirrors:
-        perms += [image[p] for p in perms]
-    return np.stack(perms)
-
-
 def orbit_table(n: int, mirrors) -> np.ndarray:
     """Node orbits of the group generated by commuting fixed-point-free node
     involutions, as an (order, n / order) index array.
@@ -191,7 +181,10 @@ def orbit_table(n: int, mirrors) -> np.ndarray:
     reps = np.arange(n)
     for image in mirrors:
         reps = reps[reps < image[reps]]
-    return _group_permutations(n, mirrors)[:, reps]
+    rows = [reps]
+    for image in mirrors:
+        rows += [image[r] for r in rows]
+    return np.stack(rows)
 
 
 def build_grid(domain: DomainSpec, h: float) -> Grid:

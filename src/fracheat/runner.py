@@ -4,8 +4,8 @@ A run executes the full pipeline: spectral refinement series, the monotone
 truncated family at every mesh, the inequality certificates at the finest
 mesh, and the classifier.  Everything is written to the output directory as
 report.json plus CSV files (series, trajectories, curves, and optional state
-checkpoints).  With a fixed seed and one worker the report is byte-stable
-across runs.
+checkpoints).  With a fixed seed the report is byte-stable across runs and
+across BLAS thread counts.
 """
 
 from __future__ import annotations
@@ -106,20 +106,14 @@ def _initial_state(grid, config: ExperimentConfig):
 
 
 @_one_blas_thread()
-def run_experiment(
-    config: ExperimentConfig,
-    out_dir=None,
-    threads: int = 1,
-    seed: int | None = None,
-) -> dict:
+def run_experiment(config: ExperimentConfig, out_dir=None, seed: int | None = None) -> dict:
     """Execute the full pipeline and write report.json plus CSV files.
 
     Returns a dict with the output paths and the verdict label.  The exit
     status of the CLI does not depend on the verdict; configuration problems
-    raise ConfigError before any computation starts.  OpenBLAS runs on one
-    thread for the whole run, so the report does not depend on the machine's
-    BLAS thread count; threads is the one parallelism knob (meshes run
-    threads-wide).
+    raise ConfigError before any computation starts.  The meshes run one
+    after another, and OpenBLAS on one thread for the whole run, so the
+    report does not depend on the machine's BLAS thread count.
     """
     out = Path(out_dir or config.output_dir or "fracheat_run")
     out.mkdir(parents=True, exist_ok=True)
@@ -133,13 +127,7 @@ def run_experiment(
     # read them all, its step restriction the deepest
     lambdas = finest.lambda0s(config.k_schedule)
 
-    if threads > 1:
-        # here, not at the top: with its logging it is ~9 ms of a cold import
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            families = list(pool.map(lambda lv: _mesh_family(lv, config), levels))
-    else:
-        families = [_mesh_family(lv, config) for lv in levels]
+    families = [_mesh_family(lv, config) for lv in levels]
 
     probe = config.probe_time
     thresholds = ClassifierThresholds(

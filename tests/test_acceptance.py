@@ -53,7 +53,7 @@ def bundled_runs(tmp_path_factory):
         cfg_path = resources.files("fracheat") / "configs" / f"{name}.json"
         cfg = load_config(str(cfg_path))
         run_dir = tmp_path_factory.mktemp(name)
-        paths = run_experiment(cfg, out_dir=run_dir, threads=1)
+        paths = run_experiment(cfg, out_dir=run_dir)
         out[name] = {
             "config": cfg,
             "paths": paths,
@@ -234,8 +234,8 @@ def test_criterion_9_positivity_and_determinism(bundled_runs, tmp_path):
     assert all(c >= 0.0 for c in checks)
 
     cfg = bundled_runs["bounded_1d"]["config"]
-    first = run_experiment(cfg, out_dir=tmp_path / "a", threads=1)
-    second = run_experiment(cfg, out_dir=tmp_path / "b", threads=1)
+    first = run_experiment(cfg, out_dir=tmp_path / "a")
+    second = run_experiment(cfg, out_dir=tmp_path / "b")
     blob_a = first["report"].read_bytes()
     blob_b = second["report"].read_bytes()
     assert blob_a == blob_b

@@ -131,6 +131,50 @@ def test_run_rejects_bad_config(tmp_path):
     assert "dt" in result.output
 
 
+@pytest.mark.parametrize(
+    "content, problem",
+    [(b'{"schema_version": "\xff"}', "config file: not UTF-8 text"),
+     (b"[" * 200_000, "config file: JSON nested too deeply")],
+    ids=["byte_ff", "deep_nesting"],
+)
+def test_unreadable_config_file_is_a_config_error(tmp_path, content, problem):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert [v.split(" (")[0] for v in validate_config(path)] == [problem]
+    runner = CliRunner()
+    bad = runner.invoke(main, ["validate", "--config", str(path)])
+    assert bad.exit_code == 1 and problem in bad.output
+    run = runner.invoke(main, ["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert run.exit_code == 2 and problem in run.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_threads_is_a_hidden_option_of_one_value(tmp_path):
+    # kept so that callers passing --threads 1 still run; the run is serial
+    runner = CliRunner()
+    config = str(write_config(tmp_path))
+    ok = runner.invoke(main, ["run", "--config", config, "--threads", "1", "--out", str(tmp_path / "a")])
+    assert ok.exit_code == 0 and "verdict: EXISTS" in ok.output
+    bad = runner.invoke(main, ["run", "--config", config, "--threads", "2", "--out", str(tmp_path / "b")])
+    assert bad.exit_code == 2 and "--threads" in bad.output
+    assert not (tmp_path / "b").exists()
+    assert "--threads" not in runner.invoke(main, ["run", "--help"]).output
+
+
+def test_probe_of_one_step_runs_without_the_log_sweep(tmp_path):
+    # one step to the probe leaves the log estimate no earlier time
+    # (test_validate_rejects_what_run_cannot_execute); without the sweep it
+    # runs, and so does a probe two steps in
+    dt = FAST_CONFIG["dt"]
+    for name, change in (("no_sweep", {"probe_times": [dt], "sweeps": {"log_phis": 0}}),
+                         ("two_steps", {"probe_times": [2 * dt]})):
+        path = write_config(tmp_path, dict(FAST_CONFIG, **change))
+        assert validate_config(path) == []
+        report = json.loads(Path(run_experiment(load_config(path), out_dir=tmp_path / name)["report"]).read_text())
+        names = [c["name"] for c in report["certificates"]]
+        assert ("log_estimate_sweep" in names) == (name == "two_steps")
+
+
 def test_run_end_to_end(tmp_path):
     runner = CliRunner()
     out = tmp_path / "out"
@@ -166,7 +210,7 @@ def test_reports_byte_stable(tmp_path):
     cfg = load_config(write_config(tmp_path))
     blobs = []
     for i in (1, 2):
-        paths = run_experiment(cfg, out_dir=tmp_path / f"run{i}", threads=1)
+        paths = run_experiment(cfg, out_dir=tmp_path / f"run{i}")
         blobs.append(Path(paths["report"]).read_bytes())
     assert blobs[0] == blobs[1]
 
@@ -189,13 +233,6 @@ def test_energy_certificate_ignores_the_seed_and_energy_trials(tmp_path):
     # energy_trials is validated but read by nothing
     assert seed8["config_digest"] != trials["config_digest"]
     assert {**seed8, "config_digest": None} == {**trials, "config_digest": None}
-
-
-def test_threaded_run_matches_serial(tmp_path):
-    cfg = load_config(write_config(tmp_path))
-    serial = run_experiment(cfg, out_dir=tmp_path / "serial", threads=1)
-    threaded = run_experiment(cfg, out_dir=tmp_path / "threaded", threads=4)
-    assert Path(serial["report"]).read_bytes() == Path(threaded["report"]).read_bytes()
 
 
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
@@ -242,7 +279,7 @@ def test_run_restores_the_callers_blas_threads(tmp_path, monkeypatch):
     try:
         put(2)
         callers = get()
-        run_experiment(load_config(write_config(tmp_path)), out_dir=tmp_path / "out", threads=2)
+        run_experiment(load_config(write_config(tmp_path)), out_dir=tmp_path / "out")
         assert seen == [1]
         assert get() == callers
 
@@ -406,9 +443,9 @@ def test_import_leaves_out_quadrature_and_special_functions(tmp_path):
     # set-up; the run's kernels are numpy's and its bundled OpenBLAS's, and
     # the killing density's quadrature is the package's own, for the disk and
     # the rectangle alike.  bounded_1d runs, and so does disk_2d on a square.
-    # A serial run leaves out concurrent.futures too (about 9 ms with the
-    # logging it loads); only --threads above 1 needs its pool.  Nor does the
-    # log-estimate sweep load numpy.random (about ten extension modules).
+    # Nor does a run load concurrent.futures (about 9 ms of a cold import
+    # with the logging it loads), or numpy.random for the log-estimate sweep
+    # (about ten extension modules).
     configs = [str(resources.files("fracheat") / "configs" / f"{name}.json")
                for name in ("bounded_1d", "hardy_subcritical_1d", "hardy_supercritical_1d")]
     disk = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "disk_2d.json"
@@ -598,6 +635,8 @@ def test_boundary_hardy_run_reports_flag_and_estimate(tmp_path):
         ({"k_schedule": [0.25, None, 0.5]}, "k_schedule: must be strictly increasing (null last)"),
         # run reads one probe time
         ({"probe_times": [0.25, 0.5]}, "probe_times: must be a list of one time"),
+        # the log estimate's earlier time would be the probe time itself
+        ({"probe_times": [0.0625]}, "probe_times: must be at least 2*dt when sweeps.log_phis > 0"),
         # misspelled keys ran with the defaults in their place
         ({"ball_schedul": [0.3, 0.15, 0.075]}, "ball_schedul: unknown key"),
         ({"thresholds": {"growth_ratoi": 3.0}}, "thresholds.growth_ratoi: unknown key"),
@@ -615,7 +654,7 @@ def test_boundary_hardy_run_reports_flag_and_estimate(tmp_path):
         "output_dir_number", "t_final_overflow", "alpha_true", "trials_true", "domain_R_string",
         "kappa_string", "h_true", "k_true", "epsilon_false", "seed_true", "t_final_huge_int",
         "k_huge_int", "h_empty", "h_increasing", "k_decreasing", "k_null_before_number",
-        "two_probe_times", "ball_schedul", "growth_ratoi", "energy_trails", "epsilom",
+        "two_probe_times", "probe_one_step", "ball_schedul", "growth_ratoi", "energy_trails", "epsilom",
         "interior_kappa", "interval_b", "initial_center",
     ],
 )
