@@ -67,8 +67,9 @@ class OperatorMatrix:
     off the diagonal L_ij = entries[|lattice_i - lattice_j|] (entries[0] =
     0), the table spanning the lattice's box; diagonal holds every L_ii, a
     node carrying its mirror representative's.  So L commutes exactly with
-    every mirror, and couplings gathers any block of L from the table; apply,
-    one FFT product, commutes with them only to rounding.
+    every mirror, and couplings gathers any block of L from the table's
+    mirrored copy (mirrored); apply, one FFT product, commutes with them
+    only to rounding.
     """
 
     n: int
@@ -91,23 +92,38 @@ class OperatorMatrix:
     @cached_property
     def _fft(self) -> tuple:
         """The lattice box doubled per axis, on which circular convolution
-        is linear, each node's flat index in it, and the table's rFFT on it
-        (offset -k at 2 s - k)."""
+        is linear, each node's flat index in it, and the table's rFFT on it:
+        the mirrored table padded by a zero cell, offset -k at 2 s - k."""
         box = tuple(2 * s for s in self.entries.shape)
-        kernel = np.pad(self.entries, [(0, 1)] * len(box))
-        for a, s in enumerate(self.entries.shape):
-            kernel = kernel.take(np.r_[: s + 1, s - 1 : 0 : -1], axis=a)
+        kernel = np.fft.ifftshift(np.pad(self.mirrored[0], [(1, 0)] * len(box)))
         return box, np.ravel_multi_index(tuple(self.grid.lattice.T), box), np.fft.rfftn(kernel)
 
-    def couplings(self, rows, cols) -> np.ndarray:
+    @cached_property
+    def mirrored(self) -> tuple:
+        """(S, c): the table reflected about offset 0 on every axis, S[s - 1
+        + k] = entries[|k|] for |k_a| < s_a (2 s_a - 1 cells per axis, s the
+        table's shape), and each node's flat index c in S's box.  So
+        off the diagonal L_ij = S.flat[c_i - c_j + S.size // 2], the centre
+        cell being offset 0."""
+        table = self.entries
+        for a, s in enumerate(self.entries.shape):
+            table = table.take(np.r_[s - 1 : 0 : -1, :s], axis=a)
+        index = np.ravel_multi_index(tuple(self.grid.lattice.T), table.shape)
+        for a in (table, index):
+            a.setflags(write=False)
+        return table, index
+
+    def couplings(self, rows, cols, out=None) -> np.ndarray:
         """L's off-diagonal entries between the nodes rows and cols, 0 where
-        a node meets itself, gathered from the table through int32 flat
-        offsets (indexing casts them chunk by chunk; np.take would copy)."""
-        lattice, offsets = self.grid.lattice, 0
-        for a, size in enumerate(self.entries.shape):
-            step = np.subtract.outer(lattice[rows, a], lattice[cols, a])
-            offsets = np.add(offsets * size, np.abs(step, out=step), out=step)
-        return self.entries.ravel()[offsets]
+        a node meets itself, gathered from the mirrored table through one
+        intp subtraction per pair (numpy gathers about half as fast through
+        an int32 index, which it casts chunk by chunk); into out when given,
+        C-contiguous of shape (len(rows), len(cols)).  The offsets lie in
+        the table by construction; mode "clip" keeps take from copying out,
+        as its default bounds check does."""
+        table, index = self.mirrored
+        offsets = np.subtract.outer(index[rows] + table.size // 2, index[cols])
+        return table.ravel().take(offsets, out=out, mode="clip")
 
     def apply(self, F) -> np.ndarray:
         """L F for F of shape (n,) or (k, n): the table convolved with F on
@@ -127,32 +143,35 @@ class OperatorMatrix:
 
     def fold(self, *vectors) -> tuple:
         """(orbits, B): the orbit table (geometry.orbit_table) of the grid's
-        mirrors that leave every vector exactly invariant, and L folded by
-        their group, B[r, t] = sum_g L[orbits[0, r], orbits[g, t]], which acts
-        as L on the representatives' values of the vectors that group fixes.
+        mirrors that leave every vector (every row of a stack) exactly
+        invariant, and L folded by their group, B[r, t] = sum_g L[orbits[0,
+        r], orbits[g, t]], which acts as L on the representatives' values of
+        the vectors that group fixes.
 
         B is built once per subgroup and cached; callers only read it.  Its
         first call sorts the table's columns, and B with them, stably by the
         first vector on orbits[0]: spectral._SortedFactor's order.  Every
         group, the trivial one and a mirror-free grid's included, gathers
-        its terms from the table SCAN_ROWS rows at a time and sums them in
-        the group's order, the diagonal set on the identity term.
+        its terms from the table SCAN_ROWS rows at a time, each into one
+        reused buffer, and sums them in the group's order, the diagonal set
+        on the identity term.
         """
         mirrors = self.grid.mirrors
-        key = tuple(i for i, m in enumerate(mirrors) if all(np.array_equal(v[m], v) for v in vectors))
+        key = tuple(i for i, m in enumerate(mirrors) if all(np.array_equal(v[..., m], v) for v in vectors))
         if key not in self._folds:
             orbits = orbit_table(self.n, [mirrors[i] for i in key])
             if vectors:
                 orbits = orbits[:, np.argsort(vectors[0][orbits[0]], kind="stable")]
             reps = orbits[0]
             block = np.empty((len(reps), len(reps)))
+            term = np.empty((min(SCAN_ROWS, len(reps)), len(reps)))
             for start in range(0, len(reps), SCAN_ROWS):
                 rows = reps[start : start + SCAN_ROWS]
                 chunk = block[start : start + SCAN_ROWS]
-                chunk[...] = self.couplings(rows, reps)
+                self.couplings(rows, reps, out=chunk)
                 chunk.flat[start :: len(reps) + 1] = self.diagonal[rows]
                 for g in orbits[1:]:
-                    chunk += self.couplings(rows, g)
+                    chunk += self.couplings(rows, g, out=term[: len(rows)])
             self._folds[key] = orbits, block
         return self._folds[key]
 
@@ -316,7 +335,9 @@ def assemble_operator(grid: Grid, alpha: float) -> OperatorMatrix:
     coupling depends only on the offset |i - j| of the lattice indices: it is
     tabulated once over the offset box, at distance h |i - j|.  The row of
     each mirror representative is gathered from the table SCAN_ROWS rows at
-    a time and summed in node order, and its orbit shares the sum.
+    a time, into one reused buffer (a fresh block per chunk made the disk's
+    gathers at h = 1/24 about twice as slow), and summed in node order; its
+    orbit shares the sum.
     """
     d = grid.dimension
     check_order(d, alpha)
@@ -334,8 +355,9 @@ def assemble_operator(grid: Grid, alpha: float) -> OperatorMatrix:
     table.flat[0] = 0.0  # the zero offset is the diagonal
     op = OperatorMatrix(n=grid.n, entries=table, diagonal=np.empty(grid.n), alpha=alpha, grid=grid, kappa=kappa)
     reps = op.orbits[0]
-    sums = [op.couplings(reps[start : start + SCAN_ROWS], np.arange(grid.n)).sum(axis=1)
-            for start in range(0, len(reps), SCAN_ROWS)]
+    buffer = np.empty((min(SCAN_ROWS, len(reps)), grid.n))
+    sums = [op.couplings(rows, np.arange(grid.n), out=buffer[: len(rows)]).sum(axis=1)
+            for rows in np.split(reps, range(SCAN_ROWS, len(reps), SCAN_ROWS))]
     op.diagonal[op.orbits] = kappa[reps] - np.concatenate(sums)
     for a in (table, op.diagonal, kappa):
         a.setflags(write=False)

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .assembly import SCAN_ROWS, OperatorMatrix
+from .assembly import OperatorMatrix
 from .errors import BallTooSmall, DimensionMismatch, DomainError, InsufficientEvidence, NonpositiveState
 from .geometry import DomainSpec, boundary_distance
 from .potentials import PotentialField, PotentialSpec
@@ -147,18 +147,37 @@ def energy_inequality_all_pairs(M: OperatorMatrix) -> Certificate:
     """The energy inequality for every admissible pair, decided exactly: a
     pair's slack is the sum over i < j of (-L_ij) h^d u_i u_j (phi_i / u_i -
     phi_j / u_j)^2, so it holds for all pairs iff every off-diagonal L_ij <= 0.
-    The certificate is energy_inequality_certificate at u = e_i + e_j, phi =
-    e_i - e_j (slack -4 L_ij h^d) for the first largest off-diagonal L_ij of
-    the representatives' rows, gathered from the offset table SCAN_ROWS at a
-    time; satisfied iff L_ij <= 0, exactly."""
-    reps = M.orbits[0]
+
+    L_ij is the mirrored table's entry at the pair's offset, so the largest
+    is the table's largest over the nonzero offsets some pair realizes: the
+    support of the node indicator's autocorrelation, one rFFT pair on the
+    table's box.  An entry no pair realizes, such as a disk box's corner, is
+    not in L.  The witness is the first representative with a partner at a
+    largest offset and its lowest-numbered such partner, as a scan of the
+    representatives' rows would find: a mirror keeps every offset up to
+    sign per axis.  The certificate is energy_inequality_certificate at u =
+    e_i + e_j, phi = e_i - e_j (slack -4 L_ij h^d); satisfied iff L_ij <= 0,
+    exactly."""
+    table, lattice = M.mirrored[0], M.grid.lattice
+    indicator = np.zeros(table.shape)
+    indicator[tuple(lattice.T)] = 1.0
+    spectrum = np.fft.rfftn(indicator)
+    counts = np.fft.irfftn(spectrum.real ** 2 + spectrum.imag ** 2, s=table.shape, axes=tuple(range(table.ndim)))
+    realized = np.fft.fftshift(counts) > 0.5  # offset 0 at the centre, as in the table
+    realized.flat[table.size // 2] = False  # the diagonal
     i, j, value = 0, 0, -math.inf  # L has no off-diagonal when n = 1
-    for start in range(0, len(reps), SCAN_ROWS):
-        rows = M.couplings(reps[start : start + SCAN_ROWS], np.arange(M.n))
-        rows[np.arange(len(rows)), reps[start : start + SCAN_ROWS]] = -np.inf
-        r, c = divmod(int(np.argmax(rows)), M.n)
-        if rows[r, c] > value:
-            i, j, value = int(reps[start + r]), c, float(rows[r, c])
+    if realized.any():
+        value = float(table[realized].max())
+        # a node's partner at the offset of table cell k sits at lattice - k +
+        # 2 (s - 1) in the lattice's box padded by s - 1 cells on every side
+        pad = np.array(M.entries.shape) - 1
+        node = np.full(table.shape + pad, M.n)
+        node[tuple((lattice + pad).T)] = np.arange(M.n)
+        reps = M.orbits[0]
+        cells = lattice[reps, None] - np.argwhere(realized & (table == value)) + 2 * pad
+        partner = node[tuple(cells.T)].min(axis=0)
+        r = int(np.argmax(partner < M.n))
+        i, j = int(reps[r]), int(partner[r])
     u = np.zeros(M.n)
     u[[i, j]] = 1.0
     phi = u.copy()

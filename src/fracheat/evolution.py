@@ -87,14 +87,14 @@ class ImplicitStepper:
         self._potential = vals
         self._factors = {}  # orbit table's bytes -> (table in the factor's order, factor)
 
-    def _solver(self, u: np.ndarray) -> tuple:
-        """The orbit table of the mirrors that fix V and u, and the factor of
-        I + dt (L - diag(V)) folded by them: dt times L's cached block B
-        (OperatorMatrix.fold) with the diagonal set to 1 + dt (B_ii - V_i),
-        its rows sorted by V (_SortedFactor).  The table's columns are in
-        the factor's order, so a representatives' vector taken with it is
-        ready for the solve."""
-        orbits, block = self.M.fold(self._potential, u)
+    def _solver(self, *vectors) -> tuple:
+        """The orbit table of the mirrors that fix V and every vector (or
+        stack of them), and the factor of I + dt (L - diag(V)) folded by
+        them: dt times L's cached block B (OperatorMatrix.fold) with the
+        diagonal set to 1 + dt (B_ii - V_i), its rows sorted by V
+        (_SortedFactor).  The table's columns are in the factor's order, so
+        a representatives' vector taken with it is ready for the solve."""
+        orbits, block = self.M.fold(self._potential, *vectors)
         key = orbits.tobytes()
         if key not in self._factors:
             V = self._potential[orbits[0]]
@@ -225,18 +225,28 @@ def duhamel_residual(traj: Trajectory, M: OperatorMatrix, V, free=None) -> float
     at the first order of the stepper.  Returns the maximum over stored times
     of ||u(t_n) - R(t_n)|| / ||u(t_n)|| in the discrete L2 norm.  free,
     when given, is the V = 0 stepper of (M, traj.dt), used in place of a new
-    factorization.
+    factorization.  The first free step, S u0, is ImplicitStepper.step on
+    u0's own mirrors, as a state-by-state loop takes it (perfbench's traced
+    run times that method); after it R is stepped on the representatives of
+    the mirrors that fix V and every state, one fold as in evolve, and
+    unfolded once per step for the norms.
     """
     vals = _potential_vector(M, V)
     if free is None:
         free = ImplicitStepper(M, None, traj.dt)
     elif free.M is not M or free.dt != traj.dt or np.any(free._potential):
         raise ValueError("free stepper was factored for another operator, time step or a potential")
-    acc = traj.states[0].copy()
+    # the mirrors that fix V and every state fix every R(t_n): one fold
+    orbits, system = free._solver(vals, traj.states)
+    reps = orbits[0]
+    source = traj.dt * vals[reps] * traj.states[:, reps]
+    acc = traj.states[0]
+    unfolded = np.empty(M.n)
     worst = 0.0
     for n in range(1, len(traj.times)):
-        acc = free.step(acc) + traj.dt * vals * traj.states[n]
-        diff = np.linalg.norm(traj.states[n] - acc)
+        acc = (free.step(acc)[reps] if n == 1 else _advance(system, acc)) + source[n]
+        unfolded[orbits] = acc
+        diff = np.linalg.norm(traj.states[n] - unfolded)
         denom = np.linalg.norm(traj.states[n])
         if denom > 0:
             worst = max(worst, float(diff / denom))

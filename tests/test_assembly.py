@@ -420,6 +420,24 @@ def test_offset_gather_matches_pairwise_oracle(dom, h, alpha):
     assert np.array_equal(E, E.T)
 
 
+@pytest.mark.parametrize("dom, h", [(DomainSpec.disk(1.0), 1 / 24),
+                                    (DomainSpec.rectangle(1.0, 0.56), 0.05),
+                                    (DomainSpec.interval(1.0), 0.03),
+                                    (DomainSpec.interval(1.0), 1.5)])  # one node
+def test_mirrored_table_reflects_the_offset_table(dom, h):
+    # S[s - 1 + k] = entries[|k|], and c_i - c_j + centre is the flat cell of
+    # the offset lattice_i - lattice_j
+    g = build_grid(dom, h)
+    op = assemble_operator(g, 1.0 if g.dimension == 2 else 0.5)
+    table, index = op.mirrored
+    s = np.array(op.entries.shape)
+    assert table.shape == tuple(2 * s - 1) and not table.flags.writeable
+    k = np.argwhere(np.ones(table.shape, dtype=bool))
+    assert np.array_equal(table[tuple(k.T)], op.entries[tuple(np.abs(k - (s - 1)).T)])
+    assert np.array_equal(np.stack(np.unravel_index(index, table.shape), axis=1), g.lattice)
+    assert table.size // 2 == np.ravel_multi_index(tuple(s - 1), table.shape)
+
+
 def _chunked_pairwise_product(grid, alpha, F, chunk=256):
     """Oracle: F @ L.T with L's rows built from x_i - x_j, chunk rows at a
     time, so no n x n array is made."""

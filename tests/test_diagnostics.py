@@ -35,6 +35,7 @@ from fracheat import (
     shrinking_ball_certificate,
     spectral_bottom,
 )
+from fracheat.assembly import OperatorMatrix
 from fracheat.spectral import MeshLevel
 
 ALPHA = 0.5
@@ -152,6 +153,71 @@ def test_energy_witness_slack_is_four_couplings(domain, h, mirrors):
         assert value == L[cert.details["i"], cert.details["j"]]
         assert abs(cert.slack + 4.0 * value * M.cell_volume) <= 1e-14 * cert.rhs
     assert cert.details["L_ij"] == 0.25 and cert.slack < 0.0
+
+
+def _pairwise_scan(M):
+    """Oracle: the representatives' rows of a dense pairwise L, each entry
+    read from the table at |lattice_i - lattice_j|, the diagonal masked, and
+    the first largest entry in row order: (i, j, L_ij)."""
+    lattice, reps = M.grid.lattice, M.orbits[0]
+    rows = M.entries[tuple(np.moveaxis(np.abs(lattice[reps, None] - lattice[None]), -1, 0))]
+    rows[np.arange(len(reps)), reps] = -np.inf
+    r, c = np.unravel_index(int(np.argmax(rows)), rows.shape)
+    return int(reps[r]), int(c), float(rows[r, c])
+
+
+@pytest.mark.parametrize("domain, h", [(DomainSpec.disk(1.0), 1.0 / 12.0),
+                                       (DomainSpec.disk(1.0), 1.0 / 16.0),
+                                       (DomainSpec.disk(1.0), 1.0 / 24.0),
+                                       (DomainSpec.rectangle(1.0, 0.56), 0.05),  # the x mirror only
+                                       (DomainSpec.interval(1.0), 0.03),  # no mirror
+                                       (DomainSpec.interval(1.0), 1.5)])  # one node
+def test_energy_witness_matches_a_pairwise_scan(domain, h):
+    op = assemble_operator(build_grid(domain, h), ALPHA)
+    ops = [op]
+    if op.n > 1:
+        # node 0's neighbour one cell up every axis: in 2-D the first
+        # representative has two partners at that offset
+        lattice = op.grid.lattice
+        (up,) = np.flatnonzero(np.all(lattice == lattice[0] + 1, axis=1))
+        ops += [_with_coupling(op, 3, op.n - 4, 0.25), _with_coupling(op, 0, up, 1e-300)]
+    for M in ops:
+        cert = energy_inequality_all_pairs(M)
+        i, j, value = _pairwise_scan(M)
+        assert (cert.details["i"], cert.details["j"], cert.details["L_ij"]) == (i, j, value)
+        u = np.zeros(M.n)
+        u[[i, j]] = 1.0
+        phi = u.copy()
+        phi[j] = -1.0
+        assert cert.slack == energy_inequality_certificate(M, u, phi).slack
+        assert cert.satisfied == (value <= 0.0)
+
+
+def test_energy_check_ignores_unrealized_offsets():
+    # the box's corner offset joins no two nodes of a disk: a positive table
+    # entry there is no entry of L
+    op = assemble_operator(build_grid(DomainSpec.disk(1.0), 1.0 / 12.0), ALPHA)
+    corner = tuple(s - 1 for s in op.entries.shape)
+    lattice = op.grid.lattice
+    assert not np.any(np.all(np.abs(lattice[:, None] - lattice[None]) == corner, axis=-1))
+    table = op.entries.copy()
+    table[corner] = 1.0
+    table.setflags(write=False)
+    cornered = replace(op, entries=table)
+    assert cornered.mirrored[0].max() == 1.0  # a scan of the whole table fails
+    sound, cert = energy_inequality_all_pairs(op), energy_inequality_all_pairs(cornered)
+    assert sound.satisfied and cert.satisfied
+    assert cert.details == sound.details and cert.slack == sound.slack
+
+
+@pytest.mark.parametrize("domain, h, mirrors", ALL_PAIRS_GRIDS)
+def test_energy_check_gathers_no_rows(domain, h, mirrors, monkeypatch):
+    op = assemble_operator(build_grid(domain, h), ALPHA)
+    calls = []
+    couplings = OperatorMatrix.couplings
+    monkeypatch.setattr(OperatorMatrix, "couplings", lambda self, *a: calls.append(a) or couplings(self, *a))
+    assert energy_inequality_all_pairs(op).satisfied
+    assert calls == []
 
 
 @pytest.mark.parametrize("domain, h", [(DomainSpec.interval(1.0), 1.0 / 256.0),

@@ -7,6 +7,7 @@ from scipy import linalg
 from scipy.linalg import expm
 
 from fracheat import _lapack
+from fracheat.assembly import OperatorMatrix
 from fracheat.spectral import MeshLevel
 from fracheat import (
     DomainSpec,
@@ -321,6 +322,52 @@ def test_evolve_matches_a_loop_of_steps(domain, h, potential, order, monkeypatch
     assert np.array_equal(traj.l2_norms, np.sqrt(op.cell_volume * np.sum(want * want, axis=1)))
     looped = Trajectory(traj.times, want, math.inf, dt, g, op, traj.l2_norms)
     assert duhamel_residual(traj, op, fld) == duhamel_residual(looped, op, fld)
+
+
+def _looped_duhamel(traj, op, vals, free):
+    """Oracle: the reconstruction stepped through ImplicitStepper.step at
+    full n, each step folded by the mirrors that fix its own state."""
+    acc = traj.states[0].copy()
+    worst = 0.0
+    for n in range(1, len(traj.times)):
+        acc = free.step(acc) + traj.dt * vals * traj.states[n]
+        denom = np.linalg.norm(traj.states[n])
+        if denom > 0:
+            worst = max(worst, float(np.linalg.norm(traj.states[n] - acc) / denom))
+    return worst
+
+
+@pytest.mark.parametrize("potential, order", [
+    (PotentialSpec.hardy_interior(0.1), 4),
+    # one mirror fixes V and both fix u0: the first free step, S u0, solves
+    # on u0's group, every later one on V's
+    (PotentialSpec.bounded("0.5 + 0.1*x + 0.2*y*y"), 2),
+])
+def test_folded_duhamel_matches_a_loop_of_steps(potential, order, monkeypatch):
+    g = build_grid(DomainSpec.disk(1.0), 1.0 / 16.0)
+    op = assemble_operator(g, 1.0)
+    fld = sample_potential(potential, g, op.alpha)
+    dt, steps = 1.0 / 32.0, 8
+    traj = evolve(op, fld, initial_state(g), steps * dt, dt, lambda0=0.0)
+    want = _looped_duhamel(traj, op, fld.values, ImplicitStepper(op, None, dt))
+    solves, folds = [], []
+    solve, fold = _lapack.solve, OperatorMatrix.fold
+    monkeypatch.setattr(_lapack, "solve", lambda factor, b: solves.append(len(b)) or solve(factor, b))
+    monkeypatch.setattr(OperatorMatrix, "fold", lambda self, *v: folds.append(len(v)) or fold(self, *v))
+    assert duhamel_residual(traj, op, fld) == want
+    assert solves == [g.n // 4] + [g.n // order] * (steps - 1)
+    assert len(folds) == 2  # the first step's and the rest's, not one per step
+
+
+def test_folded_duhamel_folds_by_the_states_too(interval_op):
+    # states evolved under a V no mirror fixes, checked against one the
+    # mirror fixes: the fold may not take the states to share V's mirrors
+    g = interval_op.grid
+    evolved = sample_potential(PotentialSpec.bounded("1 + 0.5*x"), g, ALPHA)
+    fld = sample_potential(PotentialSpec.bounded("0.5"), g, ALPHA)
+    traj = evolve(interval_op, evolved, initial_state(g), 0.25, 1.0 / 32.0, lambda0=0.0)
+    want = _looped_duhamel(traj, interval_op, fld.values, ImplicitStepper(interval_op, None, 1.0 / 32.0))
+    assert duhamel_residual(traj, interval_op, fld) == want
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
