@@ -234,8 +234,10 @@ def _parse(doc: dict) -> tuple:
             errors.append(f"probe_times: {probes[0]} must be a multiple of dt inside (0, t_final]")
         else:
             probe_steps = round(probes[0] / dt)
-        checkpoints = doc.get("state_checkpoints") or []
-        if not isinstance(checkpoints, list):
+        checkpoints = doc.get("state_checkpoints")
+        if checkpoints is None:
+            checkpoints = []
+        elif not isinstance(checkpoints, list):
             errors.append("state_checkpoints: must be a list of times or null")
             checkpoints = []
         for t in checkpoints:

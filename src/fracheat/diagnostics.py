@@ -21,9 +21,9 @@ import numpy as np
 from .assembly import OperatorMatrix
 from .errors import BallTooSmall, DimensionMismatch, DomainError, InsufficientEvidence, NonpositiveState
 from .geometry import DomainSpec, boundary_distance
-from .potentials import PotentialField, PotentialSpec
+from .potentials import PotentialSpec
 from .spectral import MeshLevel, SpectralSeries, spectral_bottom
-from .evolution import Trajectory, evolve
+from .evolution import ImplicitStepper, Trajectory, evolve
 
 EXISTS = "EXISTS"
 BLOW_UP = "BLOW_UP"
@@ -189,11 +189,10 @@ def energy_inequality_all_pairs(M: OperatorMatrix) -> Certificate:
     )
 
 
-def log_estimate_certificate(
-    traj: Trajectory, Phi, V: PotentialField, t1: float, t2: float
-) -> Certificate:
+def log_estimate_certificate(traj: Trajectory, Phi, t1: float, t2: float) -> Certificate:
     """Potential mass minus form energy of Phi is bounded by the averaged
-    log-increment of the solution weighted by Phi^2.
+    log-increment of the solution weighted by Phi^2, for the trajectory's
+    operator and potential.
 
     Phi must be normalized in the discrete L2 norm; the trajectory must be
     strictly positive at t1 and t2 on Phi's support with 0 < t1 < t2.  The
@@ -204,7 +203,7 @@ def log_estimate_certificate(
     """
     if not (0.0 < t1 < t2):
         raise ValueError(f"need 0 < t1 < t2, got t1={t1}, t2={t2}")
-    M = traj.operator
+    M, vals = traj.operator, traj.potential
     Phi = np.atleast_2d(np.asarray(Phi, dtype=float))
     vol = M.cell_volume
     mass = vol * np.sum(Phi * Phi, axis=1)
@@ -214,7 +213,6 @@ def log_estimate_certificate(
     support = np.any(Phi != 0.0, axis=0)
     if np.any(u1[support] <= 0.0) or np.any(u2[support] <= 0.0):
         raise NonpositiveState("trajectory must be strictly positive on Phi's support")
-    vals = np.asarray(getattr(V, "values", V), dtype=float)
     lhs = vol * np.sum(Phi * Phi * vals, axis=1) - vol * np.sum(Phi * M.apply(Phi), axis=1)
     ratio = np.zeros(M.n)
     ratio[support] = np.log(u2[support] / u1[support])
@@ -225,7 +223,7 @@ def log_estimate_certificate(
     tolerance = 1e-9 * scale + traj.dt * scale
     return _make_certificate(
         "log_estimate",
-        (M.entries, M.diagonal, traj.states, Phi[worst].copy(), vals.copy(), t1, t2),
+        (M.entries, M.diagonal, traj.states, Phi[worst].copy(), vals, t1, t2),
         lhs,
         rhs,
         tolerance,
@@ -264,31 +262,25 @@ def exponential_bound_certificate(traj: Trajectory, lambda0: float) -> Certifica
     )
 
 
-def ground_state_comparability(
-    M: OperatorMatrix,
-    u0,
-    t: float,
-    ratio_bound: float = 25.0,
-    free=None,
-) -> Certificate:
+def ground_state_comparability(free: ImplicitStepper, u0, t: float, ratio_bound: float = 25.0) -> Certificate:
     """Free evolution at time t is comparable to the ground state.
 
-    Evolves u0 with V = 0 to time t, reports r_min and r_max of the nodewise
-    ratio against the L2-normalized ground vector, and checks
-    r_max / r_min <= ratio_bound.  Also reports the minimum of
-    ground / distance^(alpha/2), whose positivity reflects the boundary decay
-    of the ground state; the certificate requires it to be positive.  free,
-    when given, is a V = 0 stepper of M, used in place of a new factorization;
-    the step is its dt, else t / 64.
+    Evolves u0 with free, a V = 0 stepper (ValueError for one with a
+    potential), to time t, a multiple of its dt; reports r_min and r_max
+    of the nodewise ratio against the L2-normalized ground vector of its
+    operator, and checks r_max / r_min <= ratio_bound.  Also reports the
+    minimum of ground / distance^(alpha/2), whose positivity reflects the
+    boundary decay of the ground state; the certificate requires it to be
+    positive.
     """
     if t <= 0:
         raise ValueError(f"comparability time must be positive, got {t}")
-    dt = t / 64.0 if free is None else free.dt
+    if np.any(free.potential):
+        raise ValueError("comparability needs a free stepper, one without a potential")
+    M, dt = free.M, free.dt
     res = spectral_bottom(M, None)
-    vol = M.cell_volume
-    phi0 = res.eigvec / math.sqrt(vol)  # unit discrete L2 norm, positive
-    traj = evolve(M, None, u0, t, dt, lambda0=res.lambda0, stepper=free)
-    h_state = traj.states[-1]
+    phi0 = res.eigvec / math.sqrt(M.cell_volume)  # unit discrete L2 norm, positive
+    h_state = evolve(free, u0, t).states[-1]
     ratios = h_state / phi0
     r_min = float(np.min(ratios))
     r_max = float(np.max(ratios))

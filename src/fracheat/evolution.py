@@ -21,11 +21,13 @@ from .geometry import Grid
 from .spectral import MeshLevel, _potential_vector, _SortedFactor, spectral_bottom
 
 STEP_RESTRICTION = 0.5
+STEP_MARGIN = 0.45  # monotone_family halves dt until dt * max(0, -lambda0) is below it
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-indexed states of one truncated problem.
+    """Time-indexed states of one truncated problem, and the problem: its
+    operator, potential values (read-only) and step.
 
     states has shape (len(times), n); every entry is >= 0.  l2_norms holds
     the discrete L2 norms sqrt(sum u_i^2 h^d) per stored time.
@@ -35,9 +37,13 @@ class Trajectory:
     states: np.ndarray
     k: float
     dt: float
-    grid: Grid
     operator: OperatorMatrix
+    potential: np.ndarray
     l2_norms: np.ndarray
+
+    @property
+    def grid(self) -> Grid:
+        return self.operator.grid
 
     @property
     def max_values(self) -> np.ndarray:
@@ -58,15 +64,16 @@ class ImplicitStepper:
 
     The step restriction is enforced with lambda0, any lower bound of the
     spectral bottom of L - diag(V) (such as a deeper truncation's), computed
-    here when not given.  Each state u is stepped on the group of V's
-    mirrors that leave u exactly invariant: the system I + dt (L - diag(V))
-    maps such states to such states, so it is solved on the values at one
-    representative per orbit, with the block folded by that group.  One
-    factor is kept per group met; a mirror-symmetric state under a
-    mirror-symmetric V needs one n / 2^m block, and the result is invariant
-    under the same group, so evolve folds once for the whole trajectory.
-    truncate lowers V to min(V, k) in place, refactoring only the trailing
-    blocks where the two differ.
+    here when not given.  potential is its own read-only copy of V's
+    values, k V's truncation level (else math.inf).  Each state u is
+    stepped on the group of V's mirrors that leave u exactly invariant: the
+    system I + dt (L - diag(V)) maps such states to such states, so it is
+    solved on the values at one representative per orbit, with the block
+    folded by that group.  One factor is kept per group met; a
+    mirror-symmetric state under a mirror-symmetric V needs one n / 2^m
+    block, and the result is invariant under the same group, so evolve
+    folds once for the whole trajectory.  truncate lowers V to min(V, k),
+    refactoring only the trailing blocks where the two differ.
     """
 
     def __init__(self, M: OperatorMatrix, V, dt: float, lambda0: float | None = None):
@@ -82,27 +89,31 @@ class ImplicitStepper:
                 f"dt={dt} violates dt * max(0, -lambda0) < {STEP_RESTRICTION} "
                 f"with lambda0={lambda0:.6g}; need dt < {STEP_RESTRICTION / -lambda0:.6g}"
             )
+        if vals.flags.writeable or vals.base is not None:  # the caller may change it
+            vals = vals.copy()
+            vals.setflags(write=False)
         self.M = M
         self.dt = float(dt)
-        self._potential = vals
-        self._factors = {}  # orbit table's bytes -> (table in the factor's order, factor)
+        self.potential = vals
+        self.k = float(getattr(V, "truncation_k", math.inf))
+        self._factors = {}  # orbit table's bytes -> (table, factor)
 
     def _solver(self, *vectors) -> tuple:
         """The orbit table of the mirrors that fix V and every vector (or
         stack of them), and the factor of I + dt (L - diag(V)) folded by
-        them: dt times L's cached block B (OperatorMatrix.fold) with the
-        diagonal set to 1 + dt (B_ii - V_i), its rows sorted by V
-        (_SortedFactor).  The table's columns are in the factor's order, so
-        a representatives' vector taken with it is ready for the solve."""
-        orbits, block = self.M.fold(self._potential, *vectors)
+        them: dt times L's cached block B (OperatorMatrix.fold, its rows
+        sorted by V) with the diagonal set to 1 + dt (B_ii - V_i).  A
+        representatives' vector taken with the table is in the factor's
+        order."""
+        orbits, block = self.M.fold(self.potential, *vectors)
         key = orbits.tobytes()
         if key not in self._factors:
-            V = self._potential[orbits[0]]
+            V = self.potential[orbits[0]]
             try:
-                system = _SortedFactor(block, self.dt, 1.0 + self.dt * (np.diag(block) - V), V)
+                system = _SortedFactor(block, self.dt, 1.0 + self.dt * (np.diag(block) - V))
             except np.linalg.LinAlgError as exc:
                 raise SolveFailure(f"factorization of the implicit system failed: {exc}")
-            self._factors[key] = orbits[:, system.order], system
+            self._factors[key] = orbits, system
         return self._factors[key]
 
     def truncate(self, k: float) -> None:
@@ -112,10 +123,11 @@ class ImplicitStepper:
         with V > k, and only that block is refactored."""
         if not k >= 0:
             raise ValueError(f"truncation level must be nonnegative, got {k}")
-        self._potential = np.minimum(self._potential, k)
+        self.potential = np.minimum(self.potential, k)
+        self.potential.setflags(write=False)
+        self.k = min(self.k, float(k))
         for orbits, system in self._factors.values():
-            diagonal = np.diag(system.B)[system.order]
-            system.update(1.0 + self.dt * (diagonal - self._potential[orbits[0]]))
+            system.update(1.0 + self.dt * (np.diag(system.B) - self.potential[orbits[0]]))
 
     def step(self, u: np.ndarray) -> np.ndarray:
         u = _checked_state(u, self.M.n)
@@ -146,33 +158,19 @@ def _advance(system: _SortedFactor, u: np.ndarray) -> np.ndarray:
     return np.maximum(w, 0.0, out=w)
 
 
-def evolve(
-    M: OperatorMatrix,
-    V,
-    u0,
-    t_final: float,
-    dt: float,
-    lambda0: float | None = None,
-    stepper: ImplicitStepper | None = None,
-) -> Trajectory:
-    """Evolve u0 to t_final by repeated implicit steps, storing every state.
-
-    t_final must be an integer multiple of dt (to 1e-9 relative).  The k
-    recorded on the trajectory is the truncation level of V when V is a
-    PotentialField, else math.inf.  stepper, when given, is a stepper already
-    factored for (M, V, dt), V to the bit, and is used in place of a new one.
+def evolve(stepper: ImplicitStepper, u0, t_final: float) -> Trajectory:
+    """Evolve u0 to t_final by repeated steps of stepper, storing every
+    state.  t_final must be an integer multiple of the stepper's dt (to
+    1e-9 relative).  The trajectory carries the stepper's operator, dt,
+    potential and truncation level k.
     """
+    M, dt = stepper.M, stepper.dt
     u = _checked_state(u0, M.n)
     if not np.any(u > 0):
         raise ValueError("initial state must not be identically zero")
     steps = int(round(t_final / dt))
     if steps < 1 or abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError(f"t_final={t_final} is not a positive multiple of dt={dt}")
-    if stepper is None:
-        stepper = ImplicitStepper(M, V, dt, lambda0=lambda0)
-    elif (stepper.M is not M or stepper.dt != dt
-          or not np.array_equal(stepper._potential, _potential_vector(M, V))):
-        raise ValueError("stepper was factored for another operator, time step or potential")
     # the mirrors that fix V and u0 fix every later state: one fold, one unfold
     orbits, system = stepper._solver(u)
     reps = np.empty((steps + 1, orbits.shape[1]))
@@ -182,15 +180,14 @@ def evolve(
     states = np.empty((steps + 1, M.n))
     states[:, orbits] = reps[:, None, :]
     states.setflags(write=False)
-    times = dt * np.arange(steps + 1)
     norms = np.sqrt(M.cell_volume * np.sum(states * states, axis=1))
     return Trajectory(
-        times=times,
+        times=dt * np.arange(steps + 1),
         states=states,
-        k=getattr(V, "truncation_k", math.inf),
-        dt=float(dt),
-        grid=M.grid,
+        k=stepper.k,
+        dt=dt,
         operator=M,
+        potential=stepper.potential,
         l2_norms=norms,
     )
 
@@ -199,42 +196,43 @@ def monotone_family(level: MeshLevel, k_schedule, u0, t_final: float, dt: float)
     """Trajectories of the truncated problems min(V, k) of one mesh level for
     every k in k_schedule (increasing; math.inf is untruncated), on one shared
     time grid; deeper truncations dominate shallower ones pointwise.  The
-    step restriction of every level is enforced with the bottom of the
-    deepest one, a lower bound for them all.  One stepper serves the
-    family: it is factored at the deepest level and truncated level by
-    level towards the shallowest (ImplicitStepper.truncate).  Levels that
-    share one field (k >= max V) are evolved once; each trajectory carries
-    its own k."""
+    step is the largest dt / 2^j with dt * max(0, -lambda0) < STEP_MARGIN at
+    every level: min(V, k) grows with k, so the deepest level has the least
+    lambda0, a lower bound for them all, which also enforces the step
+    restriction.  One stepper serves the family: it is factored at the
+    deepest level and truncated level by level towards the shallowest
+    (ImplicitStepper.truncate).  Levels that share one field (k >= max V)
+    are evolved once; each trajectory carries its own k."""
     floor = level.lambda0_floor(k_schedule)
+    while dt * max(0.0, -floor) >= STEP_MARGIN:
+        dt *= 0.5
     deepest_first = sorted({level.effective_k(k) for k in k_schedule}, reverse=True)
     stepper = ImplicitStepper(level.op, level.field_at(deepest_first[0]), dt, lambda0=floor)
     runs = {}
     for key in deepest_first:
         stepper.truncate(key)
-        runs[key] = evolve(level.op, level.field_at(key), u0, t_final, dt, stepper=stepper)
+        runs[key] = evolve(stepper, u0, t_final)
     return [replace(runs[level.effective_k(k)], k=float(k)) for k in k_schedule]
 
 
-def duhamel_residual(traj: Trajectory, M: OperatorMatrix, V, free=None) -> float:
+def duhamel_residual(traj: Trajectory, free: ImplicitStepper) -> float:
     """Defect of the trajectory against its free-evolution-plus-source
     reconstruction.
 
     The reconstruction R(t_n) = S^n u0 + dt * sum_{m=1..n} S^(n-m) (V u(t_m))
-    applies the same implicit stepper with V = 0 for the free flow S and a
-    right-endpoint quadrature for the source integral, so the residual decays
-    at the first order of the stepper.  Returns the maximum over stored times
-    of ||u(t_n) - R(t_n)|| / ||u(t_n)|| in the discrete L2 norm.  free,
-    when given, is the V = 0 stepper of (M, traj.dt), used in place of a new
-    factorization.  The first free step, S u0, is ImplicitStepper.step on
-    u0's own mirrors, as a state-by-state loop takes it (perfbench's traced
-    run times that method); after it R is stepped on the representatives of
-    the mirrors that fix V and every state, one fold as in evolve, and
-    unfolded once per step for the norms.
+    applies free, the V = 0 stepper of the trajectory's operator and dt, for
+    the free flow S, with V the trajectory's potential and a right-endpoint
+    quadrature for the source integral, so the residual decays at the first
+    order of the stepper.  Returns the maximum over stored times of
+    ||u(t_n) - R(t_n)|| / ||u(t_n)|| in the discrete L2 norm.  The first
+    free step, S u0, is ImplicitStepper.step on u0's own mirrors, as a
+    state-by-state loop takes it (perfbench's traced run times that
+    method); after it R is stepped on the representatives of the mirrors
+    that fix V and every state, one fold as in evolve, and unfolded once
+    per step for the norms.
     """
-    vals = _potential_vector(M, V)
-    if free is None:
-        free = ImplicitStepper(M, None, traj.dt)
-    elif free.M is not M or free.dt != traj.dt or np.any(free._potential):
+    M, vals = traj.operator, traj.potential
+    if free.M is not M or free.dt != traj.dt or np.any(free.potential):
         raise ValueError("free stepper was factored for another operator, time step or a potential")
     # the mirrors that fix V and every state fix every R(t_n): one fold
     orbits, system = free._solver(vals, traj.states)
@@ -253,9 +251,9 @@ def duhamel_residual(traj: Trajectory, M: OperatorMatrix, V, free=None) -> float
     return worst
 
 
-def variational_residual(traj: Trajectory, M: OperatorMatrix, V, phi, phi_t=None) -> float:
-    """Defect of the discrete weak-solution identity against a space-time
-    test function.
+def variational_residual(traj: Trajectory, phi, phi_t=None) -> float:
+    """Defect of the discrete weak-solution identity of the trajectory's
+    problem against a space-time test function.
 
     phi(t, points) -> (n,) values at the nodes, called once per stored time;
     phi_t is its time derivative, approximated by centered differences on the
@@ -264,8 +262,7 @@ def variational_residual(traj: Trajectory, M: OperatorMatrix, V, phi, phi_t=None
     <u phi V> h^d, and returns their absolute mismatch.  It vanishes at the
     order of the time discretization.
     """
-    vals = _potential_vector(M, V)
-    times = traj.times
+    M, times = traj.operator, traj.times
     phis = np.stack([np.asarray(phi(t, traj.grid.points), dtype=float) for t in times])
     if phi_t is not None:
         dphis = np.stack([np.asarray(phi_t(t, traj.grid.points), dtype=float) for t in times])
@@ -273,7 +270,7 @@ def variational_residual(traj: Trajectory, M: OperatorMatrix, V, phi, phi_t=None
         dphis = np.gradient(phis, traj.dt, axis=0)
     vol = M.cell_volume
     integrand = vol * np.sum(traj.states * (M.apply(phis) - dphis), axis=1)
-    source = vol * np.sum(traj.states * phis * vals, axis=1)
+    source = vol * np.sum(traj.states * phis * traj.potential, axis=1)
     boundary = vol * (np.dot(traj.states[-1], phis[-1]) - np.dot(traj.states[0], phis[0]))
     lhs = boundary + np.trapezoid(integrand, times)
     rhs = np.trapezoid(source, times)

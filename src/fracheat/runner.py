@@ -37,9 +37,6 @@ from .diagnostics import (
 from .evolution import ImplicitStepper, duhamel_residual, initial_state, monotone_family
 from .spectral import MeshLevel, SpectralSeries, estimate_boundary_hardy_constant, refinement_series
 
-STEP_MARGIN = 0.45
-
-
 @contextmanager
 def _one_blas_thread():
     """Run with numpy's bundled OpenBLAS, which every kernel of the run
@@ -82,18 +79,6 @@ def _certificate_json(cert: Certificate) -> dict:
     }
 
 
-def _mesh_family(level: MeshLevel, config: ExperimentConfig) -> list:
-    """The truncated family at one mesh, at the largest dt = config.dt / 2^j
-    with dt * max(0, -lambda0) < STEP_MARGIN at every truncation level.
-    min(V, k) grows with k, so the deepest level has the least lambda0."""
-    dt = config.dt
-    worst = level.lambda0_floor(config.k_schedule)
-    while dt * max(0.0, -worst) >= STEP_MARGIN:
-        dt *= 0.5
-    u0 = _initial_state(level.op.grid, config)
-    return monotone_family(level, config.k_schedule, u0, config.t_final, dt)
-
-
 def _mirror_group_order(level: MeshLevel) -> int:
     """2^m, m the number of the grid's mirrors that fix the potential."""
     V = level.field.values
@@ -127,7 +112,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int | None = No
     # read them all, its step restriction the deepest
     lambdas = finest.lambda0s(config.k_schedule)
 
-    families = [_mesh_family(lv, config) for lv in levels]
+    families = [
+        monotone_family(lv, config.k_schedule, _initial_state(lv.op.grid, config), config.t_final, config.dt)
+        for lv in levels
+    ]
 
     probe = config.probe_time
     thresholds = ClassifierThresholds(
@@ -143,8 +131,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int | None = No
     # one factorization of I + dt L serves both free-flow checks
     free = ImplicitStepper(finest.op, None, deepest.dt)
     certificates = _certificates(config, finest, families[-1], lambdas, probe, seed, free)
-    fld = finest.field_at(config.k_schedule[-1])
-    residuals = {"duhamel": duhamel_residual(deepest, finest.op, fld, free=free)}
+    residuals = {"duhamel": duhamel_residual(deepest, free)}
 
     # the order of the group of mirrors that fix each mesh's potential
     extras = {"mirror_group_order": [[lv.h, _mirror_group_order(lv)] for lv in levels]}
@@ -207,24 +194,22 @@ def _certificates(config, finest: MeshLevel, family, lambdas, probe, seed, free)
     certs.append(replace(energy_inequality_all_pairs(finest.op), name="energy_inequality_sweep"))
 
     traj = family[-1]
-    fld = finest.field_at(config.k_schedule[-1])
     t1 = max(traj.dt, math.floor(probe / (2.0 * traj.dt)) * traj.dt)
     phis = config.sweeps["log_phis"]
     if phis:
         raw = _abs_normal(seed, (phis, finest.op.n)) + 0.05
         Phi = raw / np.sqrt(finest.op.cell_volume * np.sum(raw * raw, axis=1, keepdims=True))
-        worst = log_estimate_certificate(traj, Phi, fld, t1, probe)
+        worst = log_estimate_certificate(traj, Phi, t1, probe)
         certs.append(
             replace(worst, name="log_estimate_sweep", details={**worst.details, "phis": phis})
         )
 
     certs.append(
         ground_state_comparability(
-            finest.op,
+            free,
             _initial_state(finest.op.grid, config),
             probe,
             ratio_bound=config.thresholds["comparability_ratio_bound"],
-            free=free,
         )
     )
 

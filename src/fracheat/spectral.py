@@ -103,38 +103,31 @@ def spectral_bottoms(M: OperatorMatrix, potentials, v0=None) -> list:
 
 class _SortedFactor:
     """Cholesky factor (_lapack.cholesky) of the matrix with off-diagonal
-    entries scale * B and the given diagonal, rows and columns sorted by
-    key: a new diagonal that differs only where the key is largest changes
-    a trailing block, and update refactors just that (_lapack.refactor).
-    order, diagonal and factor are in the sorted order."""
+    entries scale * B and the given diagonal, in B's order, which
+    OperatorMatrix.fold sorts by the potential: a new diagonal that
+    differs only where the potential is largest changes a trailing block,
+    and update refactors from its first changed row on
+    (_lapack.refactor), which is correct in any order."""
 
-    def __init__(self, B: np.ndarray, scale: float, diagonal: np.ndarray, key: np.ndarray):
+    def __init__(self, B: np.ndarray, scale: float, diagonal: np.ndarray):
         self.B, self.scale = B, scale
-        self.order = np.argsort(key, kind="stable")
-        self.diagonal = diagonal[self.order]
+        self.diagonal = diagonal
         self.factor = _lapack.cholesky(self._trailing(0))
 
     def _trailing(self, t: int) -> np.ndarray:
-        """The matrix's trailing block from sorted row t on, a new array."""
-        rows = self.order[t:]
-        if np.array_equal(rows, np.arange(t, len(self.order))):
-            block = self.B[t:, t:].copy()  # 7 times as fast as the gather
-        else:
-            block = self.B[np.ix_(rows, rows)]
-        block *= self.scale
-        block.flat[:: len(rows) + 1] = self.diagonal[t:]
+        """The matrix's trailing block from row t on, a new array."""
+        block = self.B[t:, t:] * self.scale
+        block.flat[:: len(block) + 1] = self.diagonal[t:]
         return block
 
     def update(self, diagonal: np.ndarray) -> None:
-        """Refactor in place for a new diagonal, given in the sorted order,
-        from its first change on."""
+        """Refactor in place for a new diagonal from its first change on."""
         changed = np.flatnonzero(diagonal != self.diagonal)
         self.diagonal = diagonal
         if changed.size:
             _lapack.refactor(self.factor, self._trailing(changed[0]))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """The solve with the factor, b in the sorted order."""
         return _lapack.solve(self.factor, b)
 
 
@@ -147,11 +140,11 @@ def _ground_states(B: np.ndarray, ds, v0=None) -> list:
     max(1, |rho|)) and delta grows fourfold until B - diag(ds[0]) - sigma I
     factors.  A successful Cholesky proves sigma below the bottom for ds[0],
     hence for every d, so the dominant eigenpair of (A - sigma I)^-1 is the
-    bottom one.  Its rows sorted by ds[0] (_SortedFactor), the factor
-    serves the family: a truncation differs from the member before only on
-    a trailing block, which alone is refactored.  Each member's Lanczos
-    starts from the previous member's eigenvector, the first from v0;
-    lambda is the Rayleigh quotient v.Av.
+    bottom one.  B's rows sorted by ds[0] (OperatorMatrix.fold), the
+    factor (_SortedFactor) serves the family: a truncation differs from
+    the member before only on a trailing block, which alone is
+    refactored.  Each member's Lanczos starts from the previous member's
+    eigenvector, the first from v0; lambda is the Rayleigh quotient v.Av.
     """
     if any(np.any(d > ds[0]) for d in ds):
         raise ValueError("every diagonal of a family must be at most its first")
@@ -168,7 +161,7 @@ def _ground_states(B: np.ndarray, ds, v0=None) -> list:
     for _ in range(SHIFT_TRIES):
         sigma = rho - delta
         try:
-            system = _SortedFactor(B, 1.0, diagonal - (ds[0] + sigma), ds[0])
+            system = _SortedFactor(B, 1.0, diagonal - (ds[0] + sigma))
             break
         except np.linalg.LinAlgError:
             delta *= 4.0
@@ -176,12 +169,10 @@ def _ground_states(B: np.ndarray, ds, v0=None) -> list:
         raise ConvergenceFailure(
             f"no shift below the spectrum found in {SHIFT_TRIES} factorizations", iterations=0
         )
-    order, results = system.order, []
+    results = []
     for d in ds:
-        system.update((diagonal - (d + sigma))[order])
-        w, solves = _lanczos_top(system.solve, v[order])
-        v = np.empty(n)
-        v[order] = w
+        system.update(diagonal - (d + sigma))
+        v, solves = _lanczos_top(system.solve, v)
         v = _fix_sign(v / np.linalg.norm(v))
         results.append(_checked_pair(B @ v, d, v, solves))
     return results

@@ -16,6 +16,7 @@ import pytest
 
 from fracheat import (
     DomainSpec,
+    ImplicitStepper,
     PotentialSpec,
     assemble_operator,
     build_grid,
@@ -151,7 +152,7 @@ def test_criterion_5_exponential_bound(bundled_runs):
     op = assemble_operator(grid, ALPHA)
     res = spectral_bottom(op)
     phi0 = res.eigvec / math.sqrt(grid.cell_volume)
-    traj = evolve(op, None, phi0, 0.5, 1.0 / 64.0, lambda0=res.lambda0)
+    traj = evolve(ImplicitStepper(op, None, 1.0 / 64.0, lambda0=res.lambda0), phi0, 0.5)
     cert = exponential_bound_certificate(traj, res.lambda0)
     assert abs(cert.lhs - 1.0) <= 1e-8
     _passed(5, "discrete exponential bound holds on all bundled runs, with ground-mode equality")
@@ -166,12 +167,12 @@ def test_criterion_6_log_estimate():
     rng = np.random.default_rng(271828)
     slacks = {}
     for dt in (1.0 / 64.0, 1.0 / 128.0):
-        traj = evolve(op, fld, u0, 0.5, dt, lambda0=lam)
+        traj = evolve(ImplicitStepper(op, fld, dt, lambda0=lam), u0, 0.5)
         worst = math.inf
         for _ in range(20):
             raw = np.abs(rng.standard_normal(op.n)) + 0.05
             Phi = raw / math.sqrt(grid.cell_volume * np.sum(raw * raw))
-            cert = log_estimate_certificate(traj, Phi, fld, 0.25, 0.5)
+            cert = log_estimate_certificate(traj, Phi, 0.25, 0.5)
             assert cert.satisfied
             # the discrete inequality is exact: slack never dips below rounding,
             # so satisfaction cannot hinge on the dt-scaled tolerance term
@@ -212,8 +213,8 @@ def test_criterion_8_duhamel_first_order():
     u0 = initial_state(grid)
     residuals = []
     for dt in (1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0):
-        traj = evolve(op, fld, u0, 0.5, dt)
-        residuals.append(duhamel_residual(traj, op, fld))
+        traj = evolve(ImplicitStepper(op, fld, dt), u0, 0.5)
+        residuals.append(duhamel_residual(traj, ImplicitStepper(op, None, dt)))
     ratios = [a / b for a, b in zip(residuals, residuals[1:])]
     for r in ratios:
         assert 1.6 <= r <= 2.4  # halving +-20%
@@ -229,7 +230,7 @@ def test_criterion_9_positivity_and_determinism(bundled_runs, tmp_path):
         op = assemble_operator(grid, ALPHA)
         fld = sample_potential(PotentialSpec.hardy_interior(ratio * CSTAR), grid, ALPHA)
         lam = spectral_bottom(op, fld.values).lambda0
-        traj = evolve(op, fld, initial_state(grid), 0.5, dt, lambda0=lam)
+        traj = evolve(ImplicitStepper(op, fld, dt, lambda0=lam), initial_state(grid), 0.5)
         checks.append(float(np.min(traj.states)))
     assert all(c >= 0.0 for c in checks)
 

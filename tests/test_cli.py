@@ -336,21 +336,21 @@ def test_log_sweep_batch_keeps_draws_and_worst_row(tmp_path, monkeypatch):
     logs = []
     real_log = fracheat.runner.log_estimate_certificate
 
-    def log_spy(traj, Phi, V, t1, t2):
-        logs.append((traj, Phi.copy(), V, t1, t2))
-        return real_log(traj, Phi, V, t1, t2)
+    def log_spy(traj, Phi, t1, t2):
+        logs.append((traj, Phi.copy(), t1, t2))
+        return real_log(traj, Phi, t1, t2)
 
     monkeypatch.setattr(fracheat.runner, "log_estimate_certificate", log_spy)
     paths = run_experiment(load_config(write_config(tmp_path)), out_dir=tmp_path / "out")
     report = json.loads(Path(paths["report"]).read_text())
     # one batch of the seed's first five rows of draws, reported by its worst row
-    ((traj, Phi, V, t1, t2),) = logs
+    ((traj, Phi, t1, t2),) = logs
     draws = _abs_normal_oracle(FAST_CONFIG["seed"], *Phi.shape)
     vol = traj.operator.cell_volume
     singles = []
     for row, raw in zip(Phi, draws + 0.05):
         assert np.array_equal(row, raw / math.sqrt(vol * np.sum(raw * raw)))
-        singles.append(real_log(traj, row, V, t1, t2))
+        singles.append(real_log(traj, row, t1, t2))
     (log,) = [c for c in report["certificates"] if c["name"] == "log_estimate_sweep"]
     assert log["inputs_digest"] == min(singles, key=lambda c: c.slack).inputs_digest
     assert set(log["details"]) == {"t1", "t2", "dt", "phis"}
@@ -471,7 +471,7 @@ def test_import_leaves_out_quadrature_and_special_functions(tmp_path):
 
 
 def test_runner_dt_matches_min_over_k_rule():
-    from fracheat.runner import STEP_MARGIN, _mesh_family
+    from fracheat.evolution import STEP_MARGIN
 
     for cfg in _the_four_configs():
         def coarsest():
@@ -483,7 +483,9 @@ def test_runner_dt_matches_min_over_k_rule():
         while dt * max(0.0, -worst) >= STEP_MARGIN:
             dt *= 0.5
         assert level.lambda0_floor(cfg.k_schedule) == worst
-        assert {traj.dt for traj in _mesh_family(coarsest(), cfg)} == {dt}
+        u0 = initial_state(level.op.grid)
+        family = monotone_family(coarsest(), cfg.k_schedule, u0, cfg.t_final, cfg.dt)
+        assert {traj.dt for traj in family} == {dt}
 
 
 def test_runner_builds_on_one_level_pipeline(tmp_path, monkeypatch):
@@ -612,6 +614,11 @@ def test_boundary_hardy_run_reports_flag_and_estimate(tmp_path):
         ({"potential": {"kind": "bounded", "expr": "0.5", "epsilon": "x"}}, "potential.epsilon"),
         ({"thresholds": {"comparability_ratio_bound": "x"}}, "thresholds.comparability_ratio_bound"),
         ({"state_checkpoints": 0.5}, "state_checkpoints: must be a list"),
+        # falsy values that are not lists were read as no checkpoints
+        ({"state_checkpoints": 0}, "state_checkpoints: must be a list"),
+        ({"state_checkpoints": False}, "state_checkpoints: must be a list"),
+        ({"state_checkpoints": ""}, "state_checkpoints: must be a list"),
+        ({"state_checkpoints": {}}, "state_checkpoints: must be a list"),
         ({"output_dir": 5}, "output_dir: must be a string"),
         ({"t_final": 1e308}, "t_final: must be a positive integer multiple of dt"),
         # a bool is not a JSON number: each of these ran as 1, 0 or the string's float
@@ -651,6 +658,7 @@ def test_boundary_hardy_run_reports_flag_and_estimate(tmp_path):
         "two_meshes", "h_schedule_null", "h_schedule_number", "custom", "ball_above_inradius",
         "two_balls", "balls_too_small", "negative_on_a_ball", "tiny_initial_ball",
         "domain_list", "sweeps_number", "epsilon_string", "comparability_string", "checkpoints_number",
+        "checkpoints_zero", "checkpoints_false", "checkpoints_empty_string", "checkpoints_empty_object",
         "output_dir_number", "t_final_overflow", "alpha_true", "trials_true", "domain_R_string",
         "kappa_string", "h_true", "k_true", "epsilon_false", "seed_true", "t_final_huge_int",
         "k_huge_int", "h_empty", "h_increasing", "k_decreasing", "k_null_before_number",

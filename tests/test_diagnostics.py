@@ -17,7 +17,7 @@ from fracheat import (
     InsufficientEvidence,
     NonpositiveState,
     PotentialSpec,
-    Trajectory,
+    ImplicitStepper,
     assemble_operator,
     build_grid,
     classify,
@@ -241,8 +241,8 @@ def test_log_certificate_eigenmode_identity(interval_op):
     vol = interval_op.cell_volume
     phi0 = res.eigvec / math.sqrt(vol)
     dt = 1.0 / 64.0
-    traj = evolve(interval_op, None, phi0, 0.5, dt, lambda0=res.lambda0)
-    cert = log_estimate_certificate(traj, phi0, np.zeros(interval_op.n), 0.25, 0.5)
+    traj = evolve(ImplicitStepper(interval_op, None, dt, lambda0=res.lambda0), phi0, 0.5)
+    cert = log_estimate_certificate(traj, phi0, 0.25, 0.5)
     assert cert.satisfied
     assert cert.lhs == pytest.approx(-res.lambda0, rel=1e-9)
     assert cert.rhs == pytest.approx(-math.log(1.0 + dt * res.lambda0) / dt, rel=1e-9)
@@ -253,12 +253,12 @@ def test_log_certificate_adjacent_times(interval_op):
     # t2 = t1 + dt reproduces the single-step inequality
     fld = sample_potential(PotentialSpec.bounded("0.5"), interval_op.grid, ALPHA)
     dt = 1.0 / 32.0
-    traj = evolve(interval_op, fld, initial_state(interval_op.grid), 0.25, dt)
+    traj = evolve(ImplicitStepper(interval_op, fld, dt), initial_state(interval_op.grid), 0.25)
     rng = np.random.default_rng(2)
     raw = np.abs(rng.standard_normal(interval_op.n)) + 0.05
     Phi = raw / math.sqrt(interval_op.cell_volume * np.sum(raw * raw))
     t1 = 0.125
-    cert = log_estimate_certificate(traj, Phi, fld, t1, t1 + dt)
+    cert = log_estimate_certificate(traj, Phi, t1, t1 + dt)
     u1, u2 = traj.state_at(t1), traj.state_at(t1 + dt)
     direct = interval_op.cell_volume * np.sum(np.log(u2 / u1) * Phi * Phi) / dt
     assert cert.rhs == pytest.approx(direct, rel=1e-12)
@@ -267,11 +267,11 @@ def test_log_certificate_adjacent_times(interval_op):
 
 def test_log_certificate_rows_match_single_phis(interval_op):
     fld = sample_potential(PotentialSpec.bounded("0.5"), interval_op.grid, ALPHA)
-    traj = evolve(interval_op, fld, initial_state(interval_op.grid), 0.25, 1.0 / 32.0)
+    traj = evolve(ImplicitStepper(interval_op, fld, 1.0 / 32.0), initial_state(interval_op.grid), 0.25)
     raw = np.abs(np.random.default_rng(5).standard_normal((6, interval_op.n))) + 0.05
     Phi = raw / np.sqrt(interval_op.cell_volume * np.sum(raw * raw, axis=1, keepdims=True))
-    batch = log_estimate_certificate(traj, Phi, fld, 0.125, 0.25)
-    singles = [log_estimate_certificate(traj, row, fld, 0.125, 0.25) for row in Phi]
+    batch = log_estimate_certificate(traj, Phi, 0.125, 0.25)
+    singles = [log_estimate_certificate(traj, row, 0.125, 0.25) for row in Phi]
     worst = min(singles, key=lambda c: c.slack)
     assert batch.lhs == pytest.approx(worst.lhs, rel=1e-12)
     assert batch.rhs == pytest.approx(worst.rhs, rel=1e-12)
@@ -282,23 +282,20 @@ def test_log_certificate_rows_match_single_phis(interval_op):
 
 def test_log_certificate_validation(interval_op):
     fld = sample_potential(PotentialSpec.bounded("0.5"), interval_op.grid, ALPHA)
-    traj = evolve(interval_op, fld, initial_state(interval_op.grid), 0.25, 1.0 / 32.0)
+    traj = evolve(ImplicitStepper(interval_op, fld, 1.0 / 32.0), initial_state(interval_op.grid), 0.25)
     good = np.ones(interval_op.n) / math.sqrt(interval_op.cell_volume * interval_op.n)
     with pytest.raises(ValueError):
-        log_estimate_certificate(traj, good, fld, 0.125, 0.125)
+        log_estimate_certificate(traj, good, 0.125, 0.125)
     with pytest.raises(ValueError):
-        log_estimate_certificate(traj, 2.0 * good, fld, 0.125, 0.25)
+        log_estimate_certificate(traj, 2.0 * good, 0.125, 0.25)
     # synthetic trajectory with a dead node on the support
     states = traj.states.copy()
     states[4, :] = np.maximum(states[4, :], 0.0)
     states[4, 7] = 0.0
-    broken = Trajectory(
-        times=traj.times, states=states, k=math.inf, dt=traj.dt,
-        grid=traj.grid, operator=traj.operator, l2_norms=traj.l2_norms,
-    )
+    broken = replace(traj, states=states)
     t_bad = traj.times[4]
     with pytest.raises(NonpositiveState):
-        log_estimate_certificate(broken, good, fld, t_bad, 0.25)
+        log_estimate_certificate(broken, good, t_bad, 0.25)
 
 
 def test_exponential_bound_certificates(interval_op):
@@ -307,20 +304,20 @@ def test_exponential_bound_certificates(interval_op):
     phi0 = res.eigvec / math.sqrt(vol)
     dt = 1.0 / 64.0
     # equality on the ground mode with V = 0
-    traj = evolve(interval_op, None, phi0, 0.5, dt, lambda0=res.lambda0)
+    traj = evolve(ImplicitStepper(interval_op, None, dt, lambda0=res.lambda0), phi0, 0.5)
     cert = exponential_bound_certificate(traj, res.lambda0)
     assert cert.satisfied
     assert abs(cert.lhs - 1.0) <= 1e-8
     # bounded potential: satisfied with positive slack
     fld = sample_potential(PotentialSpec.bounded("0.5 + 0.3*cos(3*x)"), interval_op.grid, ALPHA)
     lam = spectral_bottom(interval_op, fld.values).lambda0
-    traj2 = evolve(interval_op, fld, initial_state(interval_op.grid), 0.5, dt, lambda0=lam)
+    traj2 = evolve(ImplicitStepper(interval_op, fld, dt, lambda0=lam), initial_state(interval_op.grid), 0.5)
     cert2 = exponential_bound_certificate(traj2, lam)
     assert cert2.satisfied and cert2.slack > 0
     # constant potential: equality on the ground mode again
     c = 0.3
     lam3 = res.lambda0 - c
-    traj3 = evolve(interval_op, np.full(interval_op.n, c), phi0, 0.5, dt, lambda0=lam3)
+    traj3 = evolve(ImplicitStepper(interval_op, np.full(interval_op.n, c), dt, lambda0=lam3), phi0, 0.5)
     cert3 = exponential_bound_certificate(traj3, lam3)
     assert cert3.satisfied and abs(cert3.lhs - 1.0) <= 1e-8
 
@@ -328,7 +325,7 @@ def test_exponential_bound_certificates(interval_op):
 def test_comparability_ground_mode_exact(interval_op):
     res = spectral_bottom(interval_op)
     phi0 = res.eigvec / math.sqrt(interval_op.cell_volume)
-    cert = ground_state_comparability(interval_op, phi0, 0.25)
+    cert = ground_state_comparability(ImplicitStepper(interval_op, None, 0.25 / 64), phi0, 0.25)
     assert cert.lhs == pytest.approx(1.0, abs=1e-9)
     assert cert.satisfied
 
@@ -337,7 +334,7 @@ def test_comparability_fixture_and_distance_bound():
     g = build_grid(DOM, 1.0 / 256.0)
     op = assemble_operator(g, ALPHA)
     u0 = initial_state(g, kind="ball", radius=0.125)
-    cert = ground_state_comparability(op, u0, 0.5)
+    cert = ground_state_comparability(ImplicitStepper(op, None, 0.5 / 64), u0, 0.5)
     assert cert.satisfied
     assert cert.lhs == pytest.approx(COMPARABILITY_RATIO_H256, rel=1e-6)
     assert cert.details["ground_over_distance"] > 0.5
@@ -348,9 +345,16 @@ def test_comparability_distance_coefficient_stable():
     for h in (1.0 / 64.0, 1.0 / 128.0):
         op = assemble_operator(build_grid(DOM, h), ALPHA)
         u0 = initial_state(op.grid, kind="ball", radius=0.125)
-        cert = ground_state_comparability(op, u0, 0.5)
+        cert = ground_state_comparability(ImplicitStepper(op, None, 0.5 / 64), u0, 0.5)
         vals.append(cert.details["ground_over_distance"])
     assert abs(vals[1] - vals[0]) / vals[0] < 0.05
+
+
+def test_comparability_rejects_a_stepper_with_a_potential(interval_op):
+    u0 = initial_state(interval_op.grid)
+    stepper = ImplicitStepper(interval_op, np.full(interval_op.n, 0.5), 1.0 / 64.0)
+    with pytest.raises(ValueError, match="potential"):
+        ground_state_comparability(stepper, u0, 0.25)
 
 
 BALLS = [0.5, 0.25, 0.125, 0.0625, 0.03125]
@@ -494,14 +498,14 @@ def test_digests_on_demand_match_eager(interval_op):
     want = {"energy": _digest(interval_op.entries, interval_op.diagonal, u, phi)}
     fld = sample_potential(PotentialSpec.bounded("0.5"), grid, ALPHA)
     lam = spectral_bottom(interval_op, fld.values).lambda0
-    traj = evolve(interval_op, fld, initial_state(grid), 0.25, 1.0 / 32.0, lambda0=lam)
+    traj = evolve(ImplicitStepper(interval_op, fld, 1.0 / 32.0, lambda0=lam), initial_state(grid), 0.25)
     Phi = np.ones(n) / math.sqrt(interval_op.cell_volume * n)
-    log = log_estimate_certificate(traj, Phi, fld, 0.125, 0.25)
+    log = log_estimate_certificate(traj, Phi, 0.125, 0.25)
     want["log"] = _digest(interval_op.entries, interval_op.diagonal, traj.states, Phi, fld.values, 0.125, 0.25)
     bound = exponential_bound_certificate(traj, lam)
     want["bound"] = _digest(traj.states, traj.dt, lam)
     u0 = initial_state(grid)
-    ground = ground_state_comparability(interval_op, u0, 0.25)
+    ground = ground_state_comparability(ImplicitStepper(interval_op, None, 0.25 / 64.0), u0, 0.25)
     want["ground"] = _digest(interval_op.entries, interval_op.diagonal, u0, 0.25, 0.25 / 64.0)
     spec = PotentialSpec.bounded("1.0")
     ball = shrinking_ball_certificate(DOM, ALPHA, spec, BALLS, 1 / 64)
@@ -570,13 +574,15 @@ def test_array_digest_memo_keeps_only_live_read_only_arrays():
 
 
 def test_hashed_arrays_are_read_only(interval_op):
-    traj = evolve(interval_op, None, initial_state(interval_op.grid), 0.25, 1.0 / 32.0)
+    traj = evolve(ImplicitStepper(interval_op, None, 1.0 / 32.0), initial_state(interval_op.grid), 0.25)
     with pytest.raises(ValueError):
         interval_op.entries[0] = 1.0
     with pytest.raises(ValueError):
         interval_op.diagonal[0] = 1.0
     with pytest.raises(ValueError):
         traj.states[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        traj.potential[0] = 1.0
 
 
 def test_classify_monotone_in_coupling():

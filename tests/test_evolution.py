@@ -15,7 +15,6 @@ from fracheat import (
     PotentialSpec,
     SolveFailure,
     StepTooLarge,
-    Trajectory,
     assemble_operator,
     build_grid,
     duhamel_residual,
@@ -70,7 +69,7 @@ def test_step_restriction_enforced(interval_op):
 def test_evolve_free_decay_and_positivity(interval_op):
     g = interval_op.grid
     u0 = initial_state(g, kind="ball", radius=0.25)
-    traj = evolve(interval_op, None, u0, 0.5, 1.0 / 64.0)
+    traj = evolve(ImplicitStepper(interval_op, None, 1.0 / 64.0), u0, 0.5)
     assert traj.times[0] == 0.0
     assert np.array_equal(traj.states[0], u0)
     assert np.all(np.diff(traj.l2_norms) < 0)
@@ -84,7 +83,7 @@ def test_evolve_constant_potential_growth(interval_op):
     c = res.lambda0 + 1.0  # forces growth at rate (1 + dt(lambda0 - c))^(-n)
     dt = 1.0 / 64.0
     phi0 = res.eigvec / np.sqrt(interval_op.cell_volume)
-    traj = evolve(interval_op, np.full(interval_op.n, c), phi0, 0.5, dt)
+    traj = evolve(ImplicitStepper(interval_op, np.full(interval_op.n, c), dt), phi0, 0.5)
     n = len(traj.times) - 1
     expected = traj.l2_norms[0] * (1.0 + dt * (res.lambda0 - c)) ** (-n)
     assert traj.l2_norms[-1] == pytest.approx(expected, rel=1e-10)
@@ -108,9 +107,9 @@ def test_two_small_steps_beat_one_large(interval_op):
 def test_discrete_semigroup_property(interval_op):
     u0 = initial_state(interval_op.grid)
     dt = 1.0 / 32.0
-    full = evolve(interval_op, None, u0, 0.5, dt)
-    first = evolve(interval_op, None, u0, 0.25, dt)
-    second = evolve(interval_op, None, first.states[-1], 0.25, dt)
+    full = evolve(ImplicitStepper(interval_op, None, dt), u0, 0.5)
+    first = evolve(ImplicitStepper(interval_op, None, dt), u0, 0.25)
+    second = evolve(ImplicitStepper(interval_op, None, dt), first.states[-1], 0.25)
     assert np.array_equal(second.states[-1], full.states[-1])
 
 
@@ -119,25 +118,25 @@ def test_evolution_linearity(interval_op):
     u = rng.uniform(0.0, 1.0, interval_op.n)
     v = rng.uniform(0.0, 1.0, interval_op.n)
     dt = 1.0 / 32.0
-    a = evolve(interval_op, None, u, 0.25, dt).states[-1]
-    b = evolve(interval_op, None, v, 0.25, dt).states[-1]
-    ab = evolve(interval_op, None, u + v, 0.25, dt).states[-1]
+    a = evolve(ImplicitStepper(interval_op, None, dt), u, 0.25).states[-1]
+    b = evolve(ImplicitStepper(interval_op, None, dt), v, 0.25).states[-1]
+    ab = evolve(ImplicitStepper(interval_op, None, dt), u + v, 0.25).states[-1]
     np.testing.assert_allclose(ab, a + b, atol=1e-10)
 
 
 def test_evolve_input_validation(interval_op):
     with pytest.raises(ValueError):
-        evolve(interval_op, None, np.zeros(interval_op.n), 0.5, 0.1)
+        evolve(ImplicitStepper(interval_op, None, 0.1), np.zeros(interval_op.n), 0.5)
     u0 = np.ones(interval_op.n)
     with pytest.raises(ValueError):
-        evolve(interval_op, None, -u0, 0.5, 0.1)
+        evolve(ImplicitStepper(interval_op, None, 0.1), -u0, 0.5)
     with pytest.raises(ValueError):
-        evolve(interval_op, None, u0, 0.5, 0.3)  # not a multiple
+        evolve(ImplicitStepper(interval_op, None, 0.3), u0, 0.5)  # not a multiple
     for bad in (np.nan, np.inf):
         u = u0.copy()
         u[7] = bad
         with pytest.raises(ValueError, match="finite"):
-            evolve(interval_op, None, u, 0.5, 0.1)
+            evolve(ImplicitStepper(interval_op, None, 0.1), u, 0.5)
 
 
 def test_stepper_rejects_nonfinite_states(interval_op):
@@ -157,8 +156,8 @@ def test_stepper_rejects_nonfinite_states(interval_op):
 def test_stepper_factor_matches_textbook_system(domain, h, alpha):
     # the factor of the block folded by the whole mirror group, built as dt
     # times L's cached block with the diagonal 1 + dt (B_ii - V_i); the
-    # fold's table, and the block with it, is already sorted by V, so the
-    # factor's order is the table's.  The block folded from the textbook
+    # fold's table, and the block with it, is sorted by V, and the factor
+    # takes it in that order.  The block folded from the textbook
     # system I + dt (L - diag(V)) by summing over each orbit's columns
     # rounds differently and is its oracle
     g = build_grid(domain, h)
@@ -177,7 +176,6 @@ def test_stepper_factor_matches_textbook_system(domain, h, alpha):
     assert len(stepper._factors) == 1
     sorted_orbits, factored = stepper._factors[folded.tobytes()]
     assert np.array_equal(sorted_orbits, folded)
-    assert np.array_equal(factored.order, np.arange(len(B)))
     factor_of_state = factored.factor
     assert np.array_equal(factor_of_state, _lapack.cholesky(system))
     textbook = np.eye(op.n) + dt * (op.apply(np.eye(op.n)) - np.diag(fld.values))
@@ -215,7 +213,7 @@ def test_symmetric_evolve_factors_one_block(domain, h, alpha, monkeypatch):
         return real(a)
 
     monkeypatch.setattr(_lapack, "cholesky", counting)
-    traj = evolve(op, fld, initial_state(g), 0.25, 1.0 / 32.0, lambda0=0.0)
+    traj = evolve(ImplicitStepper(op, fld, 1.0 / 32.0, lambda0=0.0), initial_state(g), 0.25)
     m = g.n // 2 ** g.dimension
     assert shapes == [(m, m)]
     for image in g.mirrors:  # every state stays exactly symmetric
@@ -314,14 +312,15 @@ def test_evolve_matches_a_loop_of_steps(domain, h, potential, order, monkeypatch
 
     monkeypatch.setattr(_lapack, "cholesky", counting_cholesky)
     monkeypatch.setattr(_lapack, "solve", counting_solve)
-    traj = evolve(op, fld, u0, steps * dt, dt, lambda0=0.0)
+    traj = evolve(ImplicitStepper(op, fld, dt, lambda0=0.0), u0, steps * dt)
     m = g.n // order
     assert factors == [(m, m)] and solves == [m] * steps
     monkeypatch.undo()
     assert np.array_equal(traj.states, want)
     assert np.array_equal(traj.l2_norms, np.sqrt(op.cell_volume * np.sum(want * want, axis=1)))
-    looped = Trajectory(traj.times, want, math.inf, dt, g, op, traj.l2_norms)
-    assert duhamel_residual(traj, op, fld) == duhamel_residual(looped, op, fld)
+    looped = replace(traj, states=want)
+    free = ImplicitStepper(op, None, dt)
+    assert duhamel_residual(traj, free) == duhamel_residual(looped, free)
 
 
 def _looped_duhamel(traj, op, vals, free):
@@ -348,26 +347,28 @@ def test_folded_duhamel_matches_a_loop_of_steps(potential, order, monkeypatch):
     op = assemble_operator(g, 1.0)
     fld = sample_potential(potential, g, op.alpha)
     dt, steps = 1.0 / 32.0, 8
-    traj = evolve(op, fld, initial_state(g), steps * dt, dt, lambda0=0.0)
+    traj = evolve(ImplicitStepper(op, fld, dt, lambda0=0.0), initial_state(g), steps * dt)
     want = _looped_duhamel(traj, op, fld.values, ImplicitStepper(op, None, dt))
+    free = ImplicitStepper(op, None, dt)
     solves, folds = [], []
     solve, fold = _lapack.solve, OperatorMatrix.fold
     monkeypatch.setattr(_lapack, "solve", lambda factor, b: solves.append(len(b)) or solve(factor, b))
     monkeypatch.setattr(OperatorMatrix, "fold", lambda self, *v: folds.append(len(v)) or fold(self, *v))
-    assert duhamel_residual(traj, op, fld) == want
+    assert duhamel_residual(traj, free) == want
     assert solves == [g.n // 4] + [g.n // order] * (steps - 1)
     assert len(folds) == 2  # the first step's and the rest's, not one per step
 
 
 def test_folded_duhamel_folds_by_the_states_too(interval_op):
-    # states evolved under a V no mirror fixes, checked against one the
+    # states evolved under a V no mirror fixes, relabelled with one the
     # mirror fixes: the fold may not take the states to share V's mirrors
     g = interval_op.grid
     evolved = sample_potential(PotentialSpec.bounded("1 + 0.5*x"), g, ALPHA)
     fld = sample_potential(PotentialSpec.bounded("0.5"), g, ALPHA)
-    traj = evolve(interval_op, evolved, initial_state(g), 0.25, 1.0 / 32.0, lambda0=0.0)
-    want = _looped_duhamel(traj, interval_op, fld.values, ImplicitStepper(interval_op, None, 1.0 / 32.0))
-    assert duhamel_residual(traj, interval_op, fld) == want
+    traj = evolve(ImplicitStepper(interval_op, evolved, 1.0 / 32.0, lambda0=0.0), initial_state(g), 0.25)
+    free = ImplicitStepper(interval_op, None, 1.0 / 32.0)
+    want = _looped_duhamel(traj, interval_op, fld.values, free)
+    assert duhamel_residual(replace(traj, potential=fld.values), free) == want
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
@@ -386,35 +387,64 @@ def test_evolve_stops_at_a_bad_solve(interval_op, bad, monkeypatch):
     monkeypatch.setattr(_lapack, "solve", faulty)
     u0 = initial_state(interval_op.grid)
     with pytest.raises(SolveFailure):
-        evolve(interval_op, None, u0, 0.25, 1.0 / 32.0)
+        evolve(ImplicitStepper(interval_op, None, 1.0 / 32.0), u0, 0.25)
     assert len(calls) == 3
 
 
 def test_evolve_rejects_a_stepper_for_another_step(interval_op):
+    # evolve reads dt from its stepper: a t_final off its grid is refused
     stepper = ImplicitStepper(interval_op, None, 1.0 / 32.0)
     u0 = initial_state(interval_op.grid)
-    reused = evolve(interval_op, None, u0, 0.25, 1.0 / 32.0, stepper=stepper)
-    assert np.array_equal(reused.states, evolve(interval_op, None, u0, 0.25, 1.0 / 32.0).states)
+    traj = evolve(stepper, u0, 0.25)
+    assert traj.dt == stepper.dt and traj.operator is interval_op
+    with pytest.raises(ValueError, match="multiple"):
+        evolve(stepper, u0, 0.25 + 1.0 / 64.0)
+    # the Duhamel reconstruction's free flow must take the trajectory's step
+    traj = evolve(ImplicitStepper(interval_op, None, 1.0 / 64.0), u0, 0.25)
     with pytest.raises(ValueError):
-        evolve(interval_op, None, u0, 0.25, 1.0 / 64.0, stepper=stepper)
-    traj = evolve(interval_op, None, u0, 0.25, 1.0 / 64.0)
-    with pytest.raises(ValueError):
-        duhamel_residual(traj, interval_op, None, free=stepper)
+        duhamel_residual(traj, stepper)
 
 
 def test_evolve_rejects_a_stepper_for_another_potential(interval_op):
-    # a free stepper used to return the free flow, labelled as V's
+    # a trajectory carries its stepper's potential: a free stepper's run is
+    # labelled free, however V was meant
     fld = sample_potential(PotentialSpec.bounded("0.5"), interval_op.grid, ALPHA)
     u0 = initial_state(interval_op.grid)
-    free = ImplicitStepper(interval_op, None, 1.0 / 32.0)
-    with pytest.raises(ValueError, match="potential"):
-        evolve(interval_op, fld, u0, 0.5, 1.0 / 32.0, stepper=free)
+    free = evolve(ImplicitStepper(interval_op, None, 1.0 / 32.0), u0, 0.5)
+    assert not np.any(free.potential)
     stepper = ImplicitStepper(interval_op, fld, 1.0 / 32.0)
-    reused = evolve(interval_op, fld, u0, 0.5, 1.0 / 32.0, stepper=stepper)
-    assert np.array_equal(reused.states, evolve(interval_op, fld, u0, 0.5, 1.0 / 32.0).states)
+    traj = evolve(stepper, u0, 0.5)
+    assert np.array_equal(traj.potential, fld.values) and traj.potential is stepper.potential
+    assert np.all(traj.states[-1] > free.states[-1])
     # the Duhamel reconstruction's free flow must be free
     with pytest.raises(ValueError, match="potential"):
-        duhamel_residual(reused, interval_op, fld, free=stepper)
+        duhamel_residual(traj, stepper)
+
+
+def test_stepper_keeps_the_values_it_was_factored_with(interval_op):
+    # a caller's writable array, changed after the stepper was built
+    V = np.full(interval_op.n, 0.5)
+    stepper = ImplicitStepper(interval_op, V, 1.0 / 32.0)
+    u0 = initial_state(interval_op.grid)
+    want = evolve(ImplicitStepper(interval_op, np.full(interval_op.n, 0.5), 1.0 / 32.0), u0, 0.25)
+    V[:] = 2.0
+    traj = evolve(stepper, u0, 0.25)
+    assert np.array_equal(traj.states, want.states)
+    assert np.array_equal(traj.potential, np.full(interval_op.n, 0.5))
+    assert traj.k == math.inf
+    with pytest.raises(ValueError):
+        traj.potential[0] = 1.0
+
+
+def test_family_potentials_are_the_read_only_truncations():
+    from fracheat import hardy_sharp_constant
+
+    level = MeshLevel.build(DOM, ALPHA, PotentialSpec.hardy_interior(hardy_sharp_constant(1, ALPHA)), 1.0 / 64.0)
+    ks = [0.5, 1.0, 4.0, level.field.max_value, math.inf]
+    family = monotone_family(level, ks, initial_state(level.op.grid), 0.25, 1.0 / 32.0)
+    for k, traj in zip(ks, family):
+        assert not traj.potential.flags.writeable
+        assert traj.potential.tobytes() == truncate(level.field, k).values.tobytes()
 
 
 def test_monotone_family_inactive_truncation(interval_op):
@@ -443,7 +473,7 @@ def test_monotone_family_ordering():
     # saturation once k dominates the sampled maximum
     fld = sample_potential(PotentialSpec.hardy_interior(c), g, ALPHA)
     big = truncate(fld, fld.max_value + 1.0)
-    same = evolve(op, big, u0, 0.25, 1.0 / 32.0)
+    same = evolve(ImplicitStepper(op, big, 1.0 / 32.0), u0, 0.25)
     assert np.array_equal(same.states, fam[-1].states)
 
 
@@ -473,7 +503,7 @@ def test_family_steppers_match_fresh_steppers(domain, h, alpha, kind, ks):
     u0 = initial_state(level.op.grid)
     family = monotone_family(level, ks, u0, 0.25, dt)
     for k, traj in zip(ks, family):
-        direct = evolve(level.op, level.field_at(k), u0, 0.25, dt, lambda0=floor)
+        direct = evolve(ImplicitStepper(level.op, level.field_at(k), dt, lambda0=floor), u0, 0.25)
         assert traj.k == direct.k == k
         scale = np.max(direct.states, axis=1, keepdims=True)
         assert np.max(np.abs(traj.states - direct.states) / scale) <= 1e-13
@@ -504,7 +534,8 @@ def test_truncate_refactors_the_trailing_block_only(monkeypatch):
     for k in (4.0, 2.0, 2.0, 1.0, 0.5):
         before = len(orders)
         stepper.truncate(k)
-        assert np.array_equal(stepper._potential, truncate(fld, k).values)
+        assert np.array_equal(stepper.potential, truncate(fld, k).values)
+        assert stepper.k == k
         # the representatives above k sit last in the factor's order, and
         # only their block is refactored; a repeated level refactors nothing
         above = int(np.sum(fld.values[reps] > k))
@@ -516,13 +547,13 @@ def test_truncate_refactors_the_trailing_block_only(monkeypatch):
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError):
             stepper.truncate(bad)
-    assert np.array_equal(stepper._potential, truncate(fld, 0.5).values)
+    assert np.array_equal(stepper.potential, truncate(fld, 0.5).values)
 
 
 def test_duhamel_residual_free_flow(interval_op):
     u0 = initial_state(interval_op.grid)
-    traj = evolve(interval_op, None, u0, 0.25, 1.0 / 32.0)
-    assert duhamel_residual(traj, interval_op, np.zeros(interval_op.n)) <= 1e-13
+    traj = evolve(ImplicitStepper(interval_op, None, 1.0 / 32.0), u0, 0.25)
+    assert duhamel_residual(traj, ImplicitStepper(interval_op, None, 1.0 / 32.0)) <= 1e-13
 
 
 def test_duhamel_residual_first_order(interval_op):
@@ -530,8 +561,8 @@ def test_duhamel_residual_first_order(interval_op):
     u0 = initial_state(interval_op.grid)
     res = []
     for dt in (1.0 / 32.0, 1.0 / 64.0):
-        traj = evolve(interval_op, fld, u0, 0.5, dt)
-        res.append(duhamel_residual(traj, interval_op, fld))
+        traj = evolve(ImplicitStepper(interval_op, fld, dt), u0, 0.5)
+        res.append(duhamel_residual(traj, ImplicitStepper(interval_op, None, dt)))
     assert res[0] / res[1] == pytest.approx(2.0, rel=0.2)
 
 
@@ -539,7 +570,8 @@ def test_duhamel_residual_solves_no_spectral_bottom(interval_op, monkeypatch):
     import fracheat.evolution
 
     fld = sample_potential(PotentialSpec.bounded("0.5 + 0.3*cos(3*x)"), interval_op.grid, ALPHA)
-    traj = evolve(interval_op, fld, initial_state(interval_op.grid), 0.25, 1.0 / 32.0)
+    traj = evolve(ImplicitStepper(interval_op, fld, 1.0 / 32.0), initial_state(interval_op.grid), 0.25)
+    free = ImplicitStepper(interval_op, None, 1.0 / 32.0)
     calls = []
     real = fracheat.evolution.spectral_bottom
 
@@ -548,7 +580,7 @@ def test_duhamel_residual_solves_no_spectral_bottom(interval_op, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(fracheat.evolution, "spectral_bottom", counting)
-    assert duhamel_residual(traj, interval_op, fld) < 0.1
+    assert duhamel_residual(traj, free) < 0.1
     assert calls == []
     # a nonzero potential still pays for its step restriction
     fracheat.evolution.ImplicitStepper(interval_op, fld, 1.0 / 32.0)
@@ -561,8 +593,8 @@ def test_duhamel_scalar_identity():
     op = assemble_operator(g, ALPHA)
     fld = sample_potential(PotentialSpec.bounded("1.0"), g, ALPHA)
     dt = 1e-6
-    traj = evolve(op, fld, np.array([1.0]), dt, dt)
-    r = duhamel_residual(traj, op, fld)
+    traj = evolve(ImplicitStepper(op, fld, dt), np.array([1.0]), dt)
+    r = duhamel_residual(traj, ImplicitStepper(op, None, dt))
     kappa = op.kappa[0]
     closed = dt * dt * 1.0 * kappa / (1.0 + dt * kappa)
     assert r <= 1e-12
@@ -580,9 +612,9 @@ def bump_phi_t(t, pts):
 
 def test_variational_residual_zero_phi(interval_op):
     u0 = initial_state(interval_op.grid)
-    traj = evolve(interval_op, None, u0, 0.5, 1.0 / 32.0)
+    traj = evolve(ImplicitStepper(interval_op, None, 1.0 / 32.0), u0, 0.5)
     zero = lambda t, pts: np.zeros(pts.shape[0])
-    assert variational_residual(traj, interval_op, np.zeros(interval_op.n), zero) == 0.0
+    assert variational_residual(traj, zero) == 0.0
 
 
 def test_variational_residual_refinement_decay():
@@ -591,8 +623,8 @@ def test_variational_residual_refinement_decay():
         g = build_grid(DOM, h)
         op = assemble_operator(g, ALPHA)
         fld = sample_potential(PotentialSpec.bounded("0.5 + 0.3*cos(3*x)"), g, ALPHA)
-        traj = evolve(op, fld, initial_state(g), 0.5, dt)
-        defects.append(variational_residual(traj, op, fld, bump_phi, bump_phi_t))
+        traj = evolve(ImplicitStepper(op, fld, dt), initial_state(g), 0.5)
+        defects.append(variational_residual(traj, bump_phi, bump_phi_t))
     assert defects[1] < 0.5 * defects[0]
 
 
@@ -615,7 +647,7 @@ def test_two_dimensional_pipeline_smoke():
     assert np.max(np.abs(L - L.T)) == 0.0
     fld = sample_potential(PotentialSpec.hardy_interior(0.1), g, 1.0)
     lam = spectral_bottom(op, fld.values).lambda0
-    traj = evolve(op, fld, initial_state(g), 0.25, 1.0 / 32.0, lambda0=lam)
+    traj = evolve(ImplicitStepper(op, fld, 1.0 / 32.0, lambda0=lam), initial_state(g), 0.25)
     assert np.min(traj.states) >= 0.0
     cert = exponential_bound_certificate(traj, lam)
     assert cert.satisfied

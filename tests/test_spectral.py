@@ -451,7 +451,9 @@ def test_shared_truncations_solve_and_evolve_once(monkeypatch):
     # the deepest unscaled bottom bounds every level: a family of one
     assert [len(potentials) for (_, potentials), _, _ in families] == [1]
     # one evolve per effective level, deepest first
-    assert [args[1] for args, _, _ in evolves] == [level.field_at(math.inf), level.field_at(0.25)]
+    assert [traj.k for _, _, traj in evolves] == [math.inf, 0.25]
+    for k, (_, _, traj) in zip([math.inf, 0.25], evolves):
+        assert np.array_equal(traj.potential, level.field_at(k).values)
     # one scaled family, in which one solve serves every name of the full field
     scaled = level.bottoms(ks)
     assert [len(potentials) for (_, potentials), _, _ in families] == [1, 2]
@@ -462,7 +464,7 @@ def test_shared_truncations_solve_and_evolve_once(monkeypatch):
     assert family[0].states is evolves[1][2].states
     for k, traj in zip(ks, family):
         V = level.field if k == math.inf else truncate(level.field, k)
-        direct = evolve(level.op, V, u0, 0.25, 1 / 32)  # a fresh stepper's factor
+        direct = evolve(evolution.ImplicitStepper(level.op, V, 1 / 32), u0, 0.25)  # a fresh stepper's factor
         assert traj.k == direct.k
         if level.effective_k(k) == math.inf:
             # the deepest level's factor is a fresh one
