@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AllocationError, ConvergenceFailure, DimensionMismatch, DomainError, UnsupportedFunction
-from .geometry import DomainSpec, Grid, orbit_table
+from .geometry import DomainSpec, Grid, orbit_table, stabilizers
 
 DENSE_SIZE_CAP = 8192
 SCAN_ROWS = 64  # rows of L gathered from the offset table at a time
@@ -66,10 +66,12 @@ class OperatorMatrix:
     The kernel is translation invariant and the nodes sit on a lattice, so
     off the diagonal L_ij = entries[|lattice_i - lattice_j|] (entries[0] =
     0), the table spanning the lattice's box; diagonal holds every L_ii, a
-    node carrying its mirror representative's.  So L commutes exactly with
-    every mirror, and couplings gathers any block of L from the table's
-    mirrored copy (mirrored); apply, one FFT product, commutes with them
-    only to rounding.
+    node carrying its mirror representative's.  An axis mirror keeps each
+    offset up to sign, and the diagonal one swaps the axes of a square
+    table, whose entries are symmetric: L commutes exactly with every
+    mirror, and couplings gathers any block of L from the table's mirrored
+    copy (mirrored); apply, one FFT product, commutes with them only to
+    rounding.
     """
 
     n: int
@@ -145,16 +147,23 @@ class OperatorMatrix:
         """(orbits, B): the orbit table (geometry.orbit_table) of the grid's
         mirrors that leave every vector (every row of a stack) exactly
         invariant, and L folded by their group, B[r, t] = sum_g L[orbits[0,
-        r], orbits[g, t]], which acts as L on the representatives' values of
-        the vectors that group fixes.
+        r], orbits[g, t]] / sqrt(s_r s_t), s the stabilizer orders
+        (geometry.stabilizers).  B acts as L on the folded unknowns
+        u[orbits[0]] / sqrt(s) of the vectors u that group fixes; it is
+        symmetric with nonpositive off-diagonal entries, as L is.
 
         B is built once per subgroup and cached; callers only read it.  Its
         first call sorts the table's columns, and B with them, stably by the
         first vector on orbits[0]: spectral._SortedFactor's order.  Every
         group, the trivial one and a mirror-free grid's included, gathers
         its terms from the table SCAN_ROWS rows at a time, each into one
-        reused buffer, and sums them in the group's order, the diagonal set
-        on the identity term.
+        reused buffer, and sums them in the group's order, s_r L_rr on the
+        identity term's diagonal (the sum meets node r s_r times).  Where
+        some s_r > 1, the diagonal mirror is in the group, and the sum at
+        (t, r) takes the two quarter turns' terms in the other order: the
+        sum and its transpose are averaged, exactly symmetric, and weighted,
+        SCAN_ROWS rows at a time.  Elsewhere every element is an involution,
+        the sum is already exactly symmetric and every weight is 1.
         """
         mirrors = self.grid.mirrors
         key = tuple(i for i, m in enumerate(mirrors) if all(np.array_equal(v[..., m], v) for v in vectors))
@@ -162,16 +171,21 @@ class OperatorMatrix:
             orbits = orbit_table(self.n, [mirrors[i] for i in key])
             if vectors:
                 orbits = orbits[:, np.argsort(vectors[0][orbits[0]], kind="stable")]
-            reps = orbits[0]
+            reps, s = orbits[0], stabilizers(orbits)
             block = np.empty((len(reps), len(reps)))
             term = np.empty((min(SCAN_ROWS, len(reps)), len(reps)))
             for start in range(0, len(reps), SCAN_ROWS):
                 rows = reps[start : start + SCAN_ROWS]
                 chunk = block[start : start + SCAN_ROWS]
                 self.couplings(rows, reps, out=chunk)
-                chunk.flat[start :: len(reps) + 1] = self.diagonal[rows]
+                chunk.flat[start :: len(reps) + 1] = s[start : start + SCAN_ROWS] * self.diagonal[rows]
                 for g in orbits[1:]:
                     chunk += self.couplings(rows, g, out=term[: len(rows)])
+            for start in range(0, len(reps) if np.any(s > 1) else 0, SCAN_ROWS):
+                upper, lower = block[start : start + SCAN_ROWS, start:], block[start:, start : start + SCAN_ROWS]
+                upper += lower.T
+                upper *= 0.5 / np.sqrt(np.outer(s[start : start + SCAN_ROWS], s[start:]))
+                lower[...] = upper.T
             self._folds[key] = orbits, block
         return self._folds[key]
 

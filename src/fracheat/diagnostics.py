@@ -152,12 +152,15 @@ def energy_inequality_all_pairs(M: OperatorMatrix) -> Certificate:
     is the table's largest over the nonzero offsets some pair realizes: the
     support of the node indicator's autocorrelation, one rFFT pair on the
     table's box.  An entry no pair realizes, such as a disk box's corner, is
-    not in L.  The witness is the first representative with a partner at a
-    largest offset and its lowest-numbered such partner, as a scan of the
-    representatives' rows would find: a mirror keeps every offset up to
-    sign per axis.  The certificate is energy_inequality_certificate at u =
-    e_i + e_j, phi = e_i - e_j (slack -4 L_ij h^d); satisfied iff L_ij <= 0,
-    exactly."""
+    not in L.  The witness is the first node with a partner at a largest
+    offset and its lowest-numbered such partner, as a scan of every row
+    would find, sought among the representatives only: an axis mirror keeps
+    every offset up to sign per axis, and the diagonal mirror swaps the axes
+    of a square box, under which the table and the realized offsets are
+    symmetric; so the mirrors fix the set of such nodes, and the first node
+    of an orbit is its representative.  The certificate is
+    energy_inequality_certificate at u = e_i + e_j, phi = e_i - e_j (slack
+    -4 L_ij h^d); satisfied iff L_ij <= 0, exactly."""
     table, lattice = M.mirrored[0], M.grid.lattice
     indicator = np.zeros(table.shape)
     indicator[tuple(lattice.T)] = 1.0

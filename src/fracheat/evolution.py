@@ -17,7 +17,7 @@ import numpy as np
 
 from .assembly import OperatorMatrix
 from .errors import SolveFailure, StepTooLarge
-from .geometry import Grid
+from .geometry import Grid, stabilizers
 from .spectral import MeshLevel, _potential_vector, _SortedFactor, spectral_bottom
 
 STEP_RESTRICTION = 0.5
@@ -68,10 +68,11 @@ class ImplicitStepper:
     values, k V's truncation level (else math.inf).  Each state u is
     stepped on the group of V's mirrors that leave u exactly invariant: the
     system I + dt (L - diag(V)) maps such states to such states, so it is
-    solved on the values at one representative per orbit, with the block
-    folded by that group.  One factor is kept per group met; a
-    mirror-symmetric state under a mirror-symmetric V needs one n / 2^m
-    block, and the result is invariant under the same group, so evolve
+    solved with the block folded by that group (OperatorMatrix.fold), on
+    one unknown per orbit, the representative's value over sqrt(s), s its
+    stabilizer order.  One factor is kept per group met; a state under a V
+    that the whole group fixes needs one block of about n / |group|
+    unknowns, and the result is invariant under the same group, so evolve
     folds once for the whole trajectory.  truncate lowers V to min(V, k),
     refactoring only the trailing blocks where the two differ.
     """
@@ -100,11 +101,11 @@ class ImplicitStepper:
 
     def _solver(self, *vectors) -> tuple:
         """The orbit table of the mirrors that fix V and every vector (or
-        stack of them), and the factor of I + dt (L - diag(V)) folded by
-        them: dt times L's cached block B (OperatorMatrix.fold, its rows
-        sorted by V) with the diagonal set to 1 + dt (B_ii - V_i).  A
-        representatives' vector taken with the table is in the factor's
-        order."""
+        stack of them), the square roots of its stabilizer orders, and the
+        factor of I + dt (L - diag(V)) folded by them: dt times L's cached
+        block B (OperatorMatrix.fold, its rows sorted by V) with the
+        diagonal set to 1 + dt (B_ii - V_i).  A representatives' vector
+        taken with the table is in the factor's order."""
         orbits, block = self.M.fold(self.potential, *vectors)
         key = orbits.tobytes()
         if key not in self._factors:
@@ -113,7 +114,7 @@ class ImplicitStepper:
                 system = _SortedFactor(block, self.dt, 1.0 + self.dt * (np.diag(block) - V))
             except np.linalg.LinAlgError as exc:
                 raise SolveFailure(f"factorization of the implicit system failed: {exc}")
-            self._factors[key] = orbits, system
+            self._factors[key] = orbits, np.sqrt(stabilizers(orbits)), system
         return self._factors[key]
 
     def truncate(self, k: float) -> None:
@@ -126,14 +127,14 @@ class ImplicitStepper:
         self.potential = np.minimum(self.potential, k)
         self.potential.setflags(write=False)
         self.k = min(self.k, float(k))
-        for orbits, system in self._factors.values():
+        for orbits, _, system in self._factors.values():
             system.update(1.0 + self.dt * (np.diag(system.B) - self.potential[orbits[0]]))
 
     def step(self, u: np.ndarray) -> np.ndarray:
         u = _checked_state(u, self.M.n)
-        orbits, system = self._solver(u)
+        orbits, root, system = self._solver(u)
         w = np.empty(self.M.n)
-        w[orbits] = _advance(system, u[orbits[0]])
+        w[orbits] = _advance(system, root, u[orbits[0]])
         return w
 
 
@@ -146,16 +147,19 @@ def _checked_state(u, n: int) -> np.ndarray:
     return u
 
 
-def _advance(system: _SortedFactor, u: np.ndarray) -> np.ndarray:
+def _advance(system: _SortedFactor, root: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One step on the representatives' values, in the factor's order: the
-    solve with a stepper's factor, clipped at 0.  Raises SolveFailure on a
-    non-finite value or a genuinely negative one."""
-    w = system.solve(u)
+    solve with a stepper's factor on the folded unknowns u / root, clipped
+    at 0, times root.  Raises SolveFailure on a non-finite value or a
+    genuinely negative one."""
+    w = system.solve(u / root)
     low, top = float(w.min()), float(w.max())  # max |w| is max(top, -low)
     if not (math.isfinite(low) and math.isfinite(top)) or low < -1e-10 * max(1.0, top, -low):
         raise SolveFailure(f"solver produced a non-finite or genuinely negative entry {low:.3e}")
     # inverse positivity holds exactly; clip roundoff-level negatives
-    return np.maximum(w, 0.0, out=w)
+    np.maximum(w, 0.0, out=w)
+    w *= root
+    return w
 
 
 def evolve(stepper: ImplicitStepper, u0, t_final: float) -> Trajectory:
@@ -172,11 +176,11 @@ def evolve(stepper: ImplicitStepper, u0, t_final: float) -> Trajectory:
     if steps < 1 or abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError(f"t_final={t_final} is not a positive multiple of dt={dt}")
     # the mirrors that fix V and u0 fix every later state: one fold, one unfold
-    orbits, system = stepper._solver(u)
+    orbits, root, system = stepper._solver(u)
     reps = np.empty((steps + 1, orbits.shape[1]))
     reps[0] = u[orbits[0]]
     for i in range(steps):
-        reps[i + 1] = _advance(system, reps[i])
+        reps[i + 1] = _advance(system, root, reps[i])
     states = np.empty((steps + 1, M.n))
     states[:, orbits] = reps[:, None, :]
     states.setflags(write=False)
@@ -235,14 +239,14 @@ def duhamel_residual(traj: Trajectory, free: ImplicitStepper) -> float:
     if free.M is not M or free.dt != traj.dt or np.any(free.potential):
         raise ValueError("free stepper was factored for another operator, time step or a potential")
     # the mirrors that fix V and every state fix every R(t_n): one fold
-    orbits, system = free._solver(vals, traj.states)
+    orbits, root, system = free._solver(vals, traj.states)
     reps = orbits[0]
     source = traj.dt * vals[reps] * traj.states[:, reps]
     acc = traj.states[0]
     unfolded = np.empty(M.n)
     worst = 0.0
     for n in range(1, len(traj.times)):
-        acc = (free.step(acc)[reps] if n == 1 else _advance(system, acc)) + source[n]
+        acc = (free.step(acc)[reps] if n == 1 else _advance(system, root, acc)) + source[n]
         unfolded[orbits] = acc
         diff = np.linalg.norm(traj.states[n] - unfolded)
         denom = np.linalg.norm(traj.states[n])

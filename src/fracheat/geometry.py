@@ -142,8 +142,9 @@ class Grid:
 
     @cached_property
     def mirrors(self) -> tuple:
-        """Node permutations of the axis mirrors x_a -> -x_a that map the
-        node set onto itself and fix no node, one per such axis.
+        """Node permutations of the mirrors that map the node set onto
+        itself: the axis mirrors x_a -> -x_a that fix no node, then, on a
+        square lattice box, the diagonal mirror x1 <-> x2.
 
         Candidate images come from the lattice indices of the nodes; a mirror
         is kept only when every image carries exactly the mirrored
@@ -156,35 +157,47 @@ class Grid:
         keys = np.ravel_multi_index(lattice.T, top + 1)
         nodes = np.arange(self.n)
         found = []
-        for a in range(self.dimension):
-            image_lattice = lattice.copy()
-            image_lattice[:, a] = top[a] - lattice[:, a]
+        for a in range(self.dimension + (self.dimension == 2 and top[0] == top[1])):
+            if a < self.dimension:  # the axis mirror x_a -> -x_a
+                image_lattice, mirrored = lattice.copy(), pts.copy()
+                image_lattice[:, a] = top[a] - lattice[:, a]
+                mirrored[:, a] = -pts[:, a]
+            else:  # the diagonal mirror x1 <-> x2
+                image_lattice, mirrored = lattice[:, ::-1], pts[:, ::-1]
             image_keys = np.ravel_multi_index(image_lattice.T, top + 1)
             image = np.minimum(np.searchsorted(keys, image_keys), self.n - 1)
-            mirrored = pts.copy()
-            mirrored[:, a] = -pts[:, a]
-            if np.array_equal(pts[image], mirrored) and not np.any(image == nodes):
+            if np.array_equal(pts[image], mirrored) and not (a < self.dimension and np.any(image == nodes)):
                 image.setflags(write=False)
                 found.append(image)
         return tuple(found)
 
 
 def orbit_table(n: int, mirrors) -> np.ndarray:
-    """Node orbits of the group generated by commuting fixed-point-free node
-    involutions, as an (order, n / order) index array.
+    """Node orbits of the group generated by mirrors (Grid.mirrors or a
+    subgroup's, closed under composition: commuting axis mirrors that fix no
+    node, then maybe the diagonal one), as an (order, orbits) index array.
 
-    Column r is the orbit of the r-th representative, a node with a smaller
-    index than each of its mirror images; row g holds the images under the
-    product of the mirrors whose bits are set in g, so row 0 lists the
-    representatives.  With no mirror the table is the single row 0..n-1.
+    Column r is the orbit of the r-th representative, a node with an index
+    no larger than each of its mirror images; row g holds its images under
+    the g-th group element (row 0 lists the representatives), listed as
+    the products of the axis mirrors whose bits are set in g, then those
+    followed by the diagonal mirror.  A node the diagonal mirror's
+    elements fix repeats in its column: its stabilizer order s_r
+    (stabilizers) times |orbit| is the group's order.  With no mirror the
+    table is the single row 0..n-1.
     """
     reps = np.arange(n)
     for image in mirrors:
-        reps = reps[reps < image[reps]]
+        reps = reps[reps <= image[reps]]
     rows = [reps]
     for image in mirrors:
         rows += [image[r] for r in rows]
     return np.stack(rows)
+
+
+def stabilizers(orbits: np.ndarray) -> np.ndarray:
+    """s_r, the number of an orbit table's rows that fix representative r."""
+    return (orbits == orbits[0]).sum(axis=0)
 
 
 def build_grid(domain: DomainSpec, h: float) -> Grid:

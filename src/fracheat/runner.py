@@ -79,12 +79,6 @@ def _certificate_json(cert: Certificate) -> dict:
     }
 
 
-def _mirror_group_order(level: MeshLevel) -> int:
-    """2^m, m the number of the grid's mirrors that fix the potential."""
-    V = level.field.values
-    return 2 ** sum(np.array_equal(V[m], V) for m in level.op.grid.mirrors)
-
-
 def _initial_state(grid, config: ExperimentConfig):
     init = config.initial_state
     return initial_state(grid, kind=init.get("kind", "inradius_ball"), radius=init.get("radius"))
@@ -133,8 +127,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int | None = No
     certificates = _certificates(config, finest, families[-1], lambdas, probe, seed, free)
     residuals = {"duhamel": duhamel_residual(deepest, free)}
 
-    # the order of the group of mirrors that fix each mesh's potential
-    extras = {"mirror_group_order": [[lv.h, _mirror_group_order(lv)] for lv in levels]}
+    # the order of the mirror group that folds each mesh's potential
+    extras = {"mirror_group_order": [[lv.h, len(lv.op.fold(lv.field.values)[0])] for lv in levels]}
     if config.potential.kind == "hardy_boundary":
         extras["boundary_hardy_constant"] = estimate_boundary_hardy_constant([lv.op for lv in levels])
 

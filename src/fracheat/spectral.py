@@ -5,11 +5,12 @@ of the Rayleigh quotient (form energy minus potential mass over L2 mass);
 its behaviour under mesh refinement and truncation deepening is the raw
 evidence the classifier consumes.
 
-The grid's axis mirrors that also leave V invariant generate a group Z2^m
-that commutes with L - diag(V).  Since L - diag(V) is an irreducible
-Z-matrix, its ground vector is positive (Perron-Frobenius), so invariant
-under every mirror of the group: it is found from the values at one
-representative of each orbit, on the n / 2^m block OperatorMatrix.fold.
+The grid's mirrors that also leave V invariant (of the axes and, on a
+square lattice, of the diagonal) generate a group that commutes with L -
+diag(V).  Since L - diag(V) is an irreducible Z-matrix, its ground vector
+is positive (Perron-Frobenius), so invariant under every mirror of the
+group: it is found from one unknown per orbit, on the block
+OperatorMatrix.fold, about n / |group| across.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import _lapack
 from .assembly import OperatorMatrix, assemble_operator
 from .errors import ConvergenceFailure, DimensionMismatch
-from .geometry import DomainSpec, boundary_distance, build_grid
+from .geometry import DomainSpec, boundary_distance, build_grid, stabilizers
 from .potentials import PotentialField, PotentialSpec, sample_potential, truncate
 
 RESIDUAL_TOL = 1e-8
@@ -73,8 +74,10 @@ def spectral_bottoms(M: OperatorMatrix, potentials, v0=None) -> list:
     min(V, k) is at most V.
 
     Solved by _ground_states on M.fold(*potentials), the block folded by
-    the mirrors that fix every V (the whole matrix when none does); v0,
-    summed over each orbit, warm-starts the first member; by default it is
+    the mirrors that fix every V (the whole matrix when none does), whose
+    unknowns are the values at the representatives over sqrt(s), s their
+    stabilizer orders; v0, summed over each orbit's row of images and so
+    over sqrt(s), warm-starts the first member; by default it is
     delta^(alpha/2), delta the distance to the boundary, as ground states
     vanish like it (Ros-Oton & Serra 2014).  Each pair, unfolded, satisfies
     ||(M - V) v - lambda v|| <= RESIDUAL_TOL on the full matrix, else
@@ -91,11 +94,12 @@ def spectral_bottoms(M: OperatorMatrix, potentials, v0=None) -> list:
         if not (np.all(np.isfinite(v0)) and np.any(v0)):
             raise ValueError("warm start must be finite and nonzero")
     orbits, block = M.fold(*vals)
-    results = _ground_states(block, [d[orbits[0]] for d in vals], v0[orbits].sum(axis=0))
+    root = np.sqrt(stabilizers(orbits))
+    results = _ground_states(block, [d[orbits[0]] for d in vals], v0[orbits].sum(axis=0) / root)
     checked = []
     for res, d in zip(results, vals):
         v = np.empty(M.n)
-        v[orbits] = res.eigvec / math.sqrt(len(orbits))
+        v[orbits] = root * res.eigvec / math.sqrt(len(orbits))
         whole = len(orbits) == 1  # the block is the whole matrix, reordered: residual checked
         checked.append(res._replace(eigvec=v) if whole else _checked_pair(M.apply(v), d, v, res.iterations))
     return checked
@@ -244,7 +248,8 @@ def estimate_boundary_hardy_constant(operators) -> dict:
     on each operator of a refinement schedule.  It is the spectral bottom of
     D^-1/2 L D^-1/2, again a symmetric Z-matrix, found by the same solver as
     every ground state, on the block folded by the mirrors that fix delta
-    (its ground vector is positive, so invariant under them).  Returns
+    (its ground vector is positive, so invariant under them); D is constant
+    on each orbit, so it commutes with the fold's sqrt(s) weights.  Returns
     {"series": [(h, value), ...], "estimate": last value}; the limit is
     observed, not certified.
     """

@@ -27,7 +27,7 @@ from fracheat.assembly import (
     _rectangle_complement_integral,
 )
 from fracheat.errors import ConvergenceFailure, DomainError
-from fracheat.geometry import orbit_table
+from fracheat.geometry import orbit_table, stabilizers
 
 # regression value: smallest eigenvalue of the assembled operator on the
 # unit interval at alpha = 0.5, h = 1/256 (refinement study fixture)
@@ -353,6 +353,21 @@ def _dense(op):
     return replace(op).fold(np.arange(op.n, dtype=float))[1]
 
 
+def _fold_of(L, orbits):
+    """The fold of a dense L by an orbit table, in fold's arithmetic: the
+    identity term with s_r L_rr on its diagonal, the other rows' terms added
+    in row order, the sum added to its transpose and scaled by 0.5 /
+    sqrt(s_r s_t).  On a table of free orbits it is the plain sum over the
+    rows of L's columns."""
+    s = stabilizers(orbits)
+    off = L - np.diag(np.diag(L))
+    block = off[np.ix_(orbits[0], orbits[0])]
+    np.fill_diagonal(block, s * np.diag(L)[orbits[0]])
+    for row in orbits[1:]:
+        block += off[np.ix_(orbits[0], row)]
+    return (block + block.T) * (0.5 / np.sqrt(np.outer(s, s)))
+
+
 def test_operator_structure(interval_op):
     E = _dense(interval_op)
     assert np.max(np.abs(E - E.T)) == 0.0
@@ -386,7 +401,7 @@ def test_offset_gather_matches_pairwise_oracle_on_dyadic_grids(dom, h, alpha):
     g = build_grid(dom, h)
     op = assemble_operator(g, alpha)
     oracle = _pairwise_assembly(g, alpha)
-    assert len(op.orbits) == 2 ** dom.dimension
+    assert len(op.orbits) == (8 if dom.kind == "disk" else 2)  # the disk's square group
     E = _dense(op)
     assert np.array_equal(E[op.orbits[0]], oracle[op.orbits[0]])
     assert np.array_equal(op.diagonal, np.diag(E))
@@ -511,7 +526,7 @@ def test_subgroup_block_matches_pairwise_oracle_fold(axis):
     op = assemble_operator(g, 1.0)
     V = 1.0 + 0.1 * g.points[:, 1 - axis] + 0.2 * g.points[:, axis] ** 2
     orbits, block = op.fold(V)
-    assert len(orbits) == 2 and len(op.orbits) == 4
+    assert len(orbits) == 2 and len(op.orbits) == 8
     L = _dense(op)
     assert np.array_equal(block, sum(L[np.ix_(orbits[0], row)] for row in orbits))
     # the dyadic oracle differs only in the diagonals of non-representatives
@@ -541,7 +556,9 @@ def test_fold_orders_its_table_by_the_first_vector(dom, h, alpha):
         assert np.array_equal(orbits, table[:, order])
         assert np.all(np.diff(V[orbits[0]]) >= 0)
         L = _dense(op)
-        assert np.array_equal(block, sum(L[np.ix_(orbits[0], row)] for row in orbits))
+        assert np.array_equal(block, _fold_of(L, orbits))
+        if np.all(stabilizers(orbits) == 1):
+            assert np.array_equal(block, sum(L[np.ix_(orbits[0], row)] for row in orbits))
         assert op.fold(np.ones(g.n), u)[0] is orbits  # cached in the first call's order
 
 
@@ -566,20 +583,52 @@ def _pairwise_lattice_oracle(grid, alpha):
                                             (DomainSpec.interval(1.0), 0.03, 0.5),  # no mirror
                                             (DomainSpec.disk(1.0), 1 / 16, 1.0)])
 def test_every_fold_matches_the_pairwise_oracle_bit_for_bit(dom, h, alpha):
-    # the whole group, one mirror's subgroup (on the disk), and the trivial
-    # group: each block is the oracle's fold over the op's sorted table
+    # the whole group, one axis mirror's subgroup and the diagonal mirror's
+    # (on the disk), and the trivial group: each block is the oracle's fold
+    # over the op's sorted table
     g = build_grid(dom, h)
     oracle = _pairwise_lattice_oracle(g, alpha)
     x, r = g.points[:, 0], np.linalg.norm(g.points, axis=1)
     vectors = [np.exp(-r), np.arange(g.n, dtype=float)]
     if g.dimension == 2:
-        vectors.append(1.0 + 0.1 * g.points[:, 1] + x * x)
+        vectors += [1.0 + 0.1 * g.points[:, 1] + x * x, 1.0 + 0.1 * (x + g.points[:, 1])]
+    orders = []
     for V in vectors:
         orbits, block = assemble_operator(g, alpha).fold(V)
         mirrors = [m for m in g.mirrors if np.array_equal(V[m], V)]
         table = orbit_table(g.n, mirrors)
         assert np.array_equal(orbits, table[:, np.argsort(V[table[0]], kind="stable")])
-        assert np.array_equal(block, sum(oracle[np.ix_(orbits[0], row)] for row in orbits))
+        assert np.array_equal(block, _fold_of(oracle, orbits))
+        assert np.array_equal(block, block.T)
+        orders.append(len(orbits))
+    assert orders == ([8, 1, 2, 2] if g.dimension == 2 else [len(g.mirrors) + 1, 1])
+
+
+@pytest.mark.parametrize("dom, h", [(DomainSpec.disk(1.0), 1 / 16), (DomainSpec.rectangle(1.0, 1.0), 1 / 12)])
+def test_weighted_fold_acts_as_L_on_every_subgroup(dom, h):
+    # a random vector constant on the orbits of a subgroup, and fixed by no
+    # other mirror, folds by that subgroup; its folded unknowns u / sqrt(s),
+    # multiplied by the block and mapped back by sqrt(s), are L u at the
+    # representatives.  The subgroups are those closed under composition:
+    # an axis mirror and the diagonal one give the other axis mirror too
+    g = build_grid(dom, h)
+    op = assemble_operator(g, 1.0)
+    assert len(g.mirrors) == 3
+    rng = np.random.default_rng(12)
+    for key in [(), (0,), (1,), (0, 1), (2,), (0, 1, 2)]:
+        table = orbit_table(g.n, [g.mirrors[i] for i in key])
+        u = np.empty(g.n)
+        u[table] = rng.uniform(0.5, 1.5, table.shape[1])
+        orbits, block = op.fold(u)
+        assert len(orbits) == 2 ** len(key)
+        assert np.array_equal(np.sort(orbits[0]), np.sort(table[0]))
+        root = np.sqrt(stabilizers(orbits))
+        assert np.any(root > 1) == (2 in key)  # the diagonal mirror fixes nodes
+        got = root * (block @ (u[orbits[0]] / root))
+        want = op.apply(u)[orbits[0]]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        off = block[~np.eye(len(block), dtype=bool)]
+        assert np.array_equal(block, block.T) and np.all(off <= 0.0)
 
 
 @pytest.mark.parametrize("dom, h", [(DomainSpec.interval(1.0), 1 / 256),

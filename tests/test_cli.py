@@ -206,6 +206,17 @@ def test_asymmetric_potential_reports_no_fold(tmp_path):
     assert report["extras"]["mirror_group_order"] == [[h, 1] for h in FAST_CONFIG["h_schedule"]]
 
 
+def test_disk_reports_the_order_of_the_group_that_folds_its_potential(tmp_path):
+    # disk_2d's radial potential: the square's whole group on every mesh;
+    # x y on the same meshes: the diagonal mirror alone
+    disk = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "disk_2d.json").read_text())
+    for potential, order in ((disk["potential"], 8), ({"kind": "bounded", "expr": "0.5 + 0.2*(x*y)"}, 2)):
+        doc = dict(disk, potential=potential)
+        paths = run_experiment(load_config(write_config(tmp_path, doc)), out_dir=tmp_path / f"order{order}")
+        report = json.loads(Path(paths["report"]).read_text())
+        assert report["extras"]["mirror_group_order"] == [[h, order] for h in disk["h_schedule"]]
+
+
 def test_reports_byte_stable(tmp_path):
     cfg = load_config(write_config(tmp_path))
     blobs = []

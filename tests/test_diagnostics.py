@@ -98,7 +98,7 @@ def test_energy_certificate_takes_one_pair(interval_op):
         energy_inequality_certificate(interval_op, np.ones(n), np.ones(n - 1))
 
 
-# a grid with no mirror and one with two
+# a grid with no mirror and one with two axis mirrors and the diagonal one
 ALL_PAIRS_GRIDS = [(DomainSpec.interval(1.0), 0.03, 0), (DomainSpec.disk(1.0), 1.0 / 16.0, 2)]
 
 
@@ -106,34 +106,44 @@ def _offset(op, i, j):
     return tuple(np.abs(op.grid.lattice[i] - op.grid.lattice[j]))
 
 
+def _swapped_offsets(op, i, j):
+    """The offset of nodes i and j and, on a square table, its transpose."""
+    offset = _offset(op, i, j)
+    return {offset, offset[::-1]} if len(set(op.entries.shape)) == 1 else {offset}
+
+
 def _with_coupling(op, i, j, value):
     """A copy of op whose offset table holds value at the offset of nodes i
-    and j: L_ab = value for every pair (a, b) at that offset."""
+    and j, and at its transpose on a square table, so that the copy keeps
+    the grid's mirrors: L_ab = value for every pair (a, b) at those
+    offsets."""
     table = op.entries.copy()
-    table[_offset(op, i, j)] = value
+    for offset in _swapped_offsets(op, i, j):
+        table[offset] = value
     table.setflags(write=False)
     return replace(op, entries=table)
 
 
 def _first_pair_at_offset(op, i, j):
-    """The first pair (representative r, node b) at the offset of (i, j), in
-    the order of the representatives' rows and of the nodes in a row."""
+    """The first pair (node a, node b) at the offsets of _with_coupling(op,
+    i, j), in the order of every node's row and of the nodes in a row."""
     lattice = op.grid.lattice
-    for r in op.orbits[0]:
-        hits = np.flatnonzero(np.all(np.abs(lattice - lattice[r]) == _offset(op, i, j), axis=1))
+    for a in range(op.n):
+        gaps = np.abs(lattice - lattice[a])
+        hits = np.flatnonzero([tuple(gap) in _swapped_offsets(op, i, j) for gap in gaps])
         if hits.size:
-            return int(r), int(hits[0])
+            return a, int(hits[0])
 
 
-@pytest.mark.parametrize("domain, h, mirrors", ALL_PAIRS_GRIDS)
-def test_energy_all_pairs_fails_at_a_positive_coupling(domain, h, mirrors):
+@pytest.mark.parametrize("domain, h, axes", ALL_PAIRS_GRIDS)
+def test_energy_all_pairs_fails_at_a_positive_coupling(domain, h, axes):
     op = assemble_operator(build_grid(domain, h), ALPHA)
-    assert len(op.grid.mirrors) == mirrors
+    assert len(op.grid.mirrors) == axes + (axes == 2)
     sound = energy_inequality_all_pairs(op)
     assert sound.satisfied and sound.details["L_ij"] < 0.0
     i, j = 5, op.n // 2 + 3
     witness = _first_pair_at_offset(op, i, j)
-    assert _offset(op, *witness) == _offset(op, i, j)
+    assert _offset(op, *witness) in _swapped_offsets(op, i, j)
     # the coupling's own magnitude, and one whose slack is below rounding
     for value in (-op.couplings([i], [j])[0, 0], 1e-300):
         bad = energy_inequality_all_pairs(_with_coupling(op, i, j, value))
@@ -141,8 +151,8 @@ def test_energy_all_pairs_fails_at_a_positive_coupling(domain, h, mirrors):
         assert (bad.details["i"], bad.details["j"]) == witness and bad.details["L_ij"] == value
 
 
-@pytest.mark.parametrize("domain, h, mirrors", ALL_PAIRS_GRIDS)
-def test_energy_witness_slack_is_four_couplings(domain, h, mirrors):
+@pytest.mark.parametrize("domain, h, axes", ALL_PAIRS_GRIDS)
+def test_energy_witness_slack_is_four_couplings(domain, h, axes):
     op = assemble_operator(build_grid(domain, h), ALPHA)
     i, j = 2, op.n - 7
     for M in (op, _with_coupling(op, i, j, 0.25)):
@@ -193,6 +203,23 @@ def test_energy_witness_matches_a_pairwise_scan(domain, h):
         assert cert.satisfied == (value <= 0.0)
 
 
+@pytest.mark.parametrize("domain, h", [(DomainSpec.disk(1.0), 1.0 / 16.0), (DomainSpec.rectangle(1.0, 1.0), 1.0 / 12.0)])
+def test_energy_witness_is_the_first_largest_entry_of_every_row(domain, h):
+    # the square group's representatives are an eighth of the nodes: the
+    # witness is still the first largest off-diagonal entry of a scan of
+    # every node's row of L, read from the dense L, also once a larger
+    # coupling is set at a pair's offset and its transpose
+    op = assemble_operator(build_grid(domain, h), ALPHA)
+    assert len(op.grid.mirrors) == 3
+    for M in (op, _with_coupling(op, 7, op.n - 30, -1e-9), _with_coupling(op, 7, op.n - 30, 0.5)):
+        L = M.fold(np.arange(M.n, dtype=float))[1]  # L in node order
+        np.fill_diagonal(L, -np.inf)
+        i, j = np.unravel_index(int(np.argmax(L)), L.shape)
+        cert = energy_inequality_all_pairs(M)
+        assert (cert.details["i"], cert.details["j"], cert.details["L_ij"]) == (i, j, L[i, j])
+        assert cert.satisfied == (L[i, j] <= 0.0)
+
+
 def test_energy_check_ignores_unrealized_offsets():
     # the box's corner offset joins no two nodes of a disk: a positive table
     # entry there is no entry of L
@@ -210,8 +237,8 @@ def test_energy_check_ignores_unrealized_offsets():
     assert cert.details == sound.details and cert.slack == sound.slack
 
 
-@pytest.mark.parametrize("domain, h, mirrors", ALL_PAIRS_GRIDS)
-def test_energy_check_gathers_no_rows(domain, h, mirrors, monkeypatch):
+@pytest.mark.parametrize("domain, h, axes", ALL_PAIRS_GRIDS)
+def test_energy_check_gathers_no_rows(domain, h, axes, monkeypatch):
     op = assemble_operator(build_grid(domain, h), ALPHA)
     calls = []
     couplings = OperatorMatrix.couplings

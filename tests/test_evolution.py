@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from fracheat import _lapack
 from fracheat.assembly import OperatorMatrix
+from fracheat.geometry import stabilizers
 from fracheat.spectral import MeshLevel
 from fracheat import (
     DomainSpec,
@@ -158,8 +159,8 @@ def test_stepper_factor_matches_textbook_system(domain, h, alpha):
     # times L's cached block with the diagonal 1 + dt (B_ii - V_i); the
     # fold's table, and the block with it, is sorted by V, and the factor
     # takes it in that order.  The block folded from the textbook
-    # system I + dt (L - diag(V)) by summing over each orbit's columns
-    # rounds differently and is its oracle
+    # system I + dt (L - diag(V)) by summing over each orbit's columns, and
+    # weighted by 1 / sqrt(s_r s_t), rounds differently and is its oracle
     g = build_grid(domain, h)
     op = assemble_operator(g, alpha)
     fld = sample_potential(PotentialSpec.hardy_interior(0.1), g, alpha)
@@ -167,19 +168,21 @@ def test_stepper_factor_matches_textbook_system(domain, h, alpha):
     stepper = ImplicitStepper(op, fld, dt)
     stepper.step(initial_state(g))
     orbits = orbit_table(g.n, g.mirrors)
-    assert len(orbits) == 2 ** g.dimension
+    assert len(orbits) == (8 if g.dimension == 2 else 2)
     folded, B = op.fold(fld.values)
     order = np.argsort(fld.values[orbits[0]], kind="stable")
     assert np.array_equal(folded, orbits[:, order])
     system = dt * B
     system.flat[:: len(B) + 1] = 1.0 + dt * (np.diag(B) - fld.values[folded[0]])
     assert len(stepper._factors) == 1
-    sorted_orbits, factored = stepper._factors[folded.tobytes()]
+    sorted_orbits, root, factored = stepper._factors[folded.tobytes()]
     assert np.array_equal(sorted_orbits, folded)
+    s = stabilizers(folded)
+    assert np.array_equal(root, np.sqrt(s)) and np.any(s > 1) == (g.dimension == 2)
     factor_of_state = factored.factor
     assert np.array_equal(factor_of_state, _lapack.cholesky(system))
     textbook = np.eye(op.n) + dt * (op.apply(np.eye(op.n)) - np.diag(fld.values))
-    block = sum(textbook[np.ix_(folded[0], row)] for row in folded)
+    block = sum(textbook[np.ix_(folded[0], row)] for row in folded) / np.sqrt(np.outer(s, s))
     factor, lower = linalg.cho_factor(block)
     assert not lower
     np.testing.assert_allclose(np.tril(factor_of_state).T, np.triu(factor), rtol=1e-13, atol=0)
@@ -197,7 +200,7 @@ def test_stepper_matches_textbook_solve_on_asymmetric_state(domain, h, alpha):
     want = linalg.cho_solve(linalg.cho_factor(textbook), u)
     np.testing.assert_allclose(stepper.step(u), want, rtol=1e-12, atol=0)
     # no mirror fixes a random state: one factor of the full system
-    assert [system.factor.shape for _, system in stepper._factors.values()] == [(g.n, g.n)]
+    assert [system.factor.shape for *_, system in stepper._factors.values()] == [(g.n, g.n)]
 
 
 @pytest.mark.parametrize("domain, h, alpha", [(DOM, 1.0 / 64.0, 0.5), (DomainSpec.disk(1.0), 1.0 / 16.0, 1.0)])
@@ -214,10 +217,30 @@ def test_symmetric_evolve_factors_one_block(domain, h, alpha, monkeypatch):
 
     monkeypatch.setattr(_lapack, "cholesky", counting)
     traj = evolve(ImplicitStepper(op, fld, 1.0 / 32.0, lambda0=0.0), initial_state(g), 0.25)
-    m = g.n // 2 ** g.dimension
+    m = 107 if g.dimension == 2 else g.n // 2  # the disk's 96 orbits of 8 and 11 of 4
     assert shapes == [(m, m)]
     for image in g.mirrors:  # every state stays exactly symmetric
         assert np.array_equal(traj.states[:, image], traj.states)
+
+
+def test_square_group_step_matches_a_dense_solve():
+    # a random state constant on the disk's orbits of order 8 and 4, under
+    # a radial V: one step on 107 folded unknowns against the full system
+    g = build_grid(DomainSpec.disk(1.0), 1.0 / 16.0)
+    op = assemble_operator(g, 1.0)
+    fld = sample_potential(PotentialSpec.hardy_interior(0.1), g, 1.0)
+    dt = 1.0 / 32.0
+    orbits = orbit_table(g.n, g.mirrors)
+    u = np.empty(g.n)
+    u[orbits] = np.random.default_rng(5).uniform(0.5, 1.5, orbits.shape[1])
+    stepper = ImplicitStepper(op, fld, dt, lambda0=0.0)
+    w = stepper.step(u)
+    assert [system.factor.shape for *_, system in stepper._factors.values()] == [(107, 107)]
+    L = replace(op).fold(np.arange(op.n, dtype=float))[1]  # L in node order
+    want = np.linalg.solve(np.eye(op.n) + dt * (L - np.diag(fld.values)), u)
+    np.testing.assert_allclose(w, want, rtol=1e-13, atol=0)
+    for image in g.mirrors:
+        assert np.array_equal(w[image], w)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -230,7 +253,7 @@ def test_state_fixed_by_one_mirror_steps_on_its_subgroup(axis, monkeypatch):
     even, odd = g.points[:, axis], g.points[:, 1 - axis]
     u = np.exp(odd) * (1.0 + even * even)
     fixing = [m for m in g.mirrors if np.array_equal(u[m], u)]
-    assert len(g.mirrors) == 2 and len(fixing) == 1
+    assert len(g.mirrors) == 3 and len(fixing) == 1
     shapes = []
     real = _lapack.cholesky
 
@@ -246,9 +269,9 @@ def test_state_fixed_by_one_mirror_steps_on_its_subgroup(axis, monkeypatch):
     np.testing.assert_allclose(w, want, rtol=1e-12, atol=0)
     assert np.array_equal(w[fixing[0]], w)
     assert shapes == [(g.n // 2, g.n // 2)]
-    # a later symmetric state adds one factor, on the whole group
+    # a later symmetric state adds one factor, on the whole group of order 8
     stepper.step(initial_state(g))
-    assert shapes == [(g.n // 2, g.n // 2), (g.n // 4, g.n // 4)]
+    assert shapes == [(g.n // 2, g.n // 2), (107, 107)]
     stepper.step(w)
     stepper.step(initial_state(g))
     assert len(shapes) == 2
@@ -281,15 +304,30 @@ def test_asymmetric_problem_steps_on_the_full_system(h, expr):
         assert np.array_equal(u, want)
 
 
+def _unknowns(g, V, order):
+    """The number of orbits of the mirrors that fix V, given the order of
+    its axis mirrors' part: the diagonal mirror, when it fixes V too,
+    doubles the group and fixes the nodes on the diagonals."""
+    table = orbit_table(g.n, [mirror for mirror in g.mirrors if np.array_equal(V[mirror], V)])
+    diagonal = len(g.mirrors) == 3 and np.array_equal(V[g.mirrors[2]], V)
+    assert len(table) == order * (1 + diagonal)
+    return table.shape[1]
+
+
 @pytest.mark.parametrize("domain, h, potential, order", [
     (DOM, 1.0 / 64.0, PotentialSpec.hardy_interior(0.1), 2),
     (DOM, 0.03, PotentialSpec.hardy_interior(0.1), 1),
+    # the square group: 96 orbits of 8 and 11 of 4 on the diagonals
     (DomainSpec.disk(1.0), 1.0 / 16.0, PotentialSpec.hardy_interior(0.1), 4),
     (DomainSpec.disk(1.0), 1.0 / 16.0, PotentialSpec.bounded("0.5 + 0.1*x + 0.2*y*y"), 2),
+    # the diagonal mirror alone: 395 pairs and the 22 nodes it fixes
+    (DomainSpec.disk(1.0), 1.0 / 16.0, PotentialSpec.bounded("0.5 + 0.2*(x*y)"), 1),
 ])
 def test_evolve_matches_a_loop_of_steps(domain, h, potential, order, monkeypatch):
     # evolve folds once per trajectory; the reference steps every state
-    # through ImplicitStepper.step, which folds again each time
+    # through ImplicitStepper.step, which folds again each time and converts
+    # to and from the folded unknowns at the same points.  order is that of
+    # the axis mirrors that fix V
     g = build_grid(domain, h)
     op = assemble_operator(g, 1.0 if g.dimension == 2 else ALPHA)
     fld = sample_potential(potential, g, op.alpha)
@@ -313,7 +351,8 @@ def test_evolve_matches_a_loop_of_steps(domain, h, potential, order, monkeypatch
     monkeypatch.setattr(_lapack, "cholesky", counting_cholesky)
     monkeypatch.setattr(_lapack, "solve", counting_solve)
     traj = evolve(ImplicitStepper(op, fld, dt, lambda0=0.0), u0, steps * dt)
-    m = g.n // order
+    m = _unknowns(g, fld.values, order)
+    assert m == {(1, 2): 64, (1, 1): 67, (2, 4): 107, (2, 2): 406, (2, 1): 417}[g.dimension, order]
     assert factors == [(m, m)] and solves == [m] * steps
     monkeypatch.undo()
     assert np.array_equal(traj.states, want)
@@ -338,9 +377,11 @@ def _looped_duhamel(traj, op, vals, free):
 
 @pytest.mark.parametrize("potential, order", [
     (PotentialSpec.hardy_interior(0.1), 4),
-    # one mirror fixes V and both fix u0: the first free step, S u0, solves
-    # on u0's group, every later one on V's
+    # one mirror fixes V and all three fix u0: the first free step, S u0,
+    # solves on u0's group, every later one on V's
     (PotentialSpec.bounded("0.5 + 0.1*x + 0.2*y*y"), 2),
+    # only the diagonal mirror, which fixes nodes, fixes V
+    (PotentialSpec.bounded("0.5 + 0.2*(x*y)"), 1),
 ])
 def test_folded_duhamel_matches_a_loop_of_steps(potential, order, monkeypatch):
     g = build_grid(DomainSpec.disk(1.0), 1.0 / 16.0)
@@ -355,7 +396,8 @@ def test_folded_duhamel_matches_a_loop_of_steps(potential, order, monkeypatch):
     monkeypatch.setattr(_lapack, "solve", lambda factor, b: solves.append(len(b)) or solve(factor, b))
     monkeypatch.setattr(OperatorMatrix, "fold", lambda self, *v: folds.append(len(v)) or fold(self, *v))
     assert duhamel_residual(traj, free) == want
-    assert solves == [g.n // 4] + [g.n // order] * (steps - 1)
+    # u0's group is the whole square group, 107 unknowns
+    assert solves == [107] + [_unknowns(g, fld.values, order)] * (steps - 1)
     assert len(folds) == 2  # the first step's and the rest's, not one per step
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fracheat import DomainSpec, EmptyGrid, assemble_operator, boundary_distance, build_grid, orbit_table
-from fracheat.geometry import Grid
+from fracheat.geometry import Grid, stabilizers
 from fracheat.errors import DomainError
 
 
@@ -100,12 +100,17 @@ def test_invalid_domains():
 )
 @pytest.mark.parametrize("h", [1.0 / 12.0, 1.0 / 16.0, 1.0 / 24.0])
 def test_snapped_grids_mirror_exactly(dom, h):
+    # the axis mirrors, then the diagonal one on the disk's square box
     g = build_grid(dom, h)
-    assert len(g.mirrors) == dom.dimension
+    assert len(g.mirrors) == dom.dimension + (dom.kind == "disk")
     for a, image in enumerate(g.mirrors):
-        mirrored = g.points.copy()
-        mirrored[:, a] = -mirrored[:, a]
+        if a < dom.dimension:
+            mirrored = g.points.copy()
+            mirrored[:, a] = -mirrored[:, a]
+        else:
+            mirrored = g.points[:, ::-1]
         assert np.array_equal(g.points[image], mirrored)
+        assert np.array_equal(image[image], np.arange(g.n))
     # snapping moves a center by rounding only
     for a, half in enumerate(dom.half_widths):
         j = np.rint((g.points[:, a] + half) / h - 0.5)
@@ -120,23 +125,68 @@ def test_power_of_two_grids_are_not_moved():
 def test_mirrors_need_a_symmetric_lattice_without_fixed_nodes():
     assert build_grid(DomainSpec.interval(1.0), 0.03).mirrors == ()  # 2 / h is not whole
     assert build_grid(DomainSpec.interval(1.0), 2.0 / 3.0).mirrors == ()  # a node at 0
-    odd = build_grid(DomainSpec.disk(1.0), 2.0 / 15.0)  # 15 centers per axis
-    assert odd.mirrors == ()
-    # one axis with a whole number of cells, one without
+    # 15 centers per axis: the axis mirrors fix the nodes on the axes, and
+    # only the diagonal mirror, which may fix nodes, is left
+    odd = build_grid(DomainSpec.disk(1.0), 2.0 / 15.0)
+    assert len(odd.mirrors) == 1
+    (diagonal,) = odd.mirrors
+    assert np.array_equal(odd.points[diagonal], odd.points[:, ::-1])
+    assert np.count_nonzero(diagonal == np.arange(odd.n)) == 11
+    # one axis with a whole number of cells, one without; the box is not square
     assert len(build_grid(DomainSpec.rectangle(1.0, 0.7), 0.125).mirrors) == 1
+    # a square box that is not a whole number of cells: the diagonal mirror only
+    (diagonal,) = build_grid(DomainSpec.rectangle(1.0, 1.0), 0.3).mirrors
+    # a square lattice box without the four nodes (+-0.875, +-0.125): the
+    # axis mirrors map the rest onto itself, the diagonal one does not
+    g = build_grid(DomainSpec.rectangle(1.0, 1.0), 0.25)
+    assert len(g.mirrors) == 3
+    kept = ~np.all(np.abs(g.points) == [0.875, 0.125], axis=1)
+    holed = Grid(domain=g.domain, h=g.h, points=g.points[kept])
+    assert holed.n == g.n - 4 and np.array_equal(holed.lattice.max(axis=0), [7, 7])
+    assert len(holed.mirrors) == 2
 
 
-@pytest.mark.parametrize("dom", [DomainSpec.interval(1.0), DomainSpec.disk(1.0)])
+@pytest.mark.parametrize("dom", [DomainSpec.interval(1.0), DomainSpec.rectangle(1.0, 0.5)])
 def test_orbit_table_partitions_the_nodes(dom):
+    # axis mirrors only: every orbit is free, its nodes once in its column
     g = build_grid(dom, 1.0 / 12.0)
     orbits = orbit_table(g.n, g.mirrors)
     assert orbits.shape == (2 ** dom.dimension, g.n // 2 ** dom.dimension)
     np.testing.assert_array_equal(np.sort(orbits.ravel()), np.arange(g.n))
     assert np.all(g.points[orbits[0]] < 0)  # representatives: every coordinate negative
+    assert np.all(stabilizers(orbits) == 1)
     for bit, image in enumerate(g.mirrors):
         for row in range(len(orbits)):
             np.testing.assert_array_equal(image[orbits[row]], orbits[row ^ (1 << bit)])
     np.testing.assert_array_equal(orbit_table(g.n, ()), np.arange(g.n)[None])
+
+
+def test_disk_orbit_table_is_the_square_group():
+    # the dihedral group of order 8: the axis mirrors' rows, then each of
+    # them followed by the diagonal mirror
+    g = build_grid(DomainSpec.disk(1.0), 1.0 / 16.0)
+    x, y, diagonal = g.mirrors
+    orbits = orbit_table(g.n, g.mirrors)
+    assert orbits.shape == (8, 107)
+    for row in range(4):
+        np.testing.assert_array_equal(x[orbits[row]], orbits[row ^ 1])
+        np.testing.assert_array_equal(y[orbits[row]], orbits[row ^ 2])
+        np.testing.assert_array_equal(diagonal[orbits[row]], orbits[row + 4])
+    # every node in exactly one column, s_r times, and s_r |orbit_r| = 8
+    s = stabilizers(orbits)
+    for r, column in enumerate(orbits.T):
+        nodes, counts = np.unique(column, return_counts=True)
+        assert np.all(counts == s[r]) and s[r] * len(nodes) == 8
+    columns_per_node = np.bincount(np.concatenate([np.unique(column) for column in orbits.T]), minlength=g.n)
+    assert np.all(columns_per_node == 1)
+    # 96 free orbits and 11 on the diagonals, fixed by the diagonal mirror
+    assert np.bincount(s).tolist() == [0, 96, 11]
+    # row 0 is the octant x1 <= x2 < 0, the diagonal nodes those with s = 2
+    reps = g.points[orbits[0]]
+    assert np.all(reps[:, 0] <= reps[:, 1]) and np.all(reps[:, 1] < 0)
+    np.testing.assert_array_equal(s == 2, reps[:, 0] == reps[:, 1])
+    octant = (g.points[:, 0] <= g.points[:, 1]) & (g.points[:, 1] < 0)
+    np.testing.assert_array_equal(np.sort(orbits[0]), np.flatnonzero(octant))
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,8 @@ BLOCKS = [(DomainSpec.interval(1.0), 1.0 / 64.0, 0.5), (DomainSpec.disk(1.0), 1.
 
 
 def _system(domain, h, alpha):
-    """I + L/32 on the trivial mirror block, as a step would factor it."""
+    """I + L/32 on the block folded by every mirror (on the disk, the square
+    group's, weighted by its stabilizers), as a free step would factor it."""
     g = build_grid(domain, h)
     _, B = assemble_operator(g, alpha).fold(np.zeros(g.n))
     return np.eye(len(B)) + B / 32.0

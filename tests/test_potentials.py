@@ -153,7 +153,7 @@ def test_boundary_hardy_constant_estimate():
     [
         (DomainSpec.interval(1.0), 0.5, 1 / 32),
         (DomainSpec.disk(1.0), 1.0, 1 / 6),
-        (DomainSpec.disk(1.0), 1.0, 1 / 12),  # n = 448, folded by four mirror images
+        (DomainSpec.disk(1.0), 1.0, 1 / 12),  # n = 448, folded by the square group to 60 unknowns
     ],
 )
 def test_boundary_hardy_constant_vs_generalized_eigh(domain, alpha, h):

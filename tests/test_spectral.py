@@ -230,7 +230,7 @@ def test_folded_bottom_matches_unfolded_solver(case):
     domain, h, alpha, potential = FOLD_CASES[case]
     op = assemble_operator(build_grid(domain, h), alpha)
     V = sample_potential(potential, op.grid, alpha).values
-    assert len(op.fold(V)[0]) == 2 ** domain.dimension
+    assert len(op.fold(V)[0]) == (8 if domain.kind == "disk" else 2)  # the disk's square group
     L = op.apply(np.eye(op.n))
     full = spectral._ground_states(L, [V])[0]
     folded = spectral_bottom(op, V)
@@ -238,6 +238,24 @@ def test_folded_bottom_matches_unfolded_solver(case):
     assert np.linalg.norm(folded.eigvec - full.eigvec) <= 1e-10
     assert np.linalg.norm(L @ folded.eigvec - V * folded.eigvec
                           - folded.lambda0 * folded.eigvec) <= spectral.RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("h", [1 / 12, 1 / 16])
+def test_square_group_bottom_matches_dense_eigh(h):
+    # the disk's whole group folds a radial V: 60 or 107 unknowns, among
+    # them the orbits of 4 on the diagonals, against the full matrix
+    op = assemble_operator(build_grid(DomainSpec.disk(1.0), h), 1.0)
+    V = sample_potential(FOLD_CASES["disk_hardy"][3], op.grid, 1.0).values
+    orbits = op.fold(V)[0]
+    assert orbits.shape == ((8, 60) if h == 1 / 12 else (8, 107))
+    L = replace(op).fold(np.arange(op.n, dtype=float))[1]  # L in node order
+    w, vecs = linalg.eigh(L - np.diag(V), subset_by_index=[0, 0])
+    want = vecs[:, 0] * np.sign(vecs[:, 0].sum())
+    for v0 in (None, np.ones(op.n)):
+        res = spectral_bottom(op, V, v0=v0)
+        assert res.lambda0 == pytest.approx(w[0], rel=1e-12)
+        assert np.linalg.norm(res.eigvec - want) <= 1e-10
+        assert np.linalg.norm(res.eigvec) == pytest.approx(1.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("h, expr", [(1 / 64, "1 + 0.5*x"), (0.03, "0.5 + 0.3*cos(3*x)")])
@@ -283,7 +301,7 @@ def test_operator_folded_once_per_subgroup():
     op = assemble_operator(grid, alpha)
     cached = [spectral_bottom(op, W) for W in Vs]
     assert len(op._folds) == 2
-    assert [len(op.fold(W)[0]) for W in Vs] == [4, 4, 4, 2]
+    assert [len(op.fold(W)[0]) for W in Vs] == [8, 8, 8, 2]
     assert len(op._folds) == 2
     for W, got, want in zip(Vs, cached, fresh):
         assert got.lambda0 == want.lambda0
@@ -351,7 +369,7 @@ def test_disk_factors_take_the_fold_in_its_order(monkeypatch):
     level = MeshLevel.build(DomainSpec.disk(1.0), 1.0, FOLD_CASES["disk_hardy"][3], 1 / 12)
     ks = (1, 4, math.inf)
     op = level.op
-    assert len(op.fold(level.field.values)[0]) == 4
+    assert len(op.fold(level.field.values)[0]) == 8
     gathers = _counting(monkeypatch, np, "ix_")
     factors = _counting(monkeypatch, spectral._SortedFactor, "_trailing")
     level.bottoms(ks)
@@ -496,7 +514,7 @@ def test_family_bottoms_match_single_level_solves(case):
     domain, h, alpha, potential, ks = FAMILY_CASES[case]
     level = MeshLevel.build(domain, alpha, potential, h)
     op, scale = level.op, 1.0 - level.field.spec.epsilon
-    assert len(op.fold(level.field.values)[0]) == 2 ** domain.dimension
+    assert len(op.fold(level.field.values)[0]) == (8 if domain.kind == "disk" else 2)
     keys = [level.effective_k(k) for k in ks]
     assert len(set(keys)) == len(ks)
     truncated = [np.sum(level.field.values > k) / op.n for k in keys]
