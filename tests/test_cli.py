@@ -6,10 +6,10 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from fracheat import (
     MissingLibrary,
@@ -50,31 +50,69 @@ def write_config(tmp_path, doc=FAST_CONFIG):
     return path
 
 
-def test_constants_subcommand():
-    runner = CliRunner()
-    result = runner.invoke(main, ["constants", "--d", "1", "--alpha", "0.5"])
+class Invocation(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self):
+        return self.stdout + self.stderr
+
+
+def invoke(capsys, argv):
+    """main(argv) in this process, as the console script calls it: it always
+    exits, with the command's status."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    out, err = capsys.readouterr()
+    return Invocation(exit_.value.code, out, err)
+
+
+@pytest.mark.parametrize("argv, problem", [([], "required"), (["solve"], "invalid choice: 'solve'")],
+                         ids=["no_command", "unknown_command"])
+def test_missing_or_unknown_command_is_a_usage_error(capsys, argv, problem):
+    result = invoke(capsys, argv)
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.startswith("usage: fracheat") and problem in result.stderr
+
+
+def test_main_returns_unless_standalone(tmp_path, capsys):
+    # perfbench's child process calls main(argv, standalone_mode=False): a
+    # success returns, and a failure still raises SystemExit with its status
+    assert main(["validate", "--config", str(write_config(tmp_path))], standalone_mode=False) is None
+    assert capsys.readouterr().out == "ok\n"
+    bad = str(write_config(tmp_path, dict(FAST_CONFIG, dt=-1.0)))
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--config", bad, "--out", str(tmp_path / "out")], standalone_mode=False)
+    assert exit_.value.code == 2 and "config error: dt" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_constants_subcommand(capsys):
+    result = invoke(capsys, ["constants", "--d", "1", "--alpha", "0.5"])
     assert result.exit_code == 0
     lines = result.output.strip().splitlines()
     assert float(lines[0].split("=")[1]) == pytest.approx(normalization_constant(1, 0.5), rel=1e-11)
     assert float(lines[1].split("=")[1]) == pytest.approx(hardy_sharp_constant(1, 0.5), rel=1e-11)
-    bad = runner.invoke(main, ["constants", "--d", "1", "--alpha", "1.5"])
+    bad = invoke(capsys, ["constants", "--d", "1", "--alpha", "1.5"])
     assert bad.exit_code == 2
 
 
-def test_validate_subcommand(tmp_path):
-    runner = CliRunner()
-    ok = runner.invoke(main, ["validate", "--config", str(write_config(tmp_path))])
+def test_validate_subcommand(tmp_path, capsys):
+    ok = invoke(capsys, ["validate", "--config", str(write_config(tmp_path))])
     assert ok.exit_code == 0
     assert "ok" in ok.output
 
     bad_doc = dict(FAST_CONFIG, alpha=1.5)
-    bad = runner.invoke(main, ["validate", "--config", str(write_config(tmp_path, bad_doc))])
+    bad = invoke(capsys, ["validate", "--config", str(write_config(tmp_path, bad_doc))])
     assert bad.exit_code == 1
     assert "alpha" in bad.output
 
     for expr in ("x +", "().__class__.__mro__[1].__subclasses__().__len__()"):
         bad_doc = dict(FAST_CONFIG, potential={"kind": "bounded", "expr": expr})
-        bad = runner.invoke(main, ["validate", "--config", str(write_config(tmp_path, bad_doc))])
+        bad = invoke(capsys, ["validate", "--config", str(write_config(tmp_path, bad_doc))])
         assert bad.exit_code == 1
         assert "potential" in bad.output
 
@@ -86,10 +124,10 @@ def test_validate_subcommand(tmp_path):
         ("origin", {"potential": {"kind": "hardy_interior", "c": 0.1}, "h_schedule": [0.4, 0.125]}),
     ):
         path = str(write_config(tmp_path, dict(FAST_CONFIG, **change)))
-        bad = runner.invoke(main, ["validate", "--config", path])
+        bad = invoke(capsys, ["validate", "--config", path])
         assert bad.exit_code == 1
         assert field in bad.output
-        run = runner.invoke(main, ["run", "--config", path, "--out", str(tmp_path / "out")])
+        run = invoke(capsys, ["run", "--config", path, "--out", str(tmp_path / "out")])
         assert run.exit_code == 2
         assert field in run.output
 
@@ -107,26 +145,24 @@ def test_validate_subcommand(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
-def test_finest_grid_above_dense_cap_rejected(tmp_path):
-    runner = CliRunner()
+def test_finest_grid_above_dense_cap_rejected(tmp_path, capsys):
     # n = 10000 from a 101 x 101 box lattice, and a 201 x 201 lattice that is
     # rejected before any grid is built
     for hs in ([0.1, 0.05, 0.02], [0.1, 0.01]):
         doc = dict(FAST_CONFIG, domain={"kind": "rectangle", "a": 1, "b": 1}, h_schedule=hs)
         path = str(write_config(tmp_path, doc))
-        bad = runner.invoke(main, ["validate", "--config", path])
+        bad = invoke(capsys, ["validate", "--config", path])
         assert bad.exit_code == 1
         assert "h_schedule" in bad.output
-        run = runner.invoke(main, ["run", "--config", path, "--out", str(tmp_path / "out")])
+        run = invoke(capsys, ["run", "--config", path, "--out", str(tmp_path / "out")])
         assert run.exit_code == 2
         assert "h_schedule" in run.output
 
 
-def test_run_rejects_bad_config(tmp_path):
-    runner = CliRunner()
+def test_run_rejects_bad_config(tmp_path, capsys):
     bad_doc = dict(FAST_CONFIG, dt=-1.0)
-    result = runner.invoke(main, ["run", "--config", str(write_config(tmp_path, bad_doc)),
-                                  "--out", str(tmp_path / "out")])
+    result = invoke(capsys, ["run", "--config", str(write_config(tmp_path, bad_doc)),
+                             "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "dt" in result.output
 
@@ -137,28 +173,26 @@ def test_run_rejects_bad_config(tmp_path):
      (b"[" * 200_000, "config file: JSON nested too deeply")],
     ids=["byte_ff", "deep_nesting"],
 )
-def test_unreadable_config_file_is_a_config_error(tmp_path, content, problem):
+def test_unreadable_config_file_is_a_config_error(tmp_path, content, problem, capsys):
     path = tmp_path / "config.json"
     path.write_bytes(content)
     assert [v.split(" (")[0] for v in validate_config(path)] == [problem]
-    runner = CliRunner()
-    bad = runner.invoke(main, ["validate", "--config", str(path)])
+    bad = invoke(capsys, ["validate", "--config", str(path)])
     assert bad.exit_code == 1 and problem in bad.output
-    run = runner.invoke(main, ["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    run = invoke(capsys, ["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert run.exit_code == 2 and problem in run.output
     assert not (tmp_path / "out").exists()
 
 
-def test_threads_is_a_hidden_option_of_one_value(tmp_path):
+def test_threads_is_a_hidden_option_of_one_value(tmp_path, capsys):
     # kept so that callers passing --threads 1 still run; the run is serial
-    runner = CliRunner()
     config = str(write_config(tmp_path))
-    ok = runner.invoke(main, ["run", "--config", config, "--threads", "1", "--out", str(tmp_path / "a")])
+    ok = invoke(capsys, ["run", "--config", config, "--threads", "1", "--out", str(tmp_path / "a")])
     assert ok.exit_code == 0 and "verdict: EXISTS" in ok.output
-    bad = runner.invoke(main, ["run", "--config", config, "--threads", "2", "--out", str(tmp_path / "b")])
+    bad = invoke(capsys, ["run", "--config", config, "--threads", "2", "--out", str(tmp_path / "b")])
     assert bad.exit_code == 2 and "--threads" in bad.output
     assert not (tmp_path / "b").exists()
-    assert "--threads" not in runner.invoke(main, ["run", "--help"]).output
+    assert "--threads" not in invoke(capsys, ["run", "--help"]).output
 
 
 def test_probe_of_one_step_runs_without_the_log_sweep(tmp_path):
@@ -175,11 +209,10 @@ def test_probe_of_one_step_runs_without_the_log_sweep(tmp_path):
         assert ("log_estimate_sweep" in names) == (name == "two_steps")
 
 
-def test_run_end_to_end(tmp_path):
-    runner = CliRunner()
+def test_run_end_to_end(tmp_path, capsys):
     out = tmp_path / "out"
-    result = runner.invoke(main, ["run", "--config", str(write_config(tmp_path)),
-                                  "--out", str(out)])
+    result = invoke(capsys, ["run", "--config", str(write_config(tmp_path)),
+                             "--out", str(out)])
     assert result.exit_code == 0
     assert "verdict: EXISTS" in result.output
     report = json.loads((out / "report.json").read_text())
@@ -208,13 +241,18 @@ def test_asymmetric_potential_reports_no_fold(tmp_path):
 
 def test_disk_reports_the_order_of_the_group_that_folds_its_potential(tmp_path):
     # disk_2d's radial potential: the square's whole group on every mesh;
-    # x y on the same meshes: the diagonal mirror alone
+    # x y on the same meshes: the diagonal mirror alone.  Unbracketed,
+    # 0.2*x*y evaluates as (0.2*x)*y, which the swap x <-> y need not keep to
+    # the last bit: at h = 1/12 and 1/24 it folds by the trivial group (1804^2
+    # blocks at 1/24).  A fix of that trap changes the last case on purpose.
     disk = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "disk_2d.json").read_text())
-    for potential, order in ((disk["potential"], 8), ({"kind": "bounded", "expr": "0.5 + 0.2*(x*y)"}, 2)):
+    for name, potential, orders in (("radial", disk["potential"], [8, 8, 8]),
+                                    ("xy", {"kind": "bounded", "expr": "0.5 + 0.2*(x*y)"}, [2, 2, 2]),
+                                    ("unbracketed", {"kind": "bounded", "expr": "0.5 + 0.2*x*y"}, [1, 2, 1])):
         doc = dict(disk, potential=potential)
-        paths = run_experiment(load_config(write_config(tmp_path, doc)), out_dir=tmp_path / f"order{order}")
+        paths = run_experiment(load_config(write_config(tmp_path, doc)), out_dir=tmp_path / name)
         report = json.loads(Path(paths["report"]).read_text())
-        assert report["extras"]["mirror_group_order"] == [[h, order] for h in disk["h_schedule"]]
+        assert report["extras"]["mirror_group_order"] == [list(pair) for pair in zip(disk["h_schedule"], orders)]
 
 
 def test_reports_byte_stable(tmp_path):
@@ -456,7 +494,8 @@ def test_import_leaves_out_quadrature_and_special_functions(tmp_path):
     # the rectangle alike.  bounded_1d runs, and so does disk_2d on a square.
     # Nor does a run load concurrent.futures (about 9 ms of a cold import
     # with the logging it loads), or numpy.random for the log-estimate sweep
-    # (about ten extension modules).
+    # (about ten extension modules).  Nor does the command line load click,
+    # about 1 MB of peak RSS and 10-17 ms of import to parse argv.
     configs = [str(resources.files("fracheat") / "configs" / f"{name}.json")
                for name in ("bounded_1d", "hardy_subcritical_1d", "hardy_supercritical_1d")]
     disk = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "disk_2d.json"
@@ -469,7 +508,7 @@ def test_import_leaves_out_quadrature_and_special_functions(tmp_path):
         "for path in sys.argv[2:]: fracheat.load_config(path)\n"
         "for i, path in enumerate((sys.argv[2], sys.argv[-1])):\n"
         "    fracheat.run_experiment(fracheat.load_config(path), out_dir=f'{sys.argv[1]}/{i}')\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'click')\n"
         "             or m == 'concurrent.futures' or m.startswith('numpy.random')))"
     )
     src = str(Path(fracheat.__file__).resolve().parents[1])
@@ -677,13 +716,12 @@ def test_boundary_hardy_run_reports_flag_and_estimate(tmp_path):
         "interior_kappa", "interval_b", "initial_center",
     ],
 )
-def test_validate_rejects_what_run_cannot_execute(tmp_path, change, problem):
+def test_validate_rejects_what_run_cannot_execute(tmp_path, change, problem, capsys):
     path = str(write_config(tmp_path, dict(FAST_CONFIG, **change)))
-    runner = CliRunner()
-    bad = runner.invoke(main, ["validate", "--config", path])
+    bad = invoke(capsys, ["validate", "--config", path])
     assert bad.exit_code == 1
     assert problem in bad.output
-    run = runner.invoke(main, ["run", "--config", path, "--out", str(tmp_path / "out")])
+    run = invoke(capsys, ["run", "--config", path, "--out", str(tmp_path / "out")])
     assert run.exit_code == 2
     assert problem in run.output
 
