@@ -259,6 +259,8 @@ def _parse(doc: dict) -> tuple:
             errors.append("thresholds.divergence_ratio: must exceed 1")
         if thresholds["growth_ratio"] <= 1.0:
             errors.append("thresholds.growth_ratio: must exceed 1")
+        if thresholds["comparability_ratio_bound"] < 1.0:  # r_max / r_min >= 1
+            errors.append("thresholds.comparability_ratio_bound: must be at least 1")
 
     sweeps = _object(doc, "sweeps", errors, {})
     _closed(sweeps, "sweeps.", _DEFAULT_SWEEPS, errors)

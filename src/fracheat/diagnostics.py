@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import weakref
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -38,34 +36,16 @@ SOLVER_TOL = 1e-7  # relative solver slack of the exponential bound
 BALL_PROBE_KINDS = ("hardy_interior", "bounded")
 
 
-_ARRAY_DIGESTS = {}  # id -> (weak reference, digest), see _array_digest
-
-
-def _array_digest(a: np.ndarray) -> bytes:
-    """The hex SHA-256 of a's bytes.  An array that owns read-only data
-    (the operator's table and diagonal, a trajectory's states) is hashed
-    once while it lives, however many certificates read it."""
-    memo = _ARRAY_DIGESTS.get(id(a))
-    if memo is not None and memo[0]() is a:
-        return memo[1]
-    hasher = hashlib.sha256()
-    hasher.update(np.ascontiguousarray(a))
-    digest = hasher.hexdigest().encode()
-    if a.base is None and not a.flags.writeable:
-        key = id(a)
-        _ARRAY_DIGESTS[key] = weakref.ref(a, lambda _: _ARRAY_DIGESTS.pop(key, None)), digest
-    return digest
-
-
 def _digest(*parts) -> str:
     # Only sha256(), update and hexdigest: the benchmark's tracer stands in
-    # for hashlib with exactly these.  An array enters as its own digest.
+    # for hashlib with exactly these.  An array enters as the hex SHA-256 of
+    # its bytes, anything else as its repr.
     hasher = hashlib.sha256()
     for p in parts:
         if isinstance(p, np.ndarray):
-            hasher.update(_array_digest(p))
-        elif isinstance(p, bytes):
-            hasher.update(p)
+            inner = hashlib.sha256()
+            inner.update(np.ascontiguousarray(p))
+            hasher.update(inner.hexdigest().encode())
         else:
             hasher.update(repr(p).encode())
     return hasher.hexdigest()[:16]
@@ -75,10 +55,8 @@ def _digest(*parts) -> str:
 class Certificate:
     """One checked inequality: satisfied iff lhs <= rhs + tolerance.
 
-    inputs holds what the certificate was computed from: read-only arrays
-    or private copies, so the digest read later is the digest of the inputs
-    at the time of the check.
-    """
+    inputs_digest is the SHA-256 prefix of what the certificate was computed
+    from, hashed when the certificate is made."""
 
     name: str
     lhs: float
@@ -86,15 +64,8 @@ class Certificate:
     tolerance: float
     satisfied: bool
     slack: float
+    inputs_digest: str
     details: dict = field(default_factory=dict)
-    inputs: tuple = field(default=(), repr=False, compare=False)
-
-    @cached_property
-    def inputs_digest(self) -> str:
-        """SHA-256 prefix of the inputs, hashed on first read: a certificate
-        whose digest is never read is never hashed, such as the witness check
-        inside energy_inequality_all_pairs, whose inputs are the operator."""
-        return _digest(*self.inputs)
 
 
 def _make_certificate(name, inputs, lhs, rhs, tolerance, satisfied=None, **details) -> Certificate:
@@ -104,12 +75,12 @@ def _make_certificate(name, inputs, lhs, rhs, tolerance, satisfied=None, **detai
         satisfied = lhs <= rhs + tolerance
     return Certificate(
         name=name,
-        inputs=inputs,
         lhs=lhs,
         rhs=rhs,
         tolerance=float(tolerance),
         satisfied=bool(satisfied),
         slack=rhs - lhs,
+        inputs_digest=_digest(*inputs),
         details=details,
     )
 
@@ -139,7 +110,7 @@ def energy_inequality_certificate(M: OperatorMatrix, u, phi) -> Certificate:
     lhs = M.cell_volume * np.sum(quotient * Lu)
     rhs = M.cell_volume * np.sum(phi * Lphi)
     return _make_certificate(
-        "energy_inequality", (M.entries, M.diagonal, u.copy(), phi.copy()), lhs, rhs, ENERGY_TOL
+        "energy_inequality", (M.entries, M.diagonal, u, phi), lhs, rhs, ENERGY_TOL
     )
 
 
@@ -187,7 +158,7 @@ def energy_inequality_all_pairs(M: OperatorMatrix) -> Certificate:
     phi[j] = -1.0
     return replace(
         energy_inequality_certificate(M, u, phi), name="energy_inequality_all_pairs",
-        inputs=(i, j, value), tolerance=0.0, satisfied=bool(value <= 0.0),
+        inputs_digest=_digest(i, j, value), tolerance=0.0, satisfied=bool(value <= 0.0),
         details={"i": i, "j": j, "L_ij": value},
     )
 
@@ -226,7 +197,7 @@ def log_estimate_certificate(traj: Trajectory, Phi, t1: float, t2: float) -> Cer
     tolerance = 1e-9 * scale + traj.dt * scale
     return _make_certificate(
         "log_estimate",
-        (M.entries, M.diagonal, traj.states, Phi[worst].copy(), vals, t1, t2),
+        (M.entries, M.diagonal, traj.states, Phi[worst], vals, t1, t2),
         lhs,
         rhs,
         tolerance,
@@ -292,7 +263,7 @@ def ground_state_comparability(free: ImplicitStepper, u0, t: float, ratio_bound:
     lhs = r_max / r_min if r_min > 0 else math.inf
     return _make_certificate(
         "ground_state_comparability",
-        (M.entries, M.diagonal, np.array(u0, dtype=float), t, dt),
+        (M.entries, M.diagonal, np.asarray(u0, dtype=float), t, dt),
         lhs,
         ratio_bound,
         0.0,

@@ -663,6 +663,9 @@ def test_boundary_hardy_run_reports_flag_and_estimate(tmp_path):
         ({"sweeps": 5}, "sweeps: must be a JSON object"),
         ({"potential": {"kind": "bounded", "expr": "0.5", "epsilon": "x"}}, "potential.epsilon"),
         ({"thresholds": {"comparability_ratio_bound": "x"}}, "thresholds.comparability_ratio_bound"),
+        # r_max / r_min is never below 1, so this bound could never hold
+        ({"thresholds": {"comparability_ratio_bound": 0.5}},
+         "thresholds.comparability_ratio_bound: must be at least 1"),
         ({"state_checkpoints": 0.5}, "state_checkpoints: must be a list"),
         # falsy values that are not lists were read as no checkpoints
         ({"state_checkpoints": 0}, "state_checkpoints: must be a list"),
@@ -707,7 +710,8 @@ def test_boundary_hardy_run_reports_flag_and_estimate(tmp_path):
     ids=[
         "two_meshes", "h_schedule_null", "h_schedule_number", "custom", "ball_above_inradius",
         "two_balls", "balls_too_small", "negative_on_a_ball", "tiny_initial_ball",
-        "domain_list", "sweeps_number", "epsilon_string", "comparability_string", "checkpoints_number",
+        "domain_list", "sweeps_number", "epsilon_string", "comparability_string", "comparability_below_one",
+        "checkpoints_number",
         "checkpoints_zero", "checkpoints_false", "checkpoints_empty_string", "checkpoints_empty_object",
         "output_dir_number", "t_final_overflow", "alpha_true", "trials_true", "domain_R_string",
         "kappa_string", "h_true", "k_true", "epsilon_false", "seed_true", "t_final_huge_int",

@@ -546,7 +546,7 @@ def test_digests_on_demand_match_eager(interval_op):
     assert {kind: cert.inputs_digest for kind, cert in got.items()} == want
 
 
-def test_energy_certificates_hash_nothing_until_read(interval_op, monkeypatch):
+def test_certificate_hashes_its_inputs_once_when_made(interval_op, monkeypatch):
     import fracheat.diagnostics
 
     hashed = []
@@ -564,40 +564,26 @@ def test_energy_certificates_hash_nothing_until_read(interval_op, monkeypatch):
             return self._h.hexdigest()
 
     monkeypatch.setattr(fracheat.diagnostics, "hashlib", types.SimpleNamespace(sha256=CountingSha256))
-    monkeypatch.setattr(fracheat.diagnostics, "_ARRAY_DIGESTS", {})  # the shared operator's too
     n = interval_op.n
     rng = np.random.default_rng(6)
-    certs = [
-        energy_inequality_certificate(interval_op, rng.uniform(0.1, 1.1, n), rng.standard_normal(n))
-        for _ in range(50)
-    ]
-    assert sum(hashed) == 0
+    cert = energy_inequality_certificate(interval_op, rng.uniform(0.1, 1.1, n), rng.standard_normal(n))
     # each array is hashed, then its 64-byte hex digest enters the certificate's
-    digest = certs[-1].inputs_digest
     operator = interval_op.entries.nbytes + interval_op.diagonal.nbytes
     assert sum(hashed) == operator + 2 * n * 8 + 4 * 64
-    assert certs[-1].inputs_digest == digest
+    cert.inputs_digest
     assert sum(hashed) == operator + 2 * n * 8 + 4 * 64
-    # the read-only operator is hashed once while it lives; the pair's copies again
-    certs[0].inputs_digest
-    assert sum(hashed) == operator + 2 * (2 * n * 8 + 4 * 64)
 
 
-def test_array_digest_memo_keeps_only_live_read_only_arrays():
-    from fracheat.diagnostics import _ARRAY_DIGESTS, _digest
+def test_digest_format_matches_its_hashlib_oracle():
+    from fracheat.diagnostics import _digest
 
     a = np.arange(6.0)
-    first = _digest(a)
-    a[0] = 1.0  # a writable array is hashed on every digest
-    assert _digest(a) != first
-    assert id(a) not in _ARRAY_DIGESTS
-    a.setflags(write=False)
-    memo = _digest(a)
-    assert id(a) in _ARRAY_DIGESTS
-    assert _digest(a[::-1][::-1]) == memo  # a read-only view's bytes are hashed, not memoized
-    key = id(a)
-    del a
-    assert key not in _ARRAY_DIGESTS
+    frozen = np.linspace(0.0, 1.0, 5)
+    frozen.setflags(write=False)
+    for arr in (a, frozen):
+        inner = hashlib.sha256(arr.tobytes()).hexdigest().encode()
+        want = hashlib.sha256(inner + b"3" + b"0.5" + b"'s'").hexdigest()[:16]
+        assert _digest(arr, 3, 0.5, "s") == want
 
 
 def test_hashed_arrays_are_read_only(interval_op):
