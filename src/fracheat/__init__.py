@@ -53,7 +53,6 @@ from .evolution import (
 )
 from .geometry import DomainSpec, Grid, boundary_distance, build_grid, orbit_table
 from .potentials import (
-    PotentialField,
     PotentialSpec,
     hardy_sharp_constant,
     sample_potential,

@@ -198,12 +198,12 @@ def _parse(doc: dict) -> tuple:
                 errors.append("h_schedule: coarsest spacing is not below the domain extent")
             # a disk keeps about pi/4 of its box, so a box lattice above four
             # times the cap cannot fit and is rejected without being built
-            elif lattice > 4 * DENSE_SIZE_CAP or build_grid(domain, hs[-1]).n > DENSE_SIZE_CAP:
+            elif lattice > 4 * DENSE_SIZE_CAP or (finest := build_grid(domain, hs[-1])).n > DENSE_SIZE_CAP:
                 errors.append(
                     f"h_schedule: finest grid exceeds the dense-size cap of {DENSE_SIZE_CAP} nodes"
                 )
             else:
-                levels = [(f"h={h}", build_grid(domain, h)) for h in hs]
+                levels = [(f"h={h}", build_grid(domain, h) if h != hs[-1] else finest) for h in hs]
 
     ks = doc.get("k_schedule")
     if not isinstance(ks, list) or not ks:

@@ -321,11 +321,11 @@ def shrinking_ball_certificate(
     has the same node count and an even number of cells across: exact +-x
     pairs and no node at the origin.  A fixed spacing would cap the
     resolvable well depth at the lattice scale, and the probe would never
-    diverge.  The bottom of L - (1 - epsilon) V on a ball is
-    MeshLevel.build(ball, ...).bottom(math.inf).  The kernel and the interior
-    Hardy potential are homogeneous of degree -alpha, so their bottoms obey
-    lambda0(B_r) = (r0 / r)^alpha lambda0(B_r0): only the largest ball is
-    solved.  bounded potentials do not scale, and every ball is solved.
+    diverge.  The bottom of L - (1 - epsilon) V on a ball is its MeshLevel's
+    bottoms([math.inf]).  The kernel and the interior Hardy potential are
+    homogeneous of degree -alpha, so their bottoms obey lambda0(B_r) =
+    (r0 / r)^alpha lambda0(B_r0): only the largest ball is solved.  bounded
+    potentials do not scale, and every ball is solved.
 
     The certificate is satisfied (blow-up certified) when at least MIN_BALLS
     consecutive trailing radii give strictly decreasing negative bottoms
@@ -350,7 +350,7 @@ def shrinking_ball_certificate(
                 f"ball of radius {ball.inradius} holds {level.op.n} nodes, "
                 f"fewer than {MIN_BALL_NODES}"
             )
-        lambdas.append(level.bottom(math.inf).lambda0)
+        lambdas.append(level.bottoms([math.inf])[0].lambda0)
     if homogeneous:
         lambdas = [(radii[0] / r) ** alpha * lambdas[0] for r in radii]
     volumes = [_ball_volume(r, d) for r in radii]

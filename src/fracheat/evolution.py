@@ -18,6 +18,7 @@ import numpy as np
 from .assembly import OperatorMatrix
 from .errors import SolveFailure, StepTooLarge
 from .geometry import Grid, stabilizers
+from .potentials import truncate
 from .spectral import MeshLevel, _potential_vector, _SortedFactor, spectral_bottom
 
 STEP_RESTRICTION = 0.5
@@ -64,8 +65,8 @@ class ImplicitStepper:
 
     The step restriction is enforced with lambda0, any lower bound of the
     spectral bottom of L - diag(V) (such as a deeper truncation's), computed
-    here when not given.  potential is its own read-only copy of V's
-    values, k V's truncation level (else math.inf).  Each state u is
+    here when not given.  potential is its own read-only copy of V, k the
+    least level truncate has applied (math.inf before any).  Each state u is
     stepped on the group of V's mirrors that leave u exactly invariant: the
     system I + dt (L - diag(V)) maps such states to such states, so it is
     solved with the block folded by that group (OperatorMatrix.fold), on
@@ -96,7 +97,7 @@ class ImplicitStepper:
         self.M = M
         self.dt = float(dt)
         self.potential = vals
-        self.k = float(getattr(V, "truncation_k", math.inf))
+        self.k = math.inf
         self._factors = {}  # orbit table's bytes -> (table, factor)
 
     def _solver(self, *vectors) -> tuple:
@@ -122,10 +123,7 @@ class ImplicitStepper:
         V's step restriction covers it.  Its rows sort by V, so each kept
         factor changes only in the trailing block of the representatives
         with V > k, and only that block is refactored."""
-        if not k >= 0:
-            raise ValueError(f"truncation level must be nonnegative, got {k}")
-        self.potential = np.minimum(self.potential, k)
-        self.potential.setflags(write=False)
+        self.potential = truncate(self.potential, k)
         self.k = min(self.k, float(k))
         for orbits, _, system in self._factors.values():
             system.update(1.0 + self.dt * (np.diag(system.B) - self.potential[orbits[0]]))
@@ -205,13 +203,13 @@ def monotone_family(level: MeshLevel, k_schedule, u0, t_final: float, dt: float)
     lambda0, a lower bound for them all, which also enforces the step
     restriction.  One stepper serves the family: it is factored at the
     deepest level and truncated level by level towards the shallowest
-    (ImplicitStepper.truncate).  Levels that share one field (k >= max V)
-    are evolved once; each trajectory carries its own k."""
-    floor = level.lambda0_floor(k_schedule)
+    (ImplicitStepper.truncate).  Levels that share one potential
+    (k >= max V) are evolved once; each trajectory carries its own k."""
+    floor = level.lambda0s([max(k_schedule)])[0]
     while dt * max(0.0, -floor) >= STEP_MARGIN:
         dt *= 0.5
     deepest_first = sorted({level.effective_k(k) for k in k_schedule}, reverse=True)
-    stepper = ImplicitStepper(level.op, level.field_at(deepest_first[0]), dt, lambda0=floor)
+    stepper = ImplicitStepper(level.op, truncate(level.potential, deepest_first[0]), dt, lambda0=floor)
     runs = {}
     for key in deepest_first:
         stepper.truncate(key)

@@ -1,17 +1,17 @@
 """Potential families, truncation, and sharp Hardy constants.
 
 A potential is specified analytically (PotentialSpec) and sampled onto a grid
-(PotentialField).  Sampling always produces finite nonnegative values because
-grid nodes avoid the singular loci by construction.  Truncation at level k
-replaces V by min(V, k) pointwise, the approximation that makes the evolved
-problems well posed one level at a time.
+as a read-only array of node values.  Sampling always produces finite
+nonnegative values because grid nodes avoid the singular loci by
+construction.  Truncation at level k replaces V by min(V, k) pointwise, the
+approximation that makes the evolved problems well posed one level at a time.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,21 +80,6 @@ class PotentialSpec:
         if self.kind != "hardy_boundary":
             return True
         return d >= 2 and alpha != 1.0
-
-
-@dataclass(frozen=True, eq=False)
-class PotentialField:
-    """Potential sampled on a grid, truncated at the level truncation_k
-    (math.inf when untruncated)."""
-
-    values: np.ndarray
-    truncation_k: float
-    spec: PotentialSpec
-    grid: Grid
-
-    @property
-    def max_value(self) -> float:
-        return float(np.max(self.values)) if self.values.size else 0.0
 
 
 _EXPR_NAMES = {
@@ -173,12 +158,15 @@ def _eval_bounded_expr(expr: str, grid: Grid) -> np.ndarray:
     return np.broadcast_to(vals, (grid.n,)).copy()
 
 
-def sample_potential(spec: PotentialSpec, grid: Grid, alpha: float) -> PotentialField:
-    """Evaluate the potential at every node, untruncated.
+def sample_potential(spec: PotentialSpec, grid: Grid, alpha: float) -> np.ndarray:
+    """Evaluate the potential at every node, untruncated: a read-only array.
 
-    The singular families need the form order alpha; bounded ignores it.
-    Raises SingularNode if a node coincides with a singularity and DomainError
-    when the spec does not fit the grid (origin outside, non-finite values, ...).
+    The singular families need the form order alpha; bounded ignores it, and
+    a bounded V that a mirror g of the grid fixes up to evaluation order
+    (0 < max |V - V o g| <= 4 eps max V) becomes (V + V o g) / 2, which g
+    fixes exactly, so the fold keeps g.  Raises SingularNode if a node
+    coincides with a singularity and DomainError when the spec does not fit
+    the grid (origin outside, non-finite values, ...).
     """
     if spec.kind == "hardy_interior":
         if not bool(grid.domain.contains(np.zeros((1, grid.dimension)))[0]):
@@ -198,16 +186,21 @@ def sample_potential(spec: PotentialSpec, grid: Grid, alpha: float) -> Potential
         raise DomainError("potential evaluated to non-finite values")
     if np.any(vals < 0.0):
         raise DomainError("potential must be nonnegative")
+    if spec.kind == "bounded":
+        for image in grid.mirrors:
+            gap = float(np.max(np.abs(vals - vals[image])))
+            if 0.0 < gap <= 4.0 * np.finfo(float).eps * float(np.max(vals)):
+                vals = 0.5 * (vals + vals[image])
     vals.setflags(write=False)
-    return PotentialField(values=vals, truncation_k=math.inf, spec=spec, grid=grid)
+    return vals
 
 
-def truncate(field: PotentialField, k: float) -> PotentialField:
-    """Pointwise truncation min(V, k).  Idempotent and monotone in k; the
-    recorded level is the smallest level applied so far."""
-    if k < 0:
+def truncate(values, k: float) -> np.ndarray:
+    """Pointwise truncation min(V, k) of the values V, a new read-only
+    array: idempotent and monotone in k, and V to the bit when k >= max V.
+    Raises ValueError when k is negative or NaN."""
+    if not k >= 0:
         raise ValueError(f"truncation level must be nonnegative, got {k}")
-    vals = np.minimum(field.values, k)
+    vals = np.minimum(values, k)
     vals.setflags(write=False)
-    return replace(field, values=vals, truncation_k=min(float(k), field.truncation_k))
-
+    return vals

@@ -25,7 +25,7 @@ from . import _lapack
 from .assembly import OperatorMatrix, assemble_operator
 from .errors import ConvergenceFailure, DimensionMismatch
 from .geometry import DomainSpec, boundary_distance, build_grid, stabilizers
-from .potentials import PotentialField, PotentialSpec, sample_potential, truncate
+from .potentials import PotentialSpec, sample_potential, truncate
 
 RESIDUAL_TOL = 1e-8
 SHIFT_TRIES = 40
@@ -43,8 +43,7 @@ class SpectralResult(NamedTuple):
 def _potential_vector(M: OperatorMatrix, V) -> np.ndarray:
     if V is None:
         return np.zeros(M.n)
-    vals = getattr(V, "values", V)
-    vals = np.asarray(vals, dtype=float)
+    vals = np.asarray(V, dtype=float)
     if vals.shape != (M.n,):
         raise DimensionMismatch(f"potential has shape {vals.shape}, operator size {M.n}")
     if not np.all(np.isfinite(vals)):
@@ -296,17 +295,20 @@ class SpectralSeries:
 
 
 class MeshLevel:
-    """One spacing h: grid, operator, the untruncated sampled potential, and
-    each distinct truncation min(V, k) with its spectral bottoms, computed
-    once.  The level k = math.inf is the untruncated field; every k >= max V
-    leaves the field bit-for-bit unchanged and shares its results.
+    """One spacing h: grid, operator, the untruncated sampled potential V
+    (read-only), its scaling reserve epsilon, and the spectral bottoms of
+    each distinct truncation min(V, k), computed once.  The level
+    k = math.inf is the untruncated potential; every k >= max V leaves it
+    bit-for-bit unchanged and shares its results.
     """
 
-    def __init__(self, op: OperatorMatrix, fld: PotentialField):
+    def __init__(self, op: OperatorMatrix, potential, epsilon: float):
         self.h = op.grid.h
         self.op = op
-        self.field = fld
-        self._fields = {}
+        self.potential = np.array(potential, dtype=float)  # a private copy
+        self.potential.setflags(write=False)
+        self.epsilon = epsilon
+        self._top = float(np.max(self.potential))  # max V, for effective_k
         self._bottoms = {}  # (effective k, potential scale) -> SpectralResult
         self._warm = None  # deepest eigenvector of the latest family on this mesh
 
@@ -314,40 +316,24 @@ class MeshLevel:
     def build(cls, domain: DomainSpec, alpha: float, potential: PotentialSpec, h: float):
         grid = build_grid(domain, h)
         op = assemble_operator(grid, alpha)
-        return cls(op, sample_potential(potential, grid, alpha))
+        return cls(op, sample_potential(potential, grid, alpha), potential.epsilon)
 
     def effective_k(self, k):
         """The truncation level that min(V, k) actually applies: math.inf
         when k >= max V."""
-        return math.inf if k >= self.field.max_value else k
-
-    def field_at(self, k) -> PotentialField:
-        key = self.effective_k(k)
-        if key not in self._fields:
-            self._fields[key] = self.field if key == math.inf else truncate(self.field, key)
-        return self._fields[key]
+        return math.inf if k >= self._top else k
 
     def bottoms(self, k_schedule) -> list:
         """Spectral bottoms of the (1 - epsilon)-scaled truncations at the
         levels of k_schedule."""
-        return self._solve(k_schedule, 1.0 - self.field.spec.epsilon)
-
-    def bottom(self, k) -> SpectralResult:
-        return self.bottoms([k])[0]
+        return self._solve(k_schedule, 1.0 - self.epsilon)
 
     def lambda0s(self, k_schedule) -> list:
         """Spectral bottoms of the unscaled L - min(V, k) at the levels of
         k_schedule, solved only when asked for: the step restriction and
-        the exponential bounds need them."""
+        the exponential bounds need them.  lambda0s([max(ks)])[0] is the
+        least over ks, as min(V, k) grows with k."""
         return [res.lambda0 for res in self._solve(k_schedule, 1.0)]
-
-    def lambda0(self, k) -> float:
-        return self.lambda0s([k])[0]
-
-    def lambda0_floor(self, k_schedule) -> float:
-        """min over k_schedule of lambda0(k), solved at the deepest level
-        only: min(V, k) grows with k, so the bottom does not increase."""
-        return self.lambda0(max(k_schedule))
 
     def _solve(self, k_schedule, scale: float) -> list:
         """The bottoms for scale * min(V, k), k in k_schedule.  The
@@ -358,7 +344,7 @@ class MeshLevel:
         keys = [(self.effective_k(k), scale) for k in k_schedule]
         new = sorted({k for k, _ in keys if (k, scale) not in self._bottoms}, reverse=True)
         if new:
-            potentials = [scale * self.field_at(k).values for k in new]
+            potentials = [scale * truncate(self.potential, k) for k in new]
             results = spectral_bottoms(self.op, potentials, v0=self._warm)
             self._warm = results[0].eigvec
             self._bottoms.update(((k, scale), res) for k, res in zip(new, results))
@@ -373,6 +359,6 @@ def refinement_series(levels, k_schedule) -> SpectralSeries:
     for lv in levels:
         for k, res in zip(k_schedule, lv.bottoms(k_schedule)):
             entries.append(
-                SpectralEntry(lv.h, float(k), lv.field.spec.epsilon, res.lambda0, res.iterations)
+                SpectralEntry(lv.h, float(k), lv.epsilon, res.lambda0, res.iterations)
             )
     return SpectralSeries(entries)

@@ -129,7 +129,7 @@ def test_criterion_4_monotone_family():
     grid = build_grid(DOM, 1.0 / 256.0)
     op = assemble_operator(grid, ALPHA)
     u0 = initial_state(grid)
-    level = MeshLevel(op, sample_potential(PotentialSpec.hardy_interior(0.5 * CSTAR), grid, ALPHA))
+    level = MeshLevel(op, sample_potential(PotentialSpec.hardy_interior(0.5 * CSTAR), grid, ALPHA), 0.01)
     family = monotone_family(level, [1, 2, 4, 8, 16], u0, 0.5, 1.0 / 64.0)
     worst = -math.inf
     for lower, higher in zip(family, family[1:]):
@@ -162,7 +162,7 @@ def test_criterion_6_log_estimate():
     grid = build_grid(DOM, 1.0 / 256.0)
     op = assemble_operator(grid, ALPHA)
     fld = sample_potential(PotentialSpec.hardy_interior(0.5 * CSTAR), grid, ALPHA)
-    lam = spectral_bottom(op, fld.values).lambda0
+    lam = spectral_bottom(op, fld).lambda0
     u0 = initial_state(grid)
     rng = np.random.default_rng(271828)
     slacks = {}
@@ -229,7 +229,7 @@ def test_criterion_9_positivity_and_determinism(bundled_runs, tmp_path):
         grid = build_grid(DOM, h)
         op = assemble_operator(grid, ALPHA)
         fld = sample_potential(PotentialSpec.hardy_interior(ratio * CSTAR), grid, ALPHA)
-        lam = spectral_bottom(op, fld.values).lambda0
+        lam = spectral_bottom(op, fld).lambda0
         traj = evolve(ImplicitStepper(op, fld, dt, lambda0=lam), initial_state(grid), 0.5)
         checks.append(float(np.min(traj.states)))
     assert all(c >= 0.0 for c in checks)

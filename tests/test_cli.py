@@ -242,13 +242,13 @@ def test_asymmetric_potential_reports_no_fold(tmp_path):
 def test_disk_reports_the_order_of_the_group_that_folds_its_potential(tmp_path):
     # disk_2d's radial potential: the square's whole group on every mesh;
     # x y on the same meshes: the diagonal mirror alone.  Unbracketed,
-    # 0.2*x*y evaluates as (0.2*x)*y, which the swap x <-> y need not keep to
-    # the last bit: at h = 1/12 and 1/24 it folds by the trivial group (1804^2
-    # blocks at 1/24).  A fix of that trap changes the last case on purpose.
+    # 0.2*x*y evaluates as (0.2*x)*y, which the swap x <-> y keeps only to
+    # the last bit at h = 1/12 and 1/24; sample_potential averages it with
+    # its mirror image, so it too folds by the diagonal mirror.
     disk = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "disk_2d.json").read_text())
     for name, potential, orders in (("radial", disk["potential"], [8, 8, 8]),
                                     ("xy", {"kind": "bounded", "expr": "0.5 + 0.2*(x*y)"}, [2, 2, 2]),
-                                    ("unbracketed", {"kind": "bounded", "expr": "0.5 + 0.2*x*y"}, [1, 2, 1])):
+                                    ("unbracketed", {"kind": "bounded", "expr": "0.5 + 0.2*x*y"}, [2, 2, 2])):
         doc = dict(disk, potential=potential)
         paths = run_experiment(load_config(write_config(tmp_path, doc)), out_dir=tmp_path / name)
         report = json.loads(Path(paths["report"]).read_text())
@@ -440,14 +440,14 @@ def test_one_factorization_per_family_at_the_finest_order(tmp_path, monkeypatch)
     run_experiment(cfg, out_dir=tmp_path / "out")
     level = MeshLevel.build(cfg.domain, cfg.alpha, cfg.potential, cfg.h_schedule[-1])
     assert [level.effective_k(k) for k in cfg.k_schedule] == [0.5, 1, 2, math.inf]
-    reps = level.op.fold(level.field.values)[0][0]
+    reps = level.op.fold(level.potential)[0][0]
     m = len(reps)
     assert m == level.op.n // 2  # the one mirror of the interval fixes V
     # the scaled bottoms, the unscaled bottoms and the steppers are one
     # family each; the free bottom and the free stepper add one each
     assert orders.count(m) == 5
     # the shallower levels refactor trailing blocks of the representatives above k
-    above = [int(np.sum(level.field.values[reps] > k)) for k in (2, 1, 0.5)]
+    above = [int(np.sum(level.potential[reps] > k)) for k in (2, 1, 0.5)]
     assert 0 < above[0] < above[-1] < m
     assert orders.count(above[0]) >= 3
 
@@ -528,11 +528,11 @@ def test_runner_dt_matches_min_over_k_rule():
             return MeshLevel.build(cfg.domain, cfg.alpha, cfg.potential, cfg.h_schedule[0])
 
         level = coarsest()
-        worst = min(level.lambda0(k) for k in cfg.k_schedule)
+        worst = min(level.lambda0s([k])[0] for k in cfg.k_schedule)
         dt = cfg.dt
         while dt * max(0.0, -worst) >= STEP_MARGIN:
             dt *= 0.5
-        assert level.lambda0_floor(cfg.k_schedule) == worst
+        assert level.lambda0s([max(cfg.k_schedule)])[0] == worst
         u0 = initial_state(level.op.grid)
         family = monotone_family(coarsest(), cfg.k_schedule, u0, cfg.t_final, cfg.dt)
         assert {traj.dt for traj in family} == {dt}

@@ -337,7 +337,7 @@ def test_exponential_bound_certificates(interval_op):
     assert abs(cert.lhs - 1.0) <= 1e-8
     # bounded potential: satisfied with positive slack
     fld = sample_potential(PotentialSpec.bounded("0.5 + 0.3*cos(3*x)"), interval_op.grid, ALPHA)
-    lam = spectral_bottom(interval_op, fld.values).lambda0
+    lam = spectral_bottom(interval_op, fld).lambda0
     traj2 = evolve(ImplicitStepper(interval_op, fld, dt, lambda0=lam), initial_state(interval_op.grid), 0.5)
     cert2 = exponential_bound_certificate(traj2, lam)
     assert cert2.satisfied and cert2.slack > 0
@@ -420,7 +420,7 @@ def _per_ball_oracle(domain, alpha, potential, radii, h):
         grid = build_grid(ball, h * r / radii[0])
         op = assemble_operator(grid, alpha)
         fld = sample_potential(potential, grid, alpha)
-        lams.append(spectral_bottom(op, (1.0 - potential.epsilon) * fld.values).lambda0)
+        lams.append(spectral_bottom(op, (1.0 - potential.epsilon) * fld).lambda0)
     return np.array(lams)
 
 
@@ -524,11 +524,11 @@ def test_digests_on_demand_match_eager(interval_op):
     energy = energy_inequality_certificate(interval_op, u, phi)
     want = {"energy": _digest(interval_op.entries, interval_op.diagonal, u, phi)}
     fld = sample_potential(PotentialSpec.bounded("0.5"), grid, ALPHA)
-    lam = spectral_bottom(interval_op, fld.values).lambda0
+    lam = spectral_bottom(interval_op, fld).lambda0
     traj = evolve(ImplicitStepper(interval_op, fld, 1.0 / 32.0, lambda0=lam), initial_state(grid), 0.25)
     Phi = np.ones(n) / math.sqrt(interval_op.cell_volume * n)
     log = log_estimate_certificate(traj, Phi, 0.125, 0.25)
-    want["log"] = _digest(interval_op.entries, interval_op.diagonal, traj.states, Phi, fld.values, 0.125, 0.25)
+    want["log"] = _digest(interval_op.entries, interval_op.diagonal, traj.states, Phi, fld, 0.125, 0.25)
     bound = exponential_bound_certificate(traj, lam)
     want["bound"] = _digest(traj.states, traj.dt, lam)
     u0 = initial_state(grid)

@@ -49,7 +49,7 @@ def test_step_matches_matrix_exponential_locally():
     g = build_grid(DOM, 1.0 / 16.0)
     op = assemble_operator(g, ALPHA)
     fld = sample_potential(PotentialSpec.bounded("0.4 + 0.2*cos(2*x)"), g, ALPHA)
-    A = op.apply(np.eye(op.n)) - np.diag(fld.values)
+    A = op.apply(np.eye(op.n)) - np.diag(fld)
     u = initial_state(g)
     errs = []
     for dt in (0.02, 0.01):
@@ -169,11 +169,11 @@ def test_stepper_factor_matches_textbook_system(domain, h, alpha):
     stepper.step(initial_state(g))
     orbits = orbit_table(g.n, g.mirrors)
     assert len(orbits) == (8 if g.dimension == 2 else 2)
-    folded, B = op.fold(fld.values)
-    order = np.argsort(fld.values[orbits[0]], kind="stable")
+    folded, B = op.fold(fld)
+    order = np.argsort(fld[orbits[0]], kind="stable")
     assert np.array_equal(folded, orbits[:, order])
     system = dt * B
-    system.flat[:: len(B) + 1] = 1.0 + dt * (np.diag(B) - fld.values[folded[0]])
+    system.flat[:: len(B) + 1] = 1.0 + dt * (np.diag(B) - fld[folded[0]])
     assert len(stepper._factors) == 1
     sorted_orbits, root, factored = stepper._factors[folded.tobytes()]
     assert np.array_equal(sorted_orbits, folded)
@@ -181,7 +181,7 @@ def test_stepper_factor_matches_textbook_system(domain, h, alpha):
     assert np.array_equal(root, np.sqrt(s)) and np.any(s > 1) == (g.dimension == 2)
     factor_of_state = factored.factor
     assert np.array_equal(factor_of_state, _lapack.cholesky(system))
-    textbook = np.eye(op.n) + dt * (op.apply(np.eye(op.n)) - np.diag(fld.values))
+    textbook = np.eye(op.n) + dt * (op.apply(np.eye(op.n)) - np.diag(fld))
     block = sum(textbook[np.ix_(folded[0], row)] for row in folded) / np.sqrt(np.outer(s, s))
     factor, lower = linalg.cho_factor(block)
     assert not lower
@@ -196,7 +196,7 @@ def test_stepper_matches_textbook_solve_on_asymmetric_state(domain, h, alpha):
     dt = 1.0 / 32.0
     stepper = ImplicitStepper(op, fld, dt)
     u = np.random.default_rng(3).uniform(0.0, 1.0, g.n)
-    textbook = np.eye(op.n) + dt * (op.apply(np.eye(op.n)) - np.diag(fld.values))
+    textbook = np.eye(op.n) + dt * (op.apply(np.eye(op.n)) - np.diag(fld))
     want = linalg.cho_solve(linalg.cho_factor(textbook), u)
     np.testing.assert_allclose(stepper.step(u), want, rtol=1e-12, atol=0)
     # no mirror fixes a random state: one factor of the full system
@@ -237,7 +237,7 @@ def test_square_group_step_matches_a_dense_solve():
     w = stepper.step(u)
     assert [system.factor.shape for *_, system in stepper._factors.values()] == [(107, 107)]
     L = replace(op).fold(np.arange(op.n, dtype=float))[1]  # L in node order
-    want = np.linalg.solve(np.eye(op.n) + dt * (L - np.diag(fld.values)), u)
+    want = np.linalg.solve(np.eye(op.n) + dt * (L - np.diag(fld)), u)
     np.testing.assert_allclose(w, want, rtol=1e-13, atol=0)
     for image in g.mirrors:
         assert np.array_equal(w[image], w)
@@ -264,7 +264,7 @@ def test_state_fixed_by_one_mirror_steps_on_its_subgroup(axis, monkeypatch):
     monkeypatch.setattr(_lapack, "cholesky", counting)
     stepper = ImplicitStepper(op, fld, dt, lambda0=0.0)
     w = stepper.step(u)
-    textbook = np.eye(op.n) + dt * (op.apply(np.eye(op.n)) - np.diag(fld.values))
+    textbook = np.eye(op.n) + dt * (op.apply(np.eye(op.n)) - np.diag(fld))
     want = linalg.cho_solve(linalg.cho_factor(textbook), u)
     np.testing.assert_allclose(w, want, rtol=1e-12, atol=0)
     assert np.array_equal(w[fixing[0]], w)
@@ -299,7 +299,7 @@ def test_asymmetric_problem_steps_on_the_full_system(h, expr):
     stepper = ImplicitStepper(op, fld, 1.0 / 32.0, lambda0=0.0)
     u = initial_state(g)
     for _ in range(4):
-        want = _unfolded_step(op, fld.values, u, 1.0 / 32.0)
+        want = _unfolded_step(op, fld, u, 1.0 / 32.0)
         u = stepper.step(u)
         assert np.array_equal(u, want)
 
@@ -351,7 +351,7 @@ def test_evolve_matches_a_loop_of_steps(domain, h, potential, order, monkeypatch
     monkeypatch.setattr(_lapack, "cholesky", counting_cholesky)
     monkeypatch.setattr(_lapack, "solve", counting_solve)
     traj = evolve(ImplicitStepper(op, fld, dt, lambda0=0.0), u0, steps * dt)
-    m = _unknowns(g, fld.values, order)
+    m = _unknowns(g, fld, order)
     assert m == {(1, 2): 64, (1, 1): 67, (2, 4): 107, (2, 2): 406, (2, 1): 417}[g.dimension, order]
     assert factors == [(m, m)] and solves == [m] * steps
     monkeypatch.undo()
@@ -389,7 +389,7 @@ def test_folded_duhamel_matches_a_loop_of_steps(potential, order, monkeypatch):
     fld = sample_potential(potential, g, op.alpha)
     dt, steps = 1.0 / 32.0, 8
     traj = evolve(ImplicitStepper(op, fld, dt, lambda0=0.0), initial_state(g), steps * dt)
-    want = _looped_duhamel(traj, op, fld.values, ImplicitStepper(op, None, dt))
+    want = _looped_duhamel(traj, op, fld, ImplicitStepper(op, None, dt))
     free = ImplicitStepper(op, None, dt)
     solves, folds = [], []
     solve, fold = _lapack.solve, OperatorMatrix.fold
@@ -397,7 +397,7 @@ def test_folded_duhamel_matches_a_loop_of_steps(potential, order, monkeypatch):
     monkeypatch.setattr(OperatorMatrix, "fold", lambda self, *v: folds.append(len(v)) or fold(self, *v))
     assert duhamel_residual(traj, free) == want
     # u0's group is the whole square group, 107 unknowns
-    assert solves == [107] + [_unknowns(g, fld.values, order)] * (steps - 1)
+    assert solves == [107] + [_unknowns(g, fld, order)] * (steps - 1)
     assert len(folds) == 2  # the first step's and the rest's, not one per step
 
 
@@ -409,8 +409,8 @@ def test_folded_duhamel_folds_by_the_states_too(interval_op):
     fld = sample_potential(PotentialSpec.bounded("0.5"), g, ALPHA)
     traj = evolve(ImplicitStepper(interval_op, evolved, 1.0 / 32.0, lambda0=0.0), initial_state(g), 0.25)
     free = ImplicitStepper(interval_op, None, 1.0 / 32.0)
-    want = _looped_duhamel(traj, interval_op, fld.values, free)
-    assert duhamel_residual(replace(traj, potential=fld.values), free) == want
+    want = _looped_duhamel(traj, interval_op, fld, free)
+    assert duhamel_residual(replace(traj, potential=fld), free) == want
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
@@ -456,7 +456,7 @@ def test_evolve_rejects_a_stepper_for_another_potential(interval_op):
     assert not np.any(free.potential)
     stepper = ImplicitStepper(interval_op, fld, 1.0 / 32.0)
     traj = evolve(stepper, u0, 0.5)
-    assert np.array_equal(traj.potential, fld.values) and traj.potential is stepper.potential
+    assert np.array_equal(traj.potential, fld) and traj.potential is stepper.potential
     assert np.all(traj.states[-1] > free.states[-1])
     # the Duhamel reconstruction's free flow must be free
     with pytest.raises(ValueError, match="potential"):
@@ -482,16 +482,16 @@ def test_family_potentials_are_the_read_only_truncations():
     from fracheat import hardy_sharp_constant
 
     level = MeshLevel.build(DOM, ALPHA, PotentialSpec.hardy_interior(hardy_sharp_constant(1, ALPHA)), 1.0 / 64.0)
-    ks = [0.5, 1.0, 4.0, level.field.max_value, math.inf]
+    ks = [0.5, 1.0, 4.0, float(level.potential.max()), math.inf]
     family = monotone_family(level, ks, initial_state(level.op.grid), 0.25, 1.0 / 32.0)
     for k, traj in zip(ks, family):
         assert not traj.potential.flags.writeable
-        assert traj.potential.tobytes() == truncate(level.field, k).values.tobytes()
+        assert traj.potential.tobytes() == truncate(level.potential, k).tobytes()
 
 
 def test_monotone_family_inactive_truncation(interval_op):
     u0 = initial_state(interval_op.grid)
-    level = MeshLevel(interval_op, sample_potential(PotentialSpec.bounded("0.3"), interval_op.grid, ALPHA))
+    level = MeshLevel(interval_op, sample_potential(PotentialSpec.bounded("0.3"), interval_op.grid, ALPHA), 0.01)
     fam = monotone_family(level, [0.5, 1.0, 2.0], u0, 0.25, 1.0 / 32.0)
     # max V = 0.3 <= every level: all trajectories identical
     assert np.array_equal(fam[0].states, fam[1].states)
@@ -506,7 +506,7 @@ def test_monotone_family_ordering():
     op = assemble_operator(g, ALPHA)
     c = 0.5 * hardy_sharp_constant(1, ALPHA)
     u0 = initial_state(g)
-    level = MeshLevel(op, sample_potential(PotentialSpec.hardy_interior(c), g, ALPHA))
+    level = MeshLevel(op, sample_potential(PotentialSpec.hardy_interior(c), g, ALPHA), 0.01)
     fam = monotone_family(level, [0.25, 0.5, 1.0, math.inf], u0, 0.25, 1.0 / 32.0)
     for lo, hi in zip(fam, fam[1:]):
         assert np.all(hi.states >= lo.states - 1e-10)
@@ -514,7 +514,7 @@ def test_monotone_family_ordering():
     assert np.max(fam[1].states - fam[0].states) > 1e-6
     # saturation once k dominates the sampled maximum
     fld = sample_potential(PotentialSpec.hardy_interior(c), g, ALPHA)
-    big = truncate(fld, fld.max_value + 1.0)
+    big = truncate(fld, fld.max() + 1.0)
     same = evolve(ImplicitStepper(op, big, 1.0 / 32.0), u0, 0.25)
     assert np.array_equal(same.states, fam[-1].states)
 
@@ -538,14 +538,16 @@ def test_family_steppers_match_fresh_steppers(domain, h, alpha, kind, ks):
                  PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(domain.dimension, alpha)))
     level = MeshLevel.build(domain, alpha, potential, h)
     assert len({level.effective_k(k) for k in ks}) == len(ks)
-    floor = level.lambda0_floor(ks)
+    floor = level.lambda0s([max(ks)])[0]
     dt = 1.0 / 32.0
     while dt * max(0.0, -floor) >= 0.45:
         dt *= 0.5
     u0 = initial_state(level.op.grid)
     family = monotone_family(level, ks, u0, 0.25, dt)
     for k, traj in zip(ks, family):
-        direct = evolve(ImplicitStepper(level.op, level.field_at(k), dt, lambda0=floor), u0, 0.25)
+        fresh = ImplicitStepper(level.op, truncate(level.potential, k), dt, lambda0=floor)
+        fresh.truncate(k)
+        direct = evolve(fresh, u0, 0.25)
         assert traj.k == direct.k == k
         scale = np.max(direct.states, axis=1, keepdims=True)
         assert np.max(np.abs(traj.states - direct.states) / scale) <= 1e-13
@@ -571,16 +573,16 @@ def test_truncate_refactors_the_trailing_block_only(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(_lapack, "cholesky", counting)
-    reps = op.fold(fld.values)[0][0]
+    reps = op.fold(fld)[0][0]
     previous = math.inf
     for k in (4.0, 2.0, 2.0, 1.0, 0.5):
         before = len(orders)
         stepper.truncate(k)
-        assert np.array_equal(stepper.potential, truncate(fld, k).values)
+        assert np.array_equal(stepper.potential, truncate(fld, k))
         assert stepper.k == k
         # the representatives above k sit last in the factor's order, and
         # only their block is refactored; a repeated level refactors nothing
-        above = int(np.sum(fld.values[reps] > k))
+        above = int(np.sum(fld[reps] > k))
         assert orders[before:] == ([] if k == previous else [above])
         assert 0 < above < len(reps)
         fresh = ImplicitStepper(op, truncate(fld, k), 1.0 / 64.0, lambda0=0.0)
@@ -589,7 +591,7 @@ def test_truncate_refactors_the_trailing_block_only(monkeypatch):
     for bad in (-1.0, math.nan):
         with pytest.raises(ValueError):
             stepper.truncate(bad)
-    assert np.array_equal(stepper.potential, truncate(fld, 0.5).values)
+    assert np.array_equal(stepper.potential, truncate(fld, 0.5))
 
 
 def test_duhamel_residual_free_flow(interval_op):
@@ -688,7 +690,7 @@ def test_two_dimensional_pipeline_smoke():
     L = op.fold(np.arange(op.n, dtype=float))[1]  # the trivial group, in node order
     assert np.max(np.abs(L - L.T)) == 0.0
     fld = sample_potential(PotentialSpec.hardy_interior(0.1), g, 1.0)
-    lam = spectral_bottom(op, fld.values).lambda0
+    lam = spectral_bottom(op, fld).lambda0
     traj = evolve(ImplicitStepper(op, fld, 1.0 / 32.0, lambda0=lam), initial_state(g), 0.25)
     assert np.min(traj.states) >= 0.0
     cert = exponential_bound_certificate(traj, lam)

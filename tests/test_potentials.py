@@ -50,10 +50,9 @@ def test_hardy_interior_sampling():
     g = build_grid(DomainSpec.interval(1.0), 0.5)
     fld = sample_potential(PotentialSpec.hardy_interior(0.3), g, alpha)
     r = np.abs(g.points[:, 0])
-    np.testing.assert_allclose(fld.values, 0.3 * r ** -alpha, rtol=1e-14)
-    assert fld.values[1] == pytest.approx(0.3 * 2.0, rel=1e-14)  # |x| = 0.25
-    assert fld.truncation_k == math.inf
-    assert np.all(np.isfinite(fld.values))
+    np.testing.assert_allclose(fld, 0.3 * r ** -alpha, rtol=1e-14)
+    assert fld[1] == pytest.approx(0.3 * 2.0, rel=1e-14)  # |x| = 0.25
+    assert np.all(np.isfinite(fld))
 
 
 def test_hardy_interior_singular_node():
@@ -67,7 +66,7 @@ def test_hardy_boundary_sampling():
     g = build_grid(DomainSpec.interval(1.0), 0.5)
     fld = sample_potential(PotentialSpec.hardy_boundary(0.7), g, alpha)
     delta = 1.0 - np.abs(g.points[:, 0])
-    np.testing.assert_allclose(fld.values, 0.7 * delta ** -alpha, rtol=1e-14)
+    np.testing.assert_allclose(fld, 0.7 * delta ** -alpha, rtol=1e-14)
 
 
 def test_boundary_theory_flag():
@@ -81,9 +80,9 @@ def test_boundary_theory_flag():
 def test_bounded_expressions():
     g = build_grid(DomainSpec.interval(1.0), 0.25)
     ones = sample_potential(PotentialSpec.bounded("1"), g, 0.5)
-    np.testing.assert_array_equal(ones.values, np.ones(g.n))
+    np.testing.assert_array_equal(ones, np.ones(g.n))
     fld = sample_potential(PotentialSpec.bounded("0.5 + 0.3*cos(3*x)"), g, 0.5)
-    np.testing.assert_allclose(fld.values, 0.5 + 0.3 * np.cos(3 * g.points[:, 0]), rtol=1e-14)
+    np.testing.assert_allclose(fld, 0.5 + 0.3 * np.cos(3 * g.points[:, 0]), rtol=1e-14)
     with pytest.raises(DomainError):
         sample_potential(PotentialSpec.bounded("x"), g, 0.5)  # negative somewhere
     for bad in ("unknown_name", "x +", "().__class__.__mro__[1].__subclasses__().__len__()"):
@@ -98,9 +97,38 @@ def test_bounded_expressions():
         parse_bounded_expr("1" + "0" * 400, 1)
     for expr in ("3*x", "x**3", "7//2 + x % 3"):
         np.testing.assert_array_equal(
-            sample_potential(PotentialSpec.bounded(f"10 + {expr}"), g, 0.5).values,
+            sample_potential(PotentialSpec.bounded(f"10 + {expr}"), g, 0.5),
             10 + eval(expr, {"x": g.points[:, 0]}),
         )
+
+
+def test_sample_potential_returns_a_read_only_float_array():
+    g = build_grid(DomainSpec.disk(1.0), 1.0 / 8.0)
+    for spec in (PotentialSpec.hardy_interior(0.3), PotentialSpec.hardy_boundary(0.7),
+                 PotentialSpec.bounded("0.5 + 0.2*x*y")):
+        V = sample_potential(spec, g, 1.0)
+        assert type(V) is np.ndarray and V.dtype == np.float64 and V.shape == (g.n,)
+        assert not V.flags.writeable
+        with pytest.raises(ValueError):
+            V[0] = 1.0
+
+
+def test_bounded_potential_snaps_to_a_mirror_it_fixes_up_to_rounding():
+    g = build_grid(DomainSpec.disk(1.0), 1.0 / 24.0)
+    diagonal = g.mirrors[-1]  # x1 <-> x2, after the two axis mirrors
+    x, y = g.points[:, 0], g.points[:, 1]
+    raw = 0.5 + 0.2 * x * y  # (0.2 x) y: the swap keeps it only to the last bit
+    assert not np.array_equal(raw[diagonal], raw)
+    V = sample_potential(PotentialSpec.bounded("0.5 + 0.2*x*y"), g, 1.0)
+    assert np.array_equal(V[diagonal], V)
+    assert np.max(np.abs(V - raw)) <= np.spacing(raw.max())
+    # x y changes sign under each axis mirror, far beyond rounding: no snap
+    assert not any(np.array_equal(V[image], V) for image in g.mirrors[:-1])
+    # the singular families are sampled as they are
+    r = np.linalg.norm(g.points, axis=1)
+    delta = boundary_distance(g)
+    assert sample_potential(PotentialSpec.hardy_interior(0.3), g, 1.0).tobytes() == (0.3 * r ** -1.0).tobytes()
+    assert sample_potential(PotentialSpec.hardy_boundary(0.7), g, 1.0).tobytes() == (0.7 * delta ** -1.0).tobytes()
 
 
 def test_truncation_properties():
@@ -108,29 +136,32 @@ def test_truncation_properties():
     fld = sample_potential(PotentialSpec.hardy_interior(0.3), g, 0.5)
 
     zero = truncate(fld, 0.0)
-    assert np.all(zero.values == 0.0) and zero.truncation_k == 0.0
+    assert np.all(zero == 0.0)
 
-    unchanged = truncate(fld, fld.max_value + 1.0)
-    np.testing.assert_array_equal(unchanged.values, fld.values)
+    # a level at or above max V leaves the values bit for bit
+    for k in (float(fld.max()), fld.max() + 1.0, math.inf):
+        assert truncate(fld, k).tobytes() == fld.tobytes()
 
     a = truncate(truncate(fld, 2.0), 5.0)
     b = truncate(fld, 2.0)
-    np.testing.assert_array_equal(a.values, b.values)
-    assert a.truncation_k == 2.0
+    np.testing.assert_array_equal(a, b)
 
-    # monotone in k, and the clipped-node count does not increase with k
+    # monotone in k and read-only, and the clipped-node count does not
+    # increase with k
     clipped = []
     prev = None
     for k in [0.5, 1.0, 2.0, 4.0]:
         t = truncate(fld, k)
+        assert not t.flags.writeable
         if prev is not None:
-            assert np.all(t.values >= prev.values)
-        clipped.append(int(np.sum(fld.values > k)))
+            assert np.all(t >= prev)
+        clipped.append(int(np.sum(fld > k)))
         prev = t
     assert clipped == sorted(clipped, reverse=True)
 
-    with pytest.raises(ValueError):
-        truncate(fld, -1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            truncate(fld, bad)
 
 
 def _operators(domain, alpha, hs):

@@ -202,10 +202,10 @@ def test_solver_matches_dense_oracle(case):
     domain, h, alpha, potential = SOLVER_CASES[case]
     op = assemble_operator(build_grid(domain, h), alpha)
     fld = sample_potential(potential, op.grid, alpha)
-    top = float(fld.values.max())
+    top = float(fld.max())
     warm = None
     for k in (0.25 * top, 0.5 * top, math.inf):
-        V = truncate(fld, k).values
+        V = truncate(fld, k)
         lam, vec = _dense_bottom(op, V)
         # cold start, then warm from the eigenvector of the previous k
         for v0 in (None, warm):
@@ -229,7 +229,7 @@ FOLD_CASES = {  # mirror-symmetric problems; the disk at a finer spacing
 def test_folded_bottom_matches_unfolded_solver(case):
     domain, h, alpha, potential = FOLD_CASES[case]
     op = assemble_operator(build_grid(domain, h), alpha)
-    V = sample_potential(potential, op.grid, alpha).values
+    V = sample_potential(potential, op.grid, alpha)
     assert len(op.fold(V)[0]) == (8 if domain.kind == "disk" else 2)  # the disk's square group
     L = op.apply(np.eye(op.n))
     full = spectral._ground_states(L, [V])[0]
@@ -245,7 +245,7 @@ def test_square_group_bottom_matches_dense_eigh(h):
     # the disk's whole group folds a radial V: 60 or 107 unknowns, among
     # them the orbits of 4 on the diagonals, against the full matrix
     op = assemble_operator(build_grid(DomainSpec.disk(1.0), h), 1.0)
-    V = sample_potential(FOLD_CASES["disk_hardy"][3], op.grid, 1.0).values
+    V = sample_potential(FOLD_CASES["disk_hardy"][3], op.grid, 1.0)
     orbits = op.fold(V)[0]
     assert orbits.shape == ((8, 60) if h == 1 / 12 else (8, 107))
     L = replace(op).fold(np.arange(op.n, dtype=float))[1]  # L in node order
@@ -264,7 +264,7 @@ def test_asymmetric_problem_solves_on_the_full_matrix(h, expr):
     # the whole matrix in the fold's order, V's, returned in node order.  At
     # h = 1/64 V is fixed by no mirror; at h = 0.03 the grid has none
     op = assemble_operator(build_grid(DomainSpec.interval(1.0), h), 0.5)
-    V = sample_potential(PotentialSpec.bounded(expr), op.grid, 0.5).values
+    V = sample_potential(PotentialSpec.bounded(expr), op.grid, 0.5)
     orbits = op.fold(V)[0]
     assert len(orbits) == 1
     order = orbits[0]
@@ -291,7 +291,7 @@ def test_operator_folded_once_per_subgroup():
     # fold a freshly assembled operator first by that potential
     domain, h, alpha, potential = FOLD_CASES["disk_hardy"]
     grid = build_grid(domain, h)
-    V = sample_potential(potential, grid, alpha).values
+    V = sample_potential(potential, grid, alpha)
     Vs = [V, 0.5 * V, np.minimum(V, 1.0), V + 0.1 * (grid.points[:, 0] > 0)]
     fresh = []
     for W in Vs:
@@ -334,7 +334,7 @@ def test_boundary_profile_start_matches_constant_start(case):
     # of a start from the constant vector
     domain, h, alpha, potential = START_CASES[case]
     op = assemble_operator(build_grid(domain, h), alpha)
-    V = sample_potential(potential, op.grid, alpha).values
+    V = sample_potential(potential, op.grid, alpha)
     for W in (V, None):
         res = spectral_bottom(op, W)
         const = spectral_bottom(op, W, v0=np.ones(op.n))
@@ -354,8 +354,8 @@ def test_cold_families_take_no_more_solves_from_the_boundary_profile():
         level = MeshLevel.build(disk, 1.0, potential, h)
         ball, spacing = ball_meshes(disk, default_ball_schedule(disk, h), h)[0]
         probe = MeshLevel.build(ball, 1.0, potential, spacing)
-        families = [(level.op, [scale * level.field_at(k).values for k in (math.inf, 4, 1)]),
-                    (level.op, [None]), (probe.op, [scale * probe.field.values])]
+        families = [(level.op, [scale * truncate(level.potential, k) for k in (math.inf, 4, 1)]),
+                    (level.op, [None]), (probe.op, [scale * probe.potential])]
         for op, potentials in families:
             profile = spectral.spectral_bottoms(op, potentials)
             const = spectral.spectral_bottoms(op, potentials, v0=np.ones(op.n))
@@ -369,7 +369,7 @@ def test_disk_factors_take_the_fold_in_its_order(monkeypatch):
     level = MeshLevel.build(DomainSpec.disk(1.0), 1.0, FOLD_CASES["disk_hardy"][3], 1 / 12)
     ks = (1, 4, math.inf)
     op = level.op
-    assert len(op.fold(level.field.values)[0]) == 8
+    assert len(op.fold(level.potential)[0]) == 8
     gathers = _counting(monkeypatch, np, "ix_")
     factors = _counting(monkeypatch, spectral._SortedFactor, "_trailing")
     level.bottoms(ks)
@@ -411,15 +411,15 @@ def test_mesh_level_solves_each_family_deepest_first(monkeypatch):
     # unscaled bottoms are solved on demand, as one more family
     lambdas = level.lambda0s(ks)
     assert len(families) == 2
-    eps = level.field.spec.epsilon
-    orbits = level.op.fold(level.field.values)[0]
+    eps = level.epsilon
+    orbits = level.op.fold(level.potential)[0]
     assert len(orbits) == 2
     for i, ((op, potentials), kwargs, results) in enumerate(families):
         # each effective level once per scale, deepest first
         scale = 1.0 - eps if i == 0 else 1.0
         assert op is level.op and len(potentials) == len(results) == 3
         for V, k in zip(potentials, (math.inf, 0.5, 0.25)):
-            np.testing.assert_array_equal(V, scale * level.field_at(k).values)
+            np.testing.assert_array_equal(V, scale * truncate(level.potential, k))
         # a family starts from the deepest eigenvector of the one before
         assert kwargs["v0"] is (None if i == 0 else families[0][2][0].eigvec)
         order = np.argsort(potentials[0][orbits[0]], kind="stable")
@@ -441,8 +441,8 @@ def test_mesh_level_solves_each_family_deepest_first(monkeypatch):
     assert all(a is b for a, b in zip(level.bottoms(ks), families[0][2][::-1]))
     assert lambdas == [r.lambda0 for r in families[1][2][::-1]]
     assert level.lambda0s(ks) == lambdas
-    assert [level.lambda0(k) for k in ks] == lambdas
-    assert level.lambda0_floor(ks) == lambdas[-1]
+    assert [level.lambda0s([k])[0] for k in ks] == lambdas
+    assert level.lambda0s([max(ks)])[0] == lambdas[-1]
     assert len(families) == 2 and len(starts) == 6
 
 
@@ -452,15 +452,15 @@ def test_truncated_bottoms_do_not_increase_with_k():
     for potential in (hardy, PotentialSpec.bounded("0.5 + 0.3*cos(3*x)")):
         level = MeshLevel.build(DomainSpec.interval(1.0), 0.5, potential, 1 / 64)
         ks = [0.25, 0.5, 1, 2, 4, 8, 16, math.inf]
-        lambdas = [level.lambda0(k) for k in ks]
+        lambdas = [level.lambda0s([k])[0] for k in ks]
         assert all(l2 <= l1 for l1, l2 in zip(lambdas, lambdas[1:]))
-        assert level.lambda0_floor(ks) == min(lambdas)
+        assert level.lambda0s([max(ks)])[0] == min(lambdas)
 
 
 def test_shared_truncations_solve_and_evolve_once(monkeypatch):
     families = _counting(monkeypatch, spectral, "spectral_bottoms")
     evolves = _counting(monkeypatch, evolution, "evolve")
-    # max V = 0.8, so k = 1, 2 and inf all give the untruncated field
+    # max V = 0.8, so k = 1, 2 and inf all give the untruncated potential
     level = MeshLevel.build(DomainSpec.interval(1.0), 0.5, PotentialSpec.bounded("0.5 + 0.3*cos(3*x)"), 1 / 32)
     ks = [0.25, 1, 2.0, math.inf]
     assert [level.effective_k(k) for k in ks] == [0.25, math.inf, math.inf, math.inf]
@@ -471,18 +471,20 @@ def test_shared_truncations_solve_and_evolve_once(monkeypatch):
     # one evolve per effective level, deepest first
     assert [traj.k for _, _, traj in evolves] == [math.inf, 0.25]
     for k, (_, _, traj) in zip([math.inf, 0.25], evolves):
-        assert np.array_equal(traj.potential, level.field_at(k).values)
-    # one scaled family, in which one solve serves every name of the full field
+        assert np.array_equal(traj.potential, truncate(level.potential, k))
+    # one scaled family, in which one solve serves every name of the untruncated potential
     scaled = level.bottoms(ks)
     assert [len(potentials) for (_, potentials), _, _ in families] == [1, 2]
-    assert scaled[1] is scaled[2] is scaled[3] is level.bottom(1) is level.bottom(math.inf)
+    assert scaled[1] is scaled[2] is scaled[3] is level.bottoms([1])[0] is level.bottoms([math.inf])[0]
     assert len(families) == 2
     assert [traj.k for traj in family] == [0.25, 1.0, 2.0, math.inf]
     assert family[1].states is family[2].states is family[3].states is evolves[0][2].states
     assert family[0].states is evolves[1][2].states
     for k, traj in zip(ks, family):
-        V = level.field if k == math.inf else truncate(level.field, k)
-        direct = evolve(evolution.ImplicitStepper(level.op, V, 1 / 32), u0, 0.25)  # a fresh stepper's factor
+        V = level.potential if k == math.inf else truncate(level.potential, k)
+        stepper = evolution.ImplicitStepper(level.op, V, 1 / 32)  # a fresh stepper's factor
+        stepper.truncate(k)
+        direct = evolve(stepper, u0, 0.25)
         assert traj.k == direct.k
         if level.effective_k(k) == math.inf:
             # the deepest level's factor is a fresh one
@@ -513,18 +515,18 @@ FAMILY_CASES = {
 def test_family_bottoms_match_single_level_solves(case):
     domain, h, alpha, potential, ks = FAMILY_CASES[case]
     level = MeshLevel.build(domain, alpha, potential, h)
-    op, scale = level.op, 1.0 - level.field.spec.epsilon
-    assert len(op.fold(level.field.values)[0]) == (8 if domain.kind == "disk" else 2)
+    op, scale = level.op, 1.0 - level.epsilon
+    assert len(op.fold(level.potential)[0]) == (8 if domain.kind == "disk" else 2)
     keys = [level.effective_k(k) for k in ks]
     assert len(set(keys)) == len(ks)
-    truncated = [np.sum(level.field.values > k) / op.n for k in keys]
+    truncated = [np.sum(level.potential > k) / op.n for k in keys]
     assert truncated[0] > (0.8 if case == "interval_bounded" else 0.0)
     for s in (scale, 1.0):  # the series' bottoms, then the unscaled ones
         for k, res in zip(ks, level._solve(ks, s)):
-            single = spectral_bottom(op, s * level.field_at(k).values)
+            single = spectral_bottom(op, s * truncate(level.potential, k))
             assert res.lambda0 == pytest.approx(single.lambda0, rel=1e-12)
             assert np.linalg.norm(res.eigvec - single.eigvec) <= 1e-10
-            assert np.linalg.norm(op.apply(res.eigvec) - s * level.field_at(k).values * res.eigvec
+            assert np.linalg.norm(op.apply(res.eigvec) - s * truncate(level.potential, k) * res.eigvec
                                   - res.lambda0 * res.eigvec) <= spectral.RESIDUAL_TOL
 
 
