@@ -5,7 +5,6 @@ certify the discrete inequalities, classify existence versus blow-up."""
 from .assembly import (
     OperatorMatrix,
     assemble_operator,
-    fourier_form_check,
     killing_density,
     normalization_constant,
 )
@@ -40,7 +39,6 @@ from .errors import (
     SingularNode,
     SolveFailure,
     StepTooLarge,
-    UnsupportedFunction,
 )
 from .evolution import (
     ImplicitStepper,
@@ -49,7 +47,6 @@ from .evolution import (
     evolve,
     initial_state,
     monotone_family,
-    variational_residual,
 )
 from .geometry import DomainSpec, Grid, boundary_distance, build_grid, orbit_table
 from .potentials import (

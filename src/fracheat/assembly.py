@@ -15,7 +15,7 @@ is the midpoint-rule quadrature of the full-space double-integral energy of f
 extended by zero, with the diagonal cell pairs dropped.  No singular
 correction is added on the diagonal: this keeps the exact Z-matrix and
 row-sum structure that the positivity arguments rely on, at the cost of an
-O(h^(2-alpha)) consistency error that fourier_form_check measures directly.
+O(h^(2-alpha)) consistency error.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AllocationError, ConvergenceFailure, DimensionMismatch, DomainError, UnsupportedFunction
-from .geometry import DomainSpec, Grid, orbit_table, stabilizers
+from .errors import AllocationError, ConvergenceFailure, DimensionMismatch, DomainError
+from .geometry import Grid, orbit_table, stabilizers
 
 DENSE_SIZE_CAP = 8192
 SCAN_ROWS = 64  # rows of L gathered from the offset table at a time
@@ -128,20 +128,23 @@ class OperatorMatrix:
         return table.ravel().take(offsets, out=out, mode="clip")
 
     def apply(self, F) -> np.ndarray:
-        """L F for F of shape (n,) or (k, n): the table convolved with F on
-        the doubled box by FFT, read at every node, plus diagonal * F."""
+        """L F for F of shape (n,) or (k, n): the table convolved with each
+        row of F on the doubled box by FFT, one row at a time into the
+        output (so the transforms' temporaries are one vector's), read at
+        every node, plus diagonal * F."""
         F = np.asarray(F, dtype=float)
         if F.shape[-1:] != (self.n,):
             raise DimensionMismatch(f"expected vectors of length {self.n}, got shape {F.shape}")
         box, where, kernel = self._fft
-        axes = tuple(range(-len(box), 0))
-        padded = np.zeros(F.shape[:-1] + (math.prod(box),))
-        padded[..., where] = F
-        spectrum = np.fft.rfftn(padded.reshape(F.shape[:-1] + box), axes=axes)
-        del padded
-        spectrum *= kernel
-        conv = np.fft.irfftn(spectrum, s=box, axes=axes).reshape(F.shape[:-1] + (-1,))
-        return conv[..., where] + self.diagonal * F
+        axes = tuple(range(len(box)))
+        out = np.empty(F.shape)
+        padded = np.zeros(math.prod(box))
+        for f, row in zip(F.reshape(-1, self.n), out.reshape(-1, self.n)):
+            padded[where] = f
+            spectrum = np.fft.rfftn(padded.reshape(box))
+            spectrum *= kernel
+            np.add(np.fft.irfftn(spectrum, s=box, axes=axes).ravel()[where], self.diagonal * f, out=row)
+        return out
 
     def fold(self, *vectors) -> tuple:
         """(orbits, B): the orbit table (geometry.orbit_table) of the grid's
@@ -376,101 +379,3 @@ def assemble_operator(grid: Grid, alpha: float) -> OperatorMatrix:
     for a in (table, op.diagonal, kappa):
         a.setflags(write=False)
     return op
-
-
-# --- Fourier-side oracle -----------------------------------------------------
-
-
-def _eval_on_points(f, points: np.ndarray) -> np.ndarray:
-    if points.shape[1] == 1:
-        vals = f(points[:, 0])
-    else:
-        vals = f(points[:, 0], points[:, 1])
-    vals = np.asarray(vals, dtype=float)
-    if vals.shape != (points.shape[0],):
-        raise UnsupportedFunction("test function must return one value per point")
-    if not np.all(np.isfinite(vals)):
-        raise UnsupportedFunction("test function returned non-finite values on the grid")
-    return vals
-
-
-def _check_supported_inside(f, domain: DomainSpec) -> None:
-    """Sample f on a collar outside the domain; nonzero values mean the
-    function is not representable by a grid that vanishes off the domain."""
-    halves = domain.half_widths
-    if domain.dimension == 1:
-        R = halves[0]
-        xs = np.concatenate([np.linspace(-2.0 * R, -R, 257), np.linspace(R, 2.0 * R, 257)])
-        pts = xs[:, None]
-    else:
-        a, b = halves
-        g1 = np.linspace(-2.0 * a, 2.0 * a, 65)
-        g2 = np.linspace(-2.0 * b, 2.0 * b, 65)
-        xx, yy = np.meshgrid(g1, g2, indexing="ij")
-        pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-        pts = pts[~domain.contains(pts)]
-    vals = _eval_on_points(f, pts)
-    if np.max(np.abs(vals)) > 1e-10:
-        raise UnsupportedFunction(
-            "test function does not vanish outside the domain; the grid encodes "
-            "a zero exterior condition"
-        )
-
-
-def _fourier_energy(f, domain: DomainSpec, alpha: float, modes: int) -> float:
-    """Energy integral of |xi|^alpha |fhat(xi)|^2 with the unitary transform,
-    by FFT quadrature on a wide padded window.
-
-    In d = 1 the weight |xi|^alpha is integrated exactly over each frequency
-    cell (its kink at zero would otherwise dominate the quadrature error);
-    the smooth |fhat|^2 factor is evaluated at cell centers.
-    """
-    d = domain.dimension
-    if d == 1:
-        T = 32.0 * domain.half_widths[0]
-        dx = 2.0 * T / modes
-        x = -T + dx * np.arange(modes)
-        F = np.fft.fft(f(x)) * dx
-        xi = 2.0 * np.pi * np.fft.fftfreq(modes, d=dx)
-        dxi = np.pi / T
-
-        def wprim(s):
-            return np.sign(s) * np.abs(s) ** (1.0 + alpha) / (1.0 + alpha)
-
-        weights = wprim(xi + 0.5 * dxi) - wprim(xi - 0.5 * dxi)
-        return float(np.sum(weights * np.abs(F) ** 2) / (2.0 * np.pi))
-    a, b = domain.half_widths
-    Ta, Tb = 8.0 * a, 8.0 * b
-    dx = 2.0 * Ta / modes
-    dy = 2.0 * Tb / modes
-    x = -Ta + dx * np.arange(modes)
-    y = -Tb + dy * np.arange(modes)
-    xx, yy = np.meshgrid(x, y, indexing="ij")
-    F = np.fft.fft2(f(xx, yy)) * dx * dy
-    xi1 = 2.0 * np.pi * np.fft.fftfreq(modes, d=dx)
-    xi2 = 2.0 * np.pi * np.fft.fftfreq(modes, d=dy)
-    mag = np.hypot(*np.meshgrid(xi1, xi2, indexing="ij"))
-    dxi = (np.pi / Ta) * (np.pi / Tb)
-    return float(np.sum(mag ** alpha * np.abs(F) ** 2) * dxi / (2.0 * np.pi) ** 2)
-
-
-def fourier_form_check(f, alpha: float, grid: Grid, modes: int | None = None):
-    """Compare the discrete form energy of f with the Fourier-side energy.
-
-    Returns (E_discrete, E_fourier).  E_discrete is the quadratic form of the
-    assembled operator applied to f sampled at the nodes; E_fourier is the
-    integral of |xi|^alpha |fhat(xi)|^2 (unitary transform) by FFT quadrature,
-    2^16 modes in d = 1 and 2^10 per axis in d = 2.  f must vanish outside the
-    grid's domain (UnsupportedFunction otherwise); call as f(x) in d = 1 and
-    f(x, y) in d = 2, vectorized.
-    """
-    d = grid.dimension
-    check_order(d, alpha)
-    _check_supported_inside(f, grid.domain)
-    vals = _eval_on_points(f, grid.points)
-    op = assemble_operator(grid, alpha)
-    e_discrete = float(grid.cell_volume * vals @ op.apply(vals))
-    if modes is None:
-        modes = 2 ** 16 if d == 1 else 2 ** 10
-    e_fourier = _fourier_energy(f, grid.domain, alpha, modes)
-    return e_discrete, e_fourier

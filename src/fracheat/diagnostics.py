@@ -254,7 +254,8 @@ def ground_state_comparability(free: ImplicitStepper, u0, t: float, ratio_bound:
     M, dt = free.M, free.dt
     res = spectral_bottom(M, None)
     phi0 = res.eigvec / math.sqrt(M.cell_volume)  # unit discrete L2 norm, positive
-    h_state = evolve(free, u0, t).states[-1]
+    traj = evolve(free, u0, t)
+    h_state = traj.unfold(traj.rep_states[-1])
     ratios = h_state / phi0
     r_min = float(np.min(ratios))
     r_max = float(np.max(ratios))

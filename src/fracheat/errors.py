@@ -17,10 +17,6 @@ class AllocationError(FracheatError):
     """Requested dense operator exceeds the configured size cap."""
 
 
-class UnsupportedFunction(FracheatError):
-    """Test function cannot be represented on the grid (support leaks outside)."""
-
-
 class DimensionMismatch(FracheatError):
     """Vector length does not match the operator / grid size."""
 

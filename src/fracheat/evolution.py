@@ -30,12 +30,18 @@ class Trajectory:
     """Time-indexed states of one truncated problem, and the problem: its
     operator, potential values (read-only) and step.
 
-    states has shape (len(times), n); every entry is >= 0.  l2_norms holds
-    the discrete L2 norms sqrt(sum u_i^2 h^d) per stored time.
+    The states are stored folded: rep_states, read-only of shape
+    (len(times), m), holds their values at the representatives orbits[0]
+    of the orbit table of the fold that stepped them (the mirrors that fix
+    V and u0 fix every state), m = orbits.shape[1].  states and state_at
+    unfold on read into a new read-only array of width n; every entry is
+    >= 0.  l2_norms holds the discrete L2 norms sqrt(sum u_i^2 h^d) per
+    stored time.
     """
 
     times: np.ndarray
-    states: np.ndarray
+    rep_states: np.ndarray
+    orbits: np.ndarray
     k: float
     dt: float
     operator: OperatorMatrix
@@ -47,8 +53,17 @@ class Trajectory:
         return self.operator.grid
 
     @property
+    def states(self) -> np.ndarray:
+        return self.unfold(self.rep_states)
+
+    @property
     def max_values(self) -> np.ndarray:
-        return self.states.max(axis=1)
+        return self.rep_states.max(axis=1)
+
+    def unfold(self, rows: np.ndarray) -> np.ndarray:
+        """Rows of representatives' values, each carried over its orbits
+        to all n nodes: a new read-only array."""
+        return _unfold(self.orbits, rows, self.operator.n)
 
     def index_of_time(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -57,7 +72,7 @@ class Trajectory:
         return idx
 
     def state_at(self, t: float) -> np.ndarray:
-        return self.states[self.index_of_time(t)]
+        return self.unfold(self.rep_states[self.index_of_time(t)])
 
 
 class ImplicitStepper:
@@ -145,6 +160,13 @@ def _checked_state(u, n: int) -> np.ndarray:
     return u
 
 
+def _unfold(orbits: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    out = np.empty(rows.shape[:-1] + (n,))
+    out[..., orbits] = rows[..., None, :]
+    out.setflags(write=False)
+    return out
+
+
 def _advance(system: _SortedFactor, root: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One step on the representatives' values, in the factor's order: the
     solve with a stepper's factor on the folded unknowns u / root, clipped
@@ -162,9 +184,10 @@ def _advance(system: _SortedFactor, root: np.ndarray, u: np.ndarray) -> np.ndarr
 
 def evolve(stepper: ImplicitStepper, u0, t_final: float) -> Trajectory:
     """Evolve u0 to t_final by repeated steps of stepper, storing every
-    state.  t_final must be an integer multiple of the stepper's dt (to
-    1e-9 relative).  The trajectory carries the stepper's operator, dt,
-    potential and truncation level k.
+    state at the representatives of its fold (Trajectory).  t_final must
+    be an integer multiple of the stepper's dt (to 1e-9 relative).  The
+    trajectory carries the stepper's operator, dt, potential and
+    truncation level k.
     """
     M, dt = stepper.M, stepper.dt
     u = _checked_state(u0, M.n)
@@ -173,24 +196,23 @@ def evolve(stepper: ImplicitStepper, u0, t_final: float) -> Trajectory:
     steps = int(round(t_final / dt))
     if steps < 1 or abs(steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ValueError(f"t_final={t_final} is not a positive multiple of dt={dt}")
-    # the mirrors that fix V and u0 fix every later state: one fold, one unfold
+    # the mirrors that fix V and u0 fix every later state: one fold
     orbits, root, system = stepper._solver(u)
     reps = np.empty((steps + 1, orbits.shape[1]))
     reps[0] = u[orbits[0]]
     for i in range(steps):
         reps[i + 1] = _advance(system, root, reps[i])
-    states = np.empty((steps + 1, M.n))
-    states[:, orbits] = reps[:, None, :]
-    states.setflags(write=False)
-    norms = np.sqrt(M.cell_volume * np.sum(states * states, axis=1))
+    reps.setflags(write=False)
+    states = _unfold(orbits, reps, M.n)  # transient: the norms sum over every node
     return Trajectory(
         times=dt * np.arange(steps + 1),
-        states=states,
+        rep_states=reps,
+        orbits=orbits,
         k=stepper.k,
         dt=dt,
         operator=M,
         potential=stepper.potential,
-        l2_norms=norms,
+        l2_norms=np.sqrt(M.cell_volume * np.sum(states * states, axis=1)),
     )
 
 
@@ -231,52 +253,32 @@ def duhamel_residual(traj: Trajectory, free: ImplicitStepper) -> float:
     state-by-state loop takes it (perfbench's traced run times that
     method); after it R is stepped on the representatives of the mirrors
     that fix V and every state, one fold as in evolve, and unfolded once
-    per step for the norms.
+    per step for the norms.  The mirrors of the trajectory's orbit table
+    fix every state, so the fold is by those of them that fix V: the
+    mirrors that fix V and the vector of each node's column in the stored
+    rows, which give the source.  When V stepped the trajectory, that is
+    the trajectory's own fold.
     """
     M, vals = traj.operator, traj.potential
     if free.M is not M or free.dt != traj.dt or np.any(free.potential):
         raise ValueError("free stepper was factored for another operator, time step or a potential")
-    # the mirrors that fix V and every state fix every R(t_n): one fold
-    orbits, root, system = free._solver(vals, traj.states)
+    column = np.empty(M.n, dtype=int)
+    column[traj.orbits] = np.arange(traj.orbits.shape[1])
+    orbits, root, system = free._solver(vals, column)
     reps = orbits[0]
-    source = traj.dt * vals[reps] * traj.states[:, reps]
-    acc = traj.states[0]
+    source = traj.dt * vals[reps] * traj.rep_states[:, column[reps]]
+    acc = traj.unfold(traj.rep_states[0])
     unfolded = np.empty(M.n)
     worst = 0.0
     for n in range(1, len(traj.times)):
         acc = (free.step(acc)[reps] if n == 1 else _advance(system, root, acc)) + source[n]
         unfolded[orbits] = acc
-        diff = np.linalg.norm(traj.states[n] - unfolded)
-        denom = np.linalg.norm(traj.states[n])
+        state = traj.unfold(traj.rep_states[n])
+        diff = np.linalg.norm(state - unfolded)
+        denom = np.linalg.norm(state)
         if denom > 0:
             worst = max(worst, float(diff / denom))
     return worst
-
-
-def variational_residual(traj: Trajectory, phi, phi_t=None) -> float:
-    """Defect of the discrete weak-solution identity of the trajectory's
-    problem against a space-time test function.
-
-    phi(t, points) -> (n,) values at the nodes, called once per stored time;
-    phi_t is its time derivative, approximated by centered differences on the
-    stored time grid when omitted.  The defect gathers the boundary terms,
-    the trapezoidal time quadrature of <u, -phi_t + L phi> h^d and of
-    <u phi V> h^d, and returns their absolute mismatch.  It vanishes at the
-    order of the time discretization.
-    """
-    M, times = traj.operator, traj.times
-    phis = np.stack([np.asarray(phi(t, traj.grid.points), dtype=float) for t in times])
-    if phi_t is not None:
-        dphis = np.stack([np.asarray(phi_t(t, traj.grid.points), dtype=float) for t in times])
-    else:
-        dphis = np.gradient(phis, traj.dt, axis=0)
-    vol = M.cell_volume
-    integrand = vol * np.sum(traj.states * (M.apply(phis) - dphis), axis=1)
-    source = vol * np.sum(traj.states * phis * traj.potential, axis=1)
-    boundary = vol * (np.dot(traj.states[-1], phis[-1]) - np.dot(traj.states[0], phis[0]))
-    lhs = boundary + np.trapezoid(integrand, times)
-    rhs = np.trapezoid(source, times)
-    return float(abs(lhs - rhs))
 
 
 def initial_state(grid: Grid, kind: str = "inradius_ball", radius: float | None = None) -> np.ndarray:

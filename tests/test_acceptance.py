@@ -24,7 +24,6 @@ from fracheat import (
     energy_inequality_certificate,
     evolve,
     exponential_bound_certificate,
-    fourier_form_check,
     hardy_sharp_constant,
     initial_state,
     load_config,
@@ -36,6 +35,7 @@ from fracheat import (
     spectral_bottom,
 )
 from fracheat.spectral import MeshLevel
+from oracles import fourier_form_check
 
 ALPHA = 0.5
 DOM = DomainSpec.interval(1.0)

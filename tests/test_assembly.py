@@ -12,22 +12,20 @@ from scipy.special import beta as beta_fn, betainc, gamma
 from fracheat import (
     AllocationError,
     DomainSpec,
-    UnsupportedFunction,
     assemble_operator,
     build_grid,
-    fourier_form_check,
     killing_density,
     normalization_constant,
     spectral_bottom,
 )
 from fracheat.assembly import (
     _disk_complement_integral,
-    _fourier_energy,
     _gauss_kronrod,
     _rectangle_complement_integral,
 )
 from fracheat.errors import ConvergenceFailure, DomainError
 from fracheat.geometry import orbit_table, stabilizers
+from oracles import UnsupportedFunction, _fourier_energy, fourier_form_check
 
 # regression value: smallest eigenvalue of the assembled operator on the
 # unit interval at alpha = 0.5, h = 1/256 (refinement study fixture)
@@ -498,8 +496,8 @@ def test_apply_matches_row_chunked_pairwise_oracle(dom, h, alpha):
     "dom,h,alpha", [(DomainSpec.interval(1.0), 1 / 256, 0.5), (DomainSpec.disk(1.0), 1 / 16, 1.0)]
 )
 def test_apply_takes_one_product_per_distinct_permuted_input(dom, h, alpha, monkeypatch):
-    # one FFT product per call, the batch in one transform, whichever
-    # mirrors fix the input: all, none, or (on the disk) one of the two
+    # one FFT product per row, each its own transform of one vector,
+    # whichever mirrors fix the input: all, none, or (on the disk) one of the two
     g = build_grid(dom, h)
     op = assemble_operator(g, alpha)
     products = []  # the batch shape of each inverse FFT
@@ -515,7 +513,21 @@ def test_apply_takes_one_product_per_distinct_permuted_input(dom, h, alpha, monk
     for F in cases:
         products.clear()
         assert op.apply(F).shape == F.shape
-        assert products == [F.shape[:-1]]
+        assert products == [()] * (F.size // g.n)
+    monkeypatch.undo()
+    for F in cases:  # the same bits as the whole batch in one transform
+        assert np.array_equal(op.apply(F), _batched_product(op, F))
+
+
+def _batched_product(op, F):
+    """L F with the batch of F in one transform on the doubled box."""
+    box, where, kernel = op._fft
+    axes = tuple(range(-len(box), 0))
+    padded = np.zeros(F.shape[:-1] + (math.prod(box),))
+    padded[..., where] = F
+    spectrum = np.fft.rfftn(padded.reshape(F.shape[:-1] + box), axes=axes) * kernel
+    conv = np.fft.irfftn(spectrum, s=box, axes=axes).reshape(F.shape[:-1] + (-1,))
+    return conv[..., where] + op.diagonal * F
 
 
 @pytest.mark.parametrize("axis", [0, 1])

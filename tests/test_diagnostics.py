@@ -315,12 +315,14 @@ def test_log_certificate_validation(interval_op):
         log_estimate_certificate(traj, good, 0.125, 0.125)
     with pytest.raises(ValueError):
         log_estimate_certificate(traj, 2.0 * good, 0.125, 0.25)
-    # synthetic trajectory with a dead node on the support
-    states = traj.states.copy()
-    states[4, :] = np.maximum(states[4, :], 0.0)
-    states[4, 7] = 0.0
-    broken = replace(traj, states=states)
+    # synthetic trajectory with a dead representative, and so a dead orbit,
+    # on the support
+    rows = traj.rep_states.copy()
+    rows[4, 7] = 0.0
+    broken = replace(traj, rep_states=rows)
     t_bad = traj.times[4]
+    dead = broken.state_at(t_bad) == 0.0
+    assert np.array_equal(np.flatnonzero(dead), np.unique(traj.orbits[:, 7]))
     with pytest.raises(NonpositiveState):
         log_estimate_certificate(broken, good, t_bad, 0.25)
 
@@ -593,7 +595,11 @@ def test_hashed_arrays_are_read_only(interval_op):
     with pytest.raises(ValueError):
         interval_op.diagonal[0] = 1.0
     with pytest.raises(ValueError):
+        traj.rep_states[0, 0] = 1.0
+    with pytest.raises(ValueError):
         traj.states[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        traj.state_at(0.25)[0] = 1.0
     with pytest.raises(ValueError):
         traj.potential[0] = 1.0
 

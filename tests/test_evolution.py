@@ -26,8 +26,8 @@ from fracheat import (
     sample_potential,
     spectral_bottom,
     truncate,
-    variational_residual,
 )
+from oracles import variational_residual
 
 ALPHA = 0.5
 DOM = DomainSpec.interval(1.0)
@@ -357,9 +357,40 @@ def test_evolve_matches_a_loop_of_steps(domain, h, potential, order, monkeypatch
     monkeypatch.undo()
     assert np.array_equal(traj.states, want)
     assert np.array_equal(traj.l2_norms, np.sqrt(op.cell_volume * np.sum(want * want, axis=1)))
-    looped = replace(traj, states=want)
+    assert traj.rep_states.shape == (steps + 1, m)
+    looped = replace(traj, rep_states=want[:, traj.orbits[0]])
+    assert np.array_equal(looped.states, want)
     free = ImplicitStepper(op, None, dt)
     assert duhamel_residual(traj, free) == duhamel_residual(looped, free)
+
+
+def test_disk_trajectory_stores_its_representatives_only():
+    # the disk at h = 1/24 under a supercritical Hardy potential: the square
+    # group folds its 1804 nodes to 234 orbits, and a trajectory keeps only
+    # those columns, unfolding them on read
+    from fracheat import hardy_sharp_constant
+
+    pot = PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(2, 1.0))
+    level = MeshLevel.build(DomainSpec.disk(1.0), 1.0, pot, 1.0 / 24.0)
+    op, V = level.op, level.potential
+    assert op.n == 1804
+    lam = level.lambda0s([math.inf])[0]
+    dt, steps = 1.0 / 64.0, 8
+    assert dt * -lam < 0.5
+    u0 = initial_state(op.grid)
+    traj = evolve(ImplicitStepper(op, V, dt, lambda0=lam), u0, steps * dt)
+    assert traj.rep_states.shape == (steps + 1, 234) and not traj.rep_states.flags.writeable
+    stored = [a for a in vars(traj).values() if isinstance(a, np.ndarray) and a is not traj.potential]
+    assert stored and all(op.n not in a.shape for a in stored)
+    stepper = ImplicitStepper(op, V, dt, lambda0=lam)
+    want = [u0]
+    for _ in range(steps):
+        want.append(stepper.step(want[-1]))
+    want = np.array(want)
+    assert np.array_equal(traj.states, want)
+    assert np.array_equal(traj.state_at(steps * dt), want[-1])
+    assert np.array_equal(traj.max_values, want.max(axis=1))
+    assert np.array_equal(traj.l2_norms, np.sqrt(op.cell_volume * np.sum(want * want, axis=1)))
 
 
 def _looped_duhamel(traj, op, vals, free):

@@ -478,8 +478,10 @@ def test_shared_truncations_solve_and_evolve_once(monkeypatch):
     assert scaled[1] is scaled[2] is scaled[3] is level.bottoms([1])[0] is level.bottoms([math.inf])[0]
     assert len(families) == 2
     assert [traj.k for traj in family] == [0.25, 1.0, 2.0, math.inf]
-    assert family[1].states is family[2].states is family[3].states is evolves[0][2].states
-    assert family[0].states is evolves[1][2].states
+    # the shared levels hold one stored array of representatives' states
+    assert family[1].rep_states is family[2].rep_states is family[3].rep_states is evolves[0][2].rep_states
+    assert family[0].rep_states is evolves[1][2].rep_states
+    assert family[0].rep_states is not family[1].rep_states
     for k, traj in zip(ks, family):
         V = level.potential if k == math.inf else truncate(level.potential, k)
         stepper = evolution.ImplicitStepper(level.op, V, 1 / 32)  # a fresh stepper's factor
