@@ -38,21 +38,25 @@ _TOP_KEYS = ("schema_version", "domain", "alpha", "potential", "h_schedule", "k_
              "ball_schedule", "output_dir", "seed")
 
 
-@dataclass
+@dataclass(eq=False)  # meshes holds arrays
 class ExperimentConfig:
+    """A validated config.  meshes holds what validation built, one (grid,
+    sampled potential, initial state) per spacing, both vectors read-only;
+    ball_schedule the probe's radii, [] when the probe does not run."""
+
     raw: dict
     domain: DomainSpec
     alpha: float
     potential: PotentialSpec
     h_schedule: list
+    meshes: list
     k_schedule: list
     dt: float
     t_final: float
     probe_time: float
     thresholds: dict
     sweeps: dict
-    initial_state: dict
-    ball_schedule: list | None
+    ball_schedule: list
     output_dir: str | None
     seed: int
     state_checkpoints: list
@@ -198,12 +202,12 @@ def _parse(doc: dict) -> tuple:
                 errors.append("h_schedule: coarsest spacing is not below the domain extent")
             # a disk keeps about pi/4 of its box, so a box lattice above four
             # times the cap cannot fit and is rejected without being built
-            elif lattice > 4 * DENSE_SIZE_CAP or (finest := build_grid(domain, hs[-1])).n > DENSE_SIZE_CAP:
+            elif lattice > 4 * DENSE_SIZE_CAP or (finest := build_grid(domain, float(hs[-1]))).n > DENSE_SIZE_CAP:
                 errors.append(
                     f"h_schedule: finest grid exceeds the dense-size cap of {DENSE_SIZE_CAP} nodes"
                 )
             else:
-                levels = [(f"h={h}", build_grid(domain, h) if h != hs[-1] else finest) for h in hs]
+                levels = [(f"h={h}", build_grid(domain, float(h)) if h != hs[-1] else finest) for h in hs]
 
     ks = doc.get("k_schedule")
     if not isinstance(ks, list) or not ks:
@@ -272,6 +276,7 @@ def _parse(doc: dict) -> tuple:
     if probe_steps == 1 and _is_number(sweeps["log_phis"], int) and sweeps["log_phis"] > 0:
         errors.append("probe_times: must be at least 2*dt when sweeps.log_phis > 0")
 
+    u0s = []
     init = _object(doc, "initial_state", errors, {"kind": "inradius_ball"})
     _closed(init, "initial_state.", ("kind", "radius"), errors)
     if init.get("kind") not in ("inradius_ball", "ball", "constant"):
@@ -279,10 +284,11 @@ def _parse(doc: dict) -> tuple:
     elif init.get("kind") == "ball" and not (_is_number(init.get("radius")) and init["radius"] > 0):
         errors.append("initial_state.radius: ball initial state needs a positive radius")
     else:
-        # run builds the initial state on every grid: it must hold a node
+        # the initial state on every grid, which run evolves: it must hold a node
         for where, grid in levels:
             try:
-                initial_state(grid, kind=init["kind"], radius=init.get("radius"))
+                u0s.append(initial_state(grid, kind=init["kind"], radius=init.get("radius")))
+                u0s[-1].setflags(write=False)
             except ValueError as exc:
                 errors.append(f"initial_state.radius: {exc} ({where})")
                 break
@@ -298,24 +304,26 @@ def _parse(doc: dict) -> tuple:
             errors.append(f"ball_schedule: needs at least {MIN_BALLS} radii, got {len(balls)}")
         elif domain is not None and balls[0] > domain.inradius:
             errors.append(f"ball_schedule: radius {balls[0]} above the inradius {domain.inradius}")
-    probe = []
+    radii, probe = [], []
     if pot is not None and pot.kind in BALL_PROBE_KINDS and levels and len(errors) == n_errors:
-        # the grids of run's ball probe, none for a default schedule too short
-        # to probe; every ball holds as many nodes as the largest
-        radii = balls or default_ball_schedule(domain, hs[-1])
-        meshes = ball_meshes(domain, radii, hs[-1]) if len(radii) >= MIN_BALLS else []
-        probe = [(f"ball r={ball.inradius}", build_grid(ball, hb)) for ball, hb in meshes]
+        # the radii and grids of run's ball probe, none for a default schedule
+        # too short to probe; every ball holds as many nodes as the largest
+        radii = balls or default_ball_schedule(domain, finest.h)
+        radii = radii if len(radii) >= MIN_BALLS else []
+        probe = [(f"ball r={ball.inradius}", build_grid(ball, hb))
+                 for ball, hb in (ball_meshes(domain, radii, finest.h) if radii else [])]
         if probe and probe[0][1].n < MIN_BALL_NODES:
             errors.append(f"ball_schedule: the ball of radius {radii[0]} holds {probe[0][1].n} "
                           f"nodes, fewer than {MIN_BALL_NODES}")
 
+    samples = []
     if pot is not None:
-        # run samples the potential on every grid: no node may be
-        # singular, and a bounded expression must be finite and nonnegative
+        # the potential on every grid, which run evolves and probes: no node
+        # may be singular, and a bounded expression must be finite and nonnegative
         name = "potential.expr" if pot.kind == "bounded" else "potential"
         for where, grid in levels + probe:
             try:
-                sample_potential(pot, grid, alpha)
+                samples.append(sample_potential(pot, grid, alpha))
             except (DomainError, SingularNode) as exc:
                 errors.append(f"{name}: {exc} ({where})")
                 break
@@ -339,14 +347,14 @@ def _parse(doc: dict) -> tuple:
         alpha=alpha,
         potential=pot,
         h_schedule=[float(h) for h in hs],
+        meshes=[(grid, V, u0) for (_, grid), V, u0 in zip(levels, samples, u0s)],
         k_schedule=ks,
         dt=float(dt),
         t_final=float(tf),
         probe_time=float(probes[0]),
         thresholds=thresholds,
         sweeps=sweeps,
-        initial_state=init,
-        ball_schedule=balls,
+        ball_schedule=[float(r) for r in radii],
         output_dir=doc.get("output_dir"),
         seed=seed,
         state_checkpoints=checkpoints,

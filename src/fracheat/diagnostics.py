@@ -158,8 +158,7 @@ def energy_inequality_all_pairs(M: OperatorMatrix) -> Certificate:
     phi[j] = -1.0
     return replace(
         energy_inequality_certificate(M, u, phi), name="energy_inequality_all_pairs",
-        inputs_digest=_digest(i, j, value), tolerance=0.0, satisfied=bool(value <= 0.0),
-        details={"i": i, "j": j, "L_ij": value},
+        tolerance=0.0, satisfied=bool(value <= 0.0), details={"i": i, "j": j, "L_ij": value},
     )
 
 
@@ -197,7 +196,7 @@ def log_estimate_certificate(traj: Trajectory, Phi, t1: float, t2: float) -> Cer
     tolerance = 1e-9 * scale + traj.dt * scale
     return _make_certificate(
         "log_estimate",
-        (M.entries, M.diagonal, traj.states, Phi[worst], vals, t1, t2),
+        (M.entries, M.diagonal, traj.rep_states, traj.orbits, Phi[worst], vals, t1, t2),
         lhs,
         rhs,
         tolerance,
@@ -228,7 +227,7 @@ def exponential_bound_certificate(traj: Trajectory, lambda0: float) -> Certifica
     rhs = 1.0 + 10.0 * SOLVER_TOL
     return _make_certificate(
         "exponential_bound",
-        (traj.states, traj.dt, lambda0),
+        (traj.rep_states, traj.orbits, traj.dt, lambda0),
         lhs,
         rhs,
         0.0,

@@ -20,21 +20,19 @@ from pathlib import Path
 import numpy as np
 
 from . import _lapack
+from .assembly import assemble_operator
 from .config import ExperimentConfig
 from .diagnostics import (
-    BALL_PROBE_KINDS,
-    MIN_BALLS,
     Certificate,
     ClassifierThresholds,
     classify,
-    default_ball_schedule,
     energy_inequality_all_pairs,
     exponential_bound_certificate,
     ground_state_comparability,
     log_estimate_certificate,
     shrinking_ball_certificate,
 )
-from .evolution import ImplicitStepper, duhamel_residual, initial_state, monotone_family
+from .evolution import ImplicitStepper, duhamel_residual, monotone_family
 from .spectral import MeshLevel, SpectralSeries, estimate_boundary_hardy_constant, refinement_series
 
 @contextmanager
@@ -79,11 +77,6 @@ def _certificate_json(cert: Certificate) -> dict:
     }
 
 
-def _initial_state(grid, config: ExperimentConfig):
-    init = config.initial_state
-    return initial_state(grid, kind=init.get("kind", "inradius_ball"), radius=init.get("radius"))
-
-
 @_one_blas_thread()
 def run_experiment(config: ExperimentConfig, out_dir=None, seed: int | None = None) -> dict:
     """Execute the full pipeline and write report.json plus CSV files.
@@ -97,16 +90,16 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int | None = No
     out = Path(out_dir or config.output_dir or "fracheat_run")
     out.mkdir(parents=True, exist_ok=True)
 
-    levels = [
-        MeshLevel.build(config.domain, config.alpha, config.potential, h) for h in config.h_schedule
-    ]
+    # the grids, potentials and initial states that validation built
+    levels = [MeshLevel(assemble_operator(grid, config.alpha), V, config.potential.epsilon)
+              for grid, V, _ in config.meshes]
     series = refinement_series(levels, config.k_schedule)
     finest = levels[-1]
     # the finest mesh's unscaled levels, one family: the exponential bounds
     # read them all, its step restriction the deepest
     lambdas = finest.lambda0s(config.k_schedule)
 
-    u0s = [_initial_state(lv.op.grid, config) for lv in levels]
+    u0s = [u0 for _, _, u0 in config.meshes]
     families = [
         monotone_family(lv, config.k_schedule, u0, config.t_final, config.dt) for lv, u0 in zip(levels, u0s)
     ]
@@ -204,13 +197,10 @@ def _certificates(config, finest: MeshLevel, family, u0, lambdas, probe, seed, f
         )
     )
 
-    # the boundary potential has boundary_hardy_constant in extras instead;
-    # validate has checked the balls' node count and the potential on them
-    balls = config.ball_schedule or default_ball_schedule(config.domain, finest.h)
-    if len(balls) >= MIN_BALLS and config.potential.kind in BALL_PROBE_KINDS:
-        certs.append(
-            shrinking_ball_certificate(config.domain, config.alpha, config.potential, balls, finest.h)
-        )
+    # the radii validate checked, [] for hardy_boundary (boundary_hardy_constant in extras)
+    if config.ball_schedule:
+        certs.append(shrinking_ball_certificate(
+            config.domain, config.alpha, config.potential, config.ball_schedule, finest.h))
     return certs
 
 

@@ -473,6 +473,26 @@ def test_default_ball_schedule_builds_no_grid(monkeypatch):
     assert calls == []
 
 
+def test_run_builds_only_the_probe_balls(tmp_path, monkeypatch):
+    # load_config builds every mesh's grid, potential and initial state, and
+    # the run takes them from the config: its only grids are the probe's
+    # balls, none for the boundary potential, the largest ball alone for
+    # hardy_interior (the others scale its bottom) and every ball for bounded
+    counts, schedules = {}, {}
+    for name in ("hardy_boundary_2d", "hardy_subcritical_1d", "bounded_1d"):
+        cfg = load_config(str(resources.files("fracheat") / "configs" / f"{name}.json"))
+        calls = []
+        with monkeypatch.context() as patch:
+            for modname, mod in list(sys.modules.items()):
+                if modname.startswith("fracheat") and hasattr(mod, "build_grid"):
+                    real = mod.build_grid
+                    patch.setattr(mod, "build_grid", lambda *a, real=real: calls.append(a) or real(*a))
+            run_experiment(cfg, out_dir=tmp_path / name)
+        counts[name], schedules[name] = len(calls), cfg.ball_schedule
+    assert counts == {"hardy_boundary_2d": 0, "hardy_subcritical_1d": 1, "bounded_1d": 5}
+    assert schedules["hardy_boundary_2d"] == []
+
+
 def test_ball_probe_runs_where_r0_is_not_whole_cells(tmp_path):
     # r0 = 0.5 at the finest h = 1/33 is 16.5 cells: a ball at that spacing
     # would put a node at the origin of the Hardy potential
@@ -745,5 +765,6 @@ def test_ball_schedule_bounds_that_run_accepts(tmp_path):
     doc = dict(FAST_CONFIG, h_schedule=[0.25, 0.125, 0.0625])
     cfg = load_config(write_config(tmp_path, doc))
     assert len(default_ball_schedule(cfg.domain, cfg.h_schedule[-1])) == 2
+    assert cfg.ball_schedule == []
     report = json.loads(Path(run_experiment(cfg, out_dir=tmp_path / "b")["report"]).read_text())
     assert "shrinking_ball" not in [c["name"] for c in report["certificates"]]

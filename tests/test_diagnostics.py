@@ -530,9 +530,11 @@ def test_digests_on_demand_match_eager(interval_op):
     traj = evolve(ImplicitStepper(interval_op, fld, 1.0 / 32.0, lambda0=lam), initial_state(grid), 0.25)
     Phi = np.ones(n) / math.sqrt(interval_op.cell_volume * n)
     log = log_estimate_certificate(traj, Phi, 0.125, 0.25)
-    want["log"] = _digest(interval_op.entries, interval_op.diagonal, traj.states, Phi, fld, 0.125, 0.25)
+    want["log"] = _digest(
+        interval_op.entries, interval_op.diagonal, traj.rep_states, traj.orbits, Phi, fld, 0.125, 0.25
+    )
     bound = exponential_bound_certificate(traj, lam)
-    want["bound"] = _digest(traj.states, traj.dt, lam)
+    want["bound"] = _digest(traj.rep_states, traj.orbits, traj.dt, lam)
     u0 = initial_state(grid)
     ground = ground_state_comparability(ImplicitStepper(interval_op, None, 0.25 / 64.0), u0, 0.25)
     want["ground"] = _digest(interval_op.entries, interval_op.diagonal, u0, 0.25, 0.25 / 64.0)
