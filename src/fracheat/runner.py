@@ -10,7 +10,6 @@ across BLAS thread counts.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from contextlib import contextmanager
@@ -20,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _lapack
+from ._hashes import sha256, shake_256
 from .assembly import assemble_operator
 from .config import ExperimentConfig
 from .diagnostics import (
@@ -134,7 +134,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int | None = No
     if config.state_checkpoints:
         _write_states(out / "states.csv", families, config.state_checkpoints)
 
-    digest = hashlib.sha256(config.canonical_json().encode()).hexdigest()[:16]
+    digest = sha256(config.canonical_json().encode()).hexdigest()[:16]
     report = {
         "schema_version": 1,
         "config_digest": digest,
@@ -169,7 +169,7 @@ def _abs_normal(seed: int, shape: tuple) -> np.ndarray:
     loads no numpy.random, whose lazy import takes about ten extension
     modules and 2 MB."""
     count = math.prod(shape)
-    bits = np.frombuffer(hashlib.shake_256(str(seed).encode()).digest(16 * count), dtype="<u8")
+    bits = np.frombuffer(shake_256(str(seed).encode()).digest(16 * count), dtype="<u8")
     u = ((bits >> 11) + 0.5) * 2.0 ** -53
     return (np.sqrt(-2.0 * np.log(u[:count])) * np.abs(np.cos(2.0 * np.pi * u[count:]))).reshape(shape)
 

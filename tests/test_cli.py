@@ -540,6 +540,48 @@ def test_import_leaves_out_quadrature_and_special_functions(tmp_path):
     assert (tmp_path / "0" / "report.json").exists() and (tmp_path / "1" / "report.json").exists()
 
 
+def _run_loading_hashes(tmp_path, name, blocked=()):
+    """`fracheat run` on FAST_CONFIG in a fresh process with the modules in
+    `blocked` made unimportable; returns its report bytes and which of
+    hashlib and OpenSSL's _hashlib it loaded."""
+    code = (
+        "import sys\n"
+        f"for m in {list(blocked)!r}: sys.modules[m] = None\n"
+        "import fracheat.cli\n"
+        "fracheat.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]], standalone_mode=False)\n"
+        "print(*sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))"
+    )
+    src = str(Path(fracheat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = tmp_path / name
+    proc = subprocess.run([sys.executable, "-c", code, str(write_config(tmp_path)), str(out)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    return (out / "report.json").read_bytes(), proc.stdout.splitlines()[-1].split()
+
+
+def _has_built_in_hashes():
+    from importlib.util import find_spec
+
+    return bool((find_spec("_sha2") or find_spec("_sha256")) and find_spec("_sha3"))
+
+
+@pytest.mark.skipif(not _has_built_in_hashes(), reason="no built-in SHA-256 and SHAKE-256")
+def test_run_loads_no_openssl(tmp_path):
+    # import hashlib loads OpenSSL's _hashlib, about 3.5 MB of peak RSS; the
+    # digests and the log-sweep draws come from CPython's built-in modules
+    _, loaded = _run_loading_hashes(tmp_path, "built_in")
+    assert loaded == []
+
+
+def test_run_without_built_in_hashes_falls_back_to_hashlib(tmp_path):
+    # the same digests and draws, byte for byte, through hashlib
+    report, _ = _run_loading_hashes(tmp_path, "built_in")
+    fallback, loaded = _run_loading_hashes(tmp_path, "fallback", ("_sha2", "_sha256", "_sha3"))
+    assert "hashlib" in loaded
+    assert fallback == report
+
+
 def test_runner_dt_matches_min_over_k_rule():
     from fracheat.evolution import STEP_MARGIN
 

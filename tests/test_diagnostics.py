@@ -530,11 +530,14 @@ def test_digests_on_demand_match_eager(interval_op):
     traj = evolve(ImplicitStepper(interval_op, fld, 1.0 / 32.0, lambda0=lam), initial_state(grid), 0.25)
     Phi = np.ones(n) / math.sqrt(interval_op.cell_volume * n)
     log = log_estimate_certificate(traj, Phi, 0.125, 0.25)
+    # each certificate hashes what it reads: the log estimate the states at
+    # t1 and t2, the bound the stored norms, not the whole trajectory
     want["log"] = _digest(
-        interval_op.entries, interval_op.diagonal, traj.rep_states, traj.orbits, Phi, fld, 0.125, 0.25
+        interval_op.entries, interval_op.diagonal, traj.state_at(0.125), traj.state_at(0.25),
+        Phi, fld, 0.125, 0.25,
     )
     bound = exponential_bound_certificate(traj, lam)
-    want["bound"] = _digest(traj.rep_states, traj.orbits, traj.dt, lam)
+    want["bound"] = _digest(traj.l2_norms, traj.dt, lam)
     u0 = initial_state(grid)
     ground = ground_state_comparability(ImplicitStepper(interval_op, None, 0.25 / 64.0), u0, 0.25)
     want["ground"] = _digest(interval_op.entries, interval_op.diagonal, u0, 0.25, 0.25 / 64.0)
@@ -548,6 +551,29 @@ def test_digests_on_demand_match_eager(interval_op):
         arr[:] = 1.0
     got = {"energy": energy, "log": log, "bound": bound, "ground": ground, "ball": ball}
     assert {kind: cert.inputs_digest for kind, cert in got.items()} == want
+
+
+def test_trimmed_digests_follow_what_the_certificate_reads(interval_op):
+    fld = sample_potential(PotentialSpec.bounded("0.5"), interval_op.grid, ALPHA)
+    lam = spectral_bottom(interval_op, fld).lambda0
+    traj = evolve(ImplicitStepper(interval_op, fld, 1.0 / 32.0, lambda0=lam), initial_state(interval_op.grid), 0.5)
+    bound = exponential_bound_certificate(traj, lam).inputs_digest
+    assert exponential_bound_certificate(traj, lam + 1e-9).inputs_digest != bound
+
+    n = interval_op.n
+    Phi = np.ones(n) / math.sqrt(interval_op.cell_volume * n)
+    t1, t2 = 0.125, 0.25
+    log = log_estimate_certificate(traj, Phi, t1, t2).inputs_digest
+
+    def with_row(t, factor):
+        reps = traj.rep_states.copy()
+        reps[traj.index_of_time(t)] *= factor
+        reps.setflags(write=False)
+        return replace(traj, rep_states=reps)
+
+    assert log_estimate_certificate(with_row(t2, 1.001), Phi, t1, t2).inputs_digest != log
+    # a stored state the certificate does not read leaves its digest alone
+    assert log_estimate_certificate(with_row(0.5, 1.001), Phi, t1, t2).inputs_digest == log
 
 
 def test_certificate_hashes_its_inputs_once_when_made(interval_op, monkeypatch):
