@@ -42,7 +42,8 @@ _TOP_KEYS = ("schema_version", "domain", "alpha", "potential", "h_schedule", "k_
 class ExperimentConfig:
     """A validated config.  meshes holds what validation built, one (grid,
     sampled potential, initial state) per spacing, both vectors read-only;
-    ball_schedule the probe's radii, [] when the probe does not run."""
+    ball_schedule the probe's radii and balls one (grid, read-only sampled
+    potential) per ball the probe solves, both [] when it does not run."""
 
     raw: dict
     domain: DomainSpec
@@ -57,6 +58,7 @@ class ExperimentConfig:
     thresholds: dict
     sweeps: dict
     ball_schedule: list
+    balls: list
     output_dir: str | None
     seed: int
     state_checkpoints: list
@@ -306,12 +308,12 @@ def _parse(doc: dict) -> tuple:
             errors.append(f"ball_schedule: radius {balls[0]} above the inradius {domain.inradius}")
     radii, probe = [], []
     if pot is not None and pot.kind in BALL_PROBE_KINDS and levels and len(errors) == n_errors:
-        # the radii and grids of run's ball probe, none for a default schedule
-        # too short to probe; every ball holds as many nodes as the largest
+        # the radii of run's ball probe and the grids of the balls it solves, none for
+        # a default schedule too short to probe; every ball holds as many nodes as the largest
         radii = balls or default_ball_schedule(domain, finest.h)
         radii = radii if len(radii) >= MIN_BALLS else []
         probe = [(f"ball r={ball.inradius}", build_grid(ball, hb))
-                 for ball, hb in (ball_meshes(domain, radii, finest.h) if radii else [])]
+                 for ball, hb in (ball_meshes(domain, radii, finest.h, pot.kind) if radii else [])]
         if probe and probe[0][1].n < MIN_BALL_NODES:
             errors.append(f"ball_schedule: the ball of radius {radii[0]} holds {probe[0][1].n} "
                           f"nodes, fewer than {MIN_BALL_NODES}")
@@ -355,6 +357,7 @@ def _parse(doc: dict) -> tuple:
         thresholds=thresholds,
         sweeps=sweeps,
         ball_schedule=[float(r) for r in radii],
+        balls=[(grid, V) for (_, grid), V in zip(probe, samples[len(levels):])],
         output_dir=doc.get("output_dir"),
         seed=seed,
         state_checkpoints=checkpoints,

@@ -11,12 +11,12 @@ inconclusive band at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _hashes as hashlib  # the benchmark's tracer replaces this attribute
-from .assembly import OperatorMatrix
+from .assembly import OperatorMatrix, assemble_operator
 from .errors import BallTooSmall, DimensionMismatch, DomainError, InsufficientEvidence, NonpositiveState
 from .geometry import DomainSpec, boundary_distance
 from .potentials import PotentialSpec
@@ -297,16 +297,24 @@ def _ball_spacing(r0: float, h: float) -> float:
     return r0 / math.ceil(r0 / h * (1.0 - 8.0 * np.finfo(float).eps))
 
 
-def ball_meshes(domain: DomainSpec, radii, h: float) -> list:
-    """(ball, spacing) of each probe ball: B_r at h0 r / r0, h0 the
-    _ball_spacing of the largest radius r0 at h."""
+def _solved_balls(kind: str, count: int) -> int:
+    """How many of count probe balls, largest first, the probe solves: the
+    largest alone for hardy_interior, whose bottoms scale with the radius
+    (shrinking_ball_certificate), every one for bounded."""
+    return 1 if kind == "hardy_interior" else count
+
+
+def ball_meshes(domain: DomainSpec, radii, h: float, kind: str) -> list:
+    """(ball, spacing) of each probe ball the probe solves for a potential
+    of the kind: B_r at h0 r / r0, h0 the _ball_spacing of the largest
+    radius r0 at h."""
     h0 = _ball_spacing(radii[0], h)
     ball = DomainSpec.interval if domain.dimension == 1 else DomainSpec.disk
-    return [(ball(r), h0 * r / radii[0]) for r in radii]
+    return [(ball(r), h0 * r / radii[0]) for r in radii[: _solved_balls(kind, len(radii))]]
 
 
 def shrinking_ball_certificate(
-    domain: DomainSpec,
+    balls,
     alpha: float,
     potential: PotentialSpec,
     ball_schedule,
@@ -315,44 +323,49 @@ def shrinking_ball_certificate(
     """Divergence probe on balls shrinking toward the potential's interior
     singular point (the origin), for hardy_interior and bounded potentials.
 
-    Each ball is the largest one, of radius r0, scaled by r / r0: spacing
-    h0 r / r0, with h0 = r0 / m for the least whole m >= r0 / h (up to
-    rounding; h0 is h to the bit when h is r0 / m rounded).  So every ball
-    has the same node count and an even number of cells across: exact +-x
-    pairs and no node at the origin.  A fixed spacing would cap the
-    resolvable well depth at the lattice scale, and the probe would never
-    diverge.  The bottom of L - (1 - epsilon) V on a ball is its MeshLevel's
-    bottoms([math.inf]).  The kernel and the interior Hardy potential are
-    homogeneous of degree -alpha, so their bottoms obey lambda0(B_r) =
-    (r0 / r)^alpha lambda0(B_r0): only the largest ball is solved.  bounded
-    potentials do not scale, and every ball is solved.
+    balls holds one (grid, sampled potential) per ball the probe solves, as
+    ball_meshes lays them out for ball_schedule at the spacing h: each ball
+    is the largest one, of radius r0, scaled by r / r0, spacing h0 r / r0,
+    with h0 = r0 / m for the least whole m >= r0 / h (up to rounding; h0 is
+    h to the bit when h is r0 / m rounded).  So every ball has the same node
+    count and an even number of cells across: exact +-x pairs and no node
+    at the origin.  A fixed spacing would cap the resolvable well depth at
+    the lattice scale, and the probe would never diverge.  The bottom of
+    L - (1 - epsilon) V on a ball is its MeshLevel's bottoms([math.inf]).
+    The kernel and the interior Hardy potential are homogeneous of degree
+    -alpha, so their bottoms obey lambda0(B_r) = (r0 / r)^alpha
+    lambda0(B_r0): only the largest ball is solved.  bounded potentials do
+    not scale, and every ball is solved.
 
     The certificate is satisfied (blow-up certified) when at least MIN_BALLS
     consecutive trailing radii give strictly decreasing negative bottoms
     lying below -C |B|^(-alpha/d) for the fitted C > 0; the fitted log-log
     slope against 1/|B| is reported for comparison with alpha/d.  Raises
-    BallTooSmall when a solved ball holds fewer than MIN_BALL_NODES nodes, and
-    DomainError for a kind outside BALL_PROBE_KINDS: hardy_boundary has no
-    interior singular point.
+    DomainError for a kind outside BALL_PROBE_KINDS (hardy_boundary has no
+    interior singular point), ValueError for radii that do not decrease or
+    balls that are not the ones the kind solves, and BallTooSmall when a
+    solved ball holds fewer than MIN_BALL_NODES nodes.
     """
     if potential.kind not in BALL_PROBE_KINDS:
         raise DomainError(f"the shrinking-ball probe does not apply to {potential.kind}")
-    d = domain.dimension
     radii = [float(r) for r in ball_schedule]
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("ball radii must be strictly decreasing")
-    homogeneous = potential.kind == "hardy_interior"
+    solved = _solved_balls(potential.kind, len(radii))
+    if len(balls) != solved:
+        raise ValueError(f"{potential.kind} solves {solved} of {len(radii)} balls, got {len(balls)}")
     lambdas = []
-    for ball, spacing in ball_meshes(domain, radii, h)[: 1 if homogeneous else None]:
-        level = MeshLevel.build(ball, alpha, potential, spacing)
-        if level.op.n < MIN_BALL_NODES:
+    for grid, V in balls:
+        if grid.n < MIN_BALL_NODES:
             raise BallTooSmall(
-                f"ball of radius {ball.inradius} holds {level.op.n} nodes, "
+                f"ball of radius {grid.domain.inradius} holds {grid.n} nodes, "
                 f"fewer than {MIN_BALL_NODES}"
             )
+        level = MeshLevel(assemble_operator(grid, alpha), V, potential.epsilon)
         lambdas.append(level.bottoms([math.inf])[0].lambda0)
-    if homogeneous:
+    if solved < len(radii):
         lambdas = [(radii[0] / r) ** alpha * lambdas[0] for r in radii]
+    d = balls[0][0].dimension
     volumes = [_ball_volume(r, d) for r in radii]
     lambdas_arr = np.array(lambdas)
     volumes_arr = np.array(volumes)
@@ -401,9 +414,6 @@ class ClassifierThresholds:
     growth_ratio: float = 1.5
     probe_time: float = 0.5
     atol: float = 1e-8
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

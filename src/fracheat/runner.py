@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,6 @@ from ._hashes import sha256, shake_256
 from .assembly import assemble_operator
 from .config import ExperimentConfig
 from .diagnostics import (
-    Certificate,
     ClassifierThresholds,
     classify,
     energy_inequality_all_pairs,
@@ -62,19 +61,6 @@ def _jsonable(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
-
-
-def _certificate_json(cert: Certificate) -> dict:
-    return {
-        "name": cert.name,
-        "inputs_digest": cert.inputs_digest,
-        "lhs": _jsonable(cert.lhs),
-        "rhs": _jsonable(cert.rhs),
-        "tolerance": _jsonable(cert.tolerance),
-        "satisfied": cert.satisfied,
-        "slack": _jsonable(cert.slack),
-        "details": _jsonable(cert.details),
-    }
 
 
 @_one_blas_thread()
@@ -141,11 +127,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int | None = No
         "flags": config.flags,
         "verdict": {
             "label": verdict.label,
-            "thresholds": _jsonable(verdict.thresholds.as_dict()),
+            "thresholds": _jsonable(asdict(verdict.thresholds)),
             "epsilon": _jsonable(verdict.epsilon),
             "evidence": _jsonable(verdict.evidence),
         },
-        "certificates": [_certificate_json(c) for c in certificates],
+        "certificates": [_jsonable(asdict(c)) for c in certificates],
         "residuals": _jsonable(residuals),
         "extras": _jsonable(extras),
         "series_file": series_path.name,
@@ -197,10 +183,10 @@ def _certificates(config, finest: MeshLevel, family, u0, lambdas, probe, seed, f
         )
     )
 
-    # the radii validate checked, [] for hardy_boundary (boundary_hardy_constant in extras)
+    # the radii and balls validate built, [] for hardy_boundary (boundary_hardy_constant in extras)
     if config.ball_schedule:
         certs.append(shrinking_ball_certificate(
-            config.domain, config.alpha, config.potential, config.ball_schedule, finest.h))
+            config.balls, config.alpha, config.potential, config.ball_schedule, finest.h))
     return certs
 
 

@@ -22,10 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _lapack
-from .assembly import OperatorMatrix, assemble_operator
+from .assembly import OperatorMatrix
 from .errors import ConvergenceFailure, DimensionMismatch
-from .geometry import DomainSpec, boundary_distance, build_grid, stabilizers
-from .potentials import PotentialSpec, sample_potential, truncate
+from .geometry import boundary_distance, stabilizers
+from .potentials import truncate
 
 RESIDUAL_TOL = 1e-8
 SHIFT_TRIES = 40
@@ -311,12 +311,6 @@ class MeshLevel:
         self._top = float(np.max(self.potential))  # max V, for effective_k
         self._bottoms = {}  # (effective k, potential scale) -> SpectralResult
         self._warm = None  # deepest eigenvector of the latest family on this mesh
-
-    @classmethod
-    def build(cls, domain: DomainSpec, alpha: float, potential: PotentialSpec, h: float):
-        grid = build_grid(domain, h)
-        op = assemble_operator(grid, alpha)
-        return cls(op, sample_potential(potential, grid, alpha), potential.epsilon)
 
     def effective_k(self, k):
         """The truncation level that min(V, k) actually applies: math.inf

@@ -1,12 +1,30 @@
-"""Oracles that only the tests call: the Fourier-side form energy of a
-test function and the weak-form residual of a trajectory.  No run executes
-them, so they live here and not in the package."""
+"""Oracles and builders that only the tests call: the Fourier-side form
+energy of a test function, the weak-form residual of a trajectory, and a
+mesh level or the probe's balls built from a domain, as a config parse
+builds them.  No run executes them, so they live here and not in the
+package."""
 
 import numpy as np
 
-from fracheat import DomainSpec, Grid, Trajectory, assemble_operator
+from fracheat import DomainSpec, Grid, Trajectory, assemble_operator, build_grid, sample_potential
 from fracheat.assembly import check_order
+from fracheat.diagnostics import ball_meshes
 from fracheat.errors import FracheatError
+from fracheat.spectral import MeshLevel
+
+
+def mesh_level(domain: DomainSpec, alpha: float, potential, h: float) -> MeshLevel:
+    """The MeshLevel of domain at spacing h: its grid, operator and sampled
+    potential."""
+    grid = build_grid(domain, h)
+    return MeshLevel(assemble_operator(grid, alpha), sample_potential(potential, grid, alpha), potential.epsilon)
+
+
+def probe_balls(domain: DomainSpec, alpha: float, potential, radii, h: float) -> list:
+    """(grid, sampled potential) of each ball the shrinking-ball probe
+    solves for radii at spacing h (diagnostics.ball_meshes)."""
+    grids = [build_grid(ball, spacing) for ball, spacing in ball_meshes(domain, radii, h, potential.kind)]
+    return [(grid, sample_potential(potential, grid, alpha)) for grid in grids]
 
 
 class UnsupportedFunction(FracheatError):

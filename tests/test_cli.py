@@ -23,7 +23,7 @@ from fracheat import (
     refinement_series,
     run_experiment,
 )
-from fracheat.spectral import MeshLevel
+from oracles import mesh_level
 import fracheat
 from fracheat.cli import main
 from fracheat.config import validate_config
@@ -438,7 +438,7 @@ def test_one_factorization_per_family_at_the_finest_order(tmp_path, monkeypatch)
     doc = dict(FAST_CONFIG, potential=hardy, h_schedule=[0.0625, 0.03125, 0.015625], k_schedule=[0.5, 1, 2, None])
     cfg = load_config(write_config(tmp_path, doc))
     run_experiment(cfg, out_dir=tmp_path / "out")
-    level = MeshLevel.build(cfg.domain, cfg.alpha, cfg.potential, cfg.h_schedule[-1])
+    level = mesh_level(cfg.domain, cfg.alpha, cfg.potential, cfg.h_schedule[-1])
     assert [level.effective_k(k) for k in cfg.k_schedule] == [0.5, 1, 2, math.inf]
     reps = level.op.fold(level.potential)[0][0]
     m = len(reps)
@@ -473,23 +473,27 @@ def test_default_ball_schedule_builds_no_grid(monkeypatch):
     assert calls == []
 
 
-def test_run_builds_only_the_probe_balls(tmp_path, monkeypatch):
-    # load_config builds every mesh's grid, potential and initial state, and
-    # the run takes them from the config: its only grids are the probe's
-    # balls, none for the boundary potential, the largest ball alone for
-    # hardy_interior (the others scale its bottom) and every ball for bounded
-    counts, schedules = {}, {}
+def test_config_parse_builds_every_grid_the_run_solves(tmp_path, monkeypatch):
+    # load_config builds every mesh's grid, potential and initial state and
+    # every ball the probe solves: none for the boundary potential, the
+    # largest ball alone for hardy_interior (the others scale its bottom) and
+    # every ball for bounded.  The run builds and samples nothing.
+    parsed, ran, schedules = {}, {}, {}
     for name in ("hardy_boundary_2d", "hardy_subcritical_1d", "bounded_1d"):
-        cfg = load_config(str(resources.files("fracheat") / "configs" / f"{name}.json"))
         calls = []
         with monkeypatch.context() as patch:
             for modname, mod in list(sys.modules.items()):
-                if modname.startswith("fracheat") and hasattr(mod, "build_grid"):
-                    real = mod.build_grid
-                    patch.setattr(mod, "build_grid", lambda *a, real=real: calls.append(a) or real(*a))
+                for fn in ("build_grid", "sample_potential"):
+                    if modname.startswith("fracheat") and hasattr(mod, fn):
+                        real = getattr(mod, fn)
+                        patch.setattr(mod, fn, lambda *a, fn=fn, real=real: calls.append(fn) or real(*a))
+            cfg = load_config(str(resources.files("fracheat") / "configs" / f"{name}.json"))
+            parsed[name], schedules[name] = calls.count("build_grid"), cfg.ball_schedule
+            calls.clear()
             run_experiment(cfg, out_dir=tmp_path / name)
-        counts[name], schedules[name] = len(calls), cfg.ball_schedule
-    assert counts == {"hardy_boundary_2d": 0, "hardy_subcritical_1d": 1, "bounded_1d": 5}
+            ran[name] = calls
+    assert ran == {"hardy_boundary_2d": [], "hardy_subcritical_1d": [], "bounded_1d": []}
+    assert parsed == {"hardy_boundary_2d": 3, "hardy_subcritical_1d": 5, "bounded_1d": 8}
     assert schedules["hardy_boundary_2d"] == []
 
 
@@ -587,7 +591,7 @@ def test_runner_dt_matches_min_over_k_rule():
 
     for cfg in _the_four_configs():
         def coarsest():
-            return MeshLevel.build(cfg.domain, cfg.alpha, cfg.potential, cfg.h_schedule[0])
+            return mesh_level(cfg.domain, cfg.alpha, cfg.potential, cfg.h_schedule[0])
 
         level = coarsest()
         worst = min(level.lambda0s([k])[0] for k in cfg.k_schedule)
@@ -614,7 +618,7 @@ def test_runner_builds_on_one_level_pipeline(tmp_path, monkeypatch):
     cfg = load_config(write_config(tmp_path))
     paths = run_experiment(cfg, out_dir=tmp_path / "out")
 
-    levels = [MeshLevel.build(cfg.domain, cfg.alpha, cfg.potential, h) for h in cfg.h_schedule]
+    levels = [mesh_level(cfg.domain, cfg.alpha, cfg.potential, h) for h in cfg.h_schedule]
     series = refinement_series(levels, cfg.k_schedule)
     rows = [line.split(",") for line in Path(paths["series"]).read_text().splitlines()[1:]]
     parsed = [
@@ -625,7 +629,7 @@ def test_runner_builds_on_one_level_pipeline(tmp_path, monkeypatch):
     family = captured["family"]
     assert len(family) == len(cfg.h_schedule) * len(cfg.k_schedule)
     for i, h in enumerate(cfg.h_schedule):
-        level = MeshLevel.build(cfg.domain, cfg.alpha, cfg.potential, h)
+        level = mesh_level(cfg.domain, cfg.alpha, cfg.potential, h)
         runner_family = family[i * len(cfg.k_schedule):(i + 1) * len(cfg.k_schedule)]
         expected = monotone_family(
             level, cfg.k_schedule, initial_state(level.op.grid), cfg.t_final, runner_family[0].dt

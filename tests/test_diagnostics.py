@@ -36,7 +36,7 @@ from fracheat import (
     spectral_bottom,
 )
 from fracheat.assembly import OperatorMatrix
-from fracheat.spectral import MeshLevel
+from oracles import mesh_level, probe_balls
 
 ALPHA = 0.5
 DOM = DomainSpec.interval(1.0)
@@ -389,10 +389,17 @@ def test_comparability_rejects_a_stepper_with_a_potential(interval_op):
 BALLS = [0.5, 0.25, 0.125, 0.0625, 0.03125]
 
 
+def _probe(domain, alpha, potential, radii, h):
+    """The probe's certificate on the balls a config parse builds for the
+    radii at spacing h."""
+    balls = probe_balls(domain, alpha, potential, radii, h)
+    return shrinking_ball_certificate(balls, alpha, potential, radii, h)
+
+
 def test_shrinking_ball_supercritical():
     # base resolution must make the largest ball's bottom negative
     c = 2.0 * hardy_sharp_constant(1, ALPHA)
-    cert = shrinking_ball_certificate(DOM, ALPHA, PotentialSpec.hardy_interior(c), BALLS, 1 / 512)
+    cert = _probe(DOM, ALPHA, PotentialSpec.hardy_interior(c), BALLS, 1 / 512)
     assert cert.satisfied
     assert cert.details["window"] >= 3
     assert abs(cert.details["fitted_exponent"] - ALPHA / 1.0) <= 0.3 * (ALPHA / 1.0)
@@ -402,15 +409,15 @@ def test_shrinking_ball_supercritical():
 
 def test_shrinking_ball_subcritical_and_bounded():
     c = 0.5 * hardy_sharp_constant(1, ALPHA)
-    sub = shrinking_ball_certificate(DOM, ALPHA, PotentialSpec.hardy_interior(c), BALLS, 1 / 256)
+    sub = _probe(DOM, ALPHA, PotentialSpec.hardy_interior(c), BALLS, 1 / 256)
     assert not sub.satisfied
-    bnd = shrinking_ball_certificate(DOM, ALPHA, PotentialSpec.bounded("1.0"), BALLS, 1 / 256)
+    bnd = _probe(DOM, ALPHA, PotentialSpec.bounded("1.0"), BALLS, 1 / 256)
     assert not bnd.satisfied
 
 
 def test_shrinking_ball_too_small():
     with pytest.raises(BallTooSmall):
-        shrinking_ball_certificate(DOM, ALPHA, PotentialSpec.bounded("1.0"), [0.5, 0.25], 0.25)
+        _probe(DOM, ALPHA, PotentialSpec.bounded("1.0"), [0.5, 0.25], 0.25)
 
 
 def _per_ball_oracle(domain, alpha, potential, radii, h):
@@ -438,15 +445,27 @@ DISK_BALLS = [0.5, 0.25, 0.125]
     ],
 )
 def test_shrinking_ball_scaling_matches_per_ball_solves(domain, alpha, potential, radii, h):
-    cert = shrinking_ball_certificate(domain, alpha, potential, radii, h)
+    cert = _probe(domain, alpha, potential, radii, h)
     want = _per_ball_oracle(domain, alpha, potential, radii, h)
     np.testing.assert_allclose(cert.details["lambda0s"], want, rtol=1e-12, atol=0)
 
 
 def test_shrinking_ball_rejects_hardy_boundary():
     # a ball grid would sample the distance to the ball's own boundary
+    potential = PotentialSpec.hardy_boundary(0.26)
+    balls = probe_balls(DISK, 0.5, potential, DISK_BALLS, 1 / 16)
     with pytest.raises(DomainError, match="hardy_boundary"):
-        shrinking_ball_certificate(DISK, 0.5, PotentialSpec.hardy_boundary(0.26), DISK_BALLS, 1 / 16)
+        shrinking_ball_certificate(balls, 0.5, potential, DISK_BALLS, 1 / 16)
+
+
+def test_shrinking_ball_rejects_balls_the_kind_does_not_solve():
+    # hardy_interior solves the largest ball alone, bounded every ball
+    hardy, bounded = PotentialSpec.hardy_interior(0.3), PotentialSpec.bounded("1.0")
+    every = probe_balls(DOM, ALPHA, bounded, BALLS, 1 / 64)
+    with pytest.raises(ValueError, match="hardy_interior solves 1 of 5 balls, got 5"):
+        shrinking_ball_certificate(every, ALPHA, hardy, BALLS, 1 / 64)
+    with pytest.raises(ValueError, match="bounded solves 5 of 5 balls, got 1"):
+        shrinking_ball_certificate(every[:1], ALPHA, bounded, BALLS, 1 / 64)
 
 
 @pytest.mark.parametrize(
@@ -455,7 +474,7 @@ def test_shrinking_ball_rejects_hardy_boundary():
 )
 def test_shrinking_ball_bounded_solves_every_ball(domain, expr, radii, h):
     potential = PotentialSpec.bounded(expr)
-    cert = shrinking_ball_certificate(domain, ALPHA, potential, radii, h)
+    cert = _probe(domain, ALPHA, potential, radii, h)
     assert np.array_equal(cert.details["lambda0s"], _per_ball_oracle(domain, ALPHA, potential, radii, h))
 
 
@@ -473,7 +492,7 @@ def test_ball_spacing_puts_whole_cells_on_the_largest_radius():
     assert len(grid.mirrors) == 1
     # an explicit schedule: r0 = 0.25 at h = 1/30 is 7.5 cells
     pot = PotentialSpec.hardy_interior(0.3)
-    cert = shrinking_ball_certificate(DOM, ALPHA, pot, [0.25, 0.125, 0.0625], 1 / 30)
+    cert = _probe(DOM, ALPHA, pot, [0.25, 0.125, 0.0625], 1 / 30)
     assert np.all(np.isfinite(cert.details["lambda0s"]))
 
 
@@ -487,7 +506,7 @@ def _pipeline(coupling_ratio, hs, k_schedule, dt):
 
 
 def _series_and_family(pot, hs, k_schedule, dt):
-    levels = [MeshLevel.build(DOM, ALPHA, pot, h) for h in hs]
+    levels = [mesh_level(DOM, ALPHA, pot, h) for h in hs]
     series = refinement_series(levels, k_schedule)
     family = []
     for lv in levels:
@@ -542,7 +561,7 @@ def test_digests_on_demand_match_eager(interval_op):
     ground = ground_state_comparability(ImplicitStepper(interval_op, None, 0.25 / 64.0), u0, 0.25)
     want["ground"] = _digest(interval_op.entries, interval_op.diagonal, u0, 0.25, 0.25 / 64.0)
     spec = PotentialSpec.bounded("1.0")
-    ball = shrinking_ball_certificate(DOM, ALPHA, spec, BALLS, 1 / 64)
+    ball = _probe(DOM, ALPHA, spec, BALLS, 1 / 64)
     want["ball"] = _digest(
         np.array(BALLS), np.array(ball.details["lambda0s"]), ALPHA, 1 / 64, spec.label()
     )

@@ -27,7 +27,7 @@ from fracheat import (
     spectral_bottom,
     truncate,
 )
-from oracles import variational_residual
+from oracles import mesh_level, variational_residual
 
 ALPHA = 0.5
 DOM = DomainSpec.interval(1.0)
@@ -371,7 +371,7 @@ def test_disk_trajectory_stores_its_representatives_only():
     from fracheat import hardy_sharp_constant
 
     pot = PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(2, 1.0))
-    level = MeshLevel.build(DomainSpec.disk(1.0), 1.0, pot, 1.0 / 24.0)
+    level = mesh_level(DomainSpec.disk(1.0), 1.0, pot, 1.0 / 24.0)
     op, V = level.op, level.potential
     assert op.n == 1804
     lam = level.lambda0s([math.inf])[0]
@@ -512,7 +512,7 @@ def test_stepper_keeps_the_values_it_was_factored_with(interval_op):
 def test_family_potentials_are_the_read_only_truncations():
     from fracheat import hardy_sharp_constant
 
-    level = MeshLevel.build(DOM, ALPHA, PotentialSpec.hardy_interior(hardy_sharp_constant(1, ALPHA)), 1.0 / 64.0)
+    level = mesh_level(DOM, ALPHA, PotentialSpec.hardy_interior(hardy_sharp_constant(1, ALPHA)), 1.0 / 64.0)
     ks = [0.5, 1.0, 4.0, float(level.potential.max()), math.inf]
     family = monotone_family(level, ks, initial_state(level.op.grid), 0.25, 1.0 / 32.0)
     for k, traj in zip(ks, family):
@@ -567,7 +567,7 @@ def test_family_steppers_match_fresh_steppers(domain, h, alpha, kind, ks):
 
     potential = (PotentialSpec.bounded("0.5 + 0.3*cos(3*x)") if kind == "bounded" else
                  PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(domain.dimension, alpha)))
-    level = MeshLevel.build(domain, alpha, potential, h)
+    level = mesh_level(domain, alpha, potential, h)
     assert len({level.effective_k(k) for k in ks}) == len(ks)
     floor = level.lambda0s([max(ks)])[0]
     dt = 1.0 / 32.0

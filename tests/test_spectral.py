@@ -23,11 +23,11 @@ from fracheat import (
 )
 from fracheat.evolution import monotone_family
 from fracheat.geometry import boundary_distance
-from fracheat.spectral import MeshLevel
+from oracles import mesh_level, probe_balls
 
 
 def _series(domain, alpha, potential, h_schedule, k_schedule):
-    levels = [MeshLevel.build(domain, alpha, potential, h) for h in h_schedule]
+    levels = [mesh_level(domain, alpha, potential, h) for h in h_schedule]
     return refinement_series(levels, k_schedule)
 
 
@@ -345,17 +345,16 @@ def test_boundary_profile_start_matches_constant_start(case):
 def test_cold_families_take_no_more_solves_from_the_boundary_profile():
     # the cold families of a disk run: each mesh's first (scaled) family,
     # the free bottom and the shrinking-ball bottom
-    from fracheat.diagnostics import ball_meshes, default_ball_schedule
+    from fracheat.diagnostics import default_ball_schedule
 
     disk = DomainSpec.disk(1.0)
     potential = PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(2, 1.0))
     scale = 1.0 - potential.epsilon
     for h in (1 / 8, 1 / 12):
-        level = MeshLevel.build(disk, 1.0, potential, h)
-        ball, spacing = ball_meshes(disk, default_ball_schedule(disk, h), h)[0]
-        probe = MeshLevel.build(ball, 1.0, potential, spacing)
+        level = mesh_level(disk, 1.0, potential, h)
+        [(ball, V)] = probe_balls(disk, 1.0, potential, default_ball_schedule(disk, h), h)
         families = [(level.op, [scale * truncate(level.potential, k) for k in (math.inf, 4, 1)]),
-                    (level.op, [None]), (probe.op, [scale * probe.potential])]
+                    (level.op, [None]), (assemble_operator(ball, 1.0), [scale * V])]
         for op, potentials in families:
             profile = spectral.spectral_bottoms(op, potentials)
             const = spectral.spectral_bottoms(op, potentials, v0=np.ones(op.n))
@@ -366,7 +365,7 @@ def test_disk_factors_take_the_fold_in_its_order(monkeypatch):
     # the mesh's fold is ordered by V, so every factor of the mesh (scaled
     # and unscaled bottoms, truncated and free steppers, the free bottom)
     # copies its trailing blocks from it without an index gather
-    level = MeshLevel.build(DomainSpec.disk(1.0), 1.0, FOLD_CASES["disk_hardy"][3], 1 / 12)
+    level = mesh_level(DomainSpec.disk(1.0), 1.0, FOLD_CASES["disk_hardy"][3], 1 / 12)
     ks = (1, 4, math.inf)
     op = level.op
     assert len(op.fold(level.potential)[0]) == 8
@@ -404,7 +403,7 @@ def _folded_direction(v, orbits, order):
 def test_mesh_level_solves_each_family_deepest_first(monkeypatch):
     families = _counting(monkeypatch, spectral, "spectral_bottoms")
     starts = _counting(monkeypatch, spectral, "_lanczos_top")
-    level = MeshLevel.build(DomainSpec.interval(1.0), 0.5, PotentialSpec.bounded("0.5 + 0.3*cos(3*x)"), 1 / 32)
+    level = mesh_level(DomainSpec.interval(1.0), 0.5, PotentialSpec.bounded("0.5 + 0.3*cos(3*x)"), 1 / 32)
     ks = (0.25, 0.5, math.inf)
     series = refinement_series([level], ks)
     assert len(families) == 1  # the series needs only the scaled bottoms: one family
@@ -450,7 +449,7 @@ def test_truncated_bottoms_do_not_increase_with_k():
     # min(V, k) grows with k, so L - min(V, k) decreases in the form order
     hardy = PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(1, 0.5))
     for potential in (hardy, PotentialSpec.bounded("0.5 + 0.3*cos(3*x)")):
-        level = MeshLevel.build(DomainSpec.interval(1.0), 0.5, potential, 1 / 64)
+        level = mesh_level(DomainSpec.interval(1.0), 0.5, potential, 1 / 64)
         ks = [0.25, 0.5, 1, 2, 4, 8, 16, math.inf]
         lambdas = [level.lambda0s([k])[0] for k in ks]
         assert all(l2 <= l1 for l1, l2 in zip(lambdas, lambdas[1:]))
@@ -461,7 +460,7 @@ def test_shared_truncations_solve_and_evolve_once(monkeypatch):
     families = _counting(monkeypatch, spectral, "spectral_bottoms")
     evolves = _counting(monkeypatch, evolution, "evolve")
     # max V = 0.8, so k = 1, 2 and inf all give the untruncated potential
-    level = MeshLevel.build(DomainSpec.interval(1.0), 0.5, PotentialSpec.bounded("0.5 + 0.3*cos(3*x)"), 1 / 32)
+    level = mesh_level(DomainSpec.interval(1.0), 0.5, PotentialSpec.bounded("0.5 + 0.3*cos(3*x)"), 1 / 32)
     ks = [0.25, 1, 2.0, math.inf]
     assert [level.effective_k(k) for k in ks] == [0.25, math.inf, math.inf, math.inf]
     u0 = initial_state(level.op.grid)
@@ -516,7 +515,7 @@ FAMILY_CASES = {
 @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
 def test_family_bottoms_match_single_level_solves(case):
     domain, h, alpha, potential, ks = FAMILY_CASES[case]
-    level = MeshLevel.build(domain, alpha, potential, h)
+    level = mesh_level(domain, alpha, potential, h)
     op, scale = level.op, 1.0 - level.epsilon
     assert len(op.fold(level.potential)[0]) == (8 if domain.kind == "disk" else 2)
     keys = [level.effective_k(k) for k in ks]
