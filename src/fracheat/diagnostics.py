@@ -342,13 +342,15 @@ def shrinking_ball_certificate(
     lying below -C |B|^(-alpha/d) for the fitted C > 0; the fitted log-log
     slope against 1/|B| is reported for comparison with alpha/d.  Raises
     DomainError for a kind outside BALL_PROBE_KINDS (hardy_boundary has no
-    interior singular point), ValueError for radii that do not decrease or
-    balls that are not the ones the kind solves, and BallTooSmall when a
-    solved ball holds fewer than MIN_BALL_NODES nodes.
+    interior singular point), ValueError for an empty ball_schedule, radii
+    that do not decrease or balls that are not the ones the kind solves, and
+    BallTooSmall when a solved ball holds fewer than MIN_BALL_NODES nodes.
     """
     if potential.kind not in BALL_PROBE_KINDS:
         raise DomainError(f"the shrinking-ball probe does not apply to {potential.kind}")
     radii = [float(r) for r in ball_schedule]
+    if not radii:
+        raise ValueError("ball_schedule is empty: the probe needs at least one radius")
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("ball radii must be strictly decreasing")
     solved = _solved_balls(potential.kind, len(radii))

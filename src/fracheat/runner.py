@@ -1,11 +1,11 @@
 """Configuration-driven experiment orchestration with reproducible reports.
 
-A run executes the full pipeline: spectral refinement series, the monotone
-truncated family at every mesh, the inequality certificates at the finest
-mesh, and the classifier.  Everything is written to the output directory as
-report.json plus CSV files (series, trajectories, curves, and optional state
-checkpoints).  With a fixed seed the report is byte-stable across runs and
-across BLAS thread counts.
+A run executes the full pipeline in two phases.  The first reads every mesh:
+spectral refinement series, the monotone truncated family at every mesh, the
+classifier and the CSV files (series, trajectories, curves, state checkpoints).
+The second runs the inequality certificates with the finest mesh alone in
+memory and writes report.json last.  With a fixed seed the report is
+byte-stable across runs and across BLAS thread counts.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _jsonable(value):
 
 @_one_blas_thread()
 def run_experiment(config: ExperimentConfig, out_dir=None, seed: int | None = None) -> dict:
-    """Execute the full pipeline and write report.json plus CSV files.
+    """Execute the full pipeline; write the CSV files, then report.json.
 
     Returns a dict with the output paths and the verdict label.  The exit
     status of the CLI does not depend on the verdict; configuration problems
@@ -99,13 +99,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int | None = No
     )
     verdict = classify(series, [traj for family in families for traj in family], thresholds)
 
-    seed = config.seed if seed is None else seed
-    deepest = families[-1][-1]
-    # one factorization of I + dt L serves both free-flow checks
-    free = ImplicitStepper(finest.op, None, deepest.dt)
-    certificates = _certificates(config, finest, families[-1], u0s[-1], lambdas, probe, seed, free)
-    residuals = {"duhamel": duhamel_residual(deepest, free)}
-
     # the order of the mirror group that folds each mesh's potential
     extras = {"mirror_group_order": [[lv.h, len(lv.op.fold(lv.potential)[0])] for lv in levels]}
     if config.potential.kind == "hardy_boundary":
@@ -119,6 +112,16 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int | None = No
     _write_curves(curves_path, series, verdict)
     if config.state_checkpoints:
         _write_states(out / "states.csv", families, config.state_checkpoints)
+
+    # the certificates read the finest mesh alone: let the coarser ones go
+    family = families[-1]
+    del levels, families
+    seed = config.seed if seed is None else seed
+    deepest = family[-1]
+    # one factorization of I + dt L serves both free-flow checks
+    free = ImplicitStepper(finest.op, None, deepest.dt)
+    certificates = _certificates(config, finest, family, u0s[-1], lambdas, probe, seed, free)
+    residuals = {"duhamel": duhamel_residual(deepest, free)}
 
     digest = sha256(config.canonical_json().encode()).hexdigest()[:16]
     report = {

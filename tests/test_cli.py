@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -13,6 +14,7 @@ import pytest
 
 from fracheat import (
     MissingLibrary,
+    SolveFailure,
     assemble_operator,
     build_grid,
     hardy_sharp_constant,
@@ -423,6 +425,48 @@ def test_one_free_flow_factor_per_run(tmp_path, monkeypatch):
     assert free[0][0] == assemble_operator(build_grid(cfg.domain, cfg.h_schedule[-1]), cfg.alpha).n
 
 
+HARDY_3_MESHES = dict(FAST_CONFIG, potential={"kind": "hardy_interior", "c_over_cstar": 2.0, "epsilon": 0.01},
+                      h_schedule=[0.0625, 0.03125, 0.015625], k_schedule=[0.5, 1, 2, None])
+
+
+def test_certificates_run_with_the_finest_operator_alone(tmp_path, monkeypatch):
+    # the coarser meshes' operators, with their folds and trajectories, are
+    # freed by refcounting before the battery, not kept until the run returns
+    from fracheat import runner
+
+    refs, alive = [], []
+    real_assemble, real_comparability = runner.assemble_operator, runner.ground_state_comparability
+
+    def assemble(grid, alpha):
+        op = real_assemble(grid, alpha)
+        refs.append(weakref.ref(op))
+        return op
+
+    def comparability(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return real_comparability(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "assemble_operator", assemble)
+    monkeypatch.setattr(runner, "ground_state_comparability", comparability)
+    run_experiment(load_config(write_config(tmp_path, HARDY_3_MESHES)), out_dir=tmp_path / "out")
+    assert alive == [[False, False, True]]
+
+
+def test_report_is_written_after_the_certificates(tmp_path, monkeypatch):
+    # the CSV files come from the phase that reads every mesh, report.json
+    # last: a battery that fails leaves the CSV files and no report
+    from fracheat import runner
+
+    def failing(*args, **kwargs):
+        raise SolveFailure("factorization of the implicit system failed")
+
+    monkeypatch.setattr(runner, "ground_state_comparability", failing)
+    out = tmp_path / "out"
+    with pytest.raises(SolveFailure):
+        run_experiment(load_config(write_config(tmp_path, HARDY_3_MESHES)), out_dir=out)
+    assert sorted(p.name for p in out.iterdir()) == ["curves.csv", "series.csv", "trajectories.csv"]
+
+
 def test_one_factorization_per_family_at_the_finest_order(tmp_path, monkeypatch):
     from fracheat import _lapack
 
@@ -434,9 +478,7 @@ def test_one_factorization_per_family_at_the_finest_order(tmp_path, monkeypatch)
         return real(a)
 
     monkeypatch.setattr(_lapack, "cholesky", counting)
-    hardy = {"kind": "hardy_interior", "c_over_cstar": 2.0, "epsilon": 0.01}
-    doc = dict(FAST_CONFIG, potential=hardy, h_schedule=[0.0625, 0.03125, 0.015625], k_schedule=[0.5, 1, 2, None])
-    cfg = load_config(write_config(tmp_path, doc))
+    cfg = load_config(write_config(tmp_path, HARDY_3_MESHES))
     run_experiment(cfg, out_dir=tmp_path / "out")
     level = mesh_level(cfg.domain, cfg.alpha, cfg.potential, cfg.h_schedule[-1])
     assert [level.effective_k(k) for k in cfg.k_schedule] == [0.5, 1, 2, math.inf]

@@ -468,6 +468,14 @@ def test_shrinking_ball_rejects_balls_the_kind_does_not_solve():
         shrinking_ball_certificate(every[:1], ALPHA, bounded, BALLS, 1 / 64)
 
 
+@pytest.mark.parametrize("potential", [PotentialSpec.hardy_interior(0.3), PotentialSpec.bounded("1.0")])
+def test_shrinking_ball_rejects_an_empty_schedule(potential):
+    # named before any check on the balls, whatever balls come with it
+    for balls in ([], probe_balls(DOM, ALPHA, potential, BALLS, 1 / 64)):
+        with pytest.raises(ValueError, match="ball_schedule is empty"):
+            shrinking_ball_certificate(balls, ALPHA, potential, [], 1 / 64)
+
+
 @pytest.mark.parametrize(
     "domain, expr, radii, h",
     [(DOM, "0.5 + 0.3*cos(3*x)", BALLS, 1 / 64), (DISK, "1 + r*r", DISK_BALLS, 1 / 16)],
