@@ -1,12 +1,11 @@
-"""Dense Cholesky factor and solve through the OpenBLAS that numpy bundles.
+"""Dense Cholesky factor and solve, and tridiagonal eigenpairs, by numpy's OpenBLAS.
 
 numpy's wheels ship OpenBLAS (64-bit integers, symbols suffixed `64_`) with
-its LAPACK.  Binding potrf and trsv here through ctypes keeps scipy, whose
-linear algebra takes longer to import than a small config takes to run,
-off the run's path.  A C-contiguous array is the Fortran view of its
-transpose, so on a symmetric array uplo 'U' works on the C lower triangle.
-The library is loaded on first use; a numpy build without it raises
-MissingLibrary at the first factorization.
+its LAPACK.  Binding potrf, trsv and stev here through ctypes keeps scipy's
+slow import and numpy.linalg's LAPACK drivers off the run's path.  A
+C-contiguous array is the Fortran view of its transpose, so on a symmetric
+array uplo 'U' works on the C lower triangle.  The library is loaded on
+first use; a numpy build without it raises MissingLibrary at the first call.
 """
 
 from __future__ import annotations
@@ -28,19 +27,20 @@ _ONE = ctypes.byref(_INT(1))
 @cache
 def library():
     """The ctypes handle of numpy's bundled OpenBLAS, with the argument
-    types of potrf, trsv and the thread-count pair set; None when absent."""
+    types of potrf, trsv, stev and the thread-count pair set; or None."""
     site = Path(np.__file__).resolve().parent.parent
     for path in sorted(site.glob(LIBRARY)):
         try:
             lib = ctypes.CDLL(str(path))
-            potrf, trsv = lib.scipy_dpotrf_64_, lib.scipy_dtrsv_64_
+            potrf, trsv, stev = lib.scipy_dpotrf_64_, lib.scipy_dtrsv_64_, lib.scipy_dstev_64_
             get = lib.scipy_openblas_get_num_threads64_
             put = lib.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
-        potrf.restype = trsv.restype = put.restype = None
+        potrf.restype = trsv.restype = stev.restype = put.restype = None
         potrf.argtypes = [ctypes.c_char_p, _PTR, _PTR, _PTR, _PTR]
         trsv.argtypes = [ctypes.c_char_p] * 3 + [_PTR, _PTR, _PTR, _PTR, _PTR]
+        stev.argtypes = [ctypes.c_char_p] + [_PTR] * 7
         get.restype, get.argtypes, put.argtypes = ctypes.c_int, [], [ctypes.c_int]
         return lib
     return None
@@ -51,8 +51,8 @@ def _lib():
     if lib is None:
         site = Path(np.__file__).resolve().parent.parent
         raise MissingLibrary(
-            f"no {site / LIBRARY} with potrf, trsv and the thread-count functions: "
-            "the dense Cholesky needs a numpy wheel that bundles OpenBLAS"
+            f"no {site / LIBRARY} with potrf, trsv, stev and the thread-count functions: "
+            "the dense Cholesky and the Lanczos Ritz pairs need a numpy wheel that bundles OpenBLAS"
         )
     return lib
 
@@ -112,3 +112,23 @@ def solve(factor: np.ndarray, b) -> np.ndarray:
     trsv(b"U", b"T", b"N", size, a, size, px, _ONE)
     trsv(b"U", b"N", b"N", size, a, size, px, _ONE)
     return x
+
+
+class TridiagonalEigh:
+    """np.linalg.eigh of symmetric tridiagonals of order at most m, bit for bit and C-contiguous
+    (on a tridiagonal, eigh's reduction is the identity and both run steqr), by stev with its
+    buffers kept from call to call; np.linalg.LinAlgError when stev fails."""
+
+    def __init__(self, m: int):
+        self.d, self.e, self.z, self.work = (np.empty(k) for k in (m, m, m * m, 2 * m))
+        self.order, self.info = _INT(0), _INT(0)
+        self.args = (b"V", ctypes.byref(self.order), *(a.ctypes.data for a in (self.d, self.e, self.z)),
+                     ctypes.byref(self.order), self.work.ctypes.data, ctypes.byref(self.info))
+
+    def __call__(self, t: np.ndarray) -> tuple:
+        k = self.order.value = len(t)  # above m, the copies below fail to broadcast
+        self.d[:k], self.e[: k - 1] = t.diagonal(), t.diagonal(-1)
+        _lib().scipy_dstev_64_(*self.args)
+        if self.info.value:
+            raise np.linalg.LinAlgError(f"stev failed: info {self.info.value} (order {k})")
+        return self.d[:k].copy(), self.z[: k * k].reshape(k, k).T.copy()

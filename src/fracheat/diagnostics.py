@@ -387,7 +387,8 @@ def shrinking_ball_certificate(
         sel = slice(len(radii) - window, len(radii))
         logs = np.log(-lambdas_arr[sel])
         logv = np.log(1.0 / volumes_arr[sel])
-        exponent = float(np.polyfit(logv, logs, 1)[0])
+        dx = logv - logv.mean()  # the least-squares slope, np.polyfit's in closed form
+        exponent = float(dx @ (logs - logs.mean()) / (dx @ dx))
         fitted_c = float(np.min((-lambdas_arr[sel]) * volumes_arr[sel] ** (alpha / d)))
         certified = fitted_c > 0.0
     # lhs <= rhs encodes "a positive fitted coefficient exists"; when no

@@ -186,15 +186,16 @@ def _lanczos_top(solve, v: np.ndarray) -> tuple:
     started from v: explicitly restarted Lanczos with LANCZOS_VECTORS
     vectors per cycle, full reorthogonalization (two Gram-Schmidt passes)
     and a restart from the top Ritz vector.  After every step the top Ritz
-    pair (theta, s) of the tridiagonal T_j is tested for
-    |beta_j s_j| <= LANCZOS_TOL theta, the residual norm of the Ritz pair;
-    beta_j is 0 once the cycle spans the whole space.  Returns the Ritz
-    vector and the number of solves; ConvergenceFailure after
-    LANCZOS_RESTARTS cycles."""
+    pair (theta, s) of the tridiagonal T_j (_lapack.TridiagonalEigh) is
+    tested for |beta_j s_j| <= LANCZOS_TOL theta, its residual norm; beta_j
+    is 0 once the cycle spans the whole space.  Returns the Ritz vector and
+    the number of solves; ConvergenceFailure after LANCZOS_RESTARTS cycles
+    or when the Ritz pairs of a T_j do not converge."""
     n = len(v)
     m = min(LANCZOS_VECTORS, n)
     Q = np.empty((m, n))
     T = np.zeros((m, m))
+    ritz = _lapack.TridiagonalEigh(m)
     solves = 0
     for _ in range(LANCZOS_RESTARTS):
         Q[0] = v / np.linalg.norm(v)
@@ -208,8 +209,10 @@ def _lanczos_top(solve, v: np.ndarray) -> tuple:
             for _ in range(2):
                 w -= (Q[: j + 1] @ w) @ Q[: j + 1]
             beta = float(np.linalg.norm(w)) if j + 1 < n else 0.0
-            # a 1 x 1 tridiagonal is its own Ritz pair
-            theta, S = np.linalg.eigh(T[: j + 1, : j + 1]) if j else (T[0, :1], np.ones((1, 1)))
+            try:
+                theta, S = ritz(T[: j + 1, : j + 1])
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceFailure(f"Lanczos Ritz pairs: {exc}", iterations=solves) from exc
             converged = abs(beta * S[j, -1]) <= LANCZOS_TOL * theta[-1]
             if converged or j + 1 == m:
                 break

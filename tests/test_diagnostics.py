@@ -402,9 +402,29 @@ def test_shrinking_ball_supercritical():
     cert = _probe(DOM, ALPHA, PotentialSpec.hardy_interior(c), BALLS, 1 / 512)
     assert cert.satisfied
     assert cert.details["window"] >= 3
-    assert abs(cert.details["fitted_exponent"] - ALPHA / 1.0) <= 0.3 * (ALPHA / 1.0)
+    # only the largest ball is solved and the others' bottoms are scaled
+    # from it, so the least-squares slope is alpha / d up to rounding
+    assert abs(cert.details["fitted_exponent"] - ALPHA / 1.0) <= 1e-15
     lams = cert.details["lambda0s"]
     assert all(b < a for a, b in zip(lams, lams[1:]))
+
+
+@pytest.mark.parametrize("depths", [[1e3, 2e3, 5e3, 1e4, 1.7e4], [50.0, 158.0, 500.0, 1581.0, 5000.0],
+                                    [1.0, 1e2, 3e2, 1e3, 5e3]])
+def test_shrinking_ball_exponent_is_the_least_squares_slope(depths):
+    # constant wells deepened by hand from ball to ball, so the bottoms follow
+    # no power law: the closed-form slope is np.polyfit's over the window
+    potential = PotentialSpec.bounded("1.0")
+    balls = [(grid, depth * V) for depth, (grid, V) in
+             zip(depths, probe_balls(DOM, ALPHA, potential, BALLS, 1 / 256))]
+    cert = shrinking_ball_certificate(balls, ALPHA, potential, BALLS, 1 / 256)
+    window = cert.details["window"]
+    assert cert.satisfied and window >= 4
+    logv = np.log(1.0 / np.array(cert.details["volumes"][-window:]))
+    logs = np.log(-np.array(cert.details["lambda0s"][-window:]))
+    expected = np.polyfit(logv, logs, 1)[0]
+    assert cert.details["fitted_exponent"] == pytest.approx(expected, rel=1e-12)
+    assert abs(expected - ALPHA) > 0.1  # far from a power law's
 
 
 def test_shrinking_ball_subcritical_and_bounded():

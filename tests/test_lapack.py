@@ -3,7 +3,7 @@ import pytest
 from scipy import linalg
 
 from fracheat import DomainSpec, _lapack, assemble_operator, build_grid, spectral
-from fracheat.spectral import _ground_states
+from fracheat.spectral import _ground_states, _lanczos_top
 
 BLOCKS = [(DomainSpec.interval(1.0), 1.0 / 64.0, 0.5), (DomainSpec.disk(1.0), 1.0 / 16.0, 1.0)]
 
@@ -115,3 +115,49 @@ def test_lanczos_restart_cap_reports_solves(monkeypatch):
     with pytest.raises(spectral.ConvergenceFailure) as info:
         _ground_states(B, [d])[0]
     assert info.value.iterations == 3 * spectral.LANCZOS_VECTORS
+
+
+def _tridiagonals(seed, count=40):
+    """Leading blocks of an m x m tridiagonal, m = LANCZOS_VECTORS, as the
+    Lanczos iteration passes them: orders 1 to m, diagonals spread from 1e-3
+    to 1e6, and off-diagonals of their scale or near 1e-12 of it (a cycle
+    close to convergence)."""
+    rng = np.random.default_rng(seed)
+    m = spectral.LANCZOS_VECTORS
+    for i in range(count):
+        k = 1 + i % m
+        T = np.zeros((m, m))
+        d = 10.0 ** rng.uniform(-3.0, 6.0, k)
+        e = d[:-1] * rng.uniform(0.1, 1.0, k - 1) * (1e-12 if i % 3 == 0 else 1.0)
+        T[range(k), range(k)] = d
+        T[range(1, k), range(k - 1)] = T[range(k - 1), range(1, k)] = e
+        yield T[:k, :k]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tridiagonal_eigh_is_numpy_eigh_bit_for_bit(seed):
+    # one binding, its buffers reused across orders, as within one Lanczos run
+    eigh = _lapack.TridiagonalEigh(spectral.LANCZOS_VECTORS)
+    for t in _tridiagonals(seed):
+        theta, S = eigh(t)
+        w, vecs = np.linalg.eigh(t)
+        assert np.array_equal(theta, w) and np.array_equal(S, vecs)
+        # S[:, -1] @ Q is the Ritz vector: a Fortran-ordered S changed its last bits
+        assert S.flags.c_contiguous and S.flags.owndata and theta.flags.owndata
+
+
+def test_tridiagonal_eigh_rejects_what_it_cannot_diagonalize():
+    eigh = _lapack.TridiagonalEigh(4)
+    with pytest.raises(np.linalg.LinAlgError, match="stev failed"):
+        eigh(np.full((3, 3), np.nan))
+    with pytest.raises(ValueError):
+        eigh(np.eye(5))  # above the order the buffers hold
+    assert np.array_equal(eigh(np.diag([2.0, 1.0]))[0], [1.0, 2.0])  # still usable
+
+
+def test_lanczos_ritz_failure_is_a_convergence_failure():
+    # a NaN operator; a LinAlgError is no FracheatError, so the command line
+    # would print a traceback instead of `error: ...`
+    with pytest.raises(spectral.ConvergenceFailure, match="Ritz pairs") as info:
+        _lanczos_top(lambda b: b * np.nan, np.ones(20))
+    assert 0 < info.value.iterations <= spectral.LANCZOS_VECTORS
