@@ -33,6 +33,11 @@ _DEFAULT_THRESHOLDS = {
 }
 # energy_trials is validated, then unread: the energy check is exact
 _DEFAULT_SWEEPS = {"energy_trials": 200, "log_phis": 20}
+# the log-estimate sweep takes 16 bytes of SHAKE-256 output per entry of its
+# (log_phis, n) block at once and holds the block of Phi, 8 more: at most
+# one dense DENSE_SIZE_CAP^2 block of float64 (512 MiB), so log_phis <=
+# DENSE_SIZE_CAP^2 / (3 n) on the finest grid's n nodes
+LOG_DRAW_BUDGET = 8 * DENSE_SIZE_CAP ** 2
 _TOP_KEYS = ("schema_version", "domain", "alpha", "potential", "h_schedule", "k_schedule", "dt",
              "t_final", "probe_times", "state_checkpoints", "thresholds", "sweeps", "initial_state",
              "ball_schedule", "output_dir", "seed")
@@ -274,6 +279,11 @@ def _parse(doc: dict) -> tuple:
     for key in ("energy_trials", "log_phis"):
         if not _is_number(sweeps[key], int) or sweeps[key] < 0:
             errors.append(f"sweeps.{key}: must be a nonnegative integer")
+    if levels and _is_number(sweeps["log_phis"], int) and 24 * sweeps["log_phis"] * finest.n > LOG_DRAW_BUDGET:
+        errors.append(
+            f"sweeps.log_phis: {sweeps['log_phis']} test functions on the finest grid's {finest.n} nodes "
+            f"exceed the draws' budget of {LOG_DRAW_BUDGET} bytes (24 bytes per entry)"
+        )
     # the log estimate reads the state at an earlier step than the probe
     if probe_steps == 1 and _is_number(sweeps["log_phis"], int) and sweeps["log_phis"] > 0:
         errors.append("probe_times: must be at least 2*dt when sweeps.log_phis > 0")

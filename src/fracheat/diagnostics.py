@@ -172,24 +172,30 @@ def log_estimate_certificate(traj: Trajectory, Phi, t1: float, t2: float) -> Cer
     tolerance combines a rounding floor with a term proportional to dt, the
     time-discretization error scale.  Phi may also be a (phis, n) array,
     one test function per row; the certificate is then the row with the
-    least slack, and that row is its Phi.
+    least slack, and that row is its Phi.  Each row's mass, lhs and rhs
+    are reduced from that row alone, so the temporaries are one row's.
     """
     if not (0.0 < t1 < t2):
         raise ValueError(f"need 0 < t1 < t2, got t1={t1}, t2={t2}")
     M, vals = traj.operator, traj.potential
     Phi = np.atleast_2d(np.asarray(Phi, dtype=float))
     vol = M.cell_volume
-    mass = vol * np.sum(Phi * Phi, axis=1)
+    mass = np.empty(len(Phi))
+    support = np.zeros(M.n, dtype=bool)
+    for i, phi in enumerate(Phi):
+        mass[i] = vol * np.sum(phi * phi)
+        support |= phi != 0.0
     if np.any(np.abs(mass - 1.0) > 1e-8):
         raise ValueError(f"Phi must have unit discrete L2 mass, got {mass}")
     u1, u2 = traj.state_at(t1), traj.state_at(t2)
-    support = np.any(Phi != 0.0, axis=0)
     if np.any(u1[support] <= 0.0) or np.any(u2[support] <= 0.0):
         raise NonpositiveState("trajectory must be strictly positive on Phi's support")
-    lhs = vol * np.sum(Phi * Phi * vals, axis=1) - vol * np.sum(Phi * M.apply(Phi), axis=1)
     ratio = np.zeros(M.n)
     ratio[support] = np.log(u2[support] / u1[support])
-    rhs = vol * np.sum(ratio * Phi * Phi, axis=1) / (t2 - t1)
+    lhs, rhs = np.empty(len(Phi)), np.empty(len(Phi))
+    for i, phi in enumerate(Phi):
+        lhs[i] = vol * np.sum(phi * phi * vals) - vol * np.sum(phi * M.apply(phi))
+        rhs[i] = vol * np.sum(ratio * phi * phi) / (t2 - t1)
     worst = int(np.argmin(rhs - lhs))
     lhs, rhs = lhs[worst], rhs[worst]
     scale = 1.0 + abs(lhs) + abs(rhs)

@@ -33,8 +33,8 @@ class Trajectory:
     The states are stored folded: rep_states, read-only of shape
     (len(times), m), holds their values at the representatives orbits[0]
     of the orbit table of the fold that stepped them (the mirrors that fix
-    V and u0 fix every state), m = orbits.shape[1].  states and state_at
-    unfold on read into a new read-only array of width n; every entry is
+    V and u0 fix every state), m = orbits.shape[1].  unfold and state_at
+    carry rows over into a new read-only array of width n; every entry is
     >= 0.  l2_norms holds the discrete L2 norms sqrt(sum u_i^2 h^d) per
     stored time.
     """
@@ -53,17 +53,16 @@ class Trajectory:
         return self.operator.grid
 
     @property
-    def states(self) -> np.ndarray:
-        return self.unfold(self.rep_states)
-
-    @property
     def max_values(self) -> np.ndarray:
         return self.rep_states.max(axis=1)
 
     def unfold(self, rows: np.ndarray) -> np.ndarray:
         """Rows of representatives' values, each carried over its orbits
         to all n nodes: a new read-only array."""
-        return _unfold(self.orbits, rows, self.operator.n)
+        out = np.empty(rows.shape[:-1] + (self.operator.n,))
+        out[..., self.orbits] = rows[..., None, :]
+        out.setflags(write=False)
+        return out
 
     def index_of_time(self, t: float) -> int:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -160,11 +159,11 @@ def _checked_state(u, n: int) -> np.ndarray:
     return u
 
 
-def _unfold(orbits: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    out = np.empty(rows.shape[:-1] + (n,))
-    out[..., orbits] = rows[..., None, :]
-    out.setflags(write=False)
-    return out
+def _node_columns(orbits: np.ndarray, n: int) -> np.ndarray:
+    """Each node's column in rows of the representatives' values."""
+    column = np.empty(n, dtype=int)
+    column[orbits] = np.arange(orbits.shape[1])
+    return column
 
 
 def _advance(system: _SortedFactor, root: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -203,7 +202,14 @@ def evolve(stepper: ImplicitStepper, u0, t_final: float) -> Trajectory:
     for i in range(steps):
         reps[i + 1] = _advance(system, root, reps[i])
     reps.setflags(write=False)
-    states = _unfold(orbits, reps, M.n)  # transient: the norms sum over every node
+    # the norms sum over every node: each state unfolded in turn into one buffer
+    column = _node_columns(orbits, M.n)
+    sums = np.empty(steps + 1)
+    state = np.empty(M.n)
+    for i, row in enumerate(reps):
+        row.take(column, out=state)
+        state *= state
+        sums[i] = state.sum()
     return Trajectory(
         times=dt * np.arange(steps + 1),
         rep_states=reps,
@@ -212,7 +218,7 @@ def evolve(stepper: ImplicitStepper, u0, t_final: float) -> Trajectory:
         dt=dt,
         operator=M,
         potential=stepper.potential,
-        l2_norms=np.sqrt(M.cell_volume * np.sum(states * states, axis=1)),
+        l2_norms=np.sqrt(M.cell_volume * sums),
     )
 
 
@@ -262,8 +268,7 @@ def duhamel_residual(traj: Trajectory, free: ImplicitStepper) -> float:
     M, vals = traj.operator, traj.potential
     if free.M is not M or free.dt != traj.dt or np.any(free.potential):
         raise ValueError("free stepper was factored for another operator, time step or a potential")
-    column = np.empty(M.n, dtype=int)
-    column[traj.orbits] = np.arange(traj.orbits.shape[1])
+    column = _node_columns(traj.orbits, M.n)
     orbits, root, system = free._solver(vals, column)
     reps = orbits[0]
     source = traj.dt * vals[reps] * traj.rep_states[:, column[reps]]

@@ -153,14 +153,19 @@ def run_experiment(config: ExperimentConfig, out_dir=None, seed: int | None = No
 
 
 def _abs_normal(seed: int, shape: tuple) -> np.ndarray:
-    """|N(0, 1)| draws for the seed: Box-Muller on uniforms in (0, 1) cut
-    from the SHAKE-256 stream of the seed's digits, 53 bits each.  A run
-    loads no numpy.random, whose lazy import takes about ten extension
-    modules and 2 MB."""
-    count = math.prod(shape)
-    bits = np.frombuffer(shake_256(str(seed).encode()).digest(16 * count), dtype="<u8")
-    u = ((bits >> 11) + 0.5) * 2.0 ** -53
-    return (np.sqrt(-2.0 * np.log(u[:count])) * np.abs(np.cos(2.0 * np.pi * u[count:]))).reshape(shape)
+    """|N(0, 1)| draws for the seed, made one row (last axis) at a time:
+    Box-Muller on uniforms in (0, 1) cut from the SHAKE-256 stream of the
+    seed's digits, 53 bits each, the first half the radii and the second
+    the angles.  A run loads no numpy.random, whose lazy import takes
+    about ten extension modules and 2 MB."""
+    stream = shake_256(str(seed).encode()).digest(16 * math.prod(shape))
+    words = np.frombuffer(stream, dtype="<u8").reshape(2, -1, shape[-1])  # radii's rows, angles'
+    out = np.empty(shape)
+    for radii, angles, row in zip(words[0], words[1], out.reshape(-1, shape[-1])):
+        radius = ((radii >> 11) + 0.5) * 2.0 ** -53
+        angle = ((angles >> 11) + 0.5) * 2.0 ** -53
+        np.multiply(np.sqrt(-2.0 * np.log(radius)), np.abs(np.cos(2.0 * np.pi * angle)), out=row)
+    return out
 
 
 def _certificates(config, finest: MeshLevel, family, u0, lambdas, probe, seed, free) -> list:
@@ -173,8 +178,10 @@ def _certificates(config, finest: MeshLevel, family, u0, lambdas, probe, seed, f
     t1 = max(traj.dt, math.floor(probe / (2.0 * traj.dt)) * traj.dt)
     phis = config.sweeps["log_phis"]
     if phis:
-        raw = _abs_normal(seed, (phis, finest.op.n)) + 0.05
-        Phi = raw / np.sqrt(finest.op.cell_volume * np.sum(raw * raw, axis=1, keepdims=True))
+        Phi = _abs_normal(seed, (phis, finest.op.n))
+        Phi += 0.05
+        for row in Phi:  # normalized in place, one row at a time
+            row /= np.sqrt(finest.op.cell_volume * np.sum(row * row))
         worst = log_estimate_certificate(traj, Phi, t1, probe)
         certs.append(
             replace(worst, name="log_estimate_sweep", details={**worst.details, "phis": phis})

@@ -1,8 +1,8 @@
 """Oracles and builders that only the tests call: the Fourier-side form
-energy of a test function, the weak-form residual of a trajectory, and a
-mesh level or the probe's balls built from a domain, as a config parse
-builds them.  No run executes them, so they live here and not in the
-package."""
+energy of a test function, the weak-form residual of a trajectory, a
+trajectory's states unfolded all at once, and a mesh level or the probe's
+balls built from a domain, as a config parse builds them.  No run
+executes them, so they live here and not in the package."""
 
 import numpy as np
 
@@ -11,6 +11,12 @@ from fracheat.assembly import check_order
 from fracheat.diagnostics import ball_meshes
 from fracheat.errors import FracheatError
 from fracheat.spectral import MeshLevel
+
+
+def unfolded_states(traj: Trajectory) -> np.ndarray:
+    """Every stored state of the trajectory carried over to all n nodes: a
+    new read-only (len(times), n) array."""
+    return traj.unfold(traj.rep_states)
 
 
 def mesh_level(domain: DomainSpec, alpha: float, potential, h: float) -> MeshLevel:
@@ -143,7 +149,7 @@ def variational_residual(traj: Trajectory, phi, phi_t=None) -> float:
         dphis = np.stack([np.asarray(phi_t(t, traj.grid.points), dtype=float) for t in times])
     else:
         dphis = np.gradient(phis, traj.dt, axis=0)
-    vol, states = M.cell_volume, traj.states
+    vol, states = M.cell_volume, unfolded_states(traj)
     integrand = vol * np.sum(states * (M.apply(phis) - dphis), axis=1)
     source = vol * np.sum(states * phis * traj.potential, axis=1)
     boundary = vol * (np.dot(states[-1], phis[-1]) - np.dot(states[0], phis[0]))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fracheat import (
+    DomainSpec,
     MissingLibrary,
     SolveFailure,
     assemble_operator,
@@ -25,7 +26,7 @@ from fracheat import (
     refinement_series,
     run_experiment,
 )
-from oracles import mesh_level
+from oracles import mesh_level, unfolded_states
 import fracheat
 from fracheat.cli import main
 from fracheat.config import validate_config
@@ -684,12 +685,35 @@ def test_runner_builds_on_one_level_pipeline(tmp_path, monkeypatch):
         )
         for got, want in zip(runner_family, expected):
             assert got.grid.h == h and got.k == want.k
-            assert np.array_equal(got.states, want.states)
+            assert np.array_equal(unfolded_states(got), unfolded_states(want))
 
 
 def test_bundled_configs_validate():
     for name in ("hardy_subcritical_1d", "hardy_supercritical_1d", "bounded_1d", "hardy_boundary_2d"):
         path = resources.files("fracheat") / "configs" / f"{name}.json"
+        assert validate_config(str(path)) == []
+
+
+def test_validate_bounds_the_log_sweep_draws(tmp_path):
+    # the sweep's draws and Phi take 24 bytes per entry of its (log_phis, n)
+    # block at once: validate refuses a count whose block exceeds
+    # LOG_DRAW_BUDGET on the finest grid and accepts every shipped and
+    # benchmark config.  Only validate runs here, so nothing is drawn
+    from fracheat.config import LOG_DRAW_BUDGET
+
+    n = build_grid(DomainSpec.interval(1.0), FAST_CONFIG["h_schedule"][-1]).n
+    most = LOG_DRAW_BUDGET // (24 * n)
+    doc = dict(FAST_CONFIG, sweeps={"log_phis": most})
+    assert validate_config(str(write_config(tmp_path, doc))) == []
+    for phis in (most + 1, 10 ** 12):
+        doc = dict(FAST_CONFIG, sweeps={"log_phis": phis})
+        (problem,) = validate_config(str(write_config(tmp_path, doc)))
+        assert problem.startswith(f"sweeps.log_phis: {phis} test functions")
+    shipped = [resources.files("fracheat") / "configs" / f"{name}.json" for name in
+               ("hardy_subcritical_1d", "hardy_supercritical_1d", "bounded_1d", "hardy_boundary_2d")]
+    benchmark = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "configs").glob("*.json"))
+    assert benchmark
+    for path in shipped + benchmark:
         assert validate_config(str(path)) == []
 
 

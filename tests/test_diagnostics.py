@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import types
 from dataclasses import replace
 
@@ -36,7 +37,8 @@ from fracheat import (
     spectral_bottom,
 )
 from fracheat.assembly import OperatorMatrix
-from oracles import mesh_level, probe_balls
+from fracheat.geometry import stabilizers
+from oracles import mesh_level, probe_balls, unfolded_states
 
 ALPHA = 0.5
 DOM = DomainSpec.interval(1.0)
@@ -305,6 +307,55 @@ def test_log_certificate_rows_match_single_phis(interval_op):
     assert batch.details == worst.details and batch.satisfied
     # the worst row is the batch certificate's Phi
     assert batch.inputs_digest == worst.inputs_digest
+
+
+def _log_setup(domain, alpha, h, phis):
+    """A trajectory on the fold of the domain's whole mirror group and phis
+    unit-mass test functions |N(0, 1)| + 0.05."""
+    pot = PotentialSpec.hardy_interior(0.5 * hardy_sharp_constant(domain.dimension, alpha))
+    level = mesh_level(domain, alpha, pot, h)
+    traj = evolve(ImplicitStepper(level.op, level.potential, 1.0 / 32.0, lambda0=0.0), initial_state(level.op.grid), 0.25)
+    raw = np.abs(np.random.default_rng(8).standard_normal((phis, level.op.n))) + 0.05
+    return traj, raw / np.sqrt(level.op.cell_volume * np.sum(raw * raw, axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("domain, alpha, h, order", [
+    (DOM, ALPHA, 1 / 64, 2),
+    (DomainSpec.disk(1.0), 1.0, 1 / 24, 8),
+])
+def test_log_certificate_rows_equal_whole_array_formulas(domain, alpha, h, order):
+    # each row's lhs and rhs are reduced from that row alone: bit for bit
+    # the whole (phis, n) array's row sums, on a 1-D fold and a disk fold
+    # whose diagonal mirror fixes nodes
+    traj, Phi = _log_setup(domain, alpha, h, 6)
+    assert len(traj.orbits) == order
+    assert domain.dimension == 1 or np.any(stabilizers(traj.orbits) > 1)  # the diagonals' nodes
+    M, vals, vol = traj.operator, traj.potential, traj.operator.cell_volume
+    u1, u2 = traj.state_at(0.125), traj.state_at(0.25)
+    lhs = vol * np.sum(Phi * Phi * vals, axis=1) - vol * np.sum(Phi * M.apply(Phi), axis=1)
+    rhs = vol * np.sum(np.log(u2 / u1) * Phi * Phi, axis=1) / (0.25 - 0.125)
+    for row, want_lhs, want_rhs in zip(Phi, lhs, rhs):
+        single = log_estimate_certificate(traj, row, 0.125, 0.25)
+        assert single.lhs == want_lhs and single.rhs == want_rhs
+    worst = int(np.argmin(rhs - lhs))
+    batch = log_estimate_certificate(traj, Phi, 0.125, 0.25)
+    assert batch.lhs == lhs[worst] and batch.rhs == rhs[worst]
+
+
+def test_log_certificate_traced_peak_below_one_block():
+    # forty test functions on the disk at h = 1/24, the benchmark's finest
+    # mesh: beyond its inputs the certificate holds one row's temporaries
+    # and apply's transforms (0.36 MB), less than one (phis, n) array (0.58
+    # MB); the whole-block products took 1.25 MB
+    traj, Phi = _log_setup(DomainSpec.disk(1.0), 1.0, 1 / 24, 40)
+    log_estimate_certificate(traj, Phi[0], 0.125, 0.25)  # caches the operator's spectrum
+    tracemalloc.start()
+    try:
+        log_estimate_certificate(traj, Phi, 0.125, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < Phi.nbytes
 
 
 def test_log_certificate_validation(interval_op):
@@ -672,7 +723,7 @@ def test_hashed_arrays_are_read_only(interval_op):
     with pytest.raises(ValueError):
         traj.rep_states[0, 0] = 1.0
     with pytest.raises(ValueError):
-        traj.states[0, 0] = 1.0
+        unfolded_states(traj)[0, 0] = 1.0
     with pytest.raises(ValueError):
         traj.state_at(0.25)[0] = 1.0
     with pytest.raises(ValueError):

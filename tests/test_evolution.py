@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from fracheat import (
     spectral_bottom,
     truncate,
 )
-from oracles import mesh_level, variational_residual
+from oracles import mesh_level, unfolded_states, variational_residual
 
 ALPHA = 0.5
 DOM = DomainSpec.interval(1.0)
@@ -72,11 +73,11 @@ def test_evolve_free_decay_and_positivity(interval_op):
     u0 = initial_state(g, kind="ball", radius=0.25)
     traj = evolve(ImplicitStepper(interval_op, None, 1.0 / 64.0), u0, 0.5)
     assert traj.times[0] == 0.0
-    assert np.array_equal(traj.states[0], u0)
+    assert np.array_equal(unfolded_states(traj)[0], u0)
     assert np.all(np.diff(traj.l2_norms) < 0)
-    assert np.min(traj.states) >= 0.0
+    assert np.min(unfolded_states(traj)) >= 0.0
     # strictly positive after one step (irreducible coupling)
-    assert np.all(traj.states[1] > 0)
+    assert np.all(unfolded_states(traj)[1] > 0)
 
 
 def test_evolve_constant_potential_growth(interval_op):
@@ -110,8 +111,8 @@ def test_discrete_semigroup_property(interval_op):
     dt = 1.0 / 32.0
     full = evolve(ImplicitStepper(interval_op, None, dt), u0, 0.5)
     first = evolve(ImplicitStepper(interval_op, None, dt), u0, 0.25)
-    second = evolve(ImplicitStepper(interval_op, None, dt), first.states[-1], 0.25)
-    assert np.array_equal(second.states[-1], full.states[-1])
+    second = evolve(ImplicitStepper(interval_op, None, dt), unfolded_states(first)[-1], 0.25)
+    assert np.array_equal(unfolded_states(second)[-1], unfolded_states(full)[-1])
 
 
 def test_evolution_linearity(interval_op):
@@ -119,9 +120,9 @@ def test_evolution_linearity(interval_op):
     u = rng.uniform(0.0, 1.0, interval_op.n)
     v = rng.uniform(0.0, 1.0, interval_op.n)
     dt = 1.0 / 32.0
-    a = evolve(ImplicitStepper(interval_op, None, dt), u, 0.25).states[-1]
-    b = evolve(ImplicitStepper(interval_op, None, dt), v, 0.25).states[-1]
-    ab = evolve(ImplicitStepper(interval_op, None, dt), u + v, 0.25).states[-1]
+    a = unfolded_states(evolve(ImplicitStepper(interval_op, None, dt), u, 0.25))[-1]
+    b = unfolded_states(evolve(ImplicitStepper(interval_op, None, dt), v, 0.25))[-1]
+    ab = unfolded_states(evolve(ImplicitStepper(interval_op, None, dt), u + v, 0.25))[-1]
     np.testing.assert_allclose(ab, a + b, atol=1e-10)
 
 
@@ -219,8 +220,9 @@ def test_symmetric_evolve_factors_one_block(domain, h, alpha, monkeypatch):
     traj = evolve(ImplicitStepper(op, fld, 1.0 / 32.0, lambda0=0.0), initial_state(g), 0.25)
     m = 107 if g.dimension == 2 else g.n // 2  # the disk's 96 orbits of 8 and 11 of 4
     assert shapes == [(m, m)]
+    states = unfolded_states(traj)
     for image in g.mirrors:  # every state stays exactly symmetric
-        assert np.array_equal(traj.states[:, image], traj.states)
+        assert np.array_equal(states[:, image], states)
 
 
 def test_square_group_step_matches_a_dense_solve():
@@ -355,11 +357,11 @@ def test_evolve_matches_a_loop_of_steps(domain, h, potential, order, monkeypatch
     assert m == {(1, 2): 64, (1, 1): 67, (2, 4): 107, (2, 2): 406, (2, 1): 417}[g.dimension, order]
     assert factors == [(m, m)] and solves == [m] * steps
     monkeypatch.undo()
-    assert np.array_equal(traj.states, want)
+    assert np.array_equal(unfolded_states(traj), want)
     assert np.array_equal(traj.l2_norms, np.sqrt(op.cell_volume * np.sum(want * want, axis=1)))
     assert traj.rep_states.shape == (steps + 1, m)
     looped = replace(traj, rep_states=want[:, traj.orbits[0]])
-    assert np.array_equal(looped.states, want)
+    assert np.array_equal(unfolded_states(looped), want)
     free = ImplicitStepper(op, None, dt)
     assert duhamel_residual(traj, free) == duhamel_residual(looped, free)
 
@@ -387,22 +389,47 @@ def test_disk_trajectory_stores_its_representatives_only():
     for _ in range(steps):
         want.append(stepper.step(want[-1]))
     want = np.array(want)
-    assert np.array_equal(traj.states, want)
+    assert np.array_equal(unfolded_states(traj), want)
     assert np.array_equal(traj.state_at(steps * dt), want[-1])
     assert np.array_equal(traj.max_values, want.max(axis=1))
     assert np.array_equal(traj.l2_norms, np.sqrt(op.cell_volume * np.sum(want * want, axis=1)))
 
 
+def test_evolve_traced_peak_below_one_unfolded_trajectory():
+    # the disk's finest benchmark mesh (h = 1/24, n = 1804) over its 32
+    # steps, the fold and factor already cached: the norms unfold one state
+    # at a time into one buffer, so evolve's traced peak stays below one
+    # (steps + 1) x n array; unfolding the whole trajectory and squaring it
+    # took two of them
+    from fracheat import hardy_sharp_constant
+
+    pot = PotentialSpec.hardy_interior(2.0 * hardy_sharp_constant(2, 1.0))
+    level = mesh_level(DomainSpec.disk(1.0), 1.0, pot, 1.0 / 24.0)
+    op, dt = level.op, 1.0 / 64.0
+    stepper = ImplicitStepper(op, level.potential, dt, lambda0=0.0)
+    u0 = initial_state(op.grid)
+    evolve(stepper, u0, dt)  # folds and factors
+    tracemalloc.start()
+    try:
+        traj = evolve(stepper, u0, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == 33 and op.n == 1804
+    assert peak < 8 * len(traj.times) * op.n
+
+
 def _looped_duhamel(traj, op, vals, free):
     """Oracle: the reconstruction stepped through ImplicitStepper.step at
     full n, each step folded by the mirrors that fix its own state."""
-    acc = traj.states[0].copy()
+    states = unfolded_states(traj)
+    acc = states[0].copy()
     worst = 0.0
     for n in range(1, len(traj.times)):
-        acc = free.step(acc) + traj.dt * vals * traj.states[n]
-        denom = np.linalg.norm(traj.states[n])
+        acc = free.step(acc) + traj.dt * vals * states[n]
+        denom = np.linalg.norm(states[n])
         if denom > 0:
-            worst = max(worst, float(np.linalg.norm(traj.states[n] - acc) / denom))
+            worst = max(worst, float(np.linalg.norm(states[n] - acc) / denom))
     return worst
 
 
@@ -488,7 +515,7 @@ def test_evolve_rejects_a_stepper_for_another_potential(interval_op):
     stepper = ImplicitStepper(interval_op, fld, 1.0 / 32.0)
     traj = evolve(stepper, u0, 0.5)
     assert np.array_equal(traj.potential, fld) and traj.potential is stepper.potential
-    assert np.all(traj.states[-1] > free.states[-1])
+    assert np.all(unfolded_states(traj)[-1] > unfolded_states(free)[-1])
     # the Duhamel reconstruction's free flow must be free
     with pytest.raises(ValueError, match="potential"):
         duhamel_residual(traj, stepper)
@@ -502,7 +529,7 @@ def test_stepper_keeps_the_values_it_was_factored_with(interval_op):
     want = evolve(ImplicitStepper(interval_op, np.full(interval_op.n, 0.5), 1.0 / 32.0), u0, 0.25)
     V[:] = 2.0
     traj = evolve(stepper, u0, 0.25)
-    assert np.array_equal(traj.states, want.states)
+    assert np.array_equal(unfolded_states(traj), unfolded_states(want))
     assert np.array_equal(traj.potential, np.full(interval_op.n, 0.5))
     assert traj.k == math.inf
     with pytest.raises(ValueError):
@@ -525,8 +552,8 @@ def test_monotone_family_inactive_truncation(interval_op):
     level = MeshLevel(interval_op, sample_potential(PotentialSpec.bounded("0.3"), interval_op.grid, ALPHA), 0.01)
     fam = monotone_family(level, [0.5, 1.0, 2.0], u0, 0.25, 1.0 / 32.0)
     # max V = 0.3 <= every level: all trajectories identical
-    assert np.array_equal(fam[0].states, fam[1].states)
-    assert np.array_equal(fam[1].states, fam[2].states)
+    assert np.array_equal(unfolded_states(fam[0]), unfolded_states(fam[1]))
+    assert np.array_equal(unfolded_states(fam[1]), unfolded_states(fam[2]))
     assert [t.k for t in fam] == [0.5, 1.0, 2.0]
 
 
@@ -540,14 +567,14 @@ def test_monotone_family_ordering():
     level = MeshLevel(op, sample_potential(PotentialSpec.hardy_interior(c), g, ALPHA), 0.01)
     fam = monotone_family(level, [0.25, 0.5, 1.0, math.inf], u0, 0.25, 1.0 / 32.0)
     for lo, hi in zip(fam, fam[1:]):
-        assert np.all(hi.states >= lo.states - 1e-10)
+        assert np.all(unfolded_states(hi) >= unfolded_states(lo) - 1e-10)
     # truncation at the lowest level is active, so the ordering is strict somewhere
-    assert np.max(fam[1].states - fam[0].states) > 1e-6
+    assert np.max(unfolded_states(fam[1]) - unfolded_states(fam[0])) > 1e-6
     # saturation once k dominates the sampled maximum
     fld = sample_potential(PotentialSpec.hardy_interior(c), g, ALPHA)
     big = truncate(fld, fld.max() + 1.0)
     same = evolve(ImplicitStepper(op, big, 1.0 / 32.0), u0, 0.25)
-    assert np.array_equal(same.states, fam[-1].states)
+    assert np.array_equal(unfolded_states(same), unfolded_states(fam[-1]))
 
 
 FAMILY_CASES = [
@@ -580,11 +607,11 @@ def test_family_steppers_match_fresh_steppers(domain, h, alpha, kind, ks):
         fresh.truncate(k)
         direct = evolve(fresh, u0, 0.25)
         assert traj.k == direct.k == k
-        scale = np.max(direct.states, axis=1, keepdims=True)
-        assert np.max(np.abs(traj.states - direct.states) / scale) <= 1e-13
+        scale = np.max(unfolded_states(direct), axis=1, keepdims=True)
+        assert np.max(np.abs(unfolded_states(traj) - unfolded_states(direct)) / scale) <= 1e-13
         np.testing.assert_allclose(traj.l2_norms, direct.l2_norms, rtol=1e-13, atol=0)
     # the deepest level is factored from scratch, as a fresh stepper is
-    assert np.array_equal(family[-1].states, direct.states)
+    assert np.array_equal(unfolded_states(family[-1]), unfolded_states(direct))
 
 
 def test_truncate_refactors_the_trailing_block_only(monkeypatch):
@@ -723,7 +750,7 @@ def test_two_dimensional_pipeline_smoke():
     fld = sample_potential(PotentialSpec.hardy_interior(0.1), g, 1.0)
     lam = spectral_bottom(op, fld).lambda0
     traj = evolve(ImplicitStepper(op, fld, 1.0 / 32.0, lambda0=lam), initial_state(g), 0.25)
-    assert np.min(traj.states) >= 0.0
+    assert np.min(unfolded_states(traj)) >= 0.0
     cert = exponential_bound_certificate(traj, lam)
     assert cert.satisfied
 
