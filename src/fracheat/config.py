@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import DENSE_SIZE_CAP, check_order
-from .diagnostics import BALL_PROBE_KINDS, MIN_BALL_NODES, MIN_BALLS, MIN_MESH_LEVELS
+from .diagnostics import BALL_PROBE_KINDS, MIN_BALLS, MIN_MESH_LEVELS
 from .diagnostics import ball_meshes, default_ball_schedule
 from .errors import ConfigError, DomainError, SingularNode
 from .evolution import initial_state
@@ -40,7 +40,7 @@ _DEFAULT_SWEEPS = {"energy_trials": 200, "log_phis": 20}
 LOG_DRAW_BUDGET = 8 * DENSE_SIZE_CAP ** 2
 _TOP_KEYS = ("schema_version", "domain", "alpha", "potential", "h_schedule", "k_schedule", "dt",
              "t_final", "probe_times", "state_checkpoints", "thresholds", "sweeps", "initial_state",
-             "ball_schedule", "output_dir", "seed")
+             "output_dir", "seed")
 
 
 @dataclass(eq=False)  # meshes holds arrays
@@ -290,7 +290,7 @@ def _parse(doc: dict) -> tuple:
 
     u0s = []
     init = _object(doc, "initial_state", errors, {"kind": "inradius_ball"})
-    _closed(init, "initial_state.", ("kind", "radius"), errors)
+    _closed(init, "initial_state.", ("kind", "radius") if init.get("kind") == "ball" else ("kind",), errors)
     if init.get("kind") not in ("inradius_ball", "ball", "constant"):
         errors.append(f"initial_state.kind: unknown kind {init.get('kind')!r}")
     elif init.get("kind") == "ball" and not (_is_number(init.get("radius")) and init["radius"] > 0):
@@ -305,28 +305,14 @@ def _parse(doc: dict) -> tuple:
                 errors.append(f"initial_state.radius: {exc} ({where})")
                 break
 
-    balls = doc.get("ball_schedule")
-    n_errors = len(errors)
-    if balls is not None:
-        if not isinstance(balls, list) or any(not _is_number(r) or r <= 0 for r in balls):
-            errors.append("ball_schedule: must be a list of positive radii or null")
-        elif any(r2 >= r1 for r1, r2 in zip(balls, balls[1:])):
-            errors.append("ball_schedule: must be strictly decreasing")
-        elif len(balls) < MIN_BALLS:
-            errors.append(f"ball_schedule: needs at least {MIN_BALLS} radii, got {len(balls)}")
-        elif domain is not None and balls[0] > domain.inradius:
-            errors.append(f"ball_schedule: radius {balls[0]} above the inradius {domain.inradius}")
     radii, probe = [], []
-    if pot is not None and pot.kind in BALL_PROBE_KINDS and levels and len(errors) == n_errors:
-        # the radii of run's ball probe and the grids of the balls it solves, none for
-        # a default schedule too short to probe; every ball holds as many nodes as the largest
-        radii = balls or default_ball_schedule(domain, finest.h)
+    if pot is not None and pot.kind in BALL_PROBE_KINDS and levels:
+        # the radii of run's ball probe and the grids of the balls it solves, none for a
+        # schedule too short to probe; the largest of 3 or more radii holds well over 8 nodes
+        radii = default_ball_schedule(domain, finest.h)
         radii = radii if len(radii) >= MIN_BALLS else []
         probe = [(f"ball r={ball.inradius}", build_grid(ball, hb))
                  for ball, hb in (ball_meshes(domain, radii, finest.h, pot.kind) if radii else [])]
-        if probe and probe[0][1].n < MIN_BALL_NODES:
-            errors.append(f"ball_schedule: the ball of radius {radii[0]} holds {probe[0][1].n} "
-                          f"nodes, fewer than {MIN_BALL_NODES}")
 
     samples = []
     if pot is not None:

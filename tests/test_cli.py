@@ -785,18 +785,18 @@ def test_boundary_hardy_run_reports_flag_and_estimate(tmp_path):
         ({"h_schedule": None}, "h_schedule: missing or empty"),
         ({"h_schedule": 0.125}, "h_schedule: missing or empty"),
         ({"potential": {"kind": "custom", "table": "t.csv"}}, "unknown kind 'custom'"),
-        (
-            {"potential": {"kind": "bounded", "expr": "sqrt(1 - x*x)"}, "ball_schedule": [1.5, 0.75, 0.375]},
-            "ball_schedule: radius 1.5 above the inradius",
-        ),
-        ({"ball_schedule": [0.5, 0.25]}, "ball_schedule: needs at least 3 radii"),
-        ({"ball_schedule": [0.05, 0.025, 0.0125]}, "ball_schedule: the ball of radius 0.05 holds 4 nodes"),
-        (  # negative only at |x| = 0.045, a node of the r = 0.3 ball, none of the h_schedule grids
-            {"potential": {"kind": "bounded", "expr": "1 - 2*maximum(0, 1 - 1e6*abs(abs(x) - 0.045))"},
-             "ball_schedule": [0.3, 0.15, 0.075]},
-            "potential.expr: potential must be nonnegative (ball r=0.3)",
-        ),
+        # the probe's radii follow from the domain and the finest spacing alone
+        ({"ball_schedule": [0.3, 0.15, 0.075]}, "ball_schedule: unknown key"),
+        ({"ball_schedule": None}, "ball_schedule: unknown key"),
+        # the default radii are 0.5, 0.25 and 0.125 at the finest h = 1/32, and
+        # |x| = 3/128 is a node of the r = 0.25 ball (spacing 1/64), none of the
+        # h_schedule grids (odd multiples of 1/64 and coarser) or the other balls
+        ({"potential": {"kind": "bounded", "expr": "1 - 2*maximum(0, 1 - 1e6*abs(abs(x) - 0.0234375))"}},
+         "potential.expr: potential must be nonnegative (ball r=0.25)"),
         ({"initial_state": {"kind": "ball", "radius": 0.001}}, "initial_state.radius: no grid node"),
+        # only a ball initial state reads a radius: the others ran with it ignored
+        ({"initial_state": {"kind": "constant", "radius": "x"}}, "initial_state.radius: unknown key"),
+        ({"initial_state": {"kind": "inradius_ball", "radius": 0.3}}, "initial_state.radius: unknown key"),
         ({"domain": [1.0]}, "domain: must be a JSON object"),
         ({"sweeps": 5}, "sweeps: must be a JSON object"),
         ({"potential": {"kind": "bounded", "expr": "0.5", "epsilon": "x"}}, "potential.epsilon"),
@@ -846,8 +846,8 @@ def test_boundary_hardy_run_reports_flag_and_estimate(tmp_path):
         ({"initial_state": {"kind": "ball", "radius": 0.5, "center": 0.1}}, "initial_state.center: unknown key"),
     ],
     ids=[
-        "two_meshes", "h_schedule_null", "h_schedule_number", "custom", "ball_above_inradius",
-        "two_balls", "balls_too_small", "negative_on_a_ball", "tiny_initial_ball",
+        "two_meshes", "h_schedule_null", "h_schedule_number", "custom", "ball_schedule", "ball_schedule_null",
+        "negative_on_a_ball", "tiny_initial_ball", "constant_radius", "inradius_ball_radius",
         "domain_list", "sweeps_number", "epsilon_string", "comparability_string", "comparability_below_one",
         "checkpoints_number",
         "checkpoints_zero", "checkpoints_false", "checkpoints_empty_string", "checkpoints_empty_object",
@@ -871,18 +871,10 @@ def test_validate_rejects_what_run_cannot_execute(tmp_path, change, problem, cap
 def test_ball_schedule_bounds_that_run_accepts(tmp_path):
     from fracheat.diagnostics import default_ball_schedule
 
-    # a ball of the inradius itself runs; its nodes lie strictly inside
-    doc = dict(FAST_CONFIG, potential={"kind": "bounded", "expr": "sqrt(1 - x*x)"},
-               ball_schedule=[1.0, 0.5, 0.25])
-    path = write_config(tmp_path, doc)
-    assert validate_config(path) == []
-    report = json.loads(Path(run_experiment(load_config(path), out_dir=tmp_path / "a")["report"]).read_text())
-    ball = next(c for c in report["certificates"] if c["name"] == "shrinking_ball")
-    assert ball["details"]["radii"] == [1.0, 0.5, 0.25]
     # a default schedule of two radii (finest h = 1/16) is skipped without a word
     doc = dict(FAST_CONFIG, h_schedule=[0.25, 0.125, 0.0625])
     cfg = load_config(write_config(tmp_path, doc))
     assert len(default_ball_schedule(cfg.domain, cfg.h_schedule[-1])) == 2
     assert cfg.ball_schedule == []
-    report = json.loads(Path(run_experiment(cfg, out_dir=tmp_path / "b")["report"]).read_text())
+    report = json.loads(Path(run_experiment(cfg, out_dir=tmp_path / "out")["report"]).read_text())
     assert "shrinking_ball" not in [c["name"] for c in report["certificates"]]

@@ -575,6 +575,30 @@ def test_ball_spacing_puts_whole_cells_on_the_largest_radius():
     assert np.all(np.isfinite(cert.details["lambda0s"]))
 
 
+@pytest.mark.parametrize(
+    "domain",
+    [DomainSpec.interval(1.0), DomainSpec.interval(2.5), DomainSpec.disk(1.0), DomainSpec.disk(0.7),
+     DomainSpec.rectangle(1.0, 0.56), DomainSpec.rectangle(2.0, 3.0)],
+)
+def test_default_schedule_balls_hold_enough_nodes(domain):
+    from fracheat.diagnostics import MIN_BALL_NODES, MIN_BALLS, ball_meshes, default_ball_schedule
+
+    # the config lays out no other schedule: its largest radius is at least 4x
+    # the smallest, whose ball holds about 8 nodes, and every ball holds as
+    # many nodes as the largest, so none is ever too small to solve
+    lengths, fewest = set(), math.inf
+    for h in domain.inradius / np.geomspace(8.0, 64.0, 40):
+        radii = default_ball_schedule(domain, h)
+        lengths.add(len(radii))
+        if len(radii) < MIN_BALLS:
+            continue
+        for kind in ("hardy_interior", "bounded"):
+            for ball, hb in ball_meshes(domain, radii, h, kind):
+                fewest = min(fewest, build_grid(ball, hb).n)
+    assert {MIN_BALLS - 1, MIN_BALLS, MIN_BALLS + 1} <= lengths
+    assert fewest >= (34 if domain.dimension == 1 else 156) > MIN_BALL_NODES
+
+
 def _pipeline(coupling_ratio, hs, k_schedule, dt):
     pot = (
         PotentialSpec.bounded("0.3")
